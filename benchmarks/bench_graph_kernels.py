@@ -426,13 +426,12 @@ def _naive_full_path_metrics(graph):
     n = graph.number_of_nodes()
     working, component_count = fast._working_component(graph)
     csr = fast.csr_of(working)
-    live = fast.live_source_indices(csr)
-    n_working = int(live.size)
+    n_working = csr.n
     best = 0
     total = 0
     values = []
-    for index in live:
-        distances = fast.bfs_distances(csr, int(index))
+    for index in range(n_working):
+        distances = fast.bfs_distances(csr, index)
         reached_mask = distances >= 0
         distance_sum = int(distances[reached_mask].sum())
         best = max(best, int(distances.max()))

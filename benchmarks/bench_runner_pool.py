@@ -3,7 +3,7 @@
 The PR 4 sharded path-metric engine built a throwaway process pool (and
 re-shipped the CSR arrays) for every checkpoint campaign.  The persistent
 pool (:mod:`repro.runner.pool`) pays spin-up once per invocation and
-broadcasts only delta-log patches between checkpoints, so a checkpointed
+re-publishes each checkpoint's snapshot into shared memory, so a checkpointed
 ``resilience-at-scale``-style campaign (here: 20 000 nodes, 4 checkpoints,
 2 path workers, exact full-population metrics at every checkpoint) saves
 the per-checkpoint spin-up + re-ship tax -- a modest but consistent
@@ -68,7 +68,7 @@ def _serial_campaign():
 
 
 def test_persistent_pool_campaign(benchmark):
-    """Tentpole path: one spin-up, delta patches between checkpoints."""
+    """Tentpole path: one spin-up, one re-publish per later checkpoint."""
     with telemetry.collecting() as collector:
         pooled = benchmark.pedantic(
             lambda: _campaign(fresh_pool_per_checkpoint=False),
@@ -80,10 +80,10 @@ def test_persistent_pool_campaign(benchmark):
     spans = collector.snapshot()["spans"]
     assert spans["runner.pool_spinup"]["count"] == 1
     assert counters["runner.pool.publish_attach"] == 1
-    assert counters["runner.pool.publish_patch"] == CHECKPOINTS - 1
+    assert counters["runner.pool.publish_reattach"] == CHECKPOINTS - 1
     emit(
         "persistent pool telemetry",
-        f"spinups=1 attach=1 patches={CHECKPOINTS - 1} "
+        f"spinups=1 attach=1 reattaches={CHECKPOINTS - 1} "
         f"bytes_shipped={counters['runner.pool.bytes_shipped']}",
     )
 

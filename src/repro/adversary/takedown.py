@@ -91,9 +91,8 @@ class TargetedDegreeTakedown:
     """Always remove the current highest-degree node (hub-targeted cleanup).
 
     The per-victim candidate search runs through
-    :func:`repro.graphs.backend.top_degree_nodes`: at paper scale that is a
-    masked argmax over the CSR degree array, kept fresh between victims by
-    the incremental delta patching instead of a full mirror rebuild.  The
+    :func:`repro.graphs.backend.top_degree_nodes`: at paper scale that is an
+    argmax over the CSR degree array, rebuilt after each victim.  The
     candidate list (and therefore the rng draw) is identical on both
     backends.
     """

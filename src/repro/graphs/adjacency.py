@@ -9,21 +9,9 @@ layer uses ``.onion`` address strings, the experiment harness uses integers.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
 
 NodeId = Hashable
-
-#: Capacity of the per-graph mutation delta log.  Derived representations
-#: (the fast backend's CSR mirror, the runner pool's shared-memory mirrors)
-#: replay the log to *patch* their cached arrays instead of rebuilding from
-#: scratch; once more than this many primitive mutations accumulate between
-#: the oldest consumer's synchronisation point and the present the log
-#: overflows and every consumer falls back to a full rebuild.
-DELTA_LOG_LIMIT = 8192
-
-#: The delta-log consumer name used when none is given: the fast backend's
-#: in-process CSR cache (:func:`repro.graphs.fast.csr_of`).
-DEFAULT_DELTA_CONSUMER = "csr"
 
 
 class GraphError(ValueError):
@@ -41,15 +29,6 @@ class UndirectedGraph:
         #: Incremented on every structural change; derived representations
         #: (e.g. the fast backend's cached CSR arrays) key their caches on it.
         self._mutations: int = 0
-        #: Bounded log of primitive mutations since the oldest consumer's
-        #: :meth:`reset_delta_log`; ``None`` while disarmed (no consumer has
-        #: synchronised yet -- the common case for graphs that never touch
-        #: the fast backend, which then pay nothing) or after an overflow.
-        self._delta_log: Optional[List[Tuple]] = None
-        #: Per-consumer synchronisation marks: ``name -> (stamp, offset)``.
-        #: ``offset`` indexes into :attr:`_delta_log`; entries before the
-        #: oldest live offset are trimmed away on every reset.
-        self._delta_marks: Dict[str, Tuple[int, int]] = {}
         for node in nodes:
             self.add_node(node)
         for u, v in edges:
@@ -61,86 +40,6 @@ class UndirectedGraph:
         return self._mutations
 
     # ------------------------------------------------------------------
-    # Mutation delta log (incremental CSR maintenance)
-    # ------------------------------------------------------------------
-    def delta_since(self, stamp: int, consumer: str = DEFAULT_DELTA_CONSUMER) -> Optional[List[Tuple]]:
-        """The primitive mutations applied since ``stamp``, if fully logged.
-
-        Returns ``None`` when the log cannot reconstruct the interval for
-        ``consumer``: the log is disarmed (no :meth:`reset_delta_log` yet),
-        it has overflowed :data:`DELTA_LOG_LIMIT`, or that consumer's mark
-        was last reset at a different stamp than the caller's snapshot.
-        Entries are ``("+n", node)``, ``("-n", node)``, ``("+e", u, v)`` and
-        ``("-e", u, v)``, in application order (a node removal appears as
-        its incident ``"-e"`` entries followed by one ``"-n"``).
-
-        Consumers are independent: the fast backend's in-process CSR cache
-        (the default) and the runner pool's shared-memory mirrors each keep
-        their own mark, so one synchronising never invalidates the other.
-        """
-        log = self._delta_log
-        if log is None:
-            return None
-        mark = self._delta_marks.get(consumer)
-        if mark is None or mark[0] != stamp:
-            return None
-        return log[mark[1]:]
-
-    def reset_delta_log(self, consumer: str = DEFAULT_DELTA_CONSUMER) -> None:
-        """(Re)arm the delta log for ``consumer`` at the current stamp.
-
-        Called by consumers (the fast backend's CSR cache, the runner pool's
-        publication layer) right after they synchronise with the graph, so
-        the log only ever spans the interval between the *oldest* consumer's
-        snapshot and the present.  Until the first call the log stays
-        disarmed and mutations cost nothing to record.
-        """
-        if self._delta_log is None:
-            # Arming from scratch invalidates every stale mark: the entries
-            # they pointed at are gone (never logged, or overflowed away).
-            self._delta_log = []
-            self._delta_marks = {consumer: (self._mutations, 0)}
-            return
-        self._delta_marks[consumer] = (self._mutations, len(self._delta_log))
-        self._trim_delta_log()
-
-    def drop_delta_consumer(self, consumer: str) -> None:
-        """Forget ``consumer``'s mark (e.g. when a pool publication dies).
-
-        With no consumers left the log disarms entirely, so mutations stop
-        paying the logging cost until someone synchronises again.
-        """
-        self._delta_marks.pop(consumer, None)
-        if not self._delta_marks:
-            self._delta_log = None
-        else:
-            self._trim_delta_log()
-
-    def _trim_delta_log(self) -> None:
-        """Drop the log prefix no live mark can reach any more."""
-        log = self._delta_log
-        if log is None or not self._delta_marks:
-            return
-        cut = min(offset for _, offset in self._delta_marks.values())
-        if cut:
-            del log[:cut]
-            self._delta_marks = {
-                name: (stamp, offset - cut)
-                for name, (stamp, offset) in self._delta_marks.items()
-            }
-
-    def _log(self, entry: Tuple) -> None:
-        log = self._delta_log
-        if log is not None:
-            if len(log) < DELTA_LOG_LIMIT:
-                log.append(entry)
-            else:
-                # Overflow disarms the log for *every* consumer: the window
-                # is no longer reconstructable, so all marks die with it.
-                self._delta_log = None
-                self._delta_marks.clear()
-
-    # ------------------------------------------------------------------
     # Basic structure
     # ------------------------------------------------------------------
     def add_node(self, node: NodeId) -> None:
@@ -148,8 +47,6 @@ class UndirectedGraph:
         if node not in self._adjacency:
             self._adjacency[node] = set()
             self._mutations += 1
-            if self._delta_log is not None:
-                self._log(("+n", node))
 
     def add_edge(self, u: NodeId, v: NodeId) -> bool:
         """Add the undirected edge ``(u, v)``.
@@ -166,8 +63,6 @@ class UndirectedGraph:
         self._adjacency[u].add(v)
         self._adjacency[v].add(u)
         self._mutations += 1
-        if self._delta_log is not None:
-            self._log(("+e", u, v))
         return True
 
     def add_leaf(self, node: NodeId, anchor: NodeId) -> None:
@@ -187,9 +82,6 @@ class UndirectedGraph:
         adjacency[node] = {anchor}
         adjacency[anchor].add(node)
         self._mutations += 2
-        if self._delta_log is not None:
-            self._log(("+n", node))
-            self._log(("+e", node, anchor))
 
     def remove_edge(self, u: NodeId, v: NodeId) -> bool:
         """Remove the edge ``(u, v)`` if it exists.  Returns whether it did."""
@@ -200,8 +92,6 @@ class UndirectedGraph:
         self._adjacency[u].discard(v)
         self._adjacency[v].discard(u)
         self._mutations += 1
-        if self._delta_log is not None:
-            self._log(("-e", u, v))
         return True
 
     def remove_node(self, node: NodeId) -> List[NodeId]:
@@ -217,10 +107,6 @@ class UndirectedGraph:
             self._adjacency[neighbor].discard(node)
         del self._adjacency[node]
         self._mutations += 1
-        if self._delta_log is not None:
-            for neighbor in neighbors:
-                self._log(("-e", node, neighbor))
-            self._log(("-n", node))
         return neighbors
 
     # ------------------------------------------------------------------

@@ -418,8 +418,8 @@ def top_degree_nodes(graph: UndirectedGraph) -> List[NodeId]:
     """All maximum-degree nodes, sorted by ``repr`` (empty for an empty graph).
 
     Backs the hub-targeted takedown's per-victim candidate search: the fast
-    path is a masked argmax over the (incrementally patched) CSR degree
-    array, the reference path the equivalent dict scan.  The ``repr`` sort
+    path is an argmax over the cached CSR degree array, the reference path
+    the equivalent dict scan.  The ``repr`` sort
     makes the list identical on both backends, so the strategy's rng draw is
     backend-independent.
     """

@@ -38,15 +38,9 @@ implementation's evaluation order, and sampled estimators consume a shared
 ``random.Random`` in exactly the same way).
 
 The CSR mirror is cached on the graph object, keyed on the graph's mutation
-stamp.  On a stamp mismatch the cache first tries to *patch* the previous
-snapshot from the graph's bounded mutation delta log
-(:data:`repro.graphs.adjacency.DELTA_LOG_LIMIT`): removed nodes become
-*ghost* indices masked out by an ``alive`` overlay, new nodes are appended,
-and the edge arrays are rebuilt with pure numpy array surgery.  Only when
-the log has overflowed -- or ghosts outnumber live nodes -- does it fall
-back to the full Python-loop rebuild, so DDSR repair loops and SOAP clone
-insertions that interleave small mutation bursts with metric reads pay an
-O(m) numpy patch instead of an O(m) Python reconstruction.
+stamp; on a stamp mismatch :func:`csr_of` rebuilds it from scratch with
+:func:`build_csr`.  Every snapshot is therefore compact: index ``i`` is the
+``i``-th entry of ``graph.nodes()``, and no kernel needs a liveness mask.
 """
 
 from __future__ import annotations
@@ -54,7 +48,7 @@ from __future__ import annotations
 import random
 import sys
 import time
-from itertools import chain, count
+from itertools import chain
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -105,19 +99,6 @@ WAVE_STEP_MODE = "adaptive"
 #: gather so padding can never blow up memory or time.
 ELL_PAD_FACTOR = 4
 
-#: A patched CSR keeps ghost (removed-node) indices in its arrays.  Once the
-#: ghosts outnumber ``max(GHOST_SLACK, live nodes)`` the next synchronisation
-#: rebuilds from scratch to compact the index space.
-GHOST_SLACK = 1024
-
-#: Process-wide epoch source for CSR snapshots.  Every snapshot *built from
-#: scratch* gets a fresh epoch; snapshots produced by delta patching inherit
-#: their base's epoch.  Two snapshots of the same graph therefore share an
-#: epoch **iff** they share a compaction lineage (identical index space up
-#: to appends), which is what lets the runner pool decide whether a remote
-#: shared-memory mirror can be delta-patched or must re-attach.
-_EPOCH_COUNTER = count(1)
-
 
 class CSRGraph:
     """Immutable CSR snapshot of an :class:`UndirectedGraph`.
@@ -125,18 +106,9 @@ class CSRGraph:
     ``nodes`` preserves the graph's insertion order (``graph.nodes()``), so
     index ``i`` everywhere below refers to ``nodes[i]``.  Each undirected edge
     appears twice in ``indices`` (once per direction).
-
-    A snapshot produced by incremental patching (:func:`csr_of` after small
-    mutations) may contain *ghost* entries: indices whose node has been
-    removed from the graph.  ``alive`` is then a boolean mask over the index
-    space (``None`` means every index is live).  Ghosts have degree zero --
-    no live node keeps an edge to them -- so BFS-style kernels need no
-    special handling; kernels that enumerate or count nodes filter through
-    the mask.  ``nodes`` keeps a placeholder at ghost positions (the removed
-    id), but ghosts are dropped from ``index_of``.
     """
 
-    __slots__ = ("nodes", "index_of", "indptr", "indices", "alive", "epoch", "_ell", "_scratch")
+    __slots__ = ("nodes", "index_of", "indptr", "indices", "_ell", "_scratch")
 
     def __init__(
         self,
@@ -144,16 +116,11 @@ class CSRGraph:
         index_of: Dict[NodeId, int],
         indptr: np.ndarray,
         indices: np.ndarray,
-        alive: Optional[np.ndarray] = None,
     ) -> None:
         self.nodes = nodes
         self.index_of = index_of
         self.indptr = indptr
         self.indices = indices
-        self.alive = alive
-        #: Compaction-lineage stamp: fresh per from-scratch build, inherited
-        #: across delta patches (see :data:`_EPOCH_COUNTER`).
-        self.epoch = next(_EPOCH_COUNTER)
         #: Lazily built transposed-ELL neighbour table for the dense wave
         #: step (``False`` = not built yet, ``None`` = unsuitable).
         self._ell = False
@@ -164,18 +131,11 @@ class CSRGraph:
 
     @property
     def n(self) -> int:
-        """Size of the index space (live nodes plus ghosts)."""
+        """Number of nodes."""
         return len(self.nodes)
 
-    @property
-    def ghost_count(self) -> int:
-        """Number of ghost (removed but not yet compacted) indices."""
-        if self.alive is None:
-            return 0
-        return self.n - int(self.alive.sum())
-
     def degrees(self) -> np.ndarray:
-        """Degree of every index, in index order (ghosts have degree 0)."""
+        """Degree of every index, in index order."""
         return np.diff(self.indptr)
 
 
@@ -206,193 +166,8 @@ def build_csr(graph: UndirectedGraph) -> CSRGraph:
     return CSRGraph(nodes, index_of, indptr, indices)
 
 
-def _resolve_delta(
-    csr: CSRGraph, ops: Sequence[Tuple], graph: UndirectedGraph
-) -> Optional[Tuple[List[NodeId], Dict[NodeId, int], Dict[str, object]]]:
-    """Resolve a mutation-log window into an index-space patch.
-
-    The node-id half of delta patching: map the logged node/edge touches
-    onto ``csr``'s index space, settling edge presence against the *graph*
-    (ground truth), and return ``(nodes, index_of, patch)`` where ``patch``
-    is a pure-array recipe consumable by :func:`apply_index_patch` -- also
-    remotely, which is how the runner pool ships mutations to its workers'
-    shared-memory mirrors without re-pickling whole CSR arrays.
-
-    Returns ``None`` when the window cannot be applied cleanly (a node id
-    removed and re-added within the window, log/graph inconsistencies, or
-    ghost pressure past the compaction threshold) -- the caller then falls
-    back to :func:`build_csr`.
-    """
-    node_added: List[NodeId] = []
-    node_added_set: Set[NodeId] = set()
-    node_removed: Set[NodeId] = set()
-    touched_edges: Set[frozenset] = set()
-    for op in ops:
-        kind = op[0]
-        if kind == "+e" or kind == "-e":
-            touched_edges.add(frozenset((op[1], op[2])))
-        elif kind == "+n":
-            node = op[1]
-            if node in node_removed:
-                return None  # removed-then-re-added id: index reuse is hairy
-            if node not in node_added_set:
-                node_added_set.add(node)
-                node_added.append(node)
-        else:  # "-n"
-            node = op[1]
-            if node in node_added_set:
-                return None  # added-then-removed within the window
-            node_removed.add(node)
-
-    ghost_count = csr.ghost_count + len(node_removed)
-    live_count = graph.number_of_nodes()
-    if ghost_count > max(GHOST_SLACK, live_count):
-        return None  # compact via a full rebuild
-
-    nodes = list(csr.nodes)
-    index_of = dict(csr.index_of)
-    n_old = csr.n
-    if node_added:
-        # A logged "+n" may target an id that was already live in the old
-        # snapshot (``add_node`` only logs real insertions, but an id ghosted
-        # in an *earlier* window can legitimately return): give it a fresh
-        # appended index; the stale ghost entry stays masked out.
-        appended = [node for node in node_added if node not in index_of]
-        if len(appended) != len(node_added):
-            return None  # log/graph disagreement: play it safe
-        for node in appended:
-            index_of[node] = len(nodes)
-            nodes.append(node)
-    removed_positions: List[int] = []
-    for node in node_removed:
-        position = index_of.pop(node, None)
-        if position is None:
-            return None
-        removed_positions.append(position)
-
-    removals: List[Tuple[int, int]] = []
-    additions: List[Tuple[int, int]] = []
-    old_index_of = csr.index_of
-    old_indptr = csr.indptr
-    old_indices = csr.indices
-    for key in touched_edges:
-        u, v = tuple(key)
-        iu = old_index_of.get(u)
-        iv = old_index_of.get(v)
-        was_present = False
-        if iu is not None and iv is not None:
-            segment = old_indices[old_indptr[iu]:old_indptr[iu + 1]]
-            was_present = bool((segment == iv).any())
-        present_now = graph.has_edge(u, v)
-        if present_now and not was_present:
-            additions.append((index_of[u], index_of[v]))
-        elif was_present and not present_now:
-            removals.append((iu, iv))
-
-    patch = {
-        "n_old": n_old,
-        "n_new": len(nodes),
-        "removed": np.asarray(removed_positions, dtype=np.int64),
-        "removals": np.asarray(removals, dtype=np.int64).reshape(-1, 2),
-        "additions": np.asarray(additions, dtype=np.int64).reshape(-1, 2),
-    }
-    return nodes, index_of, patch
-
-
-def resolve_index_patch(
-    csr: CSRGraph, ops: Sequence[Tuple], graph: UndirectedGraph
-) -> Optional[Dict[str, object]]:
-    """The index-space patch alone (for remote mirrors), or ``None``.
-
-    Same resolution and rejection policy as the in-process cache path
-    (:func:`_resolve_delta` feeding :func:`_apply_delta`); the runner pool
-    broadcasts the returned dict to its workers, which apply it with
-    :func:`apply_index_patch` against their shared-memory arrays.
-    """
-    resolved = _resolve_delta(csr, ops, graph)
-    if resolved is None:
-        return None
-    return resolved[2]
-
-
-def apply_index_patch(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    alive: Optional[np.ndarray],
-    patch: Dict[str, object],
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Pure-array half of delta patching: new ``(indptr, indices, alive)``.
-
-    Label-free by construction, so the parent cache and every pool worker's
-    shared-memory mirror run the *same* surgery from the same patch and land
-    on byte-identical arrays: removed positions are masked ghosts, appended
-    nodes extend the index space, and the edge arrays are rebuilt with a
-    keep-mask plus a stable src-sort.  Returns ``None`` when an edge slated
-    for removal is missing from the arrays (snapshot divergence) -- the
-    in-process caller rebuilds, a remote mirror must re-attach.
-    """
-    n_old = int(patch["n_old"])
-    n_new = int(patch["n_new"])
-    alive = alive.copy() if alive is not None else np.ones(n_old, dtype=bool)
-    if n_new > n_old:
-        alive = np.concatenate([alive, np.ones(n_new - n_old, dtype=bool)])
-    removed = patch["removed"]
-    if removed.size:
-        alive[removed] = False
-
-    keep = np.ones(indices.size, dtype=bool)
-    for iu, iv in patch["removals"].tolist():
-        for a, b in ((iu, iv), (iv, iu)):
-            start, end = indptr[a], indptr[a + 1]
-            slots = np.flatnonzero(indices[start:end] == b)
-            if slots.size == 0:
-                return None  # log/snapshot disagreement
-            keep[start + slots[0]] = False
-
-    src = np.repeat(np.arange(n_old, dtype=np.int64), np.diff(indptr))[keep]
-    dst = indices[keep].astype(np.int64, copy=False)
-    additions = patch["additions"]
-    if additions.size:
-        src = np.concatenate([src, additions[:, 0], additions[:, 1]])
-        dst = np.concatenate([dst, additions[:, 1], additions[:, 0]])
-    order = np.argsort(src, kind="stable")
-    new_indices = dst[order].astype(np.int32, copy=False)
-    new_degrees = np.bincount(src, minlength=n_new)
-    new_indptr = np.zeros(n_new + 1, dtype=np.int64)
-    np.cumsum(new_degrees, out=new_indptr[1:])
-    return new_indptr, new_indices, alive
-
-
-def _apply_delta(csr: CSRGraph, ops: Sequence[Tuple], graph: UndirectedGraph) -> Optional[CSRGraph]:
-    """Patch ``csr`` into a snapshot of ``graph`` using the mutation log.
-
-    Returns ``None`` when the delta cannot be applied cleanly (see
-    :func:`_resolve_delta` / :func:`apply_index_patch`) -- the caller then
-    falls back to :func:`build_csr`.  The patched snapshot *inherits* its
-    base's epoch: patching never compacts, so the index spaces agree.
-    """
-    resolved = _resolve_delta(csr, ops, graph)
-    if resolved is None:
-        return None
-    nodes, index_of, patch = resolved
-    arrays = apply_index_patch(csr.indptr, csr.indices, csr.alive, patch)
-    if arrays is None:
-        return None
-    indptr, indices, alive = arrays
-    result = CSRGraph(nodes, index_of, indptr, indices, alive=alive)
-    result.epoch = csr.epoch
-    return result
-
-
 def csr_of(graph: UndirectedGraph) -> CSRGraph:
-    """The cached CSR mirror of ``graph``, patched or rebuilt after mutations.
-
-    On a mutation-stamp mismatch the cached snapshot is patched from the
-    graph's delta log when the log covers the interval (see
-    :func:`_apply_delta`); otherwise the mirror is rebuilt from scratch.
-    Either way the log is reset, so it only ever spans "since the cache last
-    synchronised".
-    """
+    """The cached CSR mirror of ``graph``, rebuilt after any mutation."""
     stamp = graph.mutation_stamp
     cached = getattr(graph, _CSR_CACHE_ATTR, None)
     tel = _telemetry()
@@ -401,33 +176,10 @@ def csr_of(graph: UndirectedGraph) -> CSRGraph:
             tel.count("csr.cache.hit")
         return cached[1]
     started = time.perf_counter() if tel.enabled else 0.0
-    csr: Optional[CSRGraph] = None
-    patched = False
-    overflowed = False
-    if cached is not None:
-        ops = graph.delta_since(cached[0])
-        if ops is None:
-            overflowed = True
-        else:
-            csr = _apply_delta(cached[1], ops, graph)
-            patched = csr is not None
-    if csr is None:
-        csr = build_csr(graph)
-    graph.reset_delta_log()
+    csr = build_csr(graph)
     setattr(graph, _CSR_CACHE_ATTR, (stamp, csr))
     if tel.enabled:
-        # Patch-vs-rebuild provenance: how often the delta log paid off, why
-        # it did not (log overflow vs a rejected patch), and the ghost
-        # pressure the patched mirror is carrying.
-        if cached is None:
-            tel.count("csr.cache.build")
-        elif patched:
-            tel.count("csr.cache.patch")
-        elif overflowed:
-            tel.count("csr.cache.rebuild_overflow")
-        else:
-            tel.count("csr.cache.rebuild_patch_rejected")
-        tel.gauge("csr.ghosts", csr.ghost_count)
+        tel.count("csr.cache.build")
         tel.record_span("csr.sync", time.perf_counter() - started)
     return csr
 
@@ -1082,12 +834,11 @@ def _component_labels(
 def component_labels(graph: UndirectedGraph) -> np.ndarray:
     """Component label per node, aligned with ``graph.nodes()`` order.
 
-    On a delta-patched CSR the ghost (removed-node) rows are masked out, so
-    the array always has exactly ``graph.number_of_nodes()`` entries.  Labels
-    are minimum member *indices* into the mirror's index space: equal label
-    means same component; the values themselves are not node ids.
+    Labels are minimum member *indices* into the mirror's index space: equal
+    label means same component; the values themselves are not node ids.
     """
-    return _live_labels(graph)
+    csr = csr_of(graph)
+    return _component_labels(csr.n, csr.indptr, csr.indices)
 
 
 # ----------------------------------------------------------------------
@@ -1173,7 +924,7 @@ def average_closeness_centrality(
 
 
 def _full_population_closeness(csr: CSRGraph, n: int) -> float:
-    """Exact mean closeness with every live node as a BFS source.
+    """Exact mean closeness with every node as a BFS source.
 
     Runs the same wave chunks a sampled campaign would, but instead of
     extracting per-*source* column counts each level it scatters per-*node*
@@ -1183,15 +934,15 @@ def _full_population_closeness(csr: CSRGraph, n: int) -> float:
     sources have run.  The final per-node float expressions and their
     summation order mirror the reference implementation bit for bit.
     """
-    live = live_source_indices(csr)
+    sources = np.arange(csr.n, dtype=np.int64)
     # ``reached`` falls straight out of symmetry too: the sources reaching a
     # node are exactly the other members of its component, so one component
     # labelling replaces a per-level scatter.
-    reached = _reached_counts(csr, live)
+    reached = _reached_counts(csr)
     totals = np.zeros(csr.n, dtype=np.int64)
-    chunk_size = wave_batch(csr, live.size)
-    for offset in range(0, live.size, chunk_size):
-        chunk = live[offset:offset + chunk_size]
+    chunk_size = wave_batch(csr, sources.size)
+    for offset in range(0, sources.size, chunk_size):
+        chunk = sources[offset:offset + chunk_size]
         waves = _batched_wave(csr, chunk, counting=True)
         for depth, (rows, popcounts) in enumerate(waves, start=1):
             totals[rows] += depth * popcounts
@@ -1200,35 +951,27 @@ def _full_population_closeness(csr: CSRGraph, n: int) -> float:
     # rounds exactly like the reference's Python-float expression.  Only the
     # final accumulation must stay sequential (numpy would sum pairwise), so
     # it runs over a plain list exactly like the reference's ``sum(values)``.
-    live_reached = reached[live].astype(np.float64)
-    live_totals = totals[live].astype(np.float64)
-    values = np.zeros(live.size, dtype=np.float64)
-    covered = live_reached > 0
-    closeness = live_reached[covered] / live_totals[covered]
-    values[covered] = closeness * (live_reached[covered] / (n - 1))
+    reached = reached.astype(np.float64)
+    totals = totals.astype(np.float64)
+    values = np.zeros(csr.n, dtype=np.float64)
+    covered = reached > 0
+    closeness = reached[covered] / totals[covered]
+    values[covered] = closeness * (reached[covered] / (n - 1))
     return sum(values.tolist()) / values.size
 
 
 # ----------------------------------------------------------------------
 # Exact full-population path metrics (eccentricity / diameter / ASPL)
 # ----------------------------------------------------------------------
-def live_source_indices(csr: CSRGraph) -> np.ndarray:
-    """Every live (non-ghost) index of ``csr`` -- the full-population source set."""
-    if csr.alive is None:
-        return np.arange(csr.n, dtype=np.int64)
-    return np.flatnonzero(csr.alive)
-
-
-def _reached_counts(csr: CSRGraph, live: np.ndarray) -> np.ndarray:
-    """Per-index count of *other* live nodes in the same component.
+def _reached_counts(csr: CSRGraph) -> np.ndarray:
+    """Per-index count of *other* nodes in the same component.
 
     By distance symmetry this is exactly how many full-population sources
     reach each node, so one component labelling replaces a per-level
-    scatter; only the ``live`` entries are meaningful (ghost rows may read
-    ``-1``).
+    scatter.
     """
     labels = _component_labels(csr.n, csr.indptr, csr.indices)
-    sizes = np.bincount(labels[live], minlength=csr.n)
+    sizes = np.bincount(labels, minlength=csr.n)
     return sizes[labels] - 1
 
 
@@ -1322,10 +1065,10 @@ def deserialize_accumulators(
 def accumulator_state_key(csr: CSRGraph, sources: np.ndarray) -> str:
     """Content hash anchoring journaled accumulators to one exact checkpoint.
 
-    Digests the CSR snapshot (``n``, ``indptr``, ``indices``, the alive
-    mask when one exists) and the full source set, so a resumed campaign
-    replays a saved shard only when the graph it would recompute against is
-    byte-for-byte the graph it was computed on.
+    Digests the CSR snapshot (``n``, ``indptr``, ``indices``) and the full
+    source set, so a resumed campaign replays a saved shard only when the
+    graph it would recompute against is byte-for-byte the graph it was
+    computed on.
     """
     import hashlib
 
@@ -1333,9 +1076,6 @@ def accumulator_state_key(csr: CSRGraph, sources: np.ndarray) -> str:
     digest.update(int(csr.n).to_bytes(8, "little"))
     digest.update(np.ascontiguousarray(csr.indptr, dtype="<i8").tobytes())
     digest.update(np.ascontiguousarray(csr.indices, dtype="<i4").tobytes())
-    alive = getattr(csr, "alive", None)
-    if alive is not None:
-        digest.update(np.ascontiguousarray(alive, dtype=np.uint8).tobytes())
     digest.update(np.ascontiguousarray(sources, dtype="<i8").tobytes())
     return digest.hexdigest()[:32]
 
@@ -1361,10 +1101,9 @@ def full_path_metrics(graph: UndirectedGraph, *, shard_runner=None) -> Dict:
     :func:`repro.runner.executor.sharded_full_path_metrics`) replaces the
     serial accumulation: it receives ``(working, csr, sources)`` -- the
     working graph backing ``csr``, so a persistent pool can key its
-    shared-memory publications and delta-track mutations -- and must return
-    the merged ``(ecc, totals)`` accumulators.  Because the accumulators are
-    exact integers, any split of the source set merges to the serial result
-    bit for bit.
+    shared-memory publications -- and must return the merged ``(ecc,
+    totals)`` accumulators.  Because the accumulators are exact integers,
+    any split of the source set merges to the serial result bit for bit.
     """
     n = graph.number_of_nodes()
     summary = {
@@ -1378,16 +1117,16 @@ def full_path_metrics(graph: UndirectedGraph, *, shard_runner=None) -> Dict:
         return summary
     working, component_count = _working_component(graph)
     csr = csr_of(working)
-    live = live_source_indices(csr)
-    n_working = int(live.size)
+    sources = np.arange(csr.n, dtype=np.int64)
+    n_working = csr.n
     if shard_runner is None:
-        ecc, totals = accumulate_path_shard(csr, live)
+        ecc, totals = accumulate_path_shard(csr, sources)
     else:
-        ecc, totals = shard_runner(working, csr, live)
+        ecc, totals = shard_runner(working, csr, sources)
     summary["components"] = component_count
     summary["largest_fraction"] = n_working / n
-    summary["diameter"] = float(int(ecc[live].max())) if n_working else 0.0
-    total = int(totals[live].sum())
+    summary["diameter"] = float(int(ecc.max())) if n_working else 0.0
+    total = int(totals.sum())
     pairs = n_working * (n_working - 1)
     summary["avg_path_length"] = total / pairs if pairs else 0.0
     if n_working > 1:
@@ -1396,7 +1135,7 @@ def full_path_metrics(graph: UndirectedGraph, *, shard_runner=None) -> Dict:
         # sequential summation mirror the reference bit for bit (exact int64
         # operands below 2**53, identical IEEE divisions and products).
         reached = n_working - 1
-        closeness = reached / totals[live].astype(np.float64)
+        closeness = reached / totals.astype(np.float64)
         values = closeness * (reached / (n_working - 1))
         summary["avg_closeness"] = sum(values.tolist()) / n_working
     return summary
@@ -1413,13 +1152,11 @@ def path_length_accumulators(graph: UndirectedGraph) -> Dict[NodeId, Tuple[int, 
     happens here.
     """
     csr = csr_of(graph)
-    live = live_source_indices(csr)
-    ecc, totals = accumulate_path_shard(csr, live)
-    reached = _reached_counts(csr, live)
-    nodes = csr.nodes
+    ecc, totals = accumulate_path_shard(csr, np.arange(csr.n, dtype=np.int64))
+    reached = _reached_counts(csr)
     return {
-        nodes[int(i)]: (int(ecc[i]), int(totals[i]), int(reached[i]))
-        for i in live
+        node: (int(ecc[i]), int(totals[i]), int(reached[i]))
+        for i, node in enumerate(csr.nodes)
     }
 
 
@@ -1458,47 +1195,31 @@ def connected_components(graph: UndirectedGraph) -> List[Set[NodeId]]:
     ``graph.nodes()`` and stable-sorts by size (descending).  A component's
     label is its minimum node *index*, so ascending label order *is* discovery
     order; the same stable size sort then reproduces the exact list order.
-    Ghost indices of a patched CSR are masked out first -- live indices keep
-    their relative (insertion) order, so the ordering argument still holds.
     """
     if graph.number_of_nodes() == 0:
         return []
     csr = csr_of(graph)
     labels = _component_labels(csr.n, csr.indptr, csr.indices)
     nodes = csr.nodes
-    if csr.alive is None:
-        _, groups = _grouped_components(labels)
-        members = [[int(i) for i in group] for group in groups]
-    else:
-        live = np.flatnonzero(csr.alive)
-        _, groups = _grouped_components(labels[live])
-        members = [[int(live[i]) for i in group] for group in groups]
+    _, groups = _grouped_components(labels)
+    members = [[int(i) for i in group] for group in groups]
     sizes = np.fromiter((len(group) for group in members), dtype=np.int64, count=len(members))
     order = np.argsort(-sizes, kind="stable")
     return [{nodes[i] for i in members[int(g)]} for g in order]
-
-
-def _live_labels(graph: UndirectedGraph) -> np.ndarray:
-    """Component labels restricted to live (non-ghost) indices."""
-    csr = csr_of(graph)
-    labels = _component_labels(csr.n, csr.indptr, csr.indices)
-    if csr.alive is None:
-        return labels
-    return labels[csr.alive]
 
 
 def number_connected_components(graph: UndirectedGraph) -> int:
     """Count of connected components (0 for an empty graph)."""
     if graph.number_of_nodes() == 0:
         return 0
-    return len(np.unique(_live_labels(graph)))
+    return len(np.unique(component_labels(graph)))
 
 
 def component_summary(graph: UndirectedGraph) -> Tuple[int, int]:
     """``(component_count, largest_component_size)`` in one kernel run."""
     if graph.number_of_nodes() == 0:
         return 0, 0
-    _, counts = np.unique(_live_labels(graph), return_counts=True)
+    _, counts = np.unique(component_labels(graph), return_counts=True)
     return len(counts), int(counts.max())
 
 
@@ -1537,8 +1258,7 @@ def _working_component(graph: UndirectedGraph) -> Tuple[UndirectedGraph, int]:
     """
     csr = csr_of(graph)
     labels = _component_labels(csr.n, csr.indptr, csr.indices)
-    live_labels = labels if csr.alive is None else labels[csr.alive]
-    unique, counts = np.unique(live_labels, return_counts=True)
+    unique, counts = np.unique(labels, return_counts=True)
     if len(unique) <= 1:
         return graph, len(unique)
     # ``unique`` ascends by label == discovery order; argmax keeps the first
@@ -1546,8 +1266,6 @@ def _working_component(graph: UndirectedGraph) -> Tuple[UndirectedGraph, int]:
     # stable size sort.
     winner = unique[int(np.argmax(counts))]
     in_winner = labels == winner
-    if csr.alive is not None:
-        in_winner &= csr.alive
     nodes = csr.nodes
     members = {nodes[int(i)] for i in np.flatnonzero(in_winner)}
     return graph.subgraph(members), len(unique)
@@ -1621,8 +1339,6 @@ def degree_histogram(graph: UndirectedGraph) -> Dict[int, int]:
         return {}
     csr = csr_of(graph)
     degrees = csr.degrees()
-    if csr.alive is not None:
-        degrees = degrees[csr.alive]
     values, counts = np.unique(degrees, return_counts=True)
     return {int(value): int(count) for value, count in zip(values, counts)}
 
@@ -1630,23 +1346,14 @@ def degree_histogram(graph: UndirectedGraph) -> Dict[int, int]:
 def top_degree_nodes(graph: UndirectedGraph) -> List[NodeId]:
     """All maximum-degree nodes, sorted by ``repr`` (empty for an empty graph).
 
-    One masked argmax over the CSR degree array instead of a Python dict
-    scan; with the incremental delta patching this keeps the hub-targeted
-    takedown's per-victim candidate search cheap even while the overlay
-    mutates between victims.
+    One argmax over the CSR degree array instead of a Python dict scan.
     """
     if graph.number_of_nodes() == 0:
         return []
     csr = csr_of(graph)
     degrees = csr.degrees()
-    if csr.alive is None:
-        top = int(degrees.max())
-        winners = np.flatnonzero(degrees == top)
-    else:
-        live = np.flatnonzero(csr.alive)
-        live_degrees = degrees[live]
-        top = int(live_degrees.max())
-        winners = live[np.flatnonzero(live_degrees == top)]
+    top = int(degrees.max())
+    winners = np.flatnonzero(degrees == top)
     nodes = csr.nodes
     return sorted((nodes[int(i)] for i in winners), key=repr)
 
@@ -1703,7 +1410,7 @@ def partition_summary_after_removal(
     100k-node partition-threshold sweep tractable.
     """
     csr = csr_of(graph)
-    keep = np.ones(csr.n, dtype=bool) if csr.alive is None else csr.alive.copy()
+    keep = np.ones(csr.n, dtype=bool)
     for victim in victims:
         index = csr.index_of.get(victim)
         if index is not None:

@@ -6,7 +6,7 @@ The observability layer has three parts:
   named **counters**, key-value **gauges** and wall-clock **spans**.  Off by
   default: the module-level singleton is a no-op collector whose methods
   allocate nothing, so instrumented hot paths (the wave engine, the CSR
-  delta log, the runner) pay only an attribute check when telemetry is
+  cache, the runner) pay only an attribute check when telemetry is
   disabled.
 * :mod:`repro.obs.report` -- renders a collected run into a stable JSON
   document (the per-run provenance artifact) plus a human-readable text

@@ -138,8 +138,8 @@ class Collector:
     * **counters** -- integer totals (``count``), e.g. per-level wave
       dispatch choices;
     * **gauges**   -- last-write-wins key/value observations (``gauge``),
-      e.g. the active popcount backend or the ghost pressure after a CSR
-      sync;
+      e.g. the active popcount backend or the pool's publication
+      generation;
     * **spans**    -- wall-clock intervals aggregated per name into
       ``(count, total_s, max_s)`` (``span`` / ``record_span``), e.g.
       per-unit runner wall time;

@@ -538,8 +538,7 @@ def sharded_full_path_metrics(
 
     ``workers > 1`` runs on the invocation-wide persistent pool
     (:func:`repro.runner.pool.get_pool`): the CSR arrays are published via
-    shared memory once, consecutive checkpoints broadcast only delta
-    patches (or re-attach after an overflow/compaction), and pool spin-up
+    shared memory once per checkpoint snapshot, and pool spin-up
     is paid once per invocation instead of once per checkpoint.
 
     Inside a journaled campaign's in-parent work unit

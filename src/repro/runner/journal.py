@@ -41,6 +41,14 @@ degrades the rest of the campaign to un-journaled execution -- mirroring
 :meth:`repro.runner.cache.ResultCache.put` -- and an oversized checkpoint
 state (above :func:`state_limit_policy`) is dropped with a logged fallback
 to unit-granularity journaling instead of bloating the journal.
+
+One writer per journal: :meth:`CampaignJournal.open` takes an exclusive,
+non-blocking ``flock`` on the journal file and holds it until
+:meth:`CampaignJournal.close`.  A second invocation pointed at the same
+journal (two runs sharing one cache directory, say) fails with a
+:class:`~repro.core.errors.ConfigError` naming the path instead of
+truncating or interleaving the first run's records.  Reading a journal
+(``--resume`` validation, :func:`inspect`) takes no lock.
 """
 
 from __future__ import annotations
@@ -156,6 +164,8 @@ class CampaignJournal:
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self._handle = None
+        #: Descriptor holding the single-writer ``flock`` while open.
+        self._lock_fd: Optional[int] = None
         #: Set once the filesystem refuses an append: the campaign carries
         #: on un-journaled (warned once, counted once per journal).
         self.write_failed = False
@@ -323,30 +333,71 @@ class CampaignJournal:
         would let a journal truncated down into its header silently restart
         a different campaign.  Mismatch or unreadable header raises
         :class:`~repro.core.errors.ConfigError`.
+
+        Both modes first take the single-writer lock (see the module
+        docstring); a journal another process holds open raises
+        :class:`~repro.core.errors.ConfigError` before anything is touched.
         """
         from repro.core.errors import ConfigError
 
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if resume and self.path.exists():
-            recorded, _units, _complete = self._read()
-            if recorded is None:
-                raise ConfigError(
-                    f"cannot resume into journal {self.path}: no readable "
-                    "header survives on disk; delete it and rerun without "
-                    "--resume"
-                )
-            mismatched = _header_mismatches(recorded, header)
-            if mismatched:
-                raise ConfigError(
-                    f"cannot resume into journal {self.path}: the on-disk "
-                    f"header no longer matches this campaign "
-                    f"(fields: {', '.join(mismatched)}); delete it or rerun "
-                    "without --resume"
-                )
-            self._handle = self.path.open("a", encoding="utf-8")
-            return
-        self._handle = self.path.open("w", encoding="utf-8")
-        self._append(header, fsync=True)
+        resuming = resume and self.path.exists()
+        self._lock()
+        try:
+            if resuming:
+                recorded, _units, _complete = self._read()
+                if recorded is None:
+                    raise ConfigError(
+                        f"cannot resume into journal {self.path}: no readable "
+                        "header survives on disk; delete it and rerun without "
+                        "--resume"
+                    )
+                mismatched = _header_mismatches(recorded, header)
+                if mismatched:
+                    raise ConfigError(
+                        f"cannot resume into journal {self.path}: the on-disk "
+                        f"header no longer matches this campaign "
+                        f"(fields: {', '.join(mismatched)}); delete it or rerun "
+                        "without --resume"
+                    )
+                self._handle = self.path.open("a", encoding="utf-8")
+                return
+            self._handle = self.path.open("w", encoding="utf-8")
+            self._append(header, fsync=True)
+        except BaseException:
+            self._unlock()
+            raise
+
+    def _lock(self) -> None:
+        """Take the exclusive single-writer ``flock`` without blocking."""
+        import fcntl
+
+        from repro.core.errors import ConfigError
+
+        fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            raise ConfigError(
+                f"journal {self.path} is in use by another running campaign; "
+                "wait for it to finish or pass a different --journal path"
+            ) from None
+        except BaseException:
+            os.close(fd)
+            raise
+        self._lock_fd = fd
+
+    def _unlock(self) -> None:
+        if self._lock_fd is not None:
+            import fcntl
+
+            # Unlock explicitly: pool workers forked while the lock was held
+            # share its open file description, so closing our descriptor
+            # alone would leave the journal locked until they exit.
+            fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
+            os.close(self._lock_fd)
+            self._lock_fd = None
 
     def _degrade_writes(self, error: OSError) -> None:
         """First refused append: warn once, count once, stop journaling.
@@ -449,7 +500,8 @@ class CampaignJournal:
         self.close()
 
     def close(self) -> None:
-        """Close the handle (idempotent; an unfinished journal stays resumable)."""
+        """Close the handle and drop the writer lock (idempotent; an
+        unfinished journal stays resumable)."""
         if self._handle is not None:
             try:
                 self._handle.flush()
@@ -461,6 +513,7 @@ class CampaignJournal:
                 except OSError:
                     pass
                 self._handle = None
+        self._unlock()
 
 
 # ----------------------------------------------------------------------

@@ -14,18 +14,13 @@ worker-resident state from per-task inputs:
   context managers and an ``atexit`` guard closes whatever is left, so
   shared-memory segments never outlive the parent even on a crashed run.
 * **Shared-memory CSR publication** -- :meth:`WorkerPool.publish_csr`
-  publishes a snapshot's ``indptr`` / ``indices`` / ``alive`` arrays via
-  :mod:`multiprocessing.shared_memory` under a *generation* stamp.  Workers
-  attach once, then every later generation ships only the index-space
-  patch resolved from the graph's mutation delta log
-  (:meth:`repro.graphs.adjacency.UndirectedGraph.delta_since` with a
-  pool-private consumer mark, resolved by
-  :func:`repro.graphs.fast.resolve_index_patch`); workers replay patches
-  with the *same* array surgery the parent cache uses
-  (:func:`repro.graphs.fast.apply_index_patch`), so the mirror's index
-  space stays byte-identical to the parent's.  On log overflow, a
-  compaction (epoch change) or a too-long patch chain the publication
-  re-attaches with fresh segments.
+  copies a snapshot's ``indptr`` / ``indices`` arrays into
+  :mod:`multiprocessing.shared_memory` segments.  A publication is reused
+  while it holds the very same CSR snapshot object; a new snapshot of the
+  same graph is re-published into fresh segments and the old ones are
+  unlinked at once.  Workers attach each snapshot once and keep it in an
+  LRU keyed by segment name, so every task ships only its source slice and
+  the segment names.
 * **Failure paths** -- a killed worker breaks the executor; the pool
   respawns it once (after a deterministic backoff) and retries only the
   tasks whose results have not been merged yet (exactly-once delivery:
@@ -48,7 +43,7 @@ worker-resident state from per-task inputs:
 
 Everything is observation-instrumented via :mod:`repro.obs.telemetry`:
 ``runner.pool_spinup`` span, ``runner.pool.generation`` gauge, publish
-attach/patch/reattach and worker-side shm attach/patch/reattach counters,
+attach/reattach and worker-side shm attach/reattach counters,
 a ``runner.pool.bytes_shipped`` counter for the broadcast volume, and the
 failure-path counters above.  Deterministic chaos tests drive these paths
 via :mod:`repro.runner.faults` (sites ``pool.task`` / ``pool.path_task`` /
@@ -79,11 +74,6 @@ logger = logging.getLogger(__name__)
 #: Name prefix of every shared-memory segment the pool creates.  Tests (and
 #: humans) can audit ``/dev/shm`` for leaks by this prefix.
 SHM_PREFIX = "repro-pool-"
-
-#: Longest attach-plus-patches sync chain shipped per task before the
-#: publication re-attaches: a fresh worker replays the whole chain, so an
-#: unbounded chain would eventually cost more than re-shipping the arrays.
-MAX_SYNC_CHAIN = 32
 
 #: Live shared-memory publications kept per pool (LRU).  Checkpointed
 #: campaigns publish one graph at a time; the cap bounds ``/dev/shm`` usage
@@ -116,7 +106,7 @@ DEGRADED_SERIAL_ENV_VAR = "REPRO_DEGRADED_SERIAL"
 
 
 class PoolError(RuntimeError):
-    """The pool itself failed (broken twice, unreplayable sync chain...)."""
+    """The pool itself failed (broken twice, closed...)."""
 
 
 class PoolTaskError(PoolError):
@@ -390,10 +380,11 @@ def _drain_deadline(what: str):
 # ----------------------------------------------------------------------
 # Worker-side state and entry points (top-level so they pickle)
 # ----------------------------------------------------------------------
-#: Worker-resident CSR mirrors keyed by publication token.  The pcse-style
-#: state/rate split: the mirror (attached segments + patched arrays + the
-#: lazily built wave tables on the ``CSRGraph``) is long-lived worker state,
-#: while each task carries only its source slice and a tiny sync chain.
+#: Worker-resident CSR mirrors keyed by the name of their ``indices``
+#: segment (unique per published snapshot).  The pcse-style state/rate
+#: split: the mirror (attached segments + the lazily built wave tables on
+#: the ``CSRGraph``) is long-lived worker state, while each task carries
+#: only its source slice and the segment metadata.
 _MIRRORS: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 
 #: Worker-side cap matching :data:`MAX_PUBLICATIONS`.
@@ -494,117 +485,49 @@ def _close_mirror_segments(state: Dict[str, Any]) -> None:
     state["segments"] = []
 
 
-def _rebuild_mirror_csr(state: Dict[str, Any]) -> None:
-    """(Re)wrap the mirror arrays in a CSRGraph, dropping stale wave tables."""
+def _mirror_of(token: str, arrays: Dict[str, Any], tel):
+    """This worker's CSR mirror of one published snapshot, attached once.
+
+    A snapshot newer than the mirror this worker holds for the same
+    publication ``token`` supersedes it: the parent has already unlinked the
+    old segments, so the stale mapping is released here as well.
+    """
     from repro.graphs.fast import CSRGraph
 
-    n = state["indptr"].size - 1
-    state["csr"] = CSRGraph(
-        list(range(n)), {}, state["indptr"], state["indices"], alive=state["alive"]
-    )
-
-
-def _patch_mirror(state: Dict[str, Any], patch: Dict[str, Any]) -> None:
-    from repro.graphs import fast
-
-    arrays = fast.apply_index_patch(
-        state["indptr"], state["indices"], state["alive"], patch
-    )
-    if arrays is None:
-        raise PoolError(
-            "pool delta patch diverged from the published snapshot "
-            "(worker mirror and parent CSR disagree)"
-        )
-    state["indptr"], state["indices"], state["alive"] = arrays
-    # The patched arrays are private copies; the attach-generation segments
-    # are no longer referenced by this mirror.
-    _close_mirror_segments(state)
-    _rebuild_mirror_csr(state)
-
-
-def _sync_mirror(token: str, generation: int, chain: List[Dict[str, Any]], tel) -> Dict[str, Any]:
-    """Bring this worker's mirror of ``token`` up to ``generation``.
-
-    Fast path: the mirror is current (nothing to do) or behind by patches
-    present in the chain (replay them).  Slow path: attach (or re-attach)
-    from the chain's head segments, then replay the remaining patches.
-    """
-    state = _MIRRORS.get(token)
-    if state is not None and state["generation"] == generation:
-        _MIRRORS.move_to_end(token)
-        return state
-    patches = {
-        entry["generation"]: entry for entry in chain if entry["kind"] == "patch"
-    }
-    if state is not None and state["generation"] < generation:
-        wanted = range(state["generation"] + 1, generation + 1)
-        if all(gen in patches for gen in wanted):
-            for gen in wanted:
-                _patch_mirror(state, patches[gen]["payload"])
-            state["generation"] = generation
-            if tel is not None:
-                tel.count("runner.pool.shm_patch", len(wanted))
-            _MIRRORS.move_to_end(token)
-            return state
-
-    head = chain[0]
-    if head["kind"] != "attach":
-        raise PoolError(f"pool sync chain for {token} has no attach head")
-    reattach = state is not None
+    key = arrays["indices"]["name"]
+    state = _MIRRORS.get(key)
     if state is not None:
-        _close_mirror_segments(state)
+        _MIRRORS.move_to_end(key)
+        return state["csr"]
+    stale = [name for name, old in _MIRRORS.items() if old["token"] == token]
+    for name in stale:
+        _close_mirror_segments(_MIRRORS.pop(name))
     segments: List[Any] = []
-    arrays: Dict[str, Any] = {}
     try:
-        for field in ("indptr", "indices", "alive"):
-            meta = head["arrays"].get(field)
-            if meta is None:
-                arrays[field] = None
-                continue
-            shm, array = _attach_segment(meta)
-            segments.append(shm)
-            arrays[field] = array
+        for field in ("indptr", "indices"):
+            segments.append(_attach_segment(arrays[field]))
     except BaseException:
         # A half-attached mirror must not leak handles while the parent
         # retries the task.
-        _close_mirror_segments({"segments": segments})
+        _close_mirror_segments({"segments": [shm for shm, _ in segments]})
         raise
-    state = {
-        "generation": head["generation"],
-        "segments": segments,
-        "indptr": arrays["indptr"],
-        "indices": arrays["indices"],
-        "alive": arrays["alive"],
-    }
-    _rebuild_mirror_csr(state)
-    _MIRRORS[token] = state
-    _MIRRORS.move_to_end(token)
+    (indptr_shm, indptr), (indices_shm, indices) = segments
+    csr = CSRGraph(list(range(indptr.size - 1)), {}, indptr, indices)
+    _MIRRORS[key] = {"token": token, "segments": [indptr_shm, indices_shm], "csr": csr}
     while len(_MIRRORS) > _MAX_MIRRORS:
         _, evicted = _MIRRORS.popitem(last=False)
         _close_mirror_segments(evicted)
     if tel is not None:
-        tel.count("runner.pool.shm_reattach" if reattach else "runner.pool.shm_attach")
-    for gen in range(head["generation"] + 1, generation + 1):
-        entry = patches.get(gen)
-        if entry is None:
-            raise PoolError(
-                f"pool sync chain for {token} is missing generation {gen}"
-            )
-        _patch_mirror(state, entry["payload"])
-        if tel is not None:
-            tel.count("runner.pool.shm_patch")
-    state["generation"] = generation
-    return state
+        tel.count("runner.pool.shm_reattach" if stale else "runner.pool.shm_attach")
+    return csr
 
 
-def _pool_path_shard(
-    ctx: Dict[str, Any], token: str, generation: int, chain: List[Dict[str, Any]], sources
-):
+def _pool_path_shard(ctx: Dict[str, Any], token: str, arrays: Dict[str, Any], sources):
     """Worker task: one source shard's exact ``(ecc, totals)`` accumulators.
 
     Returns ``(ecc, totals, telemetry_snapshot)``; the snapshot is ``None``
     with telemetry off, else the shard's worker-local collection (mirror
-    sync counters, the ``runner.path_shard`` accumulate span, the wave
+    attach counters, the ``runner.path_shard`` accumulate span, the wave
     engine's own counters) for the parent to merge.
     """
     from repro.graphs import fast
@@ -614,17 +537,17 @@ def _pool_path_shard(
     faults.fault_point("pool.path_task")
     _apply_worker_context(ctx)
     if not ctx["telemetry"]:
-        state = _sync_mirror(token, generation, chain, None)
-        ecc, totals = fast.accumulate_path_shard(state["csr"], sources)
+        csr = _mirror_of(token, arrays, None)
+        ecc, totals = fast.accumulate_path_shard(csr, sources)
         return ecc, totals, None
     from repro.obs import telemetry
 
     collector = telemetry.enable(label="path-shard")
     try:
-        state = _sync_mirror(token, generation, chain, collector)
+        csr = _mirror_of(token, arrays, collector)
         collector.count("runner.path_shard.sources", int(len(sources)))
         with collector.span("runner.path_shard"):
-            ecc, totals = fast.accumulate_path_shard(state["csr"], sources)
+            ecc, totals = fast.accumulate_path_shard(csr, sources)
     finally:
         telemetry.disable()
     return ecc, totals, collector.snapshot()
@@ -648,20 +571,9 @@ def _unlink_segments(segments: List[Any]) -> None:
 
 
 class _Publication:
-    """One graph's live shared-memory broadcast state."""
+    """One graph's current CSR snapshot, copied into shared memory."""
 
-    __slots__ = (
-        "token",
-        "consumer",
-        "stamp",
-        "epoch",
-        "generation",
-        "chain",
-        "segments",
-        "base_csr",
-        "graph_ref",
-        "finalizer",
-    )
+    __slots__ = ("token", "generation", "csr", "arrays", "segments", "graph_ref", "finalizer")
 
 
 class WorkerPool:
@@ -1005,10 +917,8 @@ class WorkerPool:
         shards by span).
         """
         pub = self.publish_csr(graph, csr)
-        chain = list(pub.chain)
         tasks = {
-            i: (ctx, pub.token, pub.generation, chain, shard)
-            for i, shard in enumerate(shards)
+            i: (ctx, pub.token, pub.arrays, shard) for i, shard in enumerate(shards)
         }
 
         def describe(key: int) -> str:
@@ -1040,147 +950,83 @@ class WorkerPool:
     def publish_csr(self, graph, csr) -> _Publication:
         """Make ``csr`` (a snapshot of ``graph``) available to the workers.
 
-        First sight of a graph creates shared-memory segments and an attach
-        chain head.  Later calls ship only the delta patch when the graph's
-        log covers the interval *and* the parent cache kept the same index
-        space (same epoch, i.e. no compacting rebuild in between); anything
-        else -- overflowed log, compaction, over-long chain -- re-attaches
-        with fresh segments.
+        The graph's publication is reused while it holds this very snapshot
+        object.  Any other snapshot is copied into fresh shared-memory
+        segments (``publish_attach`` on first sight of the graph,
+        ``publish_reattach`` after) and the previous segments are unlinked
+        at once.
         """
         if self._closed:
             raise PoolError("worker pool is closed")
-        tel = _telemetry()
         key = id(graph)
         pub = self._pubs.get(key)
         if pub is not None and pub.graph_ref() is not graph:
             # id() reuse after the original graph died: drop the corpse.
             self._drop_publication(key)
             pub = None
-        stamp = graph.mutation_stamp
-        epoch = getattr(csr, "epoch", -1)
-        if pub is not None and pub.stamp == stamp and pub.epoch == epoch:
+        if pub is None:
+            pub = _Publication()
+            pub.token = uuid.uuid4().hex[:12]
+            pub.generation = 0
+            pub.segments = []
+            pub.graph_ref = weakref.ref(graph)
+            # Deterministic /dev/shm release even when the graph dies before
+            # the pool closes (checkpoint subgraphs are short-lived): the
+            # finalizer captures the mutable segment list, never the graph.
+            pub.finalizer = weakref.finalize(graph, _unlink_segments, pub.segments)
+            self._pubs[key] = pub
+            counter = "runner.pool.publish_attach"
+        elif pub.csr is csr:
             self._pubs.move_to_end(key)
             return pub
-
-        if pub is None:
-            pub = self._attach_publication(key, graph, csr)
-            if tel.enabled:
-                tel.count("runner.pool.publish_attach")
         else:
-            from repro.graphs import fast
-
-            patch = None
-            if epoch == pub.epoch and len(pub.chain) < MAX_SYNC_CHAIN:
-                ops = graph.delta_since(pub.stamp, consumer=pub.consumer)
-                if ops is not None:
-                    patch = fast.resolve_index_patch(pub.base_csr, ops, graph)
-            if patch is None:
-                self._reattach_publication(pub, csr)
-                if tel.enabled:
-                    tel.count("runner.pool.publish_reattach")
-            else:
-                pub.generation += 1
-                pub.chain.append(
-                    {"kind": "patch", "generation": pub.generation, "payload": patch}
-                )
-                if tel.enabled:
-                    tel.count("runner.pool.publish_patch")
-                    tel.count(
-                        "runner.pool.bytes_shipped",
-                        sum(
-                            int(value.nbytes)
-                            for value in patch.values()
-                            if hasattr(value, "nbytes")
-                        ),
-                    )
-        pub.stamp = stamp
-        pub.epoch = epoch
-        pub.base_csr = csr
-        graph.reset_delta_log(consumer=pub.consumer)
+            _unlink_segments(pub.segments)
+            counter = "runner.pool.publish_reattach"
+        pub.csr = None
+        pub.arrays, shipped = _create_segments(csr, pub.segments)
+        pub.csr = csr
+        pub.generation += 1
+        tel = _telemetry()
         if tel.enabled:
+            tel.count(counter)
+            tel.count("runner.pool.bytes_shipped", shipped)
             tel.gauge("runner.pool.generation", pub.generation)
         self._pubs.move_to_end(key)
         while len(self._pubs) > MAX_PUBLICATIONS:
-            oldest = next(iter(self._pubs))
-            self._drop_publication(oldest)
+            self._drop_publication(next(iter(self._pubs)))
         return pub
-
-    def _create_segments(self, csr) -> Tuple[List[Any], Dict[str, Any], int]:
-        import numpy as np
-        from multiprocessing import shared_memory
-
-        segments: List[Any] = []
-        metas: Dict[str, Any] = {}
-        shipped = 0
-        for name, array in (
-            ("indptr", csr.indptr),
-            ("indices", csr.indices),
-            ("alive", csr.alive),
-        ):
-            if array is None:
-                metas[name] = None
-                continue
-            data = np.ascontiguousarray(array)
-            shm = shared_memory.SharedMemory(
-                create=True,
-                size=max(1, int(data.nbytes)),
-                name=SHM_PREFIX + uuid.uuid4().hex[:16],
-            )
-            view = np.ndarray(data.shape, dtype=data.dtype, buffer=shm.buf)
-            view[:] = data
-            segments.append(shm)
-            metas[name] = {
-                "name": shm.name,
-                "shape": list(data.shape),
-                "dtype": str(data.dtype),
-            }
-            shipped += int(data.nbytes)
-        return segments, metas, shipped
-
-    def _attach_publication(self, key: int, graph, csr) -> _Publication:
-        pub = _Publication()
-        pub.token = uuid.uuid4().hex[:12]
-        pub.consumer = f"pool:{pub.token}"
-        pub.generation = 1
-        pub.segments = []
-        segments, metas, shipped = self._create_segments(csr)
-        pub.segments.extend(segments)
-        pub.chain = [{"kind": "attach", "generation": 1, "arrays": metas}]
-        pub.graph_ref = weakref.ref(graph)
-        # Deterministic /dev/shm release even when the graph dies before the
-        # pool closes (checkpoint subgraphs are short-lived): the finalizer
-        # captures the mutable segment list, never the graph.
-        pub.finalizer = weakref.finalize(graph, _unlink_segments, pub.segments)
-        self._pubs[key] = pub
-        tel = _telemetry()
-        if tel.enabled:
-            tel.count("runner.pool.bytes_shipped", shipped)
-        return pub
-
-    def _reattach_publication(self, pub: _Publication, csr) -> None:
-        _unlink_segments(pub.segments)
-        segments, metas, shipped = self._create_segments(csr)
-        pub.segments.extend(segments)
-        pub.generation += 1
-        pub.chain = [
-            {"kind": "attach", "generation": pub.generation, "arrays": metas}
-        ]
-        tel = _telemetry()
-        if tel.enabled:
-            tel.count("runner.pool.bytes_shipped", shipped)
 
     def _drop_publication(self, key: int) -> None:
         pub = self._pubs.pop(key, None)
-        if pub is None:
-            return
-        graph = pub.graph_ref()
-        if graph is not None:
-            try:
-                graph.drop_delta_consumer(pub.consumer)
-            except Exception:
-                pass
-        # Runs _unlink_segments at most once; a later graph-death no-ops.
-        pub.finalizer()
+        if pub is not None:
+            # Runs _unlink_segments at most once; a later graph-death no-ops.
+            pub.finalizer()
+
+
+def _create_segments(csr, segments: List[Any]) -> Tuple[Dict[str, Any], int]:
+    """Copy ``csr``'s arrays into new segments appended to ``segments``.
+
+    Returns the per-array ``{name, shape, dtype}`` metadata the workers
+    attach by, and the bytes copied.
+    """
+    import numpy as np
+    from multiprocessing import shared_memory
+
+    metas: Dict[str, Any] = {}
+    shipped = 0
+    for name, array in (("indptr", csr.indptr), ("indices", csr.indices)):
+        data = np.ascontiguousarray(array)
+        shm = shared_memory.SharedMemory(
+            create=True,
+            size=max(1, int(data.nbytes)),
+            name=SHM_PREFIX + uuid.uuid4().hex[:16],
+        )
+        segments.append(shm)
+        view = np.ndarray(data.shape, dtype=data.dtype, buffer=shm.buf)
+        view[:] = data
+        metas[name] = {"name": shm.name, "shape": list(data.shape), "dtype": str(data.dtype)}
+        shipped += int(data.nbytes)
+    return metas, shipped
 
 
 # ----------------------------------------------------------------------

@@ -490,8 +490,8 @@ def soap_at_scale(
     neutralized -- but sized an order of magnitude past the paper's overlay.
     Tractable because of this layer stack: the vectorized
     :class:`~repro.adversary.soap.SoapAttack` campaign (deque FIFO, degree
-    buckets, id-array bookkeeping) and the CSR benign-subgraph kernel, with
-    the overlay's clone insertions patching the CSR mirror incrementally.
+    buckets, id-array bookkeeping) and the CSR benign-subgraph kernel, which
+    builds a compact CSR of the benign nodes straight from the adjacency.
     Also reports how quickly containment spreads (targets to half coverage).
     """
     from repro.adversary.soap import SoapAttack

@@ -122,103 +122,3 @@ class TestCopyAndSubgraph:
         graph = UndirectedGraph(nodes=[3, 1, 2])
         assert set(iter(graph)) == {1, 2, 3}
 
-
-class TestDeltaLogBoundaries:
-    """The mutation log's exact-capacity and overflow semantics (no numpy)."""
-
-    def test_exactly_limit_ops_still_fully_logged(self, monkeypatch):
-        monkeypatch.setattr("repro.graphs.adjacency.DELTA_LOG_LIMIT", 4)
-        graph = UndirectedGraph(edges=[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
-        graph.reset_delta_log()
-        stamp = graph.mutation_stamp
-        for u, v in [(0, 1), (1, 2), (2, 3), (3, 4)]:  # exactly the limit
-            graph.remove_edge(u, v)
-        ops = graph.delta_since(stamp)
-        assert ops == [("-e", 0, 1), ("-e", 1, 2), ("-e", 2, 3), ("-e", 3, 4)]
-
-    def test_limit_plus_one_overflows(self, monkeypatch):
-        monkeypatch.setattr("repro.graphs.adjacency.DELTA_LOG_LIMIT", 4)
-        graph = UndirectedGraph(edges=[(i, i + 1) for i in range(6)])
-        graph.reset_delta_log()
-        stamp = graph.mutation_stamp
-        for u, v in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]:  # limit + 1
-            graph.remove_edge(u, v)
-        assert graph.delta_since(stamp) is None
-        # Re-arming starts a fresh, usable window.
-        graph.reset_delta_log()
-        stamp = graph.mutation_stamp
-        graph.add_edge(0, 1)
-        assert graph.delta_since(stamp) == [("+e", 0, 1)]
-
-    def test_delta_since_rejects_foreign_stamp(self):
-        graph = UndirectedGraph(edges=[(0, 1)])
-        graph.reset_delta_log()
-        graph.remove_edge(0, 1)
-        assert graph.delta_since(graph.mutation_stamp) is None  # wrong base
-        assert graph.delta_since(graph.mutation_stamp - 1) == [("-e", 0, 1)]
-
-
-class TestDeltaLogConsumers:
-    """Several independent consumers share one mutation log."""
-
-    def test_two_consumers_see_their_own_windows(self):
-        graph = UndirectedGraph(edges=[(0, 1), (1, 2), (2, 3)])
-        graph.reset_delta_log()  # default consumer ("csr")
-        first_stamp = graph.mutation_stamp
-        graph.remove_edge(0, 1)
-        graph.reset_delta_log(consumer="pool:x")
-        pool_stamp = graph.mutation_stamp
-        graph.remove_edge(1, 2)
-        assert graph.delta_since(first_stamp) == [("-e", 0, 1), ("-e", 1, 2)]
-        assert graph.delta_since(pool_stamp, consumer="pool:x") == [("-e", 1, 2)]
-        # Consuming one window does not disturb the other.
-        graph.reset_delta_log()
-        graph.remove_edge(2, 3)
-        assert graph.delta_since(graph.mutation_stamp - 1) == [("-e", 2, 3)]
-        assert graph.delta_since(pool_stamp, consumer="pool:x") == [
-            ("-e", 1, 2),
-            ("-e", 2, 3),
-        ]
-
-    def test_unknown_consumer_gets_none(self):
-        graph = UndirectedGraph(edges=[(0, 1)])
-        graph.reset_delta_log()
-        graph.remove_edge(0, 1)
-        assert graph.delta_since(graph.mutation_stamp - 1, consumer="pool:y") is None
-
-    def test_log_trimmed_to_slowest_live_consumer(self):
-        graph = UndirectedGraph(edges=[(0, 1), (1, 2), (2, 3)])
-        graph.reset_delta_log()
-        graph.reset_delta_log(consumer="pool:x")
-        graph.remove_edge(0, 1)
-        graph.remove_edge(1, 2)
-        # The fast consumer advances; the slow one still pins the prefix.
-        graph.reset_delta_log()
-        assert len(graph._delta_log) == 2
-        # Once the slow consumer advances too, the shared prefix is freed.
-        graph.reset_delta_log(consumer="pool:x")
-        assert len(graph._delta_log) == 0
-
-    def test_drop_consumer_disarms_when_last_mark_leaves(self):
-        graph = UndirectedGraph(edges=[(0, 1), (1, 2)])
-        graph.reset_delta_log(consumer="pool:x")
-        stamp = graph.mutation_stamp
-        graph.remove_edge(0, 1)
-        graph.drop_delta_consumer("pool:x")
-        assert graph.delta_since(stamp, consumer="pool:x") is None
-        # With no marks left the log is disarmed: later ops are not hoarded.
-        assert graph._delta_log is None
-        graph.remove_edge(1, 2)
-        assert graph._delta_log is None
-        graph.drop_delta_consumer("pool:x")  # idempotent
-
-    def test_overflow_invalidates_every_consumer(self, monkeypatch):
-        monkeypatch.setattr("repro.graphs.adjacency.DELTA_LOG_LIMIT", 3)
-        graph = UndirectedGraph(edges=[(i, i + 1) for i in range(5)])
-        graph.reset_delta_log()
-        csr_stamp = graph.mutation_stamp
-        graph.reset_delta_log(consumer="pool:x")
-        for u, v in [(0, 1), (1, 2), (2, 3), (3, 4)]:  # limit + 1
-            graph.remove_edge(u, v)
-        assert graph.delta_since(csr_stamp) is None
-        assert graph.delta_since(csr_stamp, consumer="pool:x") is None

@@ -301,7 +301,7 @@ def test_batched_bfs_rejects_unknown_source():
 
 
 # ----------------------------------------------------------------------
-# Incremental CSR maintenance (delta patching)
+# CSR cache under mutation
 # ----------------------------------------------------------------------
 def _assert_all_metrics_match(graph):
     assert fast.connected_components(graph) == metrics.connected_components(graph)
@@ -315,70 +315,89 @@ def _assert_all_metrics_match(graph):
         metrics.diameter(graph, sample_size=6, rng=random.Random(1))
     )
     assert fast.average_degree_centrality(graph) == metrics.average_degree_centrality(graph)
+    with backend.using("python"):
+        top_degree = backend.top_degree_nodes(graph)
+    assert fast.top_degree_nodes(graph) == top_degree
     for node in list(graph.nodes())[:3]:
         assert fast.shortest_path_lengths_from(graph, node) == (
             metrics.shortest_path_lengths_from(graph, node)
         )
 
 
-def test_incremental_patch_matches_full_rebuild():
-    """Interleaved mutations patch the mirror; results equal a fresh build."""
-    graph = k_regular_graph(300, 6, seed=81)
-    fast.csr_of(graph)  # prime the cache so deltas apply to it
-    rng = random.Random(82)
-    rebuilds = 0
-    original_build = fast.build_csr
-
-    def counting_build(target):
-        nonlocal rebuilds
-        rebuilds += 1
-        return original_build(target)
-
-    fast.build_csr = counting_build
-    try:
-        for step in range(25):
-            action = step % 5
-            if action == 0:
-                graph.remove_node(rng.choice(graph.nodes()))
-            elif action == 1:
-                u, v = rng.sample(graph.nodes(), 2)
-                graph.add_edge(u, v)
-            elif action == 2:
-                u, v = graph.edges()[0]
-                graph.remove_edge(u, v)
-            elif action == 3:
-                graph.add_node(f"new-{step}")
-                graph.add_edge(f"new-{step}", rng.choice(graph.nodes()))
-            else:
-                # Re-add an id ghosted in an *earlier* window.
-                victim = rng.choice(graph.nodes())
-                graph.remove_node(victim)
-                fast.csr_of(graph)  # sync: the removal lands in its own window
-                graph.add_node(victim)
-                graph.add_edge(victim, rng.choice([n for n in graph.nodes() if n != victim]))
-            _assert_all_metrics_match(graph)
-        csr = fast.csr_of(graph)
-        assert csr.alive is not None and csr.ghost_count > 0
-    finally:
-        fast.build_csr = original_build
-    assert rebuilds == 0, "delta patching should have avoided every rebuild"
-    # A patched mirror and a fresh rebuild describe the same graph.
+def _assert_cache_is_fresh(graph):
+    """The cached mirror equals a from-scratch build: no stale snapshot."""
+    cached = fast.csr_of(graph)
     fresh = fast.build_csr(graph)
-    patched = fast.csr_of(graph)
-    assert sorted(map(repr, fresh.index_of)) == sorted(map(repr, patched.index_of))
-    assert int(fresh.indptr[-1]) == int(patched.indptr[-1])
+    assert cached.nodes == fresh.nodes
+    assert cached.index_of == fresh.index_of
+    assert np.array_equal(cached.indptr, fresh.indptr)
+    assert np.array_equal(cached.indices, fresh.indices)
 
 
-def test_delta_log_overflow_triggers_rebuild(monkeypatch):
-    graph = k_regular_graph(120, 6, seed=83)
-    fast.csr_of(graph)
-    monkeypatch.setattr("repro.graphs.adjacency.DELTA_LOG_LIMIT", 4)
-    rng = random.Random(84)
-    for _ in range(6):  # > limit: the log overflows and delta_since returns None
-        graph.remove_node(rng.choice(graph.nodes()))
-    assert graph.delta_since(graph.mutation_stamp - 1) is None
-    _assert_all_metrics_match(graph)
-    assert fast.csr_of(graph).alive is None  # rebuilt, not patched
+def _remove_node(graph, rng, step):
+    graph.remove_node(rng.choice(graph.nodes()))
+
+
+def _add_edge(graph, rng, step):
+    graph.add_edge(*rng.sample(graph.nodes(), 2))
+
+
+def _remove_edge(graph, rng, step):
+    graph.remove_edge(*rng.choice(sorted(graph.edges(), key=repr)))
+
+
+def _add_node(graph, rng, step):
+    anchor = rng.choice(graph.nodes())
+    graph.add_node(f"new-{step}")
+    graph.add_edge(f"new-{step}", anchor)
+
+
+def _readd_one_window(graph, rng, step):
+    """Remove and re-add the same id with no cache read in between."""
+    victim = rng.choice(graph.nodes())
+    graph.remove_node(victim)
+    graph.add_node(victim)
+    graph.add_edge(victim, rng.choice([n for n in graph.nodes() if n != victim]))
+
+
+def _readd_across_windows(graph, rng, step):
+    """Remove an id, read the cache, then re-add the id."""
+    victim = rng.choice(graph.nodes())
+    graph.remove_node(victim)
+    _assert_cache_is_fresh(graph)
+    graph.add_node(victim)
+    graph.add_edge(victim, rng.choice([n for n in graph.nodes() if n != victim]))
+
+
+_INTERLEAVED = (
+    _remove_node,
+    _add_edge,
+    _remove_edge,
+    _add_node,
+    _readd_one_window,
+    _readd_across_windows,
+)
+
+MUTATION_SEQUENCES = {
+    "remove-nodes": (_remove_node,) * 6,
+    "edge-churn": (_add_edge, _remove_edge) * 4,
+    "grow": (_add_node,) * 6,
+    "readd-one-window": (_readd_one_window,) * 4,
+    "readd-across-windows": (_readd_across_windows,) * 4,
+    "interleaved": _INTERLEAVED * 4,
+}
+
+
+@pytest.mark.parametrize("sequence", list(MUTATION_SEQUENCES), ids=list(MUTATION_SEQUENCES))
+def test_csr_of_tracks_mutation_sequences(sequence):
+    """After every mutation step the cached mirror is fresh and kernels agree."""
+    graph = k_regular_graph(120, 6, seed=81)
+    rng = random.Random(82)
+    _assert_cache_is_fresh(graph)
+    for step, mutate in enumerate(MUTATION_SEQUENCES[sequence]):
+        mutate(graph, rng, step)
+        _assert_cache_is_fresh(graph)
+        _assert_all_metrics_match(graph)
 
 
 def test_removed_then_readded_in_one_window_rebuilds_correctly():
@@ -391,22 +410,8 @@ def test_removed_then_readded_in_one_window_rebuilds_correctly():
     _assert_all_metrics_match(graph)
 
 
-def test_ghost_pressure_triggers_compaction(monkeypatch):
-    monkeypatch.setattr(fast, "GHOST_SLACK", 4)
-    graph = k_regular_graph(60, 4, seed=85)
-    fast.csr_of(graph)
-    rng = random.Random(86)
-    for _ in range(40):
-        graph.remove_node(rng.choice(graph.nodes()))
-        fast.csr_of(graph)
-    csr = fast.csr_of(graph)
-    # Ghosts never outnumber max(GHOST_SLACK, live): compaction kicked in.
-    assert csr.ghost_count <= max(4, graph.number_of_nodes())
-    _assert_all_metrics_match(graph)
-
-
 def test_patched_partition_summary_matches(zoo_graph):
-    """Masked kernels respect the alive overlay after in-place mutations."""
+    """Masked kernels agree with the reference after in-place mutations."""
     graph = zoo_graph.copy()
     fast.csr_of(graph)
     nodes = graph.nodes()
@@ -433,7 +438,7 @@ def test_add_leaf_equivalent_to_add_node_plus_edge():
     via_generic.add_edge("leaf", 1)
     assert via_leaf.nodes() == via_generic.nodes()
     assert set(map(frozenset, via_leaf.edges())) == set(map(frozenset, via_generic.edges()))
-    # Patched after the leaf insertion, kernels still agree with the oracle.
+    # Rebuilt after the leaf insertion, kernels still agree with the oracle.
     _assert_all_metrics_match(via_leaf)
     # Fallback path: existing node id routes through the general insertion.
     via_leaf.add_leaf("leaf", 2)
@@ -480,125 +485,11 @@ def test_path_length_accumulators_identical_across_backends(zoo_graph):
         assert backend.path_length_accumulators(zoo_graph) == reference
 
 
-# ----------------------------------------------------------------------
-# Ghost-compaction and delta-log boundary cases
-# ----------------------------------------------------------------------
-def test_remove_readd_straddling_ghost_slack(monkeypatch):
-    """Remove->re-add of one id while ghost pressure crosses the threshold.
-
-    The same-id re-add within one window forces a rebuild regardless; the
-    interesting part is that it stays correct exactly *at* and *past* the
-    ``GHOST_SLACK`` compaction boundary, where the patch path would have
-    chosen a full rebuild anyway and the two decisions must compose.
-    """
-    monkeypatch.setattr(fast, "GHOST_SLACK", 6)
-    graph = k_regular_graph(80, 6, seed=91)
-    fast.csr_of(graph)
-    rng = random.Random(92)
-    # Accumulate ghosts one sync at a time right up to the threshold.
-    for _ in range(6):
-        graph.remove_node(rng.choice(graph.nodes()))
-        fast.csr_of(graph)
-    assert fast.csr_of(graph).ghost_count <= max(6, graph.number_of_nodes())
-    # Now straddle: one more removal *plus* a same-id remove->re-add in the
-    # same window.
-    victim = rng.choice(graph.nodes())
-    other = rng.choice([n for n in graph.nodes() if n != victim])
-    graph.remove_node(other)
-    graph.remove_node(victim)
-    graph.add_node(victim)
-    anchor = rng.choice([n for n in graph.nodes() if n != victim])
-    graph.add_edge(victim, anchor)
-    _assert_all_metrics_match(graph)
-    # The re-added node is fully live again on the patched-or-rebuilt mirror.
-    assert fast.shortest_path_lengths_from(graph, victim) == (
-        metrics.shortest_path_lengths_from(graph, victim)
-    )
-    # And the mirror agrees with a from-scratch build structurally (ghost
-    # rows hold zero edges, so the edge-entry totals must be equal).
-    fresh = fast.build_csr(graph)
-    mirrored = fast.csr_of(graph)
-    assert int(fresh.indptr[-1]) == int(mirrored.indptr[-1])
-    assert sorted(map(repr, fresh.index_of)) == sorted(map(repr, mirrored.index_of))
-
-
-def test_ghost_readd_exactly_at_compaction_threshold(monkeypatch):
-    """Ghost count exactly equal to the threshold still patches (strict >)."""
-    monkeypatch.setattr(fast, "GHOST_SLACK", 3)
-    graph = k_regular_graph(40, 4, seed=93)
-    fast.csr_of(graph)
-    rng = random.Random(94)
-    for expected_ghosts in (1, 2, 3):
-        graph.remove_node(rng.choice(graph.nodes()))
-        csr = fast.csr_of(graph)
-        if expected_ghosts <= max(3, graph.number_of_nodes()):
-            assert csr.ghost_count == expected_ghosts  # patched, not compacted
-        _assert_all_metrics_match(graph)
-
-
-def test_delta_since_after_exactly_log_limit_ops(monkeypatch):
-    """A window of exactly ``DELTA_LOG_LIMIT`` ops is still fully patchable."""
-    monkeypatch.setattr("repro.graphs.adjacency.DELTA_LOG_LIMIT", 6)
-    graph = k_regular_graph(60, 4, seed=95)
-    csr_before = fast.csr_of(graph)
-    stamp = graph.mutation_stamp
-    edges = graph.edges()
-    for u, v in edges[:6]:  # exactly DELTA_LOG_LIMIT primitive mutations
-        graph.remove_edge(u, v)
-    ops = graph.delta_since(stamp)
-    assert ops is not None and len(ops) == 6
-    _assert_all_metrics_match(graph)
-    assert fast.csr_of(graph) is not csr_before  # resynchronised
-    # One more window: limit + 1 ops must overflow and rebuild instead.
-    stamp = graph.mutation_stamp
-    for u, v in graph.edges()[:7]:
-        graph.remove_edge(u, v)
-    assert graph.delta_since(stamp) is None
-    _assert_all_metrics_match(graph)
-
-
-def test_overflow_mid_node_removal_stays_consistent(monkeypatch):
-    """A node removal whose edge entries straddle the log limit overflows
-    cleanly (the partial window is discarded, never half-applied)."""
-    monkeypatch.setattr("repro.graphs.adjacency.DELTA_LOG_LIMIT", 3)
-    graph = k_regular_graph(50, 6, seed=96)
-    fast.csr_of(graph)
-    stamp = graph.mutation_stamp
-    graph.remove_node(graph.nodes()[0])  # 6 "-e" entries + "-n": overflows
-    assert graph.delta_since(stamp) is None
-    _assert_all_metrics_match(graph)
-    assert fast.csr_of(graph).alive is None  # rebuilt, not patched
-
-
-def test_delta_log_disarmed_until_first_backend_sync():
-    """Graphs that never touch the CSR layer record no mutation log."""
-    graph = ring_graph(12)
-    assert graph._delta_log is None
-    graph.remove_edge(0, 1)
-    assert graph._delta_log is None  # still disarmed: no consumer yet
-    fast.csr_of(graph)  # first sync arms the log
-    graph.remove_edge(1, 2)
-    assert graph.delta_since(graph.mutation_stamp - 1) == [("-e", 1, 2)]
-    assert fast.connected_components(graph) == metrics.connected_components(graph)
-
-
 def test_top_degree_nodes_identical_across_backends(zoo_graph):
     with backend.using("python"):
         reference = backend.top_degree_nodes(zoo_graph)
     with backend.using("fast"):
         assert backend.top_degree_nodes(zoo_graph) == reference
-
-
-def test_top_degree_nodes_after_patching():
-    graph = k_regular_graph(100, 6, seed=88)
-    with backend.using("fast"):
-        backend.top_degree_nodes(graph)  # prime the CSR cache
-        rng = random.Random(89)
-        for _ in range(10):
-            graph.remove_node(rng.choice(graph.nodes()))
-            with backend.using("python"):
-                reference = backend.top_degree_nodes(graph)
-            assert backend.top_degree_nodes(graph) == reference
 
 
 # ----------------------------------------------------------------------

@@ -114,13 +114,22 @@ def test_forced_wave_widths_identical(forced):
         ) == expected_aspl
 
 
-def test_multiword_wave_after_incremental_patch():
-    """Ghost-carrying (delta-patched) snapshots run wide waves correctly."""
-    graph = k_regular_graph(220, 6, seed=34)
-    fast.csr_of(graph)  # prime the mirror so mutations patch it
-    rng = random.Random(35)
-    for _ in range(12):
+def _mutate_between_reads(graph, rng, steps):
+    """Remove nodes and add edges, reading the CSR cache after each step."""
+    for _ in range(steps):
         graph.remove_node(rng.choice(graph.nodes()))
+        fast.csr_of(graph)
+        graph.add_edge(*rng.sample(graph.nodes(), 2))
+        cached = fast.csr_of(graph)
+        fresh = fast.build_csr(graph)
+        assert np.array_equal(cached.indptr, fresh.indptr)
+        assert np.array_equal(cached.indices, fresh.indices)
+
+
+def test_multiword_wave_after_mutations():
+    """Snapshots rebuilt after mutations run wide waves correctly."""
+    graph = k_regular_graph(220, 6, seed=34)
+    _mutate_between_reads(graph, random.Random(35), 12)
     with backend.using_bfs_batch(256):
         batched = fast.shortest_path_lengths_from_many(graph, graph.nodes())
     for source, distances in zip(graph.nodes(), batched):
@@ -310,13 +319,9 @@ def test_full_population_matches_sampled_formula_on_disconnected():
     )
 
 
-def test_full_population_closeness_after_ghost_patching():
+def test_full_population_closeness_after_mutations():
     graph = k_regular_graph(400, 8, seed=52)
-    fast.csr_of(graph)
-    rng = random.Random(53)
-    for _ in range(25):
-        graph.remove_node(rng.choice(graph.nodes()))
-    assert fast.csr_of(graph).ghost_count > 0
+    _mutate_between_reads(graph, random.Random(53), 25)
     assert fast.average_closeness_centrality(graph) == (
         metrics.average_closeness_centrality(graph)
     )
@@ -418,29 +423,40 @@ def test_full_path_metrics_multiword_wave():
         assert fast.full_path_metrics(graph) == expected
 
 
-def test_full_path_metrics_after_ghost_patching():
+def test_full_path_metrics_after_mutations():
     graph = k_regular_graph(400, 8, seed=62)
-    fast.csr_of(graph)  # prime the mirror so mutations patch it
-    rng = random.Random(63)
-    for _ in range(25):
-        graph.remove_node(rng.choice(graph.nodes()))
-    assert fast.csr_of(graph).ghost_count > 0
+    _mutate_between_reads(graph, random.Random(63), 25)
     assert fast.full_path_metrics(graph) == metrics.full_path_metrics(graph)
     assert fast.path_length_accumulators(graph) == (
         metrics.path_length_accumulators(graph)
     )
 
 
+def test_accumulator_state_key_is_pinned():
+    """Journal v2 checkpoint keys must not drift across releases.
+
+    A resumed campaign replays a journaled shard only when this key matches,
+    so a change here silently turns every existing journal's checkpoint
+    shards into recomputation.
+    """
+    n = 12
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    chords = [(i, (i + 5) % n) for i in range(0, n, 3)]
+    graph = UndirectedGraph(nodes=range(n), edges=ring + chords)
+    key = fast.accumulator_state_key(fast.csr_of(graph), np.arange(3, 9))
+    assert key == "6c2635a2f041ef0915f246ca4f0d1bdf"
+
+
 def test_accumulate_path_shard_merge_is_exact():
     """Any split of the source set merges to the serial accumulators."""
     graph = k_regular_graph(350, 6, seed=64)
     csr = fast.csr_of(graph)
-    live = fast.live_source_indices(csr)
-    serial_ecc, serial_totals = fast.accumulate_path_shard(csr, live)
+    sources = np.arange(csr.n, dtype=np.int64)
+    serial_ecc, serial_totals = fast.accumulate_path_shard(csr, sources)
     for pieces in (2, 3, 7):
         ecc = np.zeros(csr.n, dtype=np.int64)
         totals = np.zeros(csr.n, dtype=np.int64)
-        for shard in np.array_split(live, pieces):
+        for shard in np.array_split(sources, pieces):
             shard_ecc, shard_totals = fast.accumulate_path_shard(csr, shard)
             np.maximum(ecc, shard_ecc, out=ecc)
             totals += shard_totals

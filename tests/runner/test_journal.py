@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -364,3 +368,91 @@ class TestExecutorIntegration:
         assert header["seed"] == 6
         assert sorted(units) == [0, 1, 2]
         assert complete
+
+
+#: Child process that opens a journal, reports, and holds it until stdin
+#: closes -- the "first invocation" of the single-writer tests.
+_HOLDER = """
+import json, sys
+from repro.runner.journal import CampaignJournal
+journal = CampaignJournal(sys.argv[1])
+journal.open(json.loads(sys.argv[2]))
+journal.record_unit(0, {"m": 1.0})
+print("locked", flush=True)
+sys.stdin.read()
+journal.close()
+"""
+
+
+class TestSingleWriterLock:
+    def _env(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        return env
+
+    def test_concurrent_invocation_on_one_journal_is_refused(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        holder = subprocess.Popen(
+            [sys.executable, "-c", _HOLDER, str(path), json.dumps(_header())],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+            env=self._env(),
+        )
+        try:
+            assert holder.stdout.readline().strip() == "locked"
+            before = path.read_bytes()
+            second = subprocess.run(
+                [
+                    sys.executable, "-m", "repro.runner", "run", "fig3-walkthrough",
+                    "--trials", "3", "--seed", "5", "--quiet",
+                    "--cache-dir", str(tmp_path / "cache"), "--journal", str(path),
+                ],
+                capture_output=True,
+                text=True,
+                env=self._env(),
+                timeout=120,
+            )
+            assert second.returncode == 3, second.stderr
+            assert str(path) in second.stderr
+            assert "in use by another running campaign" in second.stderr
+            # The first writer's records were neither truncated nor appended to.
+            assert path.read_bytes() == before
+            # Reading stays lock-free while the writer holds the journal.
+            assert journal_mod.inspect(path)["units_complete"] == 1
+            with pytest.raises(ConfigError, match="in use"):
+                CampaignJournal(path).open(_header(), resume=True)
+        finally:
+            holder.stdin.close()
+            assert holder.wait(timeout=60) == 0
+        # The holder's close released the lock: a new writer gets in.
+        journal = CampaignJournal(path)
+        journal.open(_header())
+        journal.finish()
+
+    def test_lock_released_by_close_and_by_failed_open(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        first = CampaignJournal(path)
+        first.open(_header())
+        with pytest.raises(ConfigError, match=str(path)):
+            CampaignJournal(path).open(_header())
+        first.close()
+        # A resume refused on header grounds must not keep the lock either.
+        with pytest.raises(ConfigError, match="no longer matches"):
+            CampaignJournal(path).open(_header(_spec(seed=9)), resume=True)
+        second = CampaignJournal(path)
+        second.open(_header(), resume=True)
+        second.finish()
+
+    def test_lock_released_while_forked_pool_workers_live(self, tmp_path):
+        """Workers forked under the lock share its descriptor; close must
+        still release it while they stay alive in the persistent pool."""
+        shutdown_pools()
+        path = tmp_path / "j.jsonl"
+        journal = CampaignJournal(path)
+        journal.open(_header())
+        execute(_spec(), workers=2, shard_size=1)  # forks the pool's workers
+        journal.close()
+        again = CampaignJournal(path)
+        again.open(_header())
+        again.finish()

@@ -4,8 +4,8 @@ The persistent pool's hard contracts, each locked by a differential or a
 failure injection:
 
 * consecutive campaigns and checkpoints reuse one executor (a single
-  ``runner.pool_spinup`` span) and one shared-memory publication (attach
-  once, then delta patches);
+  ``runner.pool_spinup`` span) and one shared-memory publication per graph
+  (attach once, then re-publish each new snapshot in full);
 * pooled results are bit-identical to serial, including across graph
   mutations between checkpoints;
 * a killed worker is respawned exactly once and only unmerged shards are
@@ -88,50 +88,42 @@ class TestPoolLifecycle:
 
 
 class TestSharedMemoryPublication:
-    def test_checkpoints_reuse_publication_via_delta_patches(self):
-        """Attach once, then ship only index-space patches; all bit-identical."""
+    CHECKPOINTS = ((), (3, 77), (141, 200, 250))
+
+    def test_checkpoints_republish_full_snapshots(self):
+        """Each new snapshot is re-published; pooled equals serial throughout."""
         graph = k_regular_graph(500, 6, seed=11)
-        expected, got = [], []
+        replica = k_regular_graph(500, 6, seed=11)
         with telemetry.collecting() as collector:
             with backend.using("fast"):
-                for victims in ((), (3, 77), (141, 200, 250)):
+                for victims in self.CHECKPOINTS:
                     for victim in victims:
                         graph.remove_node(victim)
-                    got.append(sharded_full_path_metrics(graph, workers=2))
-        # Serial ground truth computed afterwards on an identical replica.
-        replica = k_regular_graph(500, 6, seed=11)
-        with backend.using("fast"):
-            for victims in ((), (3, 77), (141, 200, 250)):
-                for victim in victims:
-                    replica.remove_node(victim)
-                expected.append(fast.full_path_metrics(replica))
-        assert got == expected
+                        replica.remove_node(victim)
+                    pooled = sharded_full_path_metrics(graph, workers=2)
+                    # An unchanged snapshot reuses the live publication.
+                    assert sharded_full_path_metrics(graph, workers=2) == pooled
+                    assert pooled == fast.full_path_metrics(replica)
         counters = collector.snapshot()["counters"]
         assert counters["runner.pool.publish_attach"] == 1
-        assert counters["runner.pool.publish_patch"] == 2
-        assert counters.get("runner.pool.publish_reattach", 0) == 0
-        # Warm workers patched their mirrors instead of re-attaching.
-        assert counters["runner.pool.shm_patch"] >= 2
+        assert counters["runner.pool.publish_reattach"] == len(self.CHECKPOINTS) - 1
         assert counters["runner.pool.bytes_shipped"] > 0
 
-    def test_compaction_forces_reattach_not_a_wrong_patch(self):
-        """A rebuilt CSR (new epoch, same graph) must re-ship the arrays."""
+    def test_republishing_leaves_only_live_snapshot_segments(self):
+        """Old segments are unlinked at re-publish; none survive shutdown."""
         graph = k_regular_graph(400, 6, seed=13)
-        with telemetry.collecting() as collector:
-            with backend.using("fast"):
-                first = sharded_full_path_metrics(graph, workers=2)
-                graph.remove_node(5)
-                # Simulate a cache-dropping compaction: the next csr_of()
-                # rebuilds from scratch in a fresh index space.
-                if hasattr(graph, "_csr_cache"):
-                    delattr(graph, "_csr_cache")
-                second = sharded_full_path_metrics(graph, workers=2)
-                serial = fast.full_path_metrics(graph)
-        assert second == serial
-        assert first != second
-        counters = collector.snapshot()["counters"]
-        assert counters["runner.pool.publish_reattach"] == 1
-        assert counters.get("runner.pool.publish_patch", 0) == 0
+        with backend.using("fast"):
+            for victims in self.CHECKPOINTS:
+                for victim in victims:
+                    graph.remove_node(victim)
+                sharded_full_path_metrics(graph, workers=2)
+                live = get_pool(2)._pubs[id(graph)].segments
+                assert sorted(_pool_segments()) == sorted(
+                    f"/dev/shm/{shm.name}" for shm in live
+                )
+                assert len(live) == 2
+        shutdown_pools()
+        assert _pool_segments() == []
 
     def test_segments_released_when_published_graph_dies(self):
         """The weakref finalizer unlinks /dev/shm before the pool closes."""
@@ -150,10 +142,6 @@ class TestSharedMemoryPublication:
         assert _pool_segments() != []
         shutdown_pools()
         assert _pool_segments() == []
-        # The pool also released its delta-log consumer mark on the graph.
-        assert all(
-            not name.startswith("pool:") for name in graph._delta_marks
-        )
 
 
 def _register_kamikaze(name: str, kills: str = "once"):
