@@ -24,7 +24,10 @@ vectorized kernels over it:
   diameter, per-node/average shortest path length *and* closeness
   (:func:`full_path_metrics`, :func:`path_length_accumulators`); the int64
   accumulators merge exactly across any source split, which is what the
-  runner's source-sharded parallel campaigns exploit,
+  runner's source-sharded parallel campaigns exploit.  These waves run on a
+  compiled C kernel (``wavekernel.c``, built on first use and loaded through
+  ``ctypes`` by :mod:`repro.graphs._wavekernel`) when a C compiler is
+  available, and on the numpy engine otherwise -- with identical results,
 * connected components via min-label propagation with pointer jumping
   (Shiloach--Vishkin style, O(m log n) total work),
 * masked component summaries for the Figure 6 simultaneous-deletion sweeps
@@ -89,8 +92,10 @@ SPARSE_EDGE_DIVISOR = 12
 PULL_EDGE_DIVISOR = 4
 
 #: Per-level step selection: ``"adaptive"`` (occupancy-driven, the default)
-#: or ``"dense"`` / ``"sparse"`` / ``"pull"`` to force one step kind.  A
-#: testing and benchmarking knob -- every mode returns identical results.
+#: or ``"dense"`` / ``"sparse"`` / ``"pull"`` to force one step kind (the
+#: compiled kernel runs ``"pull"`` as its dense step, which already skips
+#: saturated rows).  A testing and benchmarking knob -- every mode returns
+#: identical results.
 WAVE_STEP_MODE = "adaptive"
 
 #: The dense step uses a padded transposed-ELL neighbour table (cached per
@@ -926,26 +931,19 @@ def average_closeness_centrality(
 def _full_population_closeness(csr: CSRGraph, n: int) -> float:
     """Exact mean closeness with every node as a BFS source.
 
-    Runs the same wave chunks a sampled campaign would, but instead of
-    extracting per-*source* column counts each level it scatters per-*node*
-    row popcounts into ``(reached, total)`` accumulators: by symmetry of
-    shortest-path distance, the sum of ``depth * popcount`` contributions a
-    node collects across every wave is exactly its own distance sum once all
-    sources have run.  The final per-node float expressions and their
-    summation order mirror the reference implementation bit for bit.
+    Instead of extracting per-*source* column counts each level, the
+    full-population campaign of :func:`accumulate_path_shard` folds per-*node*
+    row popcounts into distance sums: by symmetry of shortest-path distance,
+    the ``totals`` a node collects across every wave is exactly its own
+    distance sum once all sources have run.  The final per-node float
+    expressions and their summation order mirror the reference
+    implementation bit for bit.
     """
-    sources = np.arange(csr.n, dtype=np.int64)
     # ``reached`` falls straight out of symmetry too: the sources reaching a
     # node are exactly the other members of its component, so one component
     # labelling replaces a per-level scatter.
     reached = _reached_counts(csr)
-    totals = np.zeros(csr.n, dtype=np.int64)
-    chunk_size = wave_batch(csr, sources.size)
-    for offset in range(0, sources.size, chunk_size):
-        chunk = sources[offset:offset + chunk_size]
-        waves = _batched_wave(csr, chunk, counting=True)
-        for depth, (rows, popcounts) in enumerate(waves, start=1):
-            totals[rows] += depth * popcounts
+    _ecc, totals = accumulate_path_shard(csr, np.arange(csr.n, dtype=np.int64))
     # Vectorised but bit-identical assembly: every operand is an int64 far
     # below 2**53, so float64 conversion is exact and each division/multiply
     # rounds exactly like the reference's Python-float expression.  Only the
@@ -995,22 +993,115 @@ def accumulate_path_shard(
     ``+`` for ``totals``) is bit-identical no matter how the source set was
     split -- which is what lets the runner fan a 100k-source campaign across
     process-pool workers for free.
+
+    The waves run on the compiled kernel (:mod:`repro.graphs._wavekernel`)
+    when it builds and loads, else on the numpy engine; both produce the
+    same integers, and the ``wave.kernel`` telemetry gauge names the one
+    that ran.
     """
     sources = np.asarray(sources, dtype=np.int64)
     ecc = np.zeros(csr.n, dtype=np.int64)
     totals = np.zeros(csr.n, dtype=np.int64)
     if sources.size == 0:
         return ecc, totals
-    chunk_size = wave_batch(csr, sources.size)
-    for offset in range(0, sources.size, chunk_size):
-        chunk = sources[offset:offset + chunk_size]
-        waves = _batched_wave(csr, chunk, counting=True)
-        for depth, (rows, popcounts) in enumerate(waves, start=1):
-            totals[rows] += depth * popcounts
-            # ``rows`` is duplicate-free per level, so a fancy-indexed max is
-            # safe; depths vary across chunks, hence max rather than assign.
-            ecc[rows] = np.maximum(ecc[rows], depth)
+    # Imported here so that importing this module stays free of the
+    # loader's subprocess/ctypes machinery (process set-up time).
+    from repro.graphs import _wavekernel
+
+    kernel = _wavekernel.load()
+    tel = _telemetry()
+    if tel.enabled:
+        tel.gauge("wave.kernel", "numpy" if kernel is None else "compiled")
+    if kernel is None:
+        chunk_size = wave_batch(csr, sources.size)
+        for offset in range(0, sources.size, chunk_size):
+            chunk = sources[offset:offset + chunk_size]
+            waves = _batched_wave(csr, chunk, counting=True)
+            for depth, (rows, popcounts) in enumerate(waves, start=1):
+                totals[rows] += depth * popcounts
+                # ``rows`` is duplicate-free per level, so a fancy-indexed max
+                # is safe; depths vary across chunks, hence max, not assign.
+                ecc[rows] = np.maximum(ecc[rows], depth)
+    else:
+        _compiled_waves(kernel, csr, sources, ecc, totals)
     return ecc, totals
+
+
+#: Frontier words per node of a compiled wave under the ``auto`` width
+#: policy (``64 * COMPILED_WAVE_WORDS`` sources per wave).  Chosen by the
+#: A/B in the README's "Compiled kernel" section: wider waves amortise each
+#: neighbour gather over more sources but keep more levels on the dense
+#: step.  Two words was fastest on the 8-regular graphs of the resilience
+#: campaigns and stays within 2x of one word on rings.
+COMPILED_WAVE_WORDS = 2
+
+#: :data:`WAVE_STEP_MODE` as the compiled kernel's level-kind selector; it has
+#: no separate pull step, because its dense step already skips saturated rows.
+_KERNEL_MODES = {"adaptive": 0, "dense": 1, "pull": 1, "sparse": 2}
+
+
+def _compiled_wave_batch(csr: CSRGraph, total_sources: int) -> int:
+    """Sources per compiled wave: forced policy, else the constant width."""
+    from repro.graphs import backend
+
+    policy = backend.bfs_batch_policy()
+    if policy != "auto":
+        return int(policy)
+    budget_words = max(1, WAVE_BUFFER_BUDGET // (8 * max(csr.n, 1)))
+    return min(total_sources, BFS_BATCH * min(COMPILED_WAVE_WORDS, budget_words))
+
+
+def _compiled_waves(
+    kernel, csr: CSRGraph, sources: np.ndarray, ecc: np.ndarray, totals: np.ndarray
+) -> None:
+    """Fold every wave of ``sources`` into ``ecc``/``totals`` via the C kernel.
+
+    One kernel call per wave chunk, so interrupts and deadlines are served
+    between waves.  Every buffer is allocated here once and reused by all
+    chunks; each wave's tallies (levels, levels per step kind, newly
+    reached rows) feed the same ``wave.*`` counters the numpy engine emits.
+    """
+    n = csr.n
+    if int(sources.min()) < 0 or int(sources.max()) >= n:
+        raise IndexError(f"source index out of range for {n} nodes")
+    indptr = np.ascontiguousarray(csr.indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(csr.indices, dtype=np.int32)
+    # The kernel trusts these shapes for every pointer it walks.
+    if indptr.size != n + 1 or int(indptr[-1]) != indices.size:
+        raise ValueError("CSR arrays do not match the node count")
+    chunk_size = _compiled_wave_batch(csr, sources.size)
+    words = -(-min(chunk_size, sources.size) // BFS_BATCH)
+    visited, frontier, scratch = np.empty((3, n * words), dtype=np.uint64)
+    active, fresh = np.empty((2, n), dtype=np.int64)
+    touched = np.empty(n, dtype=np.uint8)
+    tallies = np.empty(4, dtype=np.int64)
+    mode = _KERNEL_MODES[WAVE_STEP_MODE]
+    pointers = [
+        array.ctypes.data
+        for array in (visited, frontier, scratch, active, fresh, touched, ecc, totals, tallies)
+    ]
+    tel = _telemetry()
+    for offset in range(0, sources.size, chunk_size):
+        chunk = np.ascontiguousarray(sources[offset:offset + chunk_size])
+        kernel(
+            n, indptr.ctypes.data, indices.ctypes.data, chunk.ctypes.data,
+            chunk.size, mode, *pointers,
+        )
+        if tel.enabled:
+            tel.gauge("wave.popcount_backend", _POPCOUNT_BACKEND)
+            levels, dense, sparse, rows = tallies.tolist()
+            for name, value in (
+                ("wave.count", 1),
+                ("wave.sources", chunk.size),
+                (f"wave.words.{-(-chunk.size // BFS_BATCH)}", 1),
+                ("wave.levels", levels),
+                ("wave.dispatch.dense", dense),
+                ("wave.dispatch.sparse", sparse),
+                ("wave.frontier_rows", rows),
+                ("wave.node_levels", n * levels),
+            ):
+                if value:
+                    tel.count(name, int(value))
 
 
 def serialize_accumulators(ecc: np.ndarray, totals: np.ndarray) -> Dict[str, str]:
