@@ -37,6 +37,14 @@ def k_regular_graph(
 
     Uses the configuration (pairing) model with rejection of self-loops and
     multi-edges, restarting on failure.  ``n * k`` must be even and ``k < n``.
+    One attempt costs O(nk log nk): the stubs live in a :class:`_StubList`.
+    After ``max_attempts`` failed attempts it falls back to networkx.
+
+    The graph and the draws taken from ``rng`` are a fixed function of the
+    rng's state, so callers that keep drawing from the same rng afterwards
+    (``DDSROverlay.k_regular`` does) see a fixed stream too.  Changing
+    what this function draws, or in which order, changes every seeded
+    overlay and golden downstream.
 
     Parameters mirror the paper's setup: ``k_regular_graph(5000, 10)`` builds
     the 10-regular, 5000-node overlay of Figure 5.
@@ -62,10 +70,107 @@ def k_regular_graph(
     return from_networkx(nx_graph)
 
 
+#: Stubs per block of :class:`_StubList`, chosen with
+#: ``benchmarks/ab_pairing_model.py``.
+STUB_BLOCK = 1024
+
+
+class _StubList:
+    """The pairing model's stub list as blocks plus a Fenwick tree.
+
+    Behaves like the plain ``list`` it is built from under ``len``,
+    ``[index]``, ``pop(index)`` and ``pop()``, but each costs O(log n)
+    instead of the O(n) shift of ``list.pop(index)``: the items are split
+    into blocks of :data:`STUB_BLOCK`, and a Fenwick tree (binary indexed
+    tree) over the block lengths maps a list index to ``(block, offset)``.
+    The live items stay the built list's items in their original order, so
+    every index names the same item the plain list would.
+
+    ``pop()`` takes the tail of the last non-empty block without updating
+    the tree.  That leaves the tree's count too high only for that block
+    and the (empty) blocks after it, which never changes where an index
+    below ``len`` lands: every block before it is counted exactly.
+    """
+
+    __slots__ = ("_blocks", "_tree", "_last", "_len", "_found")
+
+    def __init__(self, items: list) -> None:
+        size = STUB_BLOCK
+        self._blocks = [items[start:start + size] for start in range(0, len(items), size)]
+        # The tree is padded to a power of two with empty blocks, so the
+        # descent needs no bounds check.
+        count = 1 << max(len(self._blocks) - 1, 0).bit_length()
+        tree = [0] * (count + 1)
+        for position, block in enumerate(self._blocks, 1):
+            tree[position] = len(block)
+        for position in range(1, count):
+            tree[position + (position & -position)] += tree[position]
+        self._tree = tree
+        self._last = len(self._blocks) - 1
+        self._len = len(items)
+        # ``(index, block, offset)`` of the last ``[index]`` lookup, so the
+        # pairing model's ``stubs[index]`` then ``stubs.pop(index)`` descends
+        # the tree once; every pop clears it.
+        self._found = None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _locate(self, index: int) -> "tuple[int, int]":
+        """``(block, offset)`` of the live item at list index ``index``."""
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("list index out of range")
+        tree = self._tree
+        # The root covers every block, so the descent starts below it.
+        step = (len(tree) - 1) >> 1
+        position = 0
+        while step:
+            probe = position + step
+            if tree[probe] <= index:
+                position = probe
+                index -= tree[probe]
+            step >>= 1
+        return position, index
+
+    def __getitem__(self, index: int):
+        block, offset = self._locate(index)
+        self._found = (index, block, offset)
+        return self._blocks[block][offset]
+
+    def pop(self, index: int = -1):
+        found = self._found
+        self._found = None
+        if index == -1 or index == self._len - 1:
+            if not self._len:
+                raise IndexError("pop from empty list")
+            blocks = self._blocks
+            last = self._last
+            while not blocks[last]:
+                last -= 1
+            self._last = last
+            self._len -= 1
+            return blocks[last].pop()
+        if found is not None and found[0] == index:
+            _, block, offset = found
+        else:
+            block, offset = self._locate(index)
+        tree = self._tree
+        count = len(tree) - 1
+        position = block + 1
+        while position <= count:
+            tree[position] -= 1
+            position += position & -position
+        self._len -= 1
+        return self._blocks[block].pop(offset)
+
+
 def _try_pairing_model(n: int, k: int, rng: random.Random) -> Optional[UndirectedGraph]:
     """One attempt of the configuration model; ``None`` when it gets stuck."""
     stubs = [node for node in range(n) for _ in range(k)]
     rng.shuffle(stubs)
+    stubs = _StubList(stubs)
     graph = UndirectedGraph(nodes=range(n))
     # Greedy matching of stubs with limited local retries.
     while stubs:

@@ -1,9 +1,12 @@
 """Tests for graph generators."""
 
+import random
+
 import networkx as nx
 import pytest
 
-from repro.graphs.adjacency import GraphError
+from repro.graphs import generators
+from repro.graphs.adjacency import GraphError, UndirectedGraph
 from repro.graphs.generators import (
     barabasi_albert_graph,
     erdos_renyi_graph,
@@ -47,6 +50,91 @@ class TestKRegular:
     def test_usually_connected_at_k_ten(self):
         graph = k_regular_graph(300, 10, seed=5)
         assert number_connected_components(graph) == 1
+
+    @pytest.mark.parametrize("n,k", [(10, 3), (30, 4), (61, 6), (200, 7)])
+    def test_networkx_fallback_is_k_regular_and_seeded(self, n, k):
+        # max_attempts=0 skips the pairing model and goes straight to the
+        # networkx fallback.
+        graph = k_regular_graph(n, k, seed=n, max_attempts=0)
+        assert graph.nodes() == list(range(n))
+        assert all(graph.degree(node) == k for node in graph.nodes())
+        assert graph.number_of_edges() == n * k // 2
+        again = k_regular_graph(n, k, seed=n, max_attempts=0)
+        assert again.edges() == graph.edges()
+
+
+def _list_pairing_model(n, k, rng):
+    """The pairing model over a plain list: the oracle for ``_StubList``."""
+    stubs = [node for node in range(n) for _ in range(k)]
+    rng.shuffle(stubs)
+    graph = UndirectedGraph(nodes=range(n))
+    while stubs:
+        u = stubs.pop()
+        placed = False
+        for attempt in range(len(stubs)):
+            index = rng.randrange(len(stubs))
+            v = stubs[index]
+            if v != u and not graph.has_edge(u, v):
+                stubs.pop(index)
+                graph.add_edge(u, v)
+                placed = True
+                break
+        if not placed:
+            return None
+    if any(graph.degree(node) != k for node in range(n)):
+        return None
+    return graph
+
+
+def _fingerprint(graph):
+    """Per-node adjacency in iteration (insertion) order plus the stamp."""
+    if graph is None:
+        return None
+    return [list(graph._adjacency[node]) for node in graph], graph.mutation_stamp
+
+
+_PAIRING_CASES = [
+    (n, k)
+    for n in (6, 8, 10, 12, 30, 61, 200)
+    for k in range(1, 8)
+    if k < n and n * k % 2 == 0
+]
+
+
+class TestPairingModelOracle:
+    """``_try_pairing_model`` against the plain-list algorithm it replaced."""
+
+    @pytest.mark.parametrize("n,k", _PAIRING_CASES)
+    def test_matches_plain_list_oracle(self, monkeypatch, n, k):
+        # Four stubs per block, so even these small graphs span many blocks.
+        monkeypatch.setattr(generators, "STUB_BLOCK", 4)
+        for seed in range(40):
+            oracle_rng, rng = random.Random(seed), random.Random(seed)
+            expected = _list_pairing_model(n, k, oracle_rng)
+            graph = generators._try_pairing_model(n, k, rng)
+            assert (graph is None) == (expected is None), seed
+            assert _fingerprint(graph) == _fingerprint(expected), seed
+            assert rng.getstate() == oracle_rng.getstate(), seed
+
+    def test_oracle_cases_include_failed_attempts(self):
+        failed = sum(
+            _list_pairing_model(n, k, random.Random(seed)) is None
+            for n, k in _PAIRING_CASES
+            for seed in range(40)
+        )
+        assert failed > 0
+
+    def test_matches_oracle_at_default_block_across_restarts(self):
+        # k_regular_graph retries from the same rng, so the whole stream of
+        # attempts (and what a caller draws afterwards) must match too.
+        oracle_rng = random.Random(7)
+        expected = None
+        while expected is None:
+            expected = _list_pairing_model(2000, 5, oracle_rng)
+        rng = random.Random(7)
+        graph = k_regular_graph(2000, 5, rng=rng)
+        assert _fingerprint(graph) == _fingerprint(expected)
+        assert rng.random() == oracle_rng.random()
 
 
 class TestOtherGenerators:
