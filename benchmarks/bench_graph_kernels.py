@@ -511,7 +511,13 @@ def run_sharded_path_smoke(n: int, workers: int, *, emit=print) -> dict:
 
 
 def _soap_campaign_once(attack_cls, backend_name: str, n: int, seed: int = 3) -> float:
-    """One timed SOAP campaign + benign summary on a fresh overlay."""
+    """One timed SOAP campaign + benign summary on a fresh overlay.
+
+    ``SoapAttack.run_campaign`` pauses the cyclic garbage collector itself,
+    so the harness's own ``gc.disable()`` below still changes only the
+    reference arm: ``ReferenceSoapAttack.run_campaign`` keeps the collector
+    as its caller left it.
+    """
     from repro.core.ddsr import DDSROverlay
     from repro.graphs import backend
 
@@ -520,6 +526,8 @@ def _soap_campaign_once(attack_cls, backend_name: str, n: int, seed: int = 3) ->
         chooser = random.Random(seed + 13)
         compromised = chooser.sample(overlay.nodes(), 1)
         attack = attack_cls(rng=random.Random(seed + 17))
+        # Both arms are timed with the collector off; the vectorized
+        # campaign would pause it on its own anyway.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:

@@ -13,11 +13,12 @@ final graph itself.
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
 
-from repro.adversary.soap import ReferenceSoapAttack, SoapAttack
+from repro.adversary.soap import AdmissionDecision, ReferenceSoapAttack, SoapAttack
 from repro.core.ddsr import DDSRConfig, DDSROverlay, PruningPolicy
 from repro.defenses.pow import PowAdmission, PowParameters
 from repro.defenses.rate_limit import RateLimitedAdmission, RateLimitParameters
@@ -223,3 +224,81 @@ def test_benign_subgraph_components_mid_campaign():
         reference = SoapAttack.benign_subgraph_components(overlay)
     with backend.using("fast"):
         assert SoapAttack.benign_subgraph_components(overlay) == reference
+
+
+# ----------------------------------------------------------------------
+# The campaign pauses the cyclic garbage collector and restores it
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def collector():
+    """Start each test with the collector enabled and nothing frozen; restore."""
+    was_enabled = gc.isenabled()
+    assert gc.get_freeze_count() == 0
+    gc.enable()
+    yield
+    gc.unfreeze()
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_campaign_restores_enabled_collector_and_matches_reference(collector):
+    ref_overlay, ref_attack, ref = _campaign(ReferenceSoapAttack, n=120, k=10, seed=7)
+    assert gc.isenabled()
+    opt_overlay, opt_attack, opt = _campaign(SoapAttack, n=120, k=10, seed=7)
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == 0
+    assert opt == ref
+    assert opt_attack.rng.getstate() == ref_attack.rng.getstate()
+    _assert_overlays_identical(ref_overlay, opt_overlay)
+
+
+def test_campaign_leaves_disabled_collector_disabled(collector):
+    gc.disable()
+    _campaign(SoapAttack, n=60, k=6, seed=0)
+    assert not gc.isenabled()
+
+
+def test_campaign_keeps_caller_frozen_objects_frozen(collector):
+    _campaign(SoapAttack, n=60, k=6, seed=0)
+    assert gc.get_freeze_count() == 0
+    gc.freeze()
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    _campaign(SoapAttack, n=60, k=6, seed=0)
+    assert gc.get_freeze_count() == frozen
+    assert gc.isenabled()
+
+
+def test_campaign_restores_collector_when_admission_raises(collector):
+    calls = []
+
+    def failing(target, requester, overlay):
+        calls.append(requester)
+        if len(calls) == 5:
+            raise RuntimeError("admission failed")
+        return AdmissionDecision(accepted=True)
+
+    with pytest.raises(RuntimeError, match="admission failed"):
+        _campaign(SoapAttack, n=60, k=6, seed=0, attack_kwargs={"admission": failing})
+    assert len(calls) == 5
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == 0
+
+
+def test_collector_paused_in_run_campaign_not_in_contain_node(collector):
+    seen = []
+
+    def probe(target, requester, overlay):
+        seen.append(gc.isenabled())
+        return AdmissionDecision(accepted=True)
+
+    _campaign(SoapAttack, n=60, k=6, seed=0, attack_kwargs={"admission": probe})
+    assert seen and not any(seen)
+    seen.clear()
+    overlay = DDSROverlay.k_regular(60, 6, seed=0)
+    SoapAttack(rng=random.Random(1), admission=probe).contain_node(overlay, overlay.nodes()[0])
+    assert seen and all(seen)
