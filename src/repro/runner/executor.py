@@ -144,27 +144,10 @@ def _run_shard(
     whatever the scenario's instrumented subsystems recorded) that the
     parent merges.  Collection is shard-scoped precisely so merging the
     returned snapshots can never double-count a long-lived worker.
-
-    Each unit runs under a sub-unit checkpoint scope
-    (:func:`repro.runner.journal.unit_scope`) and beats the parent
-    watchdog when it finishes.  Both are process-local no-ops in a pool
-    worker; they only bite when this function is the *degraded-serial
-    fallback* running in the parent of a journaled campaign -- there, a
-    long unit's path-metric checkpoints journal at shard granularity and
-    feed the drain's hang deadline.
     """
-    from repro.runner import journal as journal_mod
-    from repro.runner import pool as pool_mod
-
-    def one_unit(index: int, params: Mapping[str, Any], seed: int) -> Dict[str, float]:
-        with journal_mod.unit_scope(index):
-            metrics = run_unit(scenario_name, module, params, seed)
-        pool_mod.watchdog_beat()
-        return metrics
-
     if not _WORKER_TELEMETRY["enabled"]:
         return [
-            (index, one_unit(index, params, seed))
+            (index, run_unit(scenario_name, module, params, seed))
             for index, params, seed in shard
         ], None
     from repro.obs import telemetry
@@ -174,7 +157,7 @@ def _run_shard(
         results = []
         for index, params, seed in shard:
             with collector.span("runner.unit"):
-                results.append((index, one_unit(index, params, seed)))
+                results.append((index, run_unit(scenario_name, module, params, seed)))
     finally:
         telemetry.disable()
     return results, collector.snapshot()
@@ -291,11 +274,13 @@ def execute(
     merges are exact-integer and order-free.  ``resume=True`` without a
     journal raises :class:`~repro.core.errors.ConfigError`.
 
-    ``KeyboardInterrupt`` mid-campaign tears the worker pools down
-    deterministically (workers SIGKILLed, every ``repro-pool-*``
-    shared-memory segment unlinked) before re-raising; serial in-parent
-    units run under the parent watchdog (``REPRO_TASK_TIMEOUT``), whose
-    :class:`~repro.runner.pool.ParentTimeoutError` gets the same teardown.
+    Units run in-parent -- every unit with ``workers=1``, and the units of
+    shards the pool hands back after they used up their attempts -- go
+    through one loop, each unit and its bookkeeping under the parent
+    watchdog (``REPRO_TASK_TIMEOUT``).  ``KeyboardInterrupt`` or that
+    watchdog's :class:`~repro.runner.pool.ParentTimeoutError` mid-campaign
+    tears the worker pools down deterministically (workers SIGKILLed, every
+    ``repro-pool-*`` shared-memory segment unlinked) before re-raising.
     Every exit path closes the journal, so whatever progress was recorded
     stays resumable.
     """
@@ -324,8 +309,13 @@ def execute(
     # against this resolved spec + environment) before touching the cache.
     from repro.core.errors import ConfigError
     from repro.runner import faults
-
     from repro.runner import journal as journal_mod
+    from repro.runner.pool import (
+        ParentTimeoutError,
+        get_pool,
+        parent_deadline,
+        shutdown_pools,
+    )
 
     jrnl = None
     replay: Dict[int, Dict[str, float]] = {}
@@ -405,25 +395,26 @@ def execute(
                 f"({len(results)}/{len(units)} complete)"
             )
 
+    def run_in_parent(to_run: Sequence[WorkUnit]) -> None:
+        for unit in to_run:
+            # The deadline bounds an in-parent hang the pool watchdog cannot
+            # see (there is no worker to kill), bookkeeping included; the
+            # unit scope lets in-parent path-metric checkpoints journal at
+            # shard granularity.
+            with parent_deadline(
+                f"work unit {unit.index} of scenario {spec.name!r}"
+            ):
+                with journal_mod.unit_scope(unit.index), tel.span("runner.unit"):
+                    metrics = sc.call(seed=unit.seed, **unit.params)
+                finish_unit(unit.index, metrics)
+
     ckpt_replayed = 0
     ckpt_recorded = 0
     try:
         with journal_mod.campaign_checkpoints(jrnl, saved_checkpoints) as ckpt_ctx:
             try:
                 if pending and workers == 1:
-                    from repro.runner.pool import parent_deadline
-
-                    for unit in pending:
-                        # The unit scope lets in-parent path-metric
-                        # checkpoints journal at shard granularity; the
-                        # deadline bounds an in-parent hang the pool
-                        # watchdog cannot see (there is no worker to kill).
-                        with journal_mod.unit_scope(unit.index), parent_deadline(
-                            f"work unit {unit.index} of scenario {spec.name!r}"
-                        ):
-                            with tel.span("runner.unit"):
-                                metrics = sc.call(seed=unit.seed, **unit.params)
-                        finish_unit(unit.index, metrics)
+                    run_in_parent(pending)
                 elif pending:
                     shards = _shards(pending, shard_size)
                     max_workers = min(workers, len(shards))
@@ -434,7 +425,6 @@ def execute(
                         tel.gauge("runner.shard_size", shard_size)
                         tel.gauge("runner.pool_workers", max_workers)
                     from repro.graphs import backend
-                    from repro.runner.pool import get_pool
 
                     # Everything policy-like ships per task: the persistent
                     # pool outlives this campaign, so workers re-force the
@@ -453,34 +443,28 @@ def execute(
                         for unit_index, metrics in shard_results:
                             finish_unit(unit_index, metrics)
 
-                    get_pool(workers).run_unit_shards(ctx, spec.name, shards, on_shard)
-            except KeyboardInterrupt:
-                # Deterministic interruption: kill the pools (unlinking
-                # every repro-pool-* shm segment) and leave the journal
-                # resumable.
-                from repro.runner.pool import shutdown_pools
-
+                    returned = get_pool(workers).run_unit_shards(
+                        ctx, spec.name, shards, on_shard
+                    )
+                    run_in_parent(
+                        [
+                            units[index]
+                            for key in returned
+                            for index, _, _ in shards[key]
+                        ]
+                    )
+            except (KeyboardInterrupt, ParentTimeoutError) as error:
+                # Deterministic teardown for ^C and an in-parent hang alike:
+                # kill the pools (unlinking every repro-pool-* shm segment)
+                # and leave the journal resumable.
                 logger.warning(
-                    "interrupted mid-campaign; terminating worker pools%s",
+                    "%s mid-campaign; terminating worker pools%s",
+                    "interrupted"
+                    if isinstance(error, KeyboardInterrupt)
+                    else "in-parent hang timed out",
                     "" if jrnl is None else f" (resume with the journal at {jrnl.path})",
                 )
                 shutdown_pools(terminate=True)
-                raise
-            except Exception as error:
-                from repro.runner.pool import ParentTimeoutError, shutdown_pools
-
-                if isinstance(error, ParentTimeoutError):
-                    # An in-parent hang blew REPRO_TASK_TIMEOUT: same
-                    # deterministic teardown as ^C, then the distinct
-                    # pool-failure exit path.
-                    logger.warning(
-                        "in-parent hang timed out mid-campaign; terminating "
-                        "worker pools%s",
-                        ""
-                        if jrnl is None
-                        else f" (resume with the journal at {jrnl.path})",
-                    )
-                    shutdown_pools(terminate=True)
                 raise
             if ckpt_ctx is not None:
                 ckpt_replayed = ckpt_ctx.shards_replayed
@@ -642,13 +626,16 @@ def sharded_full_path_metrics(
             # without touching the pool (or the wave engine) at all.
             return ecc, totals
 
-        if workers == 1:
-            for index in pending:
+        def run_in_parent(indices: Sequence[int]) -> None:
+            for index in indices:
                 start, stop = spans[index]
                 shard_ecc, shard_totals = fast.accumulate_path_shard(
                     csr, sources[start:stop]
                 )
                 merge_shard(index, shard_ecc, shard_totals)
+
+        if workers == 1:
+            run_in_parent(pending)
             return ecc, totals
 
         shards = [sources[spans[index][0]:spans[index][1]] for index in pending]
@@ -667,7 +654,7 @@ def sharded_full_path_metrics(
             merge_shard(pending[task_key], shard_ecc, shard_totals)
 
         try:
-            pool_mod.get_pool(workers).run_path_shards(
+            returned = pool_mod.get_pool(workers).run_path_shards(
                 working, csr, shards, ctx, on_result
             )
         except KeyboardInterrupt:
@@ -676,6 +663,13 @@ def sharded_full_path_metrics(
             )
             pool_mod.shutdown_pools(terminate=True)
             raise
+        if returned:
+            # A no-op under an outer deadline (an in-parent work unit),
+            # which then bounds these shards itself.
+            with pool_mod.parent_deadline(
+                f"{len(returned)} in-parent path-metric shard(s)"
+            ):
+                run_in_parent([pending[key] for key in returned])
         return ecc, totals
 
     return fast.full_path_metrics(graph, shard_runner=fan_out)

@@ -1,8 +1,9 @@
 """Deterministic fault injection for chaos-testing the runner.
 
-The crash-safety layer (watchdog, bounded retry, degraded-serial drain,
-journal resume) is only trustworthy if its failure paths can be driven *on
-purpose*, reproducibly, from a test or a CI job.  This module provides that
+The crash-safety layer (the pool's failure ladder -- two attempts per
+task, then the caller's in-parent path -- the watchdogs and journal resume)
+is only trustworthy if its failure paths can be driven *on purpose*,
+reproducibly, from a test or a CI job.  This module provides that
 plane: a fault spec names registered **injection sites** in the pool, the
 executor and the result cache, and each armed clause fires at an exact
 **invocation count** of its site -- so the same spec against the same

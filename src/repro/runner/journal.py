@@ -521,9 +521,10 @@ class CampaignJournal:
 # ----------------------------------------------------------------------
 # The executor installs one CheckpointJournalContext per journaled campaign
 # and a UnitCheckpointScope around every work unit it computes *in the
-# parent process* (the serial ``workers=1`` loop and the degraded-serial
-# drain).  Checkpointed computations deep inside a unit -- the exact
-# path-metric campaigns of ``sharded_full_path_metrics`` -- consult
+# parent process* (the in-parent unit loop: every unit at ``workers=1``,
+# and the units the pool hands back).  Checkpointed computations deep
+# inside a unit -- the exact path-metric campaigns of
+# ``sharded_full_path_metrics`` -- consult
 # :func:`active_unit_scope` to replay journaled accumulators and to record
 # fresh ones.  Pool workers never see this state (it is process-local and
 # never shipped), so a unit running in a worker journals at unit

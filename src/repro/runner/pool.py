@@ -21,25 +21,22 @@ worker-resident state from per-task inputs:
   unlinked at once.  Workers attach each snapshot once and keep it in an
   LRU keyed by segment name, so every task ships only its source slice and
   the segment names.
-* **Failure paths** -- a killed worker breaks the executor; the pool
-  respawns it once (after a deterministic backoff) and retries only the
-  tasks whose results have not been merged yet (exactly-once delivery:
-  accumulator merges are not idempotent).  A *hung* worker is caught by
-  the task watchdog: when ``REPRO_TASK_TIMEOUT`` is set and no task
-  completes within that many seconds, the pool's workers are SIGKILLed
-  (``runner.watchdog.kill``) and the break flows into the same
-  respawn-and-retry machinery.  Worker-side *transient* failures (a
-  shared-memory attach refused by the OS) are retried per task up to
-  ``REPRO_TASK_RETRIES`` times (``runner.retry``).  Once the pool is
-  declared unhealthy -- respawned more than :data:`MAX_RESPAWNS` times --
-  the remaining tasks are **drained serially in-parent**
-  (``runner.degraded_serial`` + a warning) instead of failing the
-  campaign; every recovery path preserves unit seeds, cache keys and the
-  in-order Welford drain, so a degraded campaign stays bit-identical to a
-  clean one.  Set ``REPRO_DEGRADED_SERIAL=0`` to fail fast with
-  :class:`PoolError` instead; a task raising a real exception still
-  surfaces as :class:`PoolTaskError` carrying the failing shard's unit
-  context.
+* **Failure ladder** -- every task gets :data:`MAX_POOL_ATTEMPTS`
+  attempts.  A killed worker breaks the executor, which costs every task
+  whose result has not been merged yet one attempt; the executor is then
+  recreated (``runner.pool.respawn``) and only those tasks are resubmitted
+  (exactly-once delivery: accumulator merges are not idempotent).  A *hung*
+  worker is turned into a killed one by the task watchdog: when
+  ``REPRO_TASK_TIMEOUT`` is set and no task completes within that many
+  seconds, the pool's workers are SIGKILLed (``runner.watchdog.kill``).  A
+  worker-side :class:`TransientTaskError` (a shared-memory attach refused
+  by the OS) costs only that task an attempt (``runner.retry``).  Tasks
+  that use up their attempts go back to the caller, which runs them through
+  its own in-parent path (``runner.degraded_serial`` + a warning) -- the
+  same code that runs ``workers=1``, so unit seeds, cache keys and the
+  in-order Welford drain are untouched and the campaign stays bit-identical
+  to a clean one.  A task raising a real exception surfaces as
+  :class:`PoolTaskError` carrying the failing shard's unit context.
 
 Everything is observation-instrumented via :mod:`repro.obs.telemetry`:
 ``runner.pool_spinup`` span, ``runner.pool.generation`` gauge, publish
@@ -80,33 +77,21 @@ SHM_PREFIX = "repro-pool-"
 #: when callers interleave several graphs.
 MAX_PUBLICATIONS = 4
 
-#: How many times one task batch survives a broken (killed-worker) executor
-#: before the pool is declared unhealthy (degraded-serial drain or
-#: :class:`PoolError`, per ``REPRO_DEGRADED_SERIAL``).
-MAX_RESPAWNS = 1
+#: Attempts each pool task gets before it goes back to the caller to run
+#: in-parent.  A broken executor costs every unmerged task one attempt; a
+#: worker-side :class:`TransientTaskError` costs only its own task one.
+MAX_POOL_ATTEMPTS = 2
 
 #: Per-task deadline in seconds (float).  When set, the watchdog SIGKILLs
 #: the pool's workers after that long without *any* task completing --
-#: turning a hung worker into the (recoverable) killed-worker path.  Unset
-#: = no deadline, matching the pre-watchdog behaviour.
+#: turning a hung worker into the (recoverable) killed-worker path -- and
+#: :func:`parent_deadline` bounds in-parent work by the same number.  Unset
+#: = no deadline.
 TASK_TIMEOUT_ENV_VAR = "REPRO_TASK_TIMEOUT"
-
-#: How many times one task survives a worker-side *transient* failure
-#: (:class:`TransientTaskError`, e.g. a refused shm attach) before it is
-#: abandoned as :class:`PoolTaskError`.  Default 1.
-TASK_RETRIES_ENV_VAR = "REPRO_TASK_RETRIES"
-
-#: Base of the deterministic respawn backoff: respawn ``k`` sleeps
-#: ``base * 2**(k-1)`` seconds.  Default 0.05; 0 disables the sleep.
-RETRY_BACKOFF_ENV_VAR = "REPRO_RETRY_BACKOFF"
-
-#: ``0``/``false`` makes an unhealthy pool raise :class:`PoolError`
-#: instead of draining the remaining shards serially in-parent.
-DEGRADED_SERIAL_ENV_VAR = "REPRO_DEGRADED_SERIAL"
 
 
 class PoolError(RuntimeError):
-    """The pool itself failed (broken twice, closed...)."""
+    """The pool itself failed (closed, or an in-parent deadline fired)."""
 
 
 class PoolTaskError(PoolError):
@@ -114,27 +99,28 @@ class PoolTaskError(PoolError):
 
 
 class ParentTimeoutError(PoolError):
-    """In-parent work (serial units, degraded drain) blew the task deadline.
+    """In-parent work (serial units and shards) blew the task deadline.
 
     The pool watchdog can SIGKILL a hung *worker*, but work running in the
     parent process -- the serial ``workers=1`` unit loop, in-parent
-    checkpoint shards, and above all the degraded-serial drain -- has no
-    worker to kill.  :func:`parent_deadline` monitors those stretches with
-    a heartbeat thread and converts a stall past ``REPRO_TASK_TIMEOUT``
-    into this error, so an in-parent hang terminates with a resumable
-    journal instead of hanging forever.
+    checkpoint shards, and the tasks the pool handed back after they used
+    up their attempts -- has no worker to kill.  :func:`parent_deadline`
+    monitors those stretches with a heartbeat thread and converts a stall
+    past ``REPRO_TASK_TIMEOUT`` into this error, so an in-parent hang
+    terminates with a resumable journal instead of hanging forever.
     """
 
 
 class TransientTaskError(RuntimeError):
     """A worker-side failure worth retrying (the environment refused, the
     task itself did not fail).  Crosses the process boundary by pickling;
-    the parent resubmits the task up to the ``REPRO_TASK_RETRIES`` budget.
+    it costs the task one of its :data:`MAX_POOL_ATTEMPTS` attempts.
     """
 
 
-def _positive_float_env(name: str) -> Optional[float]:
-    raw = os.environ.get(name, "").strip()
+def task_timeout_policy() -> Optional[float]:
+    """The per-task watchdog deadline in seconds, or ``None`` when unset."""
+    raw = os.environ.get(TASK_TIMEOUT_ENV_VAR, "").strip()
     if not raw:
         return None
     from repro.core.errors import ConfigError
@@ -145,72 +131,14 @@ def _positive_float_env(name: str) -> Optional[float]:
         value = -1.0
     if value <= 0:
         raise ConfigError(
-            f"invalid {name}={raw!r}; expected a positive number of seconds"
+            f"invalid {TASK_TIMEOUT_ENV_VAR}={raw!r}; expected a positive "
+            "number of seconds"
         )
     return value
-
-
-def task_timeout_policy() -> Optional[float]:
-    """The per-task watchdog deadline in seconds, or ``None`` when unset."""
-    return _positive_float_env(TASK_TIMEOUT_ENV_VAR)
-
-
-def task_retries_policy() -> int:
-    """Transient-failure retries per task (default 1)."""
-    raw = os.environ.get(TASK_RETRIES_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    from repro.core.errors import ConfigError
-
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise ConfigError(
-            f"invalid {TASK_RETRIES_ENV_VAR}={raw!r}; expected a "
-            "non-negative integer"
-        )
-    return value
-
-
-def retry_backoff_policy() -> float:
-    """Base seconds of the deterministic respawn backoff (default 0.05)."""
-    raw = os.environ.get(RETRY_BACKOFF_ENV_VAR, "").strip()
-    if not raw:
-        return 0.05
-    from repro.core.errors import ConfigError
-
-    try:
-        value = float(raw)
-    except ValueError:
-        value = -1.0
-    if value < 0:
-        raise ConfigError(
-            f"invalid {RETRY_BACKOFF_ENV_VAR}={raw!r}; expected a "
-            "non-negative number of seconds"
-        )
-    return value
-
-
-def degraded_serial_policy() -> bool:
-    """Whether an unhealthy pool drains remaining shards in-parent (default)."""
-    raw = os.environ.get(DEGRADED_SERIAL_ENV_VAR, "").strip().lower()
-    if not raw:
-        return True
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    from repro.core.errors import ConfigError
-
-    raise ConfigError(
-        f"invalid {DEGRADED_SERIAL_ENV_VAR}={raw!r}; expected 0/1"
-    )
 
 
 # ----------------------------------------------------------------------
-# Parent-side watchdog (in-parent hangs: serial units, degraded drain)
+# Parent-side watchdog (in-parent hangs: serial units and shards)
 # ----------------------------------------------------------------------
 class _ParentDeadline:
     """A no-progress deadline over in-parent work, enforced by a monitor
@@ -355,28 +283,6 @@ def _paused_parent_deadline():
             deadline.resume()
 
 
-@contextmanager
-def _drain_deadline(what: str):
-    """Arm hang detection for the degraded-serial drain.
-
-    The drain runs under :func:`_paused_parent_deadline` (its caller,
-    ``_run_tasks``, paused the outer deadline for the pool wait), so when
-    an outer deadline exists it is *resumed* for the drain's duration and
-    re-paused after -- the owning context still does the
-    timeout-conversion.  With no outer deadline armed, a fresh one is.
-    """
-    outer = _parent_deadlines[-1] if _parent_deadlines else None
-    if outer is not None:
-        outer.resume()
-        try:
-            yield outer
-        finally:
-            outer.pause()
-        return
-    with parent_deadline(what) as deadline:
-        yield deadline
-
-
 # ----------------------------------------------------------------------
 # Worker-side state and entry points (top-level so they pickle)
 # ----------------------------------------------------------------------
@@ -438,8 +344,8 @@ def _attach_segment(meta: Dict[str, Any]):
     An ``OSError`` here -- the OS refusing the attach, or the injected
     ``pool.shm_attach`` fault -- is *transient*: the segment exists and the
     parent is healthy, so the failure surfaces as
-    :class:`TransientTaskError` and the parent retries the task within its
-    ``REPRO_TASK_RETRIES`` budget instead of failing the campaign.
+    :class:`TransientTaskError` and costs the task one attempt instead of
+    failing the campaign.
     """
     import numpy as np
     from multiprocessing import shared_memory
@@ -674,8 +580,8 @@ class WorkerPool:
         """No task finished within the deadline: SIGKILL the pool's workers.
 
         Killing breaks the executor, which routes the hung tasks into the
-        ordinary respawn-and-retry (or degraded-serial) machinery -- the
-        one recovery path the pool already guarantees is exactly-once.
+        ordinary failure ladder -- the one recovery path the pool already
+        guarantees is exactly-once.
         """
         if self._executor is None:
             return
@@ -695,74 +601,29 @@ class WorkerPool:
             except (ProcessLookupError, OSError):
                 pass
 
-    def _drain_serially(
-        self,
-        remaining: Dict[int, Tuple],
-        fallback: Callable[[int], Any],
-        on_done: Callable[[int, Any], None],
-    ) -> None:
-        """Graceful degradation: finish the leftover tasks in-parent.
-
-        Runs after the pool is declared unhealthy.  The fallback computes
-        the *same* work from the same ``(index, params, seed)`` inputs, and
-        results are merged through the same ``on_done``, so seeds, cache
-        keys and the Welford drain order are untouched -- a degraded
-        campaign is bit-identical to a clean one, just slower.
-        """
-        logger.warning(
-            "worker pool declared unhealthy after repeated failures; "
-            "finishing %d remaining task(s) serially in-parent "
-            "(set %s=0 to fail fast instead)",
-            len(remaining),
-            DEGRADED_SERIAL_ENV_VAR,
-        )
-        _telemetry().count("runner.degraded_serial", len(remaining))
-        self._recreate_executor()
-        with _drain_deadline(
-            f"degraded-serial drain ({len(remaining)} in-parent task(s))"
-        ):
-            for key in sorted(remaining):
-                result = fallback(key)
-                remaining.pop(key)
-                on_done(key, result)
-                watchdog_beat()
-
     def _run_tasks(
         self,
         fn: Callable[..., Any],
         tasks: Dict[int, Tuple],
         on_done: Callable[[int, Any], None],
         describe: Callable[[int], str],
-        fallback: Optional[Callable[[int], Any]] = None,
-    ) -> None:
+    ) -> List[int]:
         """Run every task, exactly-once merging results as they land.
 
-        A :class:`BrokenProcessPool` (killed worker -- or the watchdog
-        killing a hung one) respawns the executor after a deterministic
-        backoff and resubmits only the tasks whose results were not merged
-        yet; once respawns are exhausted the remaining tasks drain serially
-        in-parent through ``fallback`` (or raise :class:`PoolError` when
-        degradation is disabled or no fallback exists).  A worker-side
-        :class:`TransientTaskError` resubmits just that task within its
-        retry budget.  Any other task exception is re-raised as
-        :class:`PoolTaskError` carrying ``describe(key)``.
+        Each round submits the tasks whose results are not merged yet, and
+        every task a round leaves unfinished has spent one attempt: a
+        :class:`BrokenProcessPool` (killed worker -- or the watchdog killing
+        a hung one) leaves every unmerged task unfinished and recreates the
+        executor, a worker-side :class:`TransientTaskError` leaves just its
+        own task.  Returns the sorted keys of the tasks that used up
+        :data:`MAX_POOL_ATTEMPTS`; the caller finishes those in-parent.  Any
+        other task exception is re-raised as :class:`PoolTaskError`
+        carrying ``describe(key)``.
 
         Any armed parent deadline is paused for the duration: while the
         parent waits on the pool, the pool's own watchdog owns hang
-        detection (``_drain_serially`` resumes it -- in-parent work is the
-        parent watchdog's jurisdiction again).
+        detection.
         """
-        with _paused_parent_deadline():
-            self._run_tasks_watched(fn, tasks, on_done, describe, fallback)
-
-    def _run_tasks_watched(
-        self,
-        fn: Callable[..., Any],
-        tasks: Dict[int, Tuple],
-        on_done: Callable[[int, Any], None],
-        describe: Callable[[int], str],
-        fallback: Optional[Callable[[int], Any]] = None,
-    ) -> None:
         from repro.runner import faults
 
         # Parse the fault spec in-parent before the first worker exists, so
@@ -770,101 +631,81 @@ class WorkerPool:
         faults.ensure_loaded()
         tel = _telemetry()
         timeout = task_timeout_policy()
-        max_retries = task_retries_policy()
-        backoff = retry_backoff_policy()
         remaining = dict(tasks)
-        retries: Dict[int, int] = {}
-        respawns = 0
-        while remaining:
-            executor = self._ensure_executor()
-            broken = False
-            retried = False
-            futures: Dict[Any, int] = {}
-            try:
-                for key, args in remaining.items():
-                    futures[executor.submit(fn, *args)] = key
-            except (BrokenProcessPool, RuntimeError):
-                broken = True
-            pending = set(futures)
-            last_progress = time.monotonic()
-            watchdog_fired = False
-            try:
-                while pending:
-                    if timeout is None:
-                        done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    else:
-                        budget = timeout - (time.monotonic() - last_progress)
-                        done, pending = wait(
-                            pending,
-                            timeout=max(budget, 0.05),
-                            return_when=FIRST_COMPLETED,
-                        )
-                        if not done:
-                            if (
-                                not watchdog_fired
-                                and time.monotonic() - last_progress >= timeout
-                            ):
-                                watchdog_fired = True
-                                self._watchdog_kill(timeout)
-                            continue
-                    for future in done:
-                        key = futures[future]
-                        try:
-                            result = future.result()
-                        except BrokenProcessPool:
-                            broken = True
-                            continue
-                        except TransientTaskError as error:
-                            attempts = retries.get(key, 0)
-                            if attempts >= max_retries:
-                                raise PoolTaskError(describe(key)) from error
-                            retries[key] = attempts + 1
-                            retried = True
-                            tel.count("runner.retry")
-                            logger.warning(
-                                "transient failure (attempt %d/%d) in %s: %s; "
-                                "retrying",
-                                attempts + 1,
-                                max_retries,
-                                describe(key),
-                                error,
+        with _paused_parent_deadline():
+            for attempt in range(1, MAX_POOL_ATTEMPTS + 1):
+                executor = self._ensure_executor()
+                broken = False
+                futures: Dict[Any, int] = {}
+                try:
+                    for key, args in remaining.items():
+                        futures[executor.submit(fn, *args)] = key
+                except (BrokenProcessPool, RuntimeError):
+                    broken = True
+                pending = set(futures)
+                last_progress = time.monotonic()
+                watchdog_fired = False
+                try:
+                    while pending:
+                        if timeout is None:
+                            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                        else:
+                            budget = timeout - (time.monotonic() - last_progress)
+                            done, pending = wait(
+                                pending,
+                                timeout=max(budget, 0.05),
+                                return_when=FIRST_COMPLETED,
                             )
-                            continue
-                        except PoolError:
-                            raise
-                        except Exception as error:
-                            raise PoolTaskError(describe(key)) from error
-                        last_progress = time.monotonic()
-                        self._note_first_result()
-                        remaining.pop(key)
-                        on_done(key, result)
-            except BaseException:
-                for future in pending:
-                    future.cancel()
-                raise
-            if broken:
-                respawns += 1
-                if respawns > MAX_RESPAWNS:
-                    if fallback is not None and degraded_serial_policy():
-                        self._drain_serially(remaining, fallback, on_done)
-                        return
-                    raise PoolError(
-                        f"worker pool broke {respawns} times (worker killed or "
-                        f"crashed); {len(remaining)} task(s) unfinished; first "
-                        f"pending: {describe(next(iter(remaining)))}"
-                    )
-                tel.count("runner.pool.respawn")
-                if backoff > 0:
-                    time.sleep(backoff * (2 ** (respawns - 1)))
-                self._recreate_executor()
-            elif remaining and not retried:
-                # Every future drained without a break or a scheduled
-                # retry, yet tasks are unfinished -- a logic error; loop
-                # again would spin forever.
-                raise PoolError(
-                    f"{len(remaining)} task(s) unaccounted for after a "
-                    f"clean drain; first: {describe(next(iter(remaining)))}"
-                )
+                            if not done:
+                                if (
+                                    not watchdog_fired
+                                    and time.monotonic() - last_progress >= timeout
+                                ):
+                                    watchdog_fired = True
+                                    self._watchdog_kill(timeout)
+                                continue
+                        for future in done:
+                            key = futures[future]
+                            try:
+                                result = future.result()
+                            except BrokenProcessPool:
+                                broken = True
+                                continue
+                            except TransientTaskError as error:
+                                tel.count("runner.retry")
+                                logger.warning(
+                                    "transient failure (attempt %d/%d) in %s: %s",
+                                    attempt,
+                                    MAX_POOL_ATTEMPTS,
+                                    describe(key),
+                                    error,
+                                )
+                                continue
+                            except PoolError:
+                                raise
+                            except Exception as error:
+                                raise PoolTaskError(describe(key)) from error
+                            last_progress = time.monotonic()
+                            self._note_first_result()
+                            remaining.pop(key)
+                            on_done(key, result)
+                except BaseException:
+                    for future in pending:
+                        future.cancel()
+                    raise
+                if broken:
+                    self._recreate_executor()
+                if not remaining:
+                    return []
+                if broken and attempt < MAX_POOL_ATTEMPTS:
+                    tel.count("runner.pool.respawn")
+        logger.warning(
+            "%d pool task(s) failed %d attempts; finishing them in-parent",
+            len(remaining),
+            MAX_POOL_ATTEMPTS,
+        )
+        tel.count("runner.degraded_serial", len(remaining))
+        return sorted(remaining)
 
     def run_unit_shards(
         self,
@@ -872,8 +713,11 @@ class WorkerPool:
         scenario_name: str,
         shards: Sequence[Sequence[Tuple]],
         on_shard: Callable[[Any, Any], None],
-    ) -> None:
-        """Fan work-unit shards out; ``on_shard(results, snapshot)`` streams back."""
+    ) -> List[int]:
+        """Fan work-unit shards out; ``on_shard(results, snapshot)`` streams back.
+
+        Returns the indices of the shards the caller must run in-parent.
+        """
         tasks = {i: (ctx, scenario_name, shard) for i, shard in enumerate(shards)}
 
         def describe(key: int) -> str:
@@ -882,23 +726,8 @@ class WorkerPool:
                 f"units (index, params, seed): {list(shards[key])!r}"
             )
 
-        def fallback(key: int):
-            # Degraded-serial drain: the same (index, params, seed) units
-            # run in-parent under the parent's own (already active)
-            # policies -- no worker context to re-force, no snapshot to
-            # merge (instrumented code feeds the live collector directly).
-            from repro.runner import executor as executor_mod
-
-            return executor_mod._run_shard(
-                scenario_name, ctx.get("module", ""), shards[key]
-            )
-
-        self._run_tasks(
-            _pool_run_shard,
-            tasks,
-            lambda key, result: on_shard(*result),
-            describe,
-            fallback=fallback,
+        return self._run_tasks(
+            _pool_run_shard, tasks, lambda key, result: on_shard(*result), describe
         )
 
     def run_path_shards(
@@ -908,13 +737,14 @@ class WorkerPool:
         shards: Sequence[Any],
         ctx: Dict[str, Any],
         on_result: Callable[[int, Any, Any, Any], None],
-    ) -> None:
+    ) -> List[int]:
         """Fan path-metric source shards out over the published CSR mirror.
 
         ``on_result(shard_index, ecc, totals, snapshot)`` streams merged
         results back; the shard index lets the caller map each result onto
         its source span (sub-unit checkpoint journaling records completed
-        shards by span).
+        shards by span).  Returns the indices of the shards the caller must
+        run in-parent.
         """
         pub = self.publish_csr(graph, csr)
         tasks = {
@@ -929,21 +759,11 @@ class WorkerPool:
                 f"{pub.generation})"
             )
 
-        def fallback(key: int):
-            # Degraded-serial drain against the parent's own CSR (the
-            # authoritative copy the publication mirrors); integer
-            # accumulators merge identically wherever they were computed.
-            from repro.graphs import fast
-
-            ecc, totals = fast.accumulate_path_shard(csr, shards[key])
-            return ecc, totals, None
-
-        self._run_tasks(
+        return self._run_tasks(
             _pool_path_shard,
             tasks,
             lambda key, result: on_result(key, *result),
             describe,
-            fallback=fallback,
         )
 
     # -- shared-memory publication --------------------------------------

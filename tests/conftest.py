@@ -7,6 +7,7 @@ offline machines without the ``wheel`` package).
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -18,8 +19,25 @@ if str(_SRC) not in sys.path:
 
 from repro.core.botnet import OnionBotnet  # noqa: E402
 from repro.core.ddsr import DDSROverlay  # noqa: E402
+from repro.runner import faults  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
 from repro.tor.network import TorNetwork, TorNetworkConfig  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def _no_armed_fault_plane():
+    """No test may leave a fault spec armed for the tests that follow.
+
+    ``faults.install`` exports the spec and its counter directory into
+    ``os.environ``, where every later campaign in the session would find it.
+    """
+    yield
+    leaked = {
+        name: os.environ[name]
+        for name in (faults.ENV_VAR, faults.STATE_ENV_VAR)
+        if name in os.environ
+    }
+    assert not leaked, f"test left the fault plane armed: {leaked}"
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.runner import faults
 from repro.runner.cli import (
     EXIT_CONFIG,
     EXIT_POOL,
@@ -11,6 +12,22 @@ from repro.runner.cli import (
     EXIT_USAGE,
     main,
 )
+from repro.runner.pool import shutdown_pools
+
+
+@pytest.fixture(autouse=True)
+def _clean_faults(monkeypatch):
+    """No armed faults before or after a test, and cold pools after.
+
+    ``--inject-faults`` exports the spec into ``os.environ``; setting both
+    variables through monkeypatch makes it restore them after the test.
+    """
+    monkeypatch.setenv(faults.ENV_VAR, "")
+    monkeypatch.setenv(faults.STATE_ENV_VAR, "")
+    faults.reset()
+    yield
+    shutdown_pools()
+    faults.reset()
 
 
 class TestList:
@@ -155,18 +172,6 @@ class TestTelemetry:
 class TestExitCodes:
     """Each failure class exits with its own documented code."""
 
-    @pytest.fixture(autouse=True)
-    def _clean_faults(self, monkeypatch):
-        from repro.runner import faults
-        from repro.runner.pool import shutdown_pools
-
-        monkeypatch.delenv(faults.ENV_VAR, raising=False)
-        monkeypatch.delenv(faults.STATE_ENV_VAR, raising=False)
-        faults.reset()
-        yield
-        shutdown_pools()
-        faults.reset()
-
     def test_usage_error_is_2(self, capsys):
         assert main(["run", "nope", "--no-cache"]) == EXIT_USAGE
         capsys.readouterr()
@@ -189,14 +194,17 @@ class TestExitCodes:
         assert "REPRO_TASK_TIMEOUT" in capsys.readouterr().err
 
     def test_pool_failure_is_4(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_DEGRADED_SERIAL", "0")
+        # An in-parent hang past the deadline is a ParentTimeoutError, the
+        # PoolError the pool's own failure ladder cannot absorb.
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "1")
         code = main(
             ["run", "fig3-walkthrough", "--no-cache", "--quiet",
-             "--workers", "2",
-             "--inject-faults", "pool.task=kill@1,pool.task=kill@2"]
+             "--inject-faults", "executor.unit=hang(30)@1"]
         )
         assert code == EXIT_POOL
-        assert "worker pool failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "worker pool failed" in err
+        assert "REPRO_TASK_TIMEOUT" in err
 
     def test_task_failure_is_5(self, capsys):
         from repro.runner.registry import scenario, unregister
@@ -250,7 +258,6 @@ class TestJournalFlow:
     def test_telemetry_meta_records_journal_and_faults(self, tmp_path, capsys):
         from repro.obs.report import load_report
         from repro.obs.schema import validate_report
-        from repro.runner import faults
 
         report_path = tmp_path / "obs.json"
         journal = tmp_path / "j.jsonl"
@@ -258,10 +265,7 @@ class TestJournalFlow:
                 "--no-cache", "--journal", str(journal),
                 "--telemetry", str(report_path),
                 "--inject-faults", "cache.read=delay(0.001)@99"]
-        try:
-            assert main(args) == 0
-        finally:
-            faults.reset()
+        assert main(args) == 0
         capsys.readouterr()
         report = load_report(report_path)
         validate_report(report)

@@ -9,8 +9,9 @@ fault-free run:
   failure all recover with aggregates **bit-identical** to a clean run --
   under the default backend, ``REPRO_GRAPH_BACKEND=fast`` and the forced
   popcount-LUT matrix alike;
-* exhausted recovery degrades to a serial in-parent drain (or, with
-  ``REPRO_DEGRADED_SERIAL=0``, a fail-fast :class:`PoolError`);
+* a task that fails both of its pool attempts -- killed twice, or refused
+  a shared-memory attach twice -- finishes through the caller's in-parent
+  path, still bit-identical;
 * an interrupt mid-campaign (the SIGINT path, injected deterministically)
   exits 130, leaves no ``repro-pool-*`` segment in ``/dev/shm``, and the
   journal resumes bit-identically;
@@ -35,12 +36,7 @@ from repro.obs import telemetry
 from repro.runner import faults
 from repro.runner.cache import ResultCache
 from repro.runner.executor import run_scenario
-from repro.runner.pool import (
-    SHM_PREFIX,
-    PoolError,
-    PoolTaskError,
-    shutdown_pools,
-)
+from repro.runner.pool import SHM_PREFIX, shutdown_pools
 from repro.runner.spec import ScenarioSpec
 
 np = pytest.importorskip("numpy")
@@ -52,9 +48,13 @@ def _pool_segments():
 
 @pytest.fixture(autouse=True)
 def _clean_plane(monkeypatch):
-    """Each test starts with no armed faults, cold pools, and no leaks."""
-    monkeypatch.delenv(faults.ENV_VAR, raising=False)
-    monkeypatch.delenv(faults.STATE_ENV_VAR, raising=False)
+    """Each test starts with no armed faults, cold pools, and no leaks.
+
+    ``faults.install`` exports the spec into ``os.environ``; setting both
+    variables through monkeypatch makes it restore them after the test.
+    """
+    monkeypatch.setenv(faults.ENV_VAR, "")
+    monkeypatch.setenv(faults.STATE_ENV_VAR, "")
     faults.reset()
     shutdown_pools()
     yield
@@ -233,18 +233,24 @@ class TestPoolChaosDifferentials:
         assert sharded == serial
         assert collector.snapshot()["counters"]["runner.retry"] == 1
 
-    def test_exhausted_transient_retries_surface_as_task_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEGRADED_SERIAL", "0")
+    def test_exhausted_transient_retries_surface_as_task_error(self):
+        """A shard refused its attach on both attempts finishes in-parent."""
         graph = _sharded_graph()
-        # Default budget is 1 retry; fail the first attach of both attempts.
+        # One shard, so the first attach of both attempts is its own.
         faults.install("pool.shm_attach=oserror@1,pool.shm_attach=oserror@2")
         with backend.using("fast"):
+            from repro.graphs import fast
             from repro.runner.executor import sharded_full_path_metrics
 
-            with pytest.raises(PoolTaskError, match="path-metric shard"):
-                sharded_full_path_metrics(
+            serial = fast.full_path_metrics(graph)
+            with telemetry.collecting() as collector:
+                sharded = sharded_full_path_metrics(
                     graph, workers=2, shard_size=10_000
                 )
+        assert sharded == serial
+        counters = collector.snapshot()["counters"]
+        assert counters["runner.retry"] == 2
+        assert counters["runner.degraded_serial"] == 1
 
     @pytest.mark.parametrize("forced_backend", BACKEND_MATRIX, indirect=True)
     def test_unhealthy_pool_degrades_to_serial_bit_identically(
@@ -273,12 +279,6 @@ class TestPoolChaosDifferentials:
         assert sharded == serial
         assert collector.snapshot()["counters"]["runner.degraded_serial"] >= 1
 
-    def test_degradation_disabled_fails_fast(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEGRADED_SERIAL", "0")
-        faults.install("pool.task=kill@1,pool.task=kill@2,pool.task=kill@3")
-        with pytest.raises(PoolError, match="unfinished"):
-            _campaign(workers=2)
-
     def test_retry_does_not_perturb_cache_keys(self, tmp_path):
         """A recovered campaign populates the same cache a clean one reads."""
         faults.install("pool.task=kill@2")
@@ -302,23 +302,14 @@ class TestPolicyKnobs:
         [
             ("REPRO_TASK_TIMEOUT", "-1"),
             ("REPRO_TASK_TIMEOUT", "soon"),
-            ("REPRO_TASK_RETRIES", "-2"),
-            ("REPRO_RETRY_BACKOFF", "never"),
-            ("REPRO_DEGRADED_SERIAL", "maybe"),
         ],
     )
     def test_invalid_values_raise_config_error(self, var, value, monkeypatch):
         from repro.runner import pool as pool_mod
 
         monkeypatch.setenv(var, value)
-        policies = {
-            "REPRO_TASK_TIMEOUT": pool_mod.task_timeout_policy,
-            "REPRO_TASK_RETRIES": pool_mod.task_retries_policy,
-            "REPRO_RETRY_BACKOFF": pool_mod.retry_backoff_policy,
-            "REPRO_DEGRADED_SERIAL": pool_mod.degraded_serial_policy,
-        }
         with pytest.raises(ConfigError, match=var):
-            policies[var]()
+            pool_mod.task_timeout_policy()
 
 
 class TestInterruptTeardown:

@@ -30,8 +30,10 @@ from repro.runner.spec import ScenarioSpec
 
 @pytest.fixture(autouse=True)
 def _clean(monkeypatch):
-    monkeypatch.delenv(faults.ENV_VAR, raising=False)
-    monkeypatch.delenv(faults.STATE_ENV_VAR, raising=False)
+    # faults.install exports the spec into os.environ; setting both
+    # variables through monkeypatch makes it restore them after the test.
+    monkeypatch.setenv(faults.ENV_VAR, "")
+    monkeypatch.setenv(faults.STATE_ENV_VAR, "")
     faults.reset()
     yield
     shutdown_pools()

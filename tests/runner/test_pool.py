@@ -9,8 +9,8 @@ failure injection:
 * pooled results are bit-identical to serial, including across graph
   mutations between checkpoints;
 * a killed worker is respawned exactly once and only unmerged shards are
-  retried; a second kill or a raising task surfaces with the failing
-  shard's unit context;
+  retried; shards killed on both attempts finish in-parent, and a raising
+  task surfaces with the failing shard's unit context;
 * no ``/dev/shm`` segment with the pool prefix survives a close, a kill,
   or the published graph's death.
 """
@@ -145,11 +145,16 @@ class TestSharedMemoryPublication:
 
 
 def _register_kamikaze(name: str, kills: str = "once"):
-    """A scenario whose worker SIGKILLs itself (``once`` or ``always``)."""
+    """A scenario whose pool worker SIGKILLs itself (``once`` or ``always``).
+
+    It never kills the test process itself, where units run in-parent.
+    """
+    parent = os.getpid()
 
     @scenario(name=name, defaults={"marker": "", "bias": 0})
     def kamikaze(*, seed: int, marker: str, bias: int):
-        if kills == "always" or not os.path.exists(marker):
+        in_worker = os.getpid() != parent
+        if in_worker and (kills == "always" or not os.path.exists(marker)):
             if kills == "once":
                 with open(marker, "w", encoding="utf-8"):
                     pass
@@ -184,24 +189,20 @@ class TestFailurePaths:
         finally:
             unregister("test-pool-kamikaze")
 
-    def test_repeatedly_killed_worker_raises_pool_error_with_context(
-        self, tmp_path, monkeypatch
-    ):
-        # Degraded-serial would run the kamikaze *in-parent* (killing the
-        # test process); disable it to reach the fail-fast PoolError path.
-        monkeypatch.setenv("REPRO_DEGRADED_SERIAL", "0")
+    def test_repeatedly_killed_worker_raises_pool_error_with_context(self, tmp_path):
+        """Shards killed on both attempts finish in-parent, equal to serial."""
         _register_kamikaze("test-pool-kamikaze-always", kills="always")
+        kwargs = dict(params={"marker": str(tmp_path / "never")}, trials=2, seed=3)
         try:
-            with pytest.raises(PoolError, match="unfinished"):
-                run_scenario(
-                    "test-pool-kamikaze-always",
-                    params={"marker": str(tmp_path / "never")},
-                    trials=2,
-                    seed=3,
-                    workers=2,
+            with telemetry.collecting() as collector:
+                result = run_scenario(
+                    "test-pool-kamikaze-always", workers=2, **kwargs
                 )
+            serial = run_scenario("test-pool-kamikaze-always", **kwargs)
         finally:
             unregister("test-pool-kamikaze-always")
+        assert result.unit_metrics == serial.unit_metrics
+        assert collector.snapshot()["counters"]["runner.degraded_serial"] >= 1
         # The broken executor left nothing behind.
         shutdown_pools()
         assert _pool_segments() == []

@@ -8,8 +8,9 @@ The PR 9 contract, each clause locked by a differential against a clean run:
   (``runner.journal.ckpt_replayed``) instead of recomputing, and the final
   aggregates are **bit-identical** to an uninterrupted run, under
   backend-auto, forced-fast and the forced popcount-LUT matrix alike;
-* an in-parent ``hang`` -- in the serial unit loop or the degraded-serial
-  drain -- is bounded by the parent watchdog (``REPRO_TASK_TIMEOUT``):
+* an in-parent ``hang`` -- in the serial unit loop, its per-unit
+  bookkeeping, or units the pool handed back after they used up their
+  attempts -- is bounded by the parent watchdog (``REPRO_TASK_TIMEOUT``):
   :class:`~repro.runner.pool.ParentTimeoutError` within the deadline, the
   journal left resumable;
 * filesystem pressure (``ENOSPC`` on journal appends, oversized checkpoint
@@ -49,8 +50,10 @@ def _pool_segments():
 @pytest.fixture(autouse=True)
 def _clean_plane(monkeypatch):
     """Each test starts with no armed faults, cold pools, and no leaks."""
-    monkeypatch.delenv(faults.ENV_VAR, raising=False)
-    monkeypatch.delenv(faults.STATE_ENV_VAR, raising=False)
+    # faults.install exports the spec into os.environ; setting both
+    # variables through monkeypatch makes it restore them after the test.
+    monkeypatch.setenv(faults.ENV_VAR, "")
+    monkeypatch.setenv(faults.STATE_ENV_VAR, "")
     monkeypatch.delenv("REPRO_PATH_WORKERS", raising=False)
     monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
     faults.reset()
@@ -231,6 +234,35 @@ class TestParentWatchdog:
             resumed = _run(journal=path, resume=True)
         assert resumed.unit_metrics == clean.unit_metrics
         assert resumed.replayed >= 1 or resumed.checkpoints_replayed >= 1
+
+    def test_hang_in_serial_bookkeeping_is_bounded(self, tmp_path, monkeypatch):
+        """The deadline also covers a unit's bookkeeping at ``workers=1``
+        (cache put, journal append, the ``executor.unit`` site)."""
+        spec = ScenarioSpec(
+            name="soap-campaign", params={"n": 30}, grid={}, trials=6, seed=3
+        )
+        from repro.runner.executor import execute
+
+        baseline = execute(spec)
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "2")
+        path = tmp_path / "j.jsonl"
+        faults.install("executor.unit=hang(30)@1")
+        started = time.monotonic()
+        with telemetry.collecting() as collector:
+            with pytest.raises(ParentTimeoutError, match="REPRO_TASK_TIMEOUT"):
+                execute(spec, journal=path)
+        elapsed = time.monotonic() - started
+        faults.install("")
+        assert elapsed < 20, f"bookkeeping hang not bounded: {elapsed:.1f}s"
+        counters = collector.snapshot()["counters"]
+        assert counters["runner.watchdog.parent_timeout"] == 1
+        # The hang fires after the first unit's journal record.
+        _, units, complete = CampaignJournal(path)._read()
+        assert len(units) == 1 and not complete
+        monkeypatch.delenv("REPRO_TASK_TIMEOUT")
+        resumed = execute(spec, journal=path, resume=True)
+        assert resumed.unit_metrics == baseline.unit_metrics
+        assert resumed.replayed == 1
 
     def test_hang_in_degraded_drain_is_bounded(self, tmp_path, monkeypatch):
         """Kill the pool into the degraded-serial drain, then hang the parent
