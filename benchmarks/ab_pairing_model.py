@@ -1,20 +1,27 @@
-"""A/B of the k-regular pairing model: plain stub list vs. blocks + Fenwick tree.
+"""A/B of the k-regular pairing model: plain list, blocks + Fenwick tree, C.
 
-Generates one k-regular graph per size with ``generators._try_pairing_model``
-(retried until an attempt succeeds, as ``k_regular_graph`` does) under each
-configuration, interleaving the configurations round by round so drift on a
-shared machine hits them all alike.  A configuration is either ``list`` --
-the original algorithm over a plain Python list, kept here as the oracle,
-whose ``stubs.pop(index)`` is O(n) -- or a block size for
-``generators.STUB_BLOCK``.  Every configuration must give the same per-node
-adjacency in insertion order, the same ``mutation_stamp`` and the same rng
-state afterwards as the oracle; all of that is asserted before any timing
-is printed.
+Generates one k-regular graph per size (retrying attempts until one
+succeeds, as ``k_regular_graph`` does) under each configuration,
+interleaving the configurations round by round so drift on a shared machine
+hits them all alike.  A configuration is one of:
 
-This is the A/B behind ``generators.STUB_BLOCK``::
+* ``list`` -- the original algorithm over a plain Python list, kept here as
+  the oracle, whose ``stubs.pop(index)`` is O(n);
+* a block size for ``generators.STUB_BLOCK`` -- the Python pairing model,
+  ``generators._try_pairing_model``;
+* ``compiled`` -- the C pairing model from ``pairing.c``, which replays
+  ``random.Random``'s draws (needs a C compiler).
+
+Every configuration must give the same per-node adjacency in insertion
+order, the same ``mutation_stamp`` and the same rng state afterwards as the
+first one (the oracle, by default); all of that is asserted before any
+timing is printed.
+
+This is the A/B behind ``generators.STUB_BLOCK`` and the compiled path::
 
     PYTHONPATH=src python benchmarks/ab_pairing_model.py
-    PYTHONPATH=src python benchmarks/ab_pairing_model.py --sizes 2000:5,20000:8 --rounds 1
+    PYTHONPATH=src python benchmarks/ab_pairing_model.py --sizes 2000:5,20000:8 \\
+        --configs list,1024,compiled --rounds 1
 """
 
 from __future__ import annotations
@@ -25,11 +32,11 @@ import statistics
 import sys
 import time
 
-from repro.graphs import generators
+from repro.graphs import _wavekernel, generators
 from repro.graphs.adjacency import UndirectedGraph
 
 DEFAULT_SIZES = "2000:5,20000:8,40000:10,100000:10"
-DEFAULT_CONFIGS = "list,64,256,1024,4096"
+DEFAULT_CONFIGS = "list,64,256,1024,4096,compiled"
 
 
 def list_pairing_model(n, k, rng):
@@ -59,6 +66,11 @@ def generate(config, n, k, seed):
     """Time one graph under ``config``; return ``(seconds, fingerprint)``."""
     if config == "list":
         attempt = list_pairing_model
+    elif config == "compiled":
+        kernel = _wavekernel.load_pairing()
+
+        def attempt(n, k, rng):
+            return generators._compiled_pairing_model(kernel, n, k, rng, 1)
     else:
         generators.STUB_BLOCK = int(config)
         attempt = generators._try_pairing_model
@@ -76,13 +88,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default=DEFAULT_SIZES, help="comma-separated n:k")
     parser.add_argument("--configs", default=DEFAULT_CONFIGS,
-                        help="comma-separated: 'list' or a block size")
+                        help="comma-separated: 'list', a block size or 'compiled'")
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     sizes = [tuple(int(part) for part in item.split(":")) for item in args.sizes.split(",")]
     configs = args.configs.split(",")
+    if "compiled" in configs and _wavekernel.load_pairing() is None:
+        print("error: the compiled pairing model did not build (no C compiler?)",
+              file=sys.stderr)
+        return 1
     default_block = generators.STUB_BLOCK
     times = {(size, config): [] for size in sizes for config in configs}
     try:

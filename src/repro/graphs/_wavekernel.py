@@ -1,18 +1,30 @@
-"""Build-on-first-use loader for the compiled wave kernel (``wavekernel.c``).
+"""Build-on-first-use loader for the compiled kernels of ``repro.graphs``.
 
-:func:`repro.graphs.fast.accumulate_path_shard` runs its BFS waves through
-the C kernel in ``wavekernel.c`` when this module can build and load it, and
-through the numpy engine otherwise -- both return identical accumulators,
-so the choice never reaches a cache key.
+Both C sources, ``wavekernel.c`` and ``pairing.c``, compile into one shared
+library with two entry points:
 
-* **Lazy.** Nothing happens at import; :func:`load` builds and loads on its
-  first call and memoises the outcome (the kernel, or ``None``) for the
-  life of the process.  :func:`reset` forgets it.
+* :func:`load` binds ``repro_wave_accumulate``:
+  :func:`repro.graphs.fast.accumulate_path_shard` runs its BFS waves
+  through it when this module can build and load the library, and through
+  the numpy engine otherwise -- both return identical accumulators.
+* :func:`load_pairing` binds ``repro_pair_stubs``:
+  :func:`repro.graphs.generators.k_regular_graph` runs its pairing-model
+  attempts through it, on a replay of ``random.Random``'s draws, and
+  through the Python pairing model otherwise -- both build the same graph
+  and leave the rng in the same state.
+
+Either way the choice never reaches a cache key.
+
+* **Lazy.** Nothing happens at import; the first :func:`load` or
+  :func:`load_pairing` call builds and loads the library and memoises the
+  outcome (the library, or ``None``) for the life of the process; both
+  bind from that one library.  :func:`reset` forgets it.
 * **Compiler.** ``$CC`` (split like a shell word list) or else ``cc``, with
   the portable :data:`FLAGS`.  No compiler, a failed build or a failed load
-  all mean ``None``: the numpy engine runs instead.
+  all mean ``None``: the numpy engine and the Python pairing model run
+  instead.
 * **Cache.** The shared object lives in ``$XDG_CACHE_HOME/repro/`` or else
-  ``~/.cache/repro/``, named by the sha256 of the source, the flags, the
+  ``~/.cache/repro/``, named by the sha256 of both sources, the flags, the
   compiler command, its ``--version`` output and the machine type, so an
   edit to any of them builds a new artifact.  Each process compiles into
   its own temporary file and installs it with :func:`os.replace`, so
@@ -35,8 +47,12 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional
 
-#: The kernel source, shipped as package data next to this module.
-SOURCE = Path(__file__).with_name("wavekernel.c")
+#: The kernel sources, shipped as package data next to this module; they
+#: build one library.
+SOURCES = (
+    Path(__file__).with_name("wavekernel.c"),
+    Path(__file__).with_name("pairing.c"),
+)
 
 #: Portable compiler flags (no CPU-specific code generation).
 FLAGS = ("-O3", "-std=c99", "-shared", "-fPIC")
@@ -61,12 +77,26 @@ def cache_dir() -> Path:
 def load():
     """The bound ``repro_wave_accumulate`` function, or ``None``.
 
-    Builds (at most once per process) and loads the kernel on the first
+    Builds (at most once per process) and loads the library on the first
     call; every later call returns the memoised outcome.
     """
-    if "kernel" not in _state:
-        _state["kernel"] = _load()
-    return _state["kernel"]
+    library = _library()
+    return None if library is None else library.repro_wave_accumulate
+
+
+def load_pairing():
+    """The bound ``repro_pair_stubs`` function, or ``None``.
+
+    Comes from the same memoised library as :func:`load`.
+    """
+    library = _library()
+    return None if library is None else library.repro_pair_stubs
+
+
+def _library() -> Optional[ctypes.CDLL]:
+    if "library" not in _state:
+        _state["library"] = _load()
+    return _state["library"]
 
 
 def reset() -> None:
@@ -74,9 +104,9 @@ def reset() -> None:
     _state.clear()
 
 
-def _load():
+def _load() -> Optional[ctypes.CDLL]:
     try:
-        source = SOURCE.read_bytes()
+        sources = [path.read_bytes() for path in SOURCES]
         command = shlex.split(os.environ.get("CC") or "cc")
         version = subprocess.run(
             [*command, "--version"],
@@ -87,7 +117,7 @@ def _load():
     except (OSError, ValueError, subprocess.SubprocessError):
         return None
     digest = hashlib.sha256()
-    for part in (source, " ".join(FLAGS).encode(), " ".join(command).encode(), version):
+    for part in (*sources, " ".join(FLAGS).encode(), " ".join(command).encode(), version):
         digest.update(part)
         digest.update(b"\0")
     digest.update(platform.machine().encode())
@@ -108,8 +138,11 @@ def _load():
         [ctypes.c_int64] + [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 2
         + [ctypes.c_void_p] * 9
     )
-    _state["library"] = library  # keeps the shared object mapped
-    return kernel
+    pairing = library.repro_pair_stubs
+    pairing.restype = ctypes.c_int64
+    # (n, k, attempts, rng state, stubs, tree, rows, degree)
+    pairing.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 5
+    return library
 
 
 def _sealed(body: bytes) -> bytes:
@@ -140,7 +173,7 @@ def _build(command: List[str], artifact: Path) -> None:
     os.close(handle)
     try:
         subprocess.run(
-            [*command, *FLAGS, "-o", staging, str(SOURCE)],
+            [*command, *FLAGS, "-o", staging, *map(str, SOURCES)],
             capture_output=True,
             check=True,
             timeout=_COMPILE_TIMEOUT,

@@ -9,7 +9,7 @@ layer uses ``.onion`` address strings, the experiment harness uses integers.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Set, Tuple
 
 NodeId = Hashable
 
@@ -33,6 +33,26 @@ class UndirectedGraph:
             self.add_node(node)
         for u, v in edges:
             self.add_edge(u, v)
+
+    @classmethod
+    def from_neighbor_rows(
+        cls, nodes: Sequence[NodeId], rows: Iterable[Iterable[NodeId]]
+    ) -> "UndirectedGraph":
+        """The graph in which ``nodes[i]`` has the neighbours ``rows[i]``.
+
+        Equal to adding every node in order and then the edges so that
+        each node's neighbours arrive in its row's order: the adjacency
+        sets are filled in row order and ``mutation_stamp`` is the node
+        count plus the edge count.  The rows must be symmetric and free of
+        self-loops and repeats; they are not checked.  Neighbours are
+        stored as given, so rows that hold the very ``nodes`` objects keep
+        one object per node.
+        """
+        graph = cls()
+        graph._adjacency = dict(zip(nodes, map(set, rows)))
+        degrees = sum(map(len, graph._adjacency.values()))
+        graph._mutations = len(graph._adjacency) + degrees // 2
+        return graph
 
     @property
     def mutation_stamp(self) -> int:

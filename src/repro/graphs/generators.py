@@ -16,6 +16,7 @@ from typing import Iterable, Optional
 import networkx as nx
 
 from repro.graphs.adjacency import GraphError, UndirectedGraph
+from repro.obs.telemetry import current as _telemetry
 
 
 def _resolve_rng(rng: Optional[random.Random], seed: Optional[int]) -> random.Random:
@@ -46,6 +47,18 @@ def k_regular_graph(
     what this function draws, or in which order, changes every seeded
     overlay and golden downstream.
 
+    The attempts run in compiled code (``pairing.c``, loaded through
+    :mod:`repro.graphs._wavekernel`) when the library loads, ``rng`` is
+    exactly a ``random.Random`` (a subclass may override its draws) and
+    ``n * k`` is below :data:`COMPILED_STUB_LIMIT`; otherwise in Python
+    (:func:`_try_pairing_model`).  The C code replays ``random.Random``'s
+    Mersenne Twister draw for draw from ``rng.getstate()`` and writes the
+    final state back with ``rng.setstate``, so both paths build the same
+    graph (adjacency sets filled in the same order, same
+    ``mutation_stamp``) and leave ``rng`` in the same state, after failed
+    attempts and before the networkx fallback too.  With telemetry on, the
+    gauge ``generators.pairing`` names the path (``compiled``/``python``).
+
     Parameters mirror the paper's setup: ``k_regular_graph(5000, 10)`` builds
     the 10-regular, 5000-node overlay of Figure 5.
     """
@@ -60,10 +73,19 @@ def k_regular_graph(
     if k == 0:
         return UndirectedGraph(nodes=range(n))
 
-    for _ in range(max_attempts):
-        graph = _try_pairing_model(n, k, rng)
+    kernel = _pairing_kernel(n, k, rng)
+    tel = _telemetry()
+    if tel.enabled:
+        tel.gauge("generators.pairing", "python" if kernel is None else "compiled")
+    if kernel is not None:
+        graph = _compiled_pairing_model(kernel, n, k, rng, max_attempts)
         if graph is not None:
             return graph
+    else:
+        for _ in range(max_attempts):
+            graph = _try_pairing_model(n, k, rng)
+            if graph is not None:
+                return graph
     # Fall back to networkx's generator, which uses a smarter algorithm and
     # practically always succeeds; convert back to our structure.
     nx_graph = nx.random_regular_graph(k, n, seed=rng.randrange(2**32))
@@ -189,6 +211,51 @@ def _try_pairing_model(n: int, k: int, rng: random.Random) -> Optional[Undirecte
     if any(graph.degree(node) != k for node in range(n)):
         return None
     return graph
+
+
+#: ``n * k`` must stay below this for the compiled pairing model, whose
+#: stub positions and draws are 32-bit.
+COMPILED_STUB_LIMIT = 2**31
+
+
+def _pairing_kernel(n: int, k: int, rng: random.Random):
+    """The compiled pairing model if it can replay ``rng`` here, else ``None``."""
+    if type(rng) is not random.Random or n * k >= COMPILED_STUB_LIMIT:
+        return None
+    # Imported here so that importing this module stays free of the
+    # loader's subprocess/ctypes machinery (process set-up time).
+    from repro.graphs import _wavekernel
+
+    return _wavekernel.load_pairing()
+
+
+def _compiled_pairing_model(
+    kernel, n: int, k: int, rng: random.Random, attempts: int
+) -> Optional[UndirectedGraph]:
+    """Up to ``attempts`` runs of :func:`_try_pairing_model` in compiled code.
+
+    ``None`` when every attempt got stuck; ``rng`` ends where the Python
+    attempts would leave it either way.
+    """
+    import ctypes
+
+    version, words, gauss_next = rng.getstate()
+    state = (ctypes.c_uint32 * len(words))(*words)
+    size = n * k
+    rows = (ctypes.c_int32 * size)()
+    paired = kernel(
+        n, k, attempts, state,
+        (ctypes.c_int32 * size)(), (ctypes.c_int32 * size)(), rows,
+        (ctypes.c_int32 * n)(),
+    )
+    rng.setstate((version, tuple(state), gauss_next))
+    if not paired:
+        return None
+    # The rows hold node numbers; map each to its node key object, so the
+    # adjacency sets share the keys instead of holding a copy of each int.
+    nodes = list(range(n))
+    neighbors = map(nodes.__getitem__, memoryview(rows).cast("B").cast("i"))
+    return UndirectedGraph.from_neighbor_rows(nodes, zip(*[neighbors] * k))
 
 
 def erdos_renyi_graph(

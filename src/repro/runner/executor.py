@@ -657,7 +657,7 @@ def sharded_full_path_metrics(
             returned = pool_mod.get_pool(workers).run_path_shards(
                 working, csr, shards, ctx, on_result
             )
-        except KeyboardInterrupt:
+        except (KeyboardInterrupt, pool_mod.ParentTimeoutError):
             logger.warning(
                 "interrupted mid path-metric fan-out; terminating worker pools"
             )

@@ -283,6 +283,21 @@ def _paused_parent_deadline():
             deadline.resume()
 
 
+@contextmanager
+def _unpaused_parent_deadline():
+    """Lift that pause for one stretch of in-parent work; beat when it ends."""
+    deadline = _parent_deadlines[-1] if _parent_deadlines else None
+    if deadline is not None:
+        deadline.resume()
+    try:
+        yield
+        if deadline is not None:
+            deadline.beat()
+    finally:
+        if deadline is not None:
+            deadline.pause()
+
+
 # ----------------------------------------------------------------------
 # Worker-side state and entry points (top-level so they pickle)
 # ----------------------------------------------------------------------
@@ -620,9 +635,11 @@ class WorkerPool:
         other task exception is re-raised as :class:`PoolTaskError`
         carrying ``describe(key)``.
 
-        Any armed parent deadline is paused for the duration: while the
-        parent waits on the pool, the pool's own watchdog owns hang
-        detection.
+        While the parent waits on the pool, the pool's own watchdog owns
+        hang detection and the parent deadline is paused.  ``on_done`` runs
+        in the parent, so every call runs under the deadline, unpaused --
+        the caller's when one is armed, else one armed here -- and beats it
+        when the call returns.
         """
         from repro.runner import faults
 
@@ -632,7 +649,7 @@ class WorkerPool:
         tel = _telemetry()
         timeout = task_timeout_policy()
         remaining = dict(tasks)
-        with _paused_parent_deadline():
+        with parent_deadline("merging pool results"), _paused_parent_deadline():
             for attempt in range(1, MAX_POOL_ATTEMPTS + 1):
                 executor = self._ensure_executor()
                 broken = False
@@ -688,7 +705,8 @@ class WorkerPool:
                             last_progress = time.monotonic()
                             self._note_first_result()
                             remaining.pop(key)
-                            on_done(key, result)
+                            with _unpaused_parent_deadline():
+                                on_done(key, result)
                 except BaseException:
                     for future in pending:
                         future.cancel()

@@ -51,6 +51,22 @@ class TestBasicStructure:
         assert graph.number_of_nodes() == 4
         assert graph.number_of_edges() == 1
 
+    def test_from_neighbor_rows_equals_edge_by_edge(self):
+        # Colliding hashes (multiples of 8 and 64), so the sets' iteration
+        # order depends on insertion order.
+        nodes = [0, 8, 64, 512, 4096, 1000, 7]
+        edges = [(1000, 8), (0, 64), (0, 8), (512, 64), (7, 4096), (0, 512), (8, 64)]
+        expected = UndirectedGraph(nodes=nodes, edges=edges)
+        rows = {node: [] for node in nodes}
+        for u, v in edges:
+            rows[u].append(v)
+            rows[v].append(u)
+        graph = UndirectedGraph.from_neighbor_rows(nodes, [rows[node] for node in nodes])
+        assert graph.nodes() == expected.nodes()
+        for node in nodes:
+            assert list(graph._adjacency[node]) == list(expected._adjacency[node])
+        assert graph.mutation_stamp == expected.mutation_stamp == len(nodes) + len(edges)
+
 
 class TestQueries:
     def test_degree_and_degrees(self):

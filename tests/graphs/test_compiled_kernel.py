@@ -327,6 +327,22 @@ def _child_env(cache_home):
     return env
 
 
+def test_pairing_source_edit_changes_the_artifact(fresh_loader, monkeypatch, tmp_path):
+    """One library carries both kernels, so its name covers both sources."""
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    assert _wavekernel.load_pairing() is not None
+    (original,) = _artifacts(fresh_loader)
+    wave, pairing = _wavekernel.SOURCES
+    edited = tmp_path / "pairing.c"
+    edited.write_text(pairing.read_text() + "\n/* edited */\n")
+    monkeypatch.setattr(_wavekernel, "SOURCES", (wave, edited))
+    _wavekernel.reset()
+    assert _wavekernel.load() is not None and _wavekernel.load_pairing() is not None
+    artifacts = _artifacts(fresh_loader)
+    assert len(artifacts) == 2 and original in artifacts
+
+
 def test_concurrent_first_calls_both_succeed(fresh_loader):
     if shutil.which("cc") is None:
         pytest.skip("no cc on PATH")
@@ -352,6 +368,7 @@ def test_import_neither_compiles_nor_loads(fresh_loader):
     script = (
         "import sys\n"
         "import repro.graphs.fast\n"
+        "import repro.graphs.generators\n"
         "assert 'repro.graphs._wavekernel' not in sys.modules\n"
     )
     subprocess.run(

@@ -1,11 +1,12 @@
 """Tests for graph generators."""
 
+import hashlib
 import random
 
 import networkx as nx
 import pytest
 
-from repro.graphs import generators
+from repro.graphs import _wavekernel, generators
 from repro.graphs.adjacency import GraphError, UndirectedGraph
 from repro.graphs.generators import (
     barabasi_albert_graph,
@@ -17,6 +18,7 @@ from repro.graphs.generators import (
     to_networkx,
 )
 from repro.graphs.metrics import number_connected_components
+from repro.obs import telemetry
 
 
 class TestKRegular:
@@ -135,6 +137,140 @@ class TestPairingModelOracle:
         graph = k_regular_graph(2000, 5, rng=rng)
         assert _fingerprint(graph) == _fingerprint(expected)
         assert rng.random() == oracle_rng.random()
+
+
+@pytest.fixture(scope="module")
+def pairing_kernel():
+    """The compiled pairing model; skips where no C compiler builds it."""
+    kernel = _wavekernel.load_pairing()
+    if kernel is None:
+        pytest.skip("no working C compiler")
+    return kernel
+
+
+def _python_attempts(n, k, rng, attempts):
+    """``k_regular_graph``'s attempt loop on the Python pairing model."""
+    for _ in range(attempts):
+        graph = generators._try_pairing_model(n, k, rng)
+        if graph is not None:
+            return graph
+    return None
+
+
+def _generate(n, k, seed, **kwargs):
+    """``k_regular_graph`` plus the pairing gauge and the rng state after."""
+    rng = kwargs.pop("rng", None) or random.Random(seed)
+    with telemetry.collecting() as collector:
+        graph = k_regular_graph(n, k, rng=rng, **kwargs)
+    gauge = collector.snapshot()["gauges"].get("generators.pairing")
+    return _fingerprint(graph), rng.getstate(), gauge
+
+
+def _python_generate(monkeypatch, n, k, seed, **kwargs):
+    """:func:`_generate` with the compiled pairing model switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(generators, "_pairing_kernel", lambda *args: None)
+        return _generate(n, k, seed, **kwargs)
+
+
+class TestCompiledPairingModel:
+    """The C pairing model against the Python one it replays.
+
+    Both must build the same graph -- per-node adjacency in insertion
+    order and ``mutation_stamp`` -- and leave the rng in the same state,
+    including after attempts that got stuck.
+    """
+
+    @pytest.mark.parametrize("n,k", _PAIRING_CASES)
+    def test_matches_python_attempts_with_restarts(self, pairing_kernel, n, k):
+        # Three attempts: some seeds succeed at once, some after a stuck
+        # attempt, and some get stuck three times.
+        for seed in range(40):
+            python_rng, rng = random.Random(seed), random.Random(seed)
+            expected = _python_attempts(n, k, python_rng, 3)
+            graph = generators._compiled_pairing_model(pairing_kernel, n, k, rng, 3)
+            assert _fingerprint(graph) == _fingerprint(expected), seed
+            assert rng.getstate() == python_rng.getstate(), seed
+
+    def test_full_size_fingerprint(self, pairing_kernel, monkeypatch):
+        compiled = _generate(20000, 8, 11)
+        python = _python_generate(monkeypatch, 20000, 8, 11)
+        assert compiled[2] == "compiled" and python[2] == "python"
+        assert compiled[:2] == python[:2]
+        # Pinned to the graph the Python pairing model has always built.
+        adjacency, stamp = compiled[0]
+        digest = hashlib.sha256(repr(adjacency).encode()).hexdigest()
+        assert stamp == 20000 + 20000 * 8 // 2
+        assert digest[:16] == "23dfe952ba56aac3"
+
+    def test_neighbors_are_the_node_key_objects(self, pairing_kernel):
+        # Above 256 ints are not interned, so this pins one int object per
+        # node: neighbour sets share the keys rather than copies of them.
+        graph = k_regular_graph(700, 6, seed=2)
+        keys = {node: node for node in graph}
+        for node in graph:
+            for neighbor in graph._adjacency[node]:
+                assert neighbor is keys[neighbor]
+
+    @pytest.mark.parametrize("attempts", [0, 1])
+    def test_networkx_fallback_sees_the_same_rng(self, pairing_kernel, monkeypatch, attempts):
+        # Seed 3 at 10/3 gets stuck on its first attempt, so both settings
+        # reach networkx, which seeds itself from the rng.
+        assert _python_attempts(10, 3, random.Random(3), 1) is None
+        compiled = _generate(10, 3, 3, max_attempts=attempts)
+        python = _python_generate(monkeypatch, 10, 3, 3, max_attempts=attempts)
+        assert compiled[2] == "compiled"
+        assert compiled[:2] == python[:2]
+        adjacency, _ = compiled[0]
+        assert all(len(row) == 3 for row in adjacency)
+
+
+class TestPairingFallbacks:
+    """Where the compiled model cannot replay the rng, Python runs, same output."""
+
+    def test_no_compiler(self, monkeypatch, tmp_path):
+        expected = _python_generate(monkeypatch, 300, 6, 5)
+        monkeypatch.setenv("CC", "false")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        _wavekernel.reset()
+        try:
+            assert _wavekernel.load_pairing() is None
+            assert _generate(300, 6, 5) == expected
+        finally:
+            monkeypatch.undo()
+            _wavekernel.reset()
+
+    def test_random_subclass(self, monkeypatch):
+        class Recorded(random.Random):
+            pass
+
+        expected = _python_generate(monkeypatch, 300, 6, 5)
+        fingerprint, state, gauge = _generate(300, 6, 5, rng=Recorded(5))
+        assert (fingerprint, state, gauge) == expected
+
+    def test_stub_count_guard(self, monkeypatch):
+        expected = _python_generate(monkeypatch, 300, 6, 5)
+        monkeypatch.setattr(generators, "COMPILED_STUB_LIMIT", 300 * 6)
+        assert _generate(300, 6, 5) == expected
+        monkeypatch.setattr(generators, "COMPILED_STUB_LIMIT", 300 * 6 + 1)
+        assert _generate(300, 6, 5)[:2] == expected[:2]
+
+    def test_gauge_names_the_engine(self, monkeypatch):
+        compiled = _wavekernel.load_pairing() is not None
+        assert _generate(60, 4, 1)[2] == ("compiled" if compiled else "python")
+        assert _python_generate(monkeypatch, 60, 4, 1)[2] == "python"
+        # Off by default: no collector, no gauge, same graph.
+        assert _fingerprint(k_regular_graph(60, 4, seed=1)) == _generate(60, 4, 1)[0]
+
+    def test_run_report_names_the_engine(self):
+        from repro.obs.report import render_report
+        from repro.runner.executor import run_scenario
+
+        with telemetry.collecting() as collector:
+            run_scenario("soap-campaign", params={"n": 60, "k": 4})
+        compiled = _wavekernel.load_pairing() is not None
+        gauges = render_report(collector)["gauges"]
+        assert gauges["generators.pairing"] == ("compiled" if compiled else "python")
 
 
 class TestOtherGenerators:

@@ -26,6 +26,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -315,11 +316,14 @@ class TestPolicyKnobs:
 class TestInterruptTeardown:
     """The SIGINT path, driven deterministically via an injected interrupt."""
 
-    def _run_cli(self, tmp_path, *extra):
+    def _run_cli(self, tmp_path, *extra, task_timeout=None):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
         env.pop(faults.ENV_VAR, None)
         env.pop(faults.STATE_ENV_VAR, None)
+        env.pop("REPRO_TASK_TIMEOUT", None)
+        if task_timeout is not None:
+            env["REPRO_TASK_TIMEOUT"] = str(task_timeout)
         return subprocess.run(
             [
                 sys.executable, "-m", "repro.runner", "run", "soap-campaign",
@@ -353,6 +357,38 @@ class TestInterruptTeardown:
         )
         assert resumed.returncode == 0, resumed.stderr
         assert "3 replayed" in resumed.stdout
+        clean = self._run_cli(
+            tmp_path, "--no-journal", "--no-cache",
+            "--json", str(tmp_path / "clean.json"),
+        )
+        assert clean.returncode == 0, clean.stderr
+        resumed_rows = json.loads((tmp_path / "resumed.json").read_text())
+        clean_rows = json.loads((tmp_path / "clean.json").read_text())
+        assert resumed_rows == clean_rows
+
+    def test_pooled_bookkeeping_hang_is_bounded_then_resumes(self, tmp_path):
+        """At ``workers=2`` the parent merges each shard's units (cache put,
+        journal append, the ``executor.unit`` fault site) from the pool's
+        result loop; a hang there must hit the parent deadline too."""
+        journal = tmp_path / "campaign.jsonl"
+        started = time.monotonic()
+        hung = self._run_cli(
+            tmp_path,
+            "--journal", str(journal), "--no-cache",
+            "--inject-faults", "executor.unit=hang(60)@1",
+            task_timeout=2,
+        )
+        elapsed = time.monotonic() - started
+        assert hung.returncode == 4, hung.stderr
+        assert "no progress within 2s" in hung.stderr
+        assert elapsed < 2 + 15, f"pooled bookkeeping hang not bounded: {elapsed:.1f}s"
+        assert _pool_segments() == []
+        resumed = self._run_cli(
+            tmp_path, "--journal", str(journal), "--resume", "--no-cache",
+            "--json", str(tmp_path / "resumed.json"),
+        )
+        assert resumed.returncode == 0, resumed.stderr
+        assert "replayed" in resumed.stdout
         clean = self._run_cli(
             tmp_path, "--no-journal", "--no-cache",
             "--json", str(tmp_path / "clean.json"),
