@@ -1,19 +1,28 @@
-"""A/B of the SOAP campaign with the cyclic garbage collector running vs. paused.
+"""A/B of the SOAP campaign: collector running vs. paused, compiled vs. Python loop.
 
 Runs one full ``SoapAttack.run_campaign`` per size, plus the benign-subgraph
-summary that follows it in ``soap-at-scale``, under each arm, interleaving the
-arms round by round so drift on a shared machine hits both alike.  The
-``running`` arm monkeypatches ``soap._collector_paused`` to a null context, so
-the campaign runs with the collector as the caller left it (enabled); the
-``paused`` arm is the shipped code.  Both arms must give the same
-``SoapCampaignResult``, the same attack and overlay rng states, the same
-overlay edge set and the same ``overlay.stats``; all of that is asserted
-before any timing is printed.
+summary that follows it in ``soap-at-scale``, under each configuration,
+interleaving the configurations round by round so drift on a shared machine
+hits them all alike.  A configuration is one of:
 
-Per arm it reports the campaign and summary seconds, the collector's own time
-(every generation) and the full (generation-2) collections -- count and
-seconds -- measured through ``gc.callbacks`` across both phases, and the
-objects those collections freed::
+* ``compiled`` -- the shipped code: the collector paused and each target's
+  clone/prune loop in ``soap.c`` (needs a C compiler);
+* ``python`` -- the collector paused and the compiled loop turned off
+  (``_wavekernel.load_soap`` returns ``None``), so every target runs the
+  Python ``contain_node``;
+* ``running`` -- the shipped code with ``soap._collector_paused`` replaced by
+  a null context, so the campaign runs with the collector as the caller left
+  it (enabled).
+
+Every configuration must give the same ``SoapCampaignResult``, the same
+attack and overlay rng states, the same ``overlay.stats``, the same
+``mutation_stamp`` and every node's adjacency in the same iteration order as
+the first one; all of that is asserted before any timing is printed.
+
+Per configuration it reports the campaign and summary seconds, the
+collector's own time (every generation) and the full (generation-2)
+collections -- count and seconds -- measured through ``gc.callbacks`` across
+both phases, and the objects those collections freed::
 
     PYTHONPATH=src python benchmarks/ab_soap_collector.py
     PYTHONPATH=src python benchmarks/ab_soap_collector.py --sizes 4000:10 --rounds 1
@@ -24,7 +33,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import hashlib
 import random
 import statistics
 import sys
@@ -32,9 +40,11 @@ import time
 
 from repro.adversary import soap
 from repro.core.ddsr import DDSROverlay
+from repro.graphs import _wavekernel
 
 DEFAULT_SIZES = "20000:10,40000:10"
-ARMS = ("running", "paused")
+DEFAULT_CONFIGS = "running,python,compiled"
+CONFIGS = ("running", "python", "compiled")
 
 
 class CollectorLog:
@@ -56,20 +66,17 @@ class CollectorLog:
         self.collected += info["collected"]
 
 
-def edge_digest(overlay) -> str:
-    """Order-free digest of the overlay's edge set (clone ids are strings)."""
-    edges = sorted(" ".join(sorted((repr(u), repr(v)))) for u, v in overlay.graph.edges())
-    return hashlib.sha256("\n".join(edges).encode()).hexdigest()
-
-
-def campaign(arm, n, k, seed):
-    """One campaign under ``arm``; return ``(timings, fingerprint)``."""
+def campaign(config, n, k, seed):
+    """One campaign under ``config``; return ``(timings, fingerprint)``."""
     overlay = DDSROverlay.k_regular(n, k, seed=seed)
     compromised = random.Random(seed + 13).sample(overlay.nodes(), 1)
     attack = soap.SoapAttack(rng=random.Random(seed + 17))
     paused = soap._collector_paused
-    if arm == "running":
+    load_soap = _wavekernel.load_soap
+    if config == "running":
         soap._collector_paused = contextlib.nullcontext
+    elif config == "python":
+        _wavekernel.load_soap = lambda: None
     gc.collect()
     log = CollectorLog()
     gc.callbacks.append(log)
@@ -83,6 +90,7 @@ def campaign(arm, n, k, seed):
     finally:
         gc.callbacks.remove(log)
         soap._collector_paused = paused
+        _wavekernel.load_soap = load_soap
     assert result.neutralized and summary["nontrivial_components"] == 0
     timings = {
         "campaign_s": campaign_s,
@@ -96,8 +104,9 @@ def campaign(arm, n, k, seed):
         result,
         attack.rng.getstate(),
         overlay.rng.getstate(),
-        edge_digest(overlay),
         overlay.stats.as_dict(),
+        overlay.graph.mutation_stamp,
+        [(node, list(peers)) for node, peers in overlay.graph._adjacency.items()],
     )
     return timings, fingerprint
 
@@ -105,36 +114,46 @@ def campaign(arm, n, k, seed):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default=DEFAULT_SIZES, help="comma-separated n:k")
+    parser.add_argument("--configs", default=DEFAULT_CONFIGS,
+                        help="comma-separated: " + ", ".join(CONFIGS))
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     sizes = [tuple(int(part) for part in item.split(":")) for item in args.sizes.split(",")]
-    samples = {(size, arm): [] for size in sizes for arm in ARMS}
+    configs = args.configs.split(",")
+    unknown = sorted(set(configs) - set(CONFIGS))
+    if unknown:
+        parser.error(f"unknown configuration(s): {', '.join(unknown)}")
+    if "compiled" in configs and _wavekernel.load_soap() is None:
+        print("error: the compiled containment loop did not build (no C compiler?)",
+              file=sys.stderr)
+        return 1
+    samples = {(size, config): [] for size in sizes for config in configs}
     for n, k in sizes:
         expected = None
         for _ in range(args.rounds):
-            for arm in ARMS:
-                timings, fingerprint = campaign(arm, n, k, args.seed)
-                samples[(n, k), arm].append(timings)
+            for config in configs:
+                timings, fingerprint = campaign(config, n, k, args.seed)
+                samples[(n, k), config].append(timings)
                 if expected is None:
                     expected = fingerprint
                 elif fingerprint != expected:
-                    print(f"error: {arm} disagrees at n={n} k={k}", file=sys.stderr)
+                    print(f"error: {config} disagrees at n={n} k={k}", file=sys.stderr)
                     return 1
-                # Drop this arm's result before the next campaign runs.
+                # Drop this configuration's result before the next campaign runs.
                 del fingerprint
                 gc.collect()
 
-    print(f"rounds={args.rounds} seed={args.seed}; both arms identical (result, "
-          "rng states, overlay edge set, overlay.stats); medians over rounds")
-    print(f"{'n:k':<9} {'arm':<8} {'campaign_s':>10} {'components_s':>12} "
+    print(f"rounds={args.rounds} seed={args.seed}; all configurations identical (result, "
+          "rng states, overlay.stats, mutation_stamp, adjacency order); medians over rounds")
+    print(f"{'n:k':<9} {'config':<8} {'campaign_s':>10} {'components_s':>12} "
           f"{'gc_s':>6} {'full':>5} {'full_s':>7} {'collected':>9}")
-    for (size, arm), runs in samples.items():
+    for (size, config), runs in samples.items():
         def median(key):
             return statistics.median(run[key] for run in runs)
 
-        print(f"{'%d:%d' % size:<9} {arm:<8} {median('campaign_s'):10.3f} "
+        print(f"{'%d:%d' % size:<9} {config:<8} {median('campaign_s'):10.3f} "
               f"{median('components_s'):12.3f} {median('gc_s'):6.3f} "
               f"{median('full'):5.0f} {median('full_s'):7.3f} {median('collected'):9.0f}")
     return 0

@@ -25,15 +25,19 @@ charge them work/delay, which the result objects account for.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
+import functools
 import gc
 import itertools
 import random
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from repro.core.ddsr import DDSROverlay
+from repro.core.ddsr import DDSROverlay, PruningPolicy
+from repro.obs.telemetry import current as _telemetry
 
 NodeId = Hashable
 
@@ -77,6 +81,30 @@ def _collector_paused():
             gc.unfreeze()
         if was_enabled:
             gc.enable()
+
+
+#: Clones one call of the compiled containment loop may mint; it sizes the
+#: call's buffers, whatever ``max_clones_per_node`` is.
+_KERNEL_CLONES = 256
+
+# The io[] slots of ``soap.c``.
+(
+    _IO_POPULATION,
+    _IO_CLONE_SLOT,
+    _IO_HIGHEST,
+    _IO_D_MAX,
+    _IO_CAPACITY,
+    _IO_TARGET,
+    _IO_COUNTER,
+    _IO_PEERS,
+    _IO_BENIGN,
+    _IO_CLONES,
+    _IO_LIMIT,
+    _IO_NAME_BYTES,
+) = range(12)
+
+#: ``repr`` of a fresh ``itertools.count(n)``: the counter soap.c can continue.
+_PLAIN_COUNT = re.compile(r"count\((\d{1,18})\)")
 
 
 @dataclass(frozen=True)
@@ -249,8 +277,6 @@ class SoapAttack:
                 work_spent=0.0,
                 time_spent=0.0,
             )
-        from repro.core.ddsr import PruningPolicy
-
         graph = overlay.graph
         adjacency = graph._adjacency
         clones_used = 0
@@ -361,12 +387,15 @@ class SoapAttack:
                 if not decision.accepted:
                     rejected += 1
                     continue
+            # A name minted by an earlier attack on this overlay may already
+            # be a node (with peers of its own): not a fresh degree-1 leaf.
+            fresh = clone not in adjacency
             graph.add_leaf(clone, target)
             clones_used += 1
             # The target applies its normal DDSR pruning once over its bound;
             # the clone's (graph) degree of 1 matches its small announced
             # degree, so pruning evicts a real, higher-degree peer instead.
-            if inline_prune:
+            if inline_prune and fresh:
                 bucket = buckets.get(1)
                 if bucket is None:
                     buckets[1] = [clone]
@@ -407,6 +436,8 @@ class SoapAttack:
                     if victim in benign:
                         benign.discard(victim)
                         displaced += 1
+                if inline_prune:
+                    build_buckets()
 
         contained = not benign and target in overlay.graph
         return SoapNodeResult(
@@ -448,8 +479,12 @@ class SoapAttack:
         of arbitrary ids.  The whole campaign runs with the cyclic garbage
         collector paused (:func:`_collector_paused`): its clone sets never
         form cycles, and at 40k/10 the collections they trigger cost about
-        1.6 s and free nothing.  The result object is bit-identical to
-        :class:`ReferenceSoapAttack`'s.
+        1.6 s and free nothing.  Each target's clone/prune loop runs in C
+        (:class:`_CompiledContainment`) when the campaign's decisions can be
+        replayed there, and in :meth:`contain_node` otherwise; with
+        telemetry on, the gauge ``soap.engine`` (``compiled``/``python``)
+        names the path.  The result object is bit-identical to
+        :class:`ReferenceSoapAttack`'s either way.
         """
         with _collector_paused():
             is_clone_memo = self._is_clone
@@ -509,35 +544,48 @@ class SoapAttack:
                 for peer in self._benign_peers(overlay, compromised):
                     learn(peer)
 
+            compiled = _CompiledContainment.start(self, overlay, benign_population, position)
+            tel = _telemetry()
+            if tel.enabled:
+                tel.gauge("soap.engine", "python" if compiled is None else "compiled")
+            if compiled is None:
+                contain = functools.partial(self.contain_node, overlay)
+            else:
+                contain = compiled.contain
+
             processed = 0
             position_get = position.get
             graph = overlay.graph
-            while queue:
-                if max_targets is not None and processed >= max_targets:
-                    break
-                if self._budget_exhausted():
-                    break
-                target = queue.popleft()
-                index = position_get(target)
-                if index is not None:
-                    if contained_flags[index]:
+            try:
+                while queue:
+                    if max_targets is not None and processed >= max_targets:
+                        break
+                    if self._budget_exhausted():
+                        break
+                    target = queue.popleft()
+                    index = position_get(target)
+                    if index is not None:
+                        if contained_flags[index]:
+                            continue
+                    elif target in extra_contained:
                         continue
-                elif target in extra_contained:
-                    continue
-                if target not in graph:
-                    continue
-                result = self.contain_node(overlay, target)
-                processed += 1
-                results.append(result)
-                clones_created += result.clones_used
-                requests += result.peering_requests
-                rejected += result.requests_rejected
-                if result.contained:
-                    mark_contained(target)
-                for peer in result.learned_addresses:
-                    learn(peer)
-                fraction = contained_count / total_benign if total_benign else 0.0
-                timeline.append((processed, fraction))
+                    if target not in graph:
+                        continue
+                    result = contain(target)
+                    processed += 1
+                    results.append(result)
+                    clones_created += result.clones_used
+                    requests += result.peering_requests
+                    rejected += result.requests_rejected
+                    if result.contained:
+                        mark_contained(target)
+                    for peer in result.learned_addresses:
+                        learn(peer)
+                    fraction = contained_count / total_benign if total_benign else 0.0
+                    timeline.append((processed, fraction))
+            finally:
+                if compiled is not None:
+                    compiled.close()
 
             contained = {
                 node
@@ -590,6 +638,203 @@ class SoapAttack:
         }
 
 
+def _repr_ranks(population: List[NodeId]) -> Optional[Tuple[List[int], int]]:
+    """Where each node's ``repr`` sorts, for the compiled loop's tie-breaks.
+
+    Returns ``(rank, clone_slot)``: ``rank[i]`` is the first place in the
+    sorted reprs of ``population`` that ``population[i]``'s repr takes (so
+    equal reprs share a rank, and the stable sort in C keeps their ties in
+    bucket order, as ``sorted`` does), and ``clone_slot`` counts the reprs
+    that sort before every clone's.  Clone reprs all start with the
+    prefix's repr minus its closing quote; ``None`` when a node's repr does
+    too, since it could sort between two clones.
+    """
+    reprs = list(map(repr, population))
+    ordered = sorted(range(len(reprs)), key=reprs.__getitem__)
+    rank = [0] * len(reprs)
+    place = 0
+    previous = None
+    for index, node in enumerate(ordered):
+        if reprs[node] != previous:
+            place = index
+            previous = reprs[node]
+        rank[node] = place
+    clone_repr = repr(CLONE_PREFIX)[:-1]
+    sorted_reprs = [reprs[node] for node in ordered]
+    clone_slot = bisect.bisect_left(sorted_reprs, clone_repr)
+    if clone_slot < len(sorted_reprs) and sorted_reprs[clone_slot].startswith(clone_repr):
+        return None
+    return rank, clone_slot
+
+
+class _CompiledContainment:
+    """The inline-prune branch of ``contain_node`` for one campaign, in C.
+
+    ``soap.c`` makes every per-clone decision -- clone numbers, degree
+    extremes, repr-sorted tie-breaks on a replay of ``overlay.rng`` -- and
+    returns the op sequence (clone insertions and pruned peers,
+    interleaved); :meth:`contain` applies it to the adjacency sets in that
+    order, so every set is filled and emptied exactly as the Python loop
+    does it, and settles ``mutation_stamp`` and ``overlay.stats`` in bulk.
+    The Mersenne Twister state, the clone counter and the benign degrees
+    live in C buffers for the whole campaign, whose only mutations are the
+    ones C decides; :meth:`close` hands the first two back to
+    ``overlay.rng`` and the attack.
+
+    Build it with :meth:`start`, which returns ``None`` where the replay
+    would not be exact.
+    """
+
+    @classmethod
+    def start(
+        cls,
+        attack: "SoapAttack",
+        overlay: DDSROverlay,
+        population: List[NodeId],
+        position: Dict[NodeId, int],
+    ) -> Optional["_CompiledContainment"]:
+        """The compiled loop for this campaign, or ``None`` to run Python.
+
+        ``population`` is the campaign's benign population, in overlay
+        order.  It must be every node of the overlay (no clone name left
+        by an earlier attack), and the campaign must make only the
+        decisions ``soap.c`` replays: open admission, no budgets, a
+        degree-driven pruning policy, an exact ``random.Random`` and the
+        attack's own ``contain_node`` and clone counter.
+        """
+        counter = _PLAIN_COUNT.fullmatch(repr(attack._clone_counter))
+        if (
+            len(population) != len(overlay.graph)
+            or attack.admission is not open_admission
+            or attack.work_budget is not None
+            or attack.time_budget is not None
+            or overlay.config.pruning_policy
+            not in (PruningPolicy.HIGHEST_DEGREE, PruningPolicy.LOWEST_DEGREE)
+            or type(overlay.rng) is not random.Random
+            or type(attack).contain_node is not SoapAttack.contain_node
+            or type(attack._clone_counter) is not itertools.count
+            or counter is None
+        ):
+            return None
+        ranks = _repr_ranks(population)
+        if ranks is None:
+            return None
+        # Imported here so that importing this module stays free of the
+        # loader's subprocess/ctypes machinery.
+        from repro.graphs import _wavekernel
+
+        kernel = _wavekernel.load_soap()
+        if kernel is None:
+            return None
+        return cls(kernel, attack, overlay, population, position, ranks, int(counter.group(1)))
+
+    def __init__(self, kernel, attack, overlay, population, position, ranks, counter) -> None:
+        import ctypes
+
+        self._kernel = kernel
+        self._attack = attack
+        self._overlay = overlay
+        self._population = population
+        self._position = position
+        self._adjacency = overlay.graph._adjacency
+        config = overlay.config
+        self._max_clones = attack.max_clones_per_node
+        self._forgetting = config.forgetting_enabled
+        rank, clone_slot = ranks
+        rank = (ctypes.c_int64 * len(population))(*rank)
+        degree = (ctypes.c_int64 * len(population))(
+            *map(len, map(self._adjacency.__getitem__, population))
+        )
+        # The peer list peaks one clone above the larger of a target's
+        # degree (never above the campaign-start maximum) and d_max.
+        capacity = max(config.d_max, max(degree, default=0)) + 1
+        io = self._io = (ctypes.c_int64 * (_IO_NAME_BYTES + 1))()
+        io[_IO_POPULATION] = len(population)
+        io[_IO_CLONE_SLOT] = clone_slot
+        io[_IO_HIGHEST] = config.pruning_policy is PruningPolicy.HIGHEST_DEGREE
+        io[_IO_D_MAX] = config.d_max
+        io[_IO_CAPACITY] = capacity
+        io[_IO_COUNTER] = counter
+        self._version, words, self._gauss_next = overlay.rng.getstate()
+        self._state = (ctypes.c_uint32 * len(words))(*words)
+        self._work = (ctypes.c_int64 * (2 * capacity))()
+        self._ops = (ctypes.c_int64 * (2 * _KERNEL_CLONES + capacity))()
+        prefix = CLONE_PREFIX.encode("ascii")
+        self._names = ctypes.create_string_buffer(_KERNEL_CLONES * (len(prefix) + 21))
+        self._name_bytes = memoryview(self._names)
+        self._arguments = (
+            *map(ctypes.addressof,
+                 (io, self._state, rank, degree, self._work, self._ops, self._names)),
+            prefix,
+            len(prefix),
+        )
+        # Keep the arrays alive as long as their addresses are in use.
+        self._population_arrays = (rank, degree)
+
+    def close(self) -> None:
+        """Hand the rng state and the clone counter back to Python."""
+        self._overlay.rng.setstate((self._version, tuple(self._state), self._gauss_next))
+        self._attack._clone_counter = itertools.count(self._io[_IO_COUNTER])
+
+    def contain(self, target: NodeId) -> SoapNodeResult:
+        """:meth:`SoapAttack.contain_node` for a target of the population."""
+        order = list(self._overlay.peers(target))
+        peers = len(order)
+        position = self._position
+        io = self._io
+        io[_IO_TARGET] = position[target]
+        io[_IO_PEERS] = io[_IO_BENIGN] = peers
+        io[_IO_CLONES] = 0
+        self._work[:peers] = list(map(position.__getitem__, order))
+        adjacency = self._adjacency
+        population = self._population
+        size = len(population)
+        target_peers = adjacency[target]
+        add = target_peers.add
+        discard = target_peers.discard
+        names: List[str] = []
+        limit = self._max_clones
+        clones = ops = 0
+        while True:
+            io[_IO_LIMIT] = min(limit, clones + _KERNEL_CLONES)
+            count = self._kernel(*self._arguments)
+            if count < 0:
+                raise RuntimeError(f"peer list of {target!r} outgrew the containment buffers")
+            names += str(self._name_bytes[:io[_IO_NAME_BYTES]], "ascii").split()
+            for op in self._ops[:count]:
+                if op < 0:
+                    clone = names[~op]
+                    adjacency[clone] = {target}
+                    add(clone)
+                else:
+                    victim = population[op] if op < size else names[op - size]
+                    discard(victim)
+                    adjacency[victim].discard(target)
+            ops += count
+            clones = io[_IO_CLONES]
+            if clones >= limit or not io[_IO_BENIGN]:
+                break
+        pruned = ops - clones
+        self._overlay.graph._mutations += 2 * clones + pruned
+        stats = self._overlay.stats
+        stats.prune_operations += pruned
+        stats.prune_edges_removed += pruned
+        if self._forgetting:
+            stats.addresses_forgotten += pruned
+        left = io[_IO_BENIGN]
+        return SoapNodeResult(
+            target=target,
+            contained=not left,
+            clones_used=clones,
+            peering_requests=clones,
+            requests_rejected=0,
+            benign_peers_displaced=peers - left,
+            work_spent=0.0,
+            time_spent=0.0,
+            learned_addresses=set(order),
+        )
+
+
 class ReferenceSoapAttack(SoapAttack):
     """The straightforward SOAP implementation, kept as a differential oracle.
 
@@ -615,8 +860,6 @@ class ReferenceSoapAttack(SoapAttack):
         original dict-building one, which reaches the same victims (ties are
         normalised by the ``repr`` sort before the rng draw).
         """
-        from repro.core.ddsr import PruningPolicy
-
         graph = overlay.graph
         config = overlay.config
         if config.pruning_policy is PruningPolicy.NONE:

@@ -1,7 +1,7 @@
-"""Build-on-first-use loader for the compiled kernels of ``repro.graphs``.
+"""Build-on-first-use loader for the compiled kernels of ``repro``.
 
-Both C sources, ``wavekernel.c`` and ``pairing.c``, compile into one shared
-library with two entry points:
+The three C sources, ``wavekernel.c``, ``pairing.c`` and ``soap.c``, compile
+into one shared library with three entry points:
 
 * :func:`load` binds ``repro_wave_accumulate``:
   :func:`repro.graphs.fast.accumulate_path_shard` runs its BFS waves
@@ -12,19 +12,25 @@ library with two entry points:
   attempts through it, on a replay of ``random.Random``'s draws, and
   through the Python pairing model otherwise -- both build the same graph
   and leave the rng in the same state.
+* :func:`load_soap` binds ``repro_soap_contain``:
+  :meth:`repro.adversary.soap.SoapAttack.run_campaign` runs each target's
+  clone/prune loop through it, on the same replay of ``random.Random``,
+  and through the Python ``contain_node`` otherwise -- both prune the same
+  victims, mint the same clones and leave the rng in the same state.
 
 Either way the choice never reaches a cache key.
 
-* **Lazy.** Nothing happens at import; the first :func:`load` or
-  :func:`load_pairing` call builds and loads the library and memoises the
-  outcome (the library, or ``None``) for the life of the process; both
-  bind from that one library.  :func:`reset` forgets it.
+* **Lazy.** Nothing happens at import; the first :func:`load`,
+  :func:`load_pairing` or :func:`load_soap` call builds and loads the
+  library and memoises the outcome (the library, or ``None``) for the life
+  of the process; all three bind from that one library.  :func:`reset`
+  forgets it.
 * **Compiler.** ``$CC`` (split like a shell word list) or else ``cc``, with
   the portable :data:`FLAGS`.  No compiler, a failed build or a failed load
-  all mean ``None``: the numpy engine and the Python pairing model run
-  instead.
+  all mean ``None``: the numpy engine, the Python pairing model and the
+  Python containment loop run instead.
 * **Cache.** The shared object lives in ``$XDG_CACHE_HOME/repro/`` or else
-  ``~/.cache/repro/``, named by the sha256 of both sources, the flags, the
+  ``~/.cache/repro/``, named by the sha256 of every source, the flags, the
   compiler command, its ``--version`` output and the machine type, so an
   edit to any of them builds a new artifact.  Each process compiles into
   its own temporary file and installs it with :func:`os.replace`, so
@@ -52,6 +58,7 @@ from typing import Dict, List, Optional
 SOURCES = (
     Path(__file__).with_name("wavekernel.c"),
     Path(__file__).with_name("pairing.c"),
+    Path(__file__).with_name("soap.c"),
 )
 
 #: Portable compiler flags (no CPU-specific code generation).
@@ -91,6 +98,15 @@ def load_pairing():
     """
     library = _library()
     return None if library is None else library.repro_pair_stubs
+
+
+def load_soap():
+    """The bound ``repro_soap_contain`` function, or ``None``.
+
+    Comes from the same memoised library as :func:`load`.
+    """
+    library = _library()
+    return None if library is None else library.repro_soap_contain
 
 
 def _library() -> Optional[ctypes.CDLL]:
@@ -142,6 +158,10 @@ def _load() -> Optional[ctypes.CDLL]:
     pairing.restype = ctypes.c_int64
     # (n, k, attempts, rng state, stubs, tree, rows, degree)
     pairing.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 5
+    soap = library.repro_soap_contain
+    soap.restype = ctypes.c_int64
+    # (io, rng state, rank, degree, work, ops, names, prefix, prefix length)
+    soap.argtypes = [ctypes.c_void_p] * 8 + [ctypes.c_int64]
     return library
 
 

@@ -1088,7 +1088,9 @@ def _compiled_waves(
             chunk.size, mode, *pointers,
         )
         if tel.enabled:
-            tel.gauge("wave.popcount_backend", _POPCOUNT_BACKEND)
+            # The kernel counts with the compiler's popcount builtin, not
+            # with the numpy row popcount that configure_popcount selects.
+            tel.gauge("wave.popcount_backend", "builtin")
             levels, dense, sparse, rows = tallies.tolist()
             for name, value in (
                 ("wave.count", 1),

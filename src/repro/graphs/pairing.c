@@ -77,6 +77,13 @@ static int32_t randbelow(uint32_t *state, uint32_t m)
     return (int32_t)r;
 }
 
+/* randbelow() for the other sources of the library (soap.c's tie-breaks);
+ * pairing's own draws keep the static, inlinable one. */
+int32_t repro_mt_randbelow(uint32_t *state, uint32_t m)
+{
+    return randbelow(state, m);
+}
+
 /* Position of the index-th live stub (0-based); `top` is the largest power
  * of two <= size. */
 static int32_t fenwick_find(const int32_t *tree, int32_t size, int32_t top, int32_t index)

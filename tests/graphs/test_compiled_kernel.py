@@ -220,6 +220,8 @@ def test_telemetry_parity_with_numpy_engine(kernel):
         numpy_counters, numpy_gauges = _wave_counters(None, csr, sources)
     assert compiled_gauges["wave.kernel"] == "compiled"
     assert numpy_gauges["wave.kernel"] == "numpy"
+    assert compiled_gauges["wave.popcount_backend"] == "builtin"
+    assert numpy_gauges["wave.popcount_backend"] in ("native", "lut")
     for name in ("wave.count", "wave.sources", "wave.levels", "wave.node_levels",
                  "wave.frontier_rows", "wave.words.2"):
         assert compiled[name] == numpy_counters[name], name
@@ -327,20 +329,33 @@ def _child_env(cache_home):
     return env
 
 
-def test_pairing_source_edit_changes_the_artifact(fresh_loader, monkeypatch, tmp_path):
-    """One library carries both kernels, so its name covers both sources."""
+def _edit_source(name, fresh_loader, monkeypatch, tmp_path):
+    """Edit one source: every entry point must load from a new artifact."""
     if shutil.which("cc") is None:
         pytest.skip("no cc on PATH")
-    assert _wavekernel.load_pairing() is not None
+    assert _wavekernel.load() is not None
     (original,) = _artifacts(fresh_loader)
-    wave, pairing = _wavekernel.SOURCES
-    edited = tmp_path / "pairing.c"
-    edited.write_text(pairing.read_text() + "\n/* edited */\n")
-    monkeypatch.setattr(_wavekernel, "SOURCES", (wave, edited))
+    sources = list(_wavekernel.SOURCES)
+    (index,) = [i for i, path in enumerate(sources) if path.name == name]
+    edited = tmp_path / name
+    edited.write_text(sources[index].read_text() + "\n/* edited */\n")
+    sources[index] = edited
+    monkeypatch.setattr(_wavekernel, "SOURCES", tuple(sources))
     _wavekernel.reset()
-    assert _wavekernel.load() is not None and _wavekernel.load_pairing() is not None
+    assert _wavekernel.load() is not None
+    assert _wavekernel.load_pairing() is not None
+    assert _wavekernel.load_soap() is not None
     artifacts = _artifacts(fresh_loader)
     assert len(artifacts) == 2 and original in artifacts
+
+
+def test_pairing_source_edit_changes_the_artifact(fresh_loader, monkeypatch, tmp_path):
+    """One library carries every kernel, so its name covers every source."""
+    _edit_source("pairing.c", fresh_loader, monkeypatch, tmp_path)
+
+
+def test_soap_source_edit_changes_the_artifact(fresh_loader, monkeypatch, tmp_path):
+    _edit_source("soap.c", fresh_loader, monkeypatch, tmp_path)
 
 
 def test_concurrent_first_calls_both_succeed(fresh_loader):
@@ -369,6 +384,7 @@ def test_import_neither_compiles_nor_loads(fresh_loader):
         "import sys\n"
         "import repro.graphs.fast\n"
         "import repro.graphs.generators\n"
+        "import repro.adversary.soap\n"
         "assert 'repro.graphs._wavekernel' not in sys.modules\n"
     )
     subprocess.run(

@@ -37,10 +37,15 @@ class TestWaveCampaignDifferential:
         assert snap["wave.levels"] >= 1
         dispatch = sum(v for k, v in snap.items() if k.startswith("wave.dispatch."))
         assert dispatch == snap["wave.levels"]
-        assert collector.snapshot()["gauges"]["wave.popcount_backend"] in (
-            "native",
-            "lut",
-        )
+        # The engine that counted: the kernel's builtin, else numpy's pick.
+        from repro.graphs import _wavekernel
+
+        backend_gauge = collector.snapshot()["gauges"]["wave.popcount_backend"]
+        if _wavekernel.load() is not None:
+            assert backend_gauge == "builtin"
+        else:
+            assert backend_gauge in ("native", "lut")
+            assert backend_gauge == fast._POPCOUNT_BACKEND
 
     def test_closeness_campaign_identical_and_csr_cache_observed(self):
         import random
