@@ -6,13 +6,14 @@ a shared machine hits them all alike, and asserts every configuration
 returns the same ``(ecc, totals)`` integers before any timing is printed.
 A configuration is ``engine:width:mode``:
 
-* ``engine`` -- ``numpy`` or ``compiled``;
+* ``engine`` -- ``numpy`` (the plain dense fallback wave) or ``compiled``;
 * ``width``  -- sources per wave (``auto`` or an integer; see
   ``REPRO_BFS_BATCH``);
-* ``mode``   -- ``adaptive``, ``dense`` or ``sparse`` (``fast.WAVE_STEP_MODE``).
+* ``mode``   -- the compiled kernel's ``adaptive``, ``dense`` or ``sparse``
+  (``fast.WAVE_STEP_MODE``); the numpy wave has one mode, ``dense``.
 
-This is the A/B behind ``fast.COMPILED_WAVE_WORDS`` and the compiled
-kernel's sparse step::
+This is the A/B behind ``fast.WAVE_WORDS`` and the compiled kernel's sparse
+step::
 
     PYTHONPATH=src python benchmarks/ab_wave_kernel.py --graph kregular --n 20000 --k 8
     PYTHONPATH=src python benchmarks/ab_wave_kernel.py --graph ring --n 5000 --rounds 3
@@ -31,7 +32,7 @@ from repro.graphs import _wavekernel, backend, fast
 from repro.graphs.generators import k_regular_graph, ring_graph
 
 DEFAULT_CONFIGS = (
-    "numpy:auto:adaptive,compiled:64:adaptive,compiled:128:adaptive,"
+    "numpy:auto:dense,compiled:64:adaptive,compiled:128:adaptive,"
     "compiled:256:adaptive,compiled:512:adaptive,compiled:128:dense"
 )
 
@@ -57,6 +58,11 @@ def main(argv=None) -> int:
     csr = fast.csr_of(graph)
     sources = np.arange(args.sources or csr.n, dtype=np.int64)
     configs = [tuple(item.split(":")) for item in args.configs.split(",")]
+    for engine, width, mode in configs:
+        allowed = ("dense",) if engine == "numpy" else tuple(fast._KERNEL_MODES)
+        if engine not in ("numpy", "compiled") or mode not in allowed:
+            print(f"error: unknown configuration {engine}:{width}:{mode}", file=sys.stderr)
+            return 2
     times = {config: [] for config in configs}
     expected = None
     for _ in range(args.rounds):

@@ -143,10 +143,6 @@ def render_telemetry_section(report: dict) -> str:
     )
     if csr_total:
         cache_rows.append(("CSR cache (hit or patched)", _hit_rate(csr_hits, csr_total)))
-    scratch_hits = counters.get("wave.scratch.hit", 0)
-    scratch_total = scratch_hits + counters.get("wave.scratch.miss", 0)
-    if scratch_total:
-        cache_rows.append(("wave scratch buffers", _hit_rate(scratch_hits, scratch_total)))
     if cache_rows:
         lines += ["### Cache behaviour", "", "| cache | hit rate |", "|---|---|"]
         lines += [f"| {name} | {rate} |" for name, rate in cache_rows]

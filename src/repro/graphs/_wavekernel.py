@@ -3,10 +3,13 @@
 The three C sources, ``wavekernel.c``, ``pairing.c`` and ``soap.c``, compile
 into one shared library with three entry points:
 
-* :func:`load` binds ``repro_wave_accumulate``:
-  :func:`repro.graphs.fast.accumulate_path_shard` runs its BFS waves
-  through it when this module can build and load the library, and through
-  the numpy engine otherwise -- both return identical accumulators.
+* :func:`load` binds ``repro_wave_accumulate``: every multi-source BFS of
+  :mod:`repro.graphs.fast` runs its waves through it when this module can
+  build and load the library -- the exact path metrics
+  (:func:`~repro.graphs.fast.accumulate_path_shard`) and the sampled
+  diameter, shortest-path-length and closeness estimators and
+  :func:`~repro.graphs.fast.bfs_distances_batch` -- and through the plain
+  dense numpy wave otherwise; both return identical integers.
 * :func:`load_pairing` binds ``repro_pair_stubs``:
   :func:`repro.graphs.generators.k_regular_graph` runs its pairing-model
   attempts through it, on a replay of ``random.Random``'s draws, and
@@ -27,7 +30,7 @@ Either way the choice never reaches a cache key.
   forgets it.
 * **Compiler.** ``$CC`` (split like a shell word list) or else ``cc``, with
   the portable :data:`FLAGS`.  No compiler, a failed build or a failed load
-  all mean ``None``: the numpy engine, the Python pairing model and the
+  all mean ``None``: the numpy wave, the Python pairing model and the
   Python containment loop run instead.
 * **Cache.** The shared object lives in ``$XDG_CACHE_HOME/repro/`` or else
   ``~/.cache/repro/``, named by the sha256 of every source, the flags, the
@@ -149,10 +152,11 @@ def _load() -> Optional[ctypes.CDLL]:
             return None
     kernel = library.repro_wave_accumulate
     kernel.restype = None
-    # (n, indptr, indices, sources, batch, mode, then nine buffers)
+    # (n, indptr, indices, sources, batch, mode, then nine buffers and the
+    # four nullable per-source outputs)
     kernel.argtypes = (
         [ctypes.c_int64] + [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 2
-        + [ctypes.c_void_p] * 9
+        + [ctypes.c_void_p] * 13
     )
     pairing = library.repro_pair_stubs
     pairing.restype = ctypes.c_int64

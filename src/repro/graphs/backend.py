@@ -30,9 +30,9 @@ A second, independent knob controls the fast backend's multi-source BFS
 wave width (sources advanced per bit-packed wave).  ``REPRO_BFS_BATCH``
 supplies the initial policy (``auto`` or a positive source count) and
 :func:`use_bfs_batch` / :func:`using_bfs_batch` override it at runtime;
-``auto`` lets :func:`repro.graphs.fast.wave_batch` size waves from the
-graph and the number of requested sources.  Results never depend on the
-wave width -- only wall-clock time and memory do.
+``auto`` gives every wave ``64 * repro.graphs.fast.WAVE_WORDS`` sources
+(fewer on graphs too large for the wave buffer budget).  Results never
+depend on the wave width -- only wall-clock time and memory do.
 """
 
 from __future__ import annotations

@@ -8,26 +8,24 @@ UndirectedGraph` -- two numpy arrays, ``indptr`` and ``indices`` -- plus
 vectorized kernels over it:
 
 * frontier-based BFS (distances, eccentricity, closeness),
-* batched multi-source BFS: an adaptive multi-word frontier engine.  Each
-  node carries ``W`` bit-packed ``uint64`` frontier words, so one wave
-  advances up to ``64 * W`` sources together; every level dispatches
-  between a dense all-edges step (transposed-ELL in-place OR accumulation,
-  or a ``bitwise_or.reduceat`` segment reduction on skew-degreed graphs)
-  and a sparse step touching only frontier-incident edges, chosen from the
-  live frontier's edge count.  ``W`` is auto-tuned from the graph and the
-  source count (overridable via ``REPRO_BFS_BATCH`` /
-  ``backend.use_bfs_batch``); the sampled *and full-population* diameter /
-  average-shortest-path / closeness estimators all run on this engine,
+* multi-source BFS waves: each node carries ``W`` bit-packed ``uint64``
+  frontier words, so one wave advances up to ``64 * W`` sources together
+  (:func:`_run_waves`).  Every wave runs on one compiled C kernel
+  (``wavekernel.c``, built on first use and loaded through ``ctypes`` by
+  :mod:`repro.graphs._wavekernel`), which picks a dense or a sparse step per
+  level; without a C compiler a plain dense numpy wave
+  (:func:`_dense_wave`) returns the same integers.  Both engines share one
+  wave width (:func:`_wave_width`, overridable via ``REPRO_BFS_BATCH`` /
+  ``backend.use_bfs_batch``) and fold each level either per source -- the
+  sampled diameter / average-shortest-path / closeness estimators and
+  :func:`bfs_distances_batch` -- or per node,
 * exact full-population path metrics: per wave level the per-node row
   popcounts fold into an eccentricity *max* and a level-weighted distance
   *sum* (:func:`accumulate_path_shard`), so one campaign yields the exact
   diameter, per-node/average shortest path length *and* closeness
   (:func:`full_path_metrics`, :func:`path_length_accumulators`); the int64
   accumulators merge exactly across any source split, which is what the
-  runner's source-sharded parallel campaigns exploit.  These waves run on a
-  compiled C kernel (``wavekernel.c``, built on first use and loaded through
-  ``ctypes`` by :mod:`repro.graphs._wavekernel`) when a C compiler is
-  available, and on the numpy engine otherwise -- with identical results,
+  runner's source-sharded parallel campaigns exploit,
 * connected components via min-label propagation with pointer jumping
   (Shiloach--Vishkin style, O(m log n) total work),
 * masked component summaries for the Figure 6 simultaneous-deletion sweeps
@@ -52,7 +50,7 @@ import random
 import sys
 import time
 from itertools import chain
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -65,44 +63,31 @@ NodeId = Hashable
 _CSR_CACHE_ATTR = "_csr_cache"
 
 #: Bits per frontier word: one ``uint64`` word carries 64 sources.  Waves may
-#: span several words per node (see :func:`wave_batch`), so this is the wave
+#: span several words per node (see :func:`_wave_width`), so this is the wave
 #: width *granularity*, not a cap.
 BFS_BATCH = 64
 
-#: Upper bound on frontier words per node under the ``auto`` wave-width
-#: policy: one wave advances at most ``64 * MAX_WAVE_WORDS`` sources.
-MAX_WAVE_WORDS = 64
+#: Frontier words per node of a wave under the ``auto`` width policy
+#: (``64 * WAVE_WORDS`` sources per wave).  Chosen by the A/B in the
+#: README's "Compiled kernel" section: wider waves amortise each neighbour
+#: gather over more sources but keep more levels on the dense step.  Two
+#: words was fastest on the 8-regular graphs of the resilience campaigns and
+#: stays within 2x of one word on rings.
+WAVE_WORDS = 2
 
-#: Byte budget for one ``(n, words)`` uint64 wave work array under ``auto``;
-#: the tuner shrinks the word count on huge graphs so the handful of wave
-#: buffers stays cache/RAM-friendly.
+#: Byte budget for one ``(n, words)`` uint64 wave buffer under ``auto``; the
+#: width policy drops to fewer words on huge graphs so the handful of wave
+#: buffers stays RAM-friendly.
 WAVE_BUFFER_BUDGET = 64 << 20
 
-#: Dense/sparse crossover: a level advances with the sparse frontier step
-#: when the edges incident to the live frontier, times this divisor, fit
-#: inside the total edge count (i.e. the dense all-edges gather would touch
-#: ``>= SPARSE_EDGE_DIVISOR`` times more edges than the frontier owns).
-SPARSE_EDGE_DIVISOR = 12
-
-#: Saturation (pull) crossover: once the bits still missing across the whole
-#: wave, scaled by the mean degree and this divisor, fit inside the total
-#: edge count, the engine materialises the unsaturated-row set and advances
-#: by pulling into those rows only -- the tail levels of a wave stop paying
-#: for edges whose endpoints already hold every source bit.
-PULL_EDGE_DIVISOR = 4
-
-#: Per-level step selection: ``"adaptive"`` (occupancy-driven, the default)
-#: or ``"dense"`` / ``"sparse"`` / ``"pull"`` to force one step kind (the
-#: compiled kernel runs ``"pull"`` as its dense step, which already skips
-#: saturated rows).  A testing and benchmarking knob -- every mode returns
-#: identical results.
+#: The compiled kernel's per-level step selection: ``"adaptive"`` (frontier
+#: occupancy picks, the default) or ``"dense"`` / ``"sparse"`` to force one
+#: level kind.  A testing and benchmarking knob -- every mode returns
+#: identical results.  The numpy fallback has only its dense step.
 WAVE_STEP_MODE = "adaptive"
 
-#: The dense step uses a padded transposed-ELL neighbour table (cached per
-#: CSR snapshot) when the padding stays within this factor of the real edge
-#: count; skew-degreed graphs (hubs, stars) fall back to the segment-reduce
-#: gather so padding can never blow up memory or time.
-ELL_PAD_FACTOR = 4
+#: :data:`WAVE_STEP_MODE` as the kernel's ``mode`` argument.
+_KERNEL_MODES = {"adaptive": 0, "dense": 1, "sparse": 2}
 
 
 class CSRGraph:
@@ -113,7 +98,7 @@ class CSRGraph:
     appears twice in ``indices`` (once per direction).
     """
 
-    __slots__ = ("nodes", "index_of", "indptr", "indices", "_ell", "_scratch")
+    __slots__ = ("nodes", "index_of", "indptr", "indices")
 
     def __init__(
         self,
@@ -126,13 +111,6 @@ class CSRGraph:
         self.index_of = index_of
         self.indptr = indptr
         self.indices = indices
-        #: Lazily built transposed-ELL neighbour table for the dense wave
-        #: step (``False`` = not built yet, ``None`` = unsuitable).
-        self._ell = False
-        #: Reusable dense-step buffers keyed by wave word count, so the
-        #: thousands of waves of a full-population campaign do not pay an
-        #: allocation-and-fault burst each.
-        self._scratch: Dict[int, "_DenseScratch"] = {}
 
     @property
     def n(self) -> int:
@@ -226,412 +204,206 @@ def bfs_distances(csr: CSRGraph, source_index: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Batched multi-source BFS (adaptive multi-word frontier engine)
+# Multi-source BFS waves (compiled kernel, plain dense numpy fallback)
 # ----------------------------------------------------------------------
-#: Estimated BFS level count above which the auto-tuner widens waves past
-#: one word.  Below it (low-diameter graphs) per-level *work* dominates and
-#: the dense step's cost per word is flat, so narrow waves cost nothing and
-#: keep the thin early/late levels below the sparse-step crossover; above it
-#: (ring/path-like topologies) most levels are thin and the per-level fixed
-#: cost dominates, which wide waves amortise across ``64 * words`` sources.
-WIDE_WAVE_LEVELS = 48
-
-
-def _estimated_levels(csr: CSRGraph) -> float:
-    """Rough BFS level count: the random-graph diameter ``log n / log(d-1)``."""
-    n = max(csr.n, 2)
-    mean_degree = csr.indices.size / n
-    if mean_degree <= 2.05:
-        return float(n)  # path/ring-like: levels scale with n
-    import math
-
-    return math.log(n) / math.log(mean_degree - 1.0)
-
-
-def wave_batch(csr: CSRGraph, total_sources: int) -> int:
-    """Sources advanced per wave for a ``total_sources``-source campaign.
-
-    The auto-tuner picks the wave width from the graph and the workload:
-
-    * low-diameter graphs (estimated levels below :data:`WIDE_WAVE_LEVELS`)
-      keep single-word waves -- the dense step costs the same per word at
-      any width, and narrow frontiers let more levels take the cheap sparse
-      step;
-    * high-diameter graphs widen up to :data:`MAX_WAVE_WORDS` words so one
-      wave carries up to ``64 * MAX_WAVE_WORDS`` sources and the per-level
-      fixed cost is paid once for all of them, shrinking only when a
-      ``(n, words)`` work array would blow :data:`WAVE_BUFFER_BUDGET`.
-
-    A forced policy (``backend.use_bfs_batch`` / ``REPRO_BFS_BATCH``)
-    bypasses the tuner entirely; the kernel rounds it up to whole 64-bit
-    words.
-    """
+def _wave_width(csr: CSRGraph, total_sources: int) -> int:
+    """Sources per wave: the forced policy, else ``64 * WAVE_WORDS`` in budget."""
     from repro.graphs import backend
 
     policy = backend.bfs_batch_policy()
     if policy != "auto":
         return int(policy)
-    if total_sources <= BFS_BATCH:
-        return BFS_BATCH
-    if _estimated_levels(csr) < WIDE_WAVE_LEVELS:
-        return BFS_BATCH
-    words = -(-total_sources // BFS_BATCH)
-    # The budget must cover the largest per-word transient a level can
-    # materialise: (n,) buffers on ELL-suitable graphs, but the segment
-    # fallback and the pull step gather up to one word per *edge* when the
-    # degree skew rules the padded table out.
-    n = max(csr.n, 1)
-    degrees = np.diff(csr.indptr)
-    dmax = int(degrees.max()) if csr.n else 0
-    transient_rows = n if _ell_suitable(csr.n, dmax, csr.indices.size) else max(
-        n, csr.indices.size
-    )
-    budget_words = max(1, WAVE_BUFFER_BUDGET // (8 * transient_rows))
-    return min(words, MAX_WAVE_WORDS, budget_words) * BFS_BATCH
+    budget_words = max(1, WAVE_BUFFER_BUDGET // (8 * max(csr.n, 1)))
+    return min(total_sources, BFS_BATCH * min(WAVE_WORDS, budget_words))
 
 
-def _ell_suitable(n: int, dmax: int, m: int) -> bool:
-    """Whether padding to ``dmax`` neighbour slots stays within budget."""
-    return 0 < dmax and n * dmax <= ELL_PAD_FACTOR * m + n
-
-
-def _ell_of(csr: CSRGraph) -> Optional[np.ndarray]:
-    """Cached transposed-ELL neighbour table, or ``None`` when unsuitable.
-
-    Shape ``(dmax, n)`` int32: slot ``j`` of column ``v`` is ``v``'s j-th
-    neighbour, padded with ``v`` itself past its degree.  Self-padding is
-    semantically free inside the wave -- a node's own frontier bits are
-    always a subset of its visited bits, so the ``& ~visited`` mask erases
-    the self contribution.  Unsuitable when padding to the maximum degree
-    would cost more than :data:`ELL_PAD_FACTOR` times the real edge count
-    (skew-degreed graphs keep the segment-reduce dense step).
-    """
-    cached = csr._ell
-    if cached is not False:
-        return cached
-    n = csr.n
-    degrees = np.diff(csr.indptr)
-    dmax = int(degrees.max()) if n else 0
-    table: Optional[np.ndarray] = None
-    if _ell_suitable(n, dmax, csr.indices.size):
-        table = np.empty((dmax, n), dtype=np.int32)
-        table[:] = np.arange(n, dtype=np.int32)[None, :]
-        rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        slots = np.arange(csr.indices.size, dtype=np.int64) - np.repeat(
-            csr.indptr[:-1], degrees
-        )
-        table[slots, rows] = csr.indices
-    csr._ell = table
-    return table
-
-
-def _sparse_step(
-    csr: CSRGraph, frontier: np.ndarray, active: np.ndarray, visited: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One top-down level touching only edges incident to the live frontier.
-
-    Gathers the CSR slices of the ``active`` rows, scatter-ORs their packed
-    words into the neighbour rows (sort + segment-reduce, no ufunc.at inner
-    loop), masks already-visited bits and returns ``(rows, words)`` for the
-    newly reached rows.  Bit-identical to the dense step by construction:
-    rows outside the frontier hold all-zero words, so restricting the OR to
-    frontier-incident edges drops only zero contributions.
-    """
-    indptr = csr.indptr
-    starts = indptr[active]
-    counts = indptr[active + 1] - starts
-    total = int(counts.sum())
-    word_count = frontier.shape[1]
-    if total == 0:
-        return _EMPTY_ROWS, np.empty((0, word_count), dtype=np.uint64)
-    exclusive = np.zeros(active.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=exclusive[1:])
-    positions = np.repeat(starts - exclusive, counts) + np.arange(total, dtype=np.int64)
-    targets = csr.indices[positions]
-    if word_count == 1 and total >= frontier.shape[0] // 8:
-        # Medium-density frontier: a direct scatter-OR over a zeroed row
-        # buffer beats sorting the edge list, and the full-row scan it needs
-        # is already cheaper than the work just done.
-        flat = frontier.reshape(-1)
-        out = np.zeros(frontier.shape[0], dtype=np.uint64)
-        np.bitwise_or.at(out, targets, np.repeat(flat[active], counts))
-        out &= ~visited.reshape(-1)
-        rows = np.flatnonzero(out)
-        return rows, out[rows].reshape(-1, 1)
-    # No stability needed: the segment OR is commutative and the row order
-    # comes out sorted either way (introsort is ~2x faster than timsort here).
-    order = np.argsort(targets)
-    targets = targets[order]
-    seg_starts = np.concatenate(([0], np.flatnonzero(np.diff(targets)) + 1))
-    rows = targets[seg_starts].astype(np.int64, copy=False)
-    if word_count == 1:
-        # Single-word waves run on flat views: 2-D ops over one column pay a
-        # real per-row toll in the hottest estimator configurations.
-        flat = frontier.reshape(-1)
-        contrib = np.repeat(flat[active], counts)[order]
-        words = np.bitwise_or.reduceat(contrib, seg_starts)
-        words &= ~visited.reshape(-1)[rows]
-        fresh = words != 0
-        return rows[fresh], words[fresh].reshape(-1, 1)
-    contrib = np.repeat(frontier[active], counts, axis=0)
-    words = np.bitwise_or.reduceat(contrib[order], seg_starts, axis=0)
-    np.bitwise_and(words, ~visited[rows], out=words)
-    fresh = words.any(axis=1)
-    return rows[fresh], words[fresh]
-
-
-def _pull_step(
-    csr: CSRGraph, frontier: np.ndarray, unsat: np.ndarray, visited: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One bottom-up level: only unsaturated rows pull from their neighbours.
-
-    A row whose visited word(s) already hold every source bit can never gain
-    another, so near the end of a wave the engine walks just the unsaturated
-    rows' CSR slices (a segment reduction, no sort) instead of all ``m``
-    edges.  Bit-identical to the dense step restricted to rows that could
-    change -- which is all of them that matter.
-    """
-    indptr = csr.indptr
-    starts = indptr[unsat]
-    counts = indptr[unsat + 1] - starts
-    occupied = counts > 0
-    rows = unsat[occupied]
-    counts = counts[occupied]
-    total = int(counts.sum())
-    word_count = frontier.shape[1]
-    if total == 0:
-        return _EMPTY_ROWS, np.empty((0, word_count), dtype=np.uint64)
-    exclusive = np.zeros(counts.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=exclusive[1:])
-    positions = np.repeat(starts[occupied] - exclusive, counts) + np.arange(
-        total, dtype=np.int64
-    )
-    neighbors = csr.indices[positions]
-    if word_count == 1:
-        gathered = frontier.reshape(-1)[neighbors]
-        words = np.bitwise_or.reduceat(gathered, exclusive)
-        words &= ~visited.reshape(-1)[rows]
-        fresh = words != 0
-        return rows[fresh], words[fresh].reshape(-1, 1)
-    gathered = frontier[neighbors]
-    words = np.bitwise_or.reduceat(gathered, exclusive, axis=0)
-    np.bitwise_and(words, ~visited[rows], out=words)
-    fresh = words.any(axis=1)
-    return rows[fresh], words[fresh]
-
-
-_EMPTY_ROWS = np.empty(0, dtype=np.int64)
-
-
-class _DenseScratch:
-    """Per-wave reusable ``(n, words)`` buffers for the dense step."""
-
-    __slots__ = ("out", "tmp", "inv", "nonzero", "starts")
-
-    def __init__(self, n: int, words: int) -> None:
-        self.out = np.empty((n, words), dtype=np.uint64)
-        self.tmp = np.empty((n, words), dtype=np.uint64)
-        self.inv = np.empty((n, words), dtype=np.uint64)
-        self.nonzero: Optional[np.ndarray] = None
-        self.starts: Optional[np.ndarray] = None
-
-
-def _dense_step(
+def _run_waves(
     csr: CSRGraph,
-    frontier: np.ndarray,
-    visited: np.ndarray,
-    scratch: _DenseScratch,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One level over every edge: new word per node = OR of its neighbours'.
+    sources: np.ndarray,
+    *,
+    ecc: Optional[np.ndarray] = None,
+    totals: Optional[np.ndarray] = None,
+    stats: Optional[np.ndarray] = None,
+    depths: Optional[np.ndarray] = None,
+) -> None:
+    """Run the BFS waves of ``sources`` (a non-empty index array) in chunks.
 
-    Uses the transposed-ELL table when the snapshot has one -- ``dmax``
-    row-gathers accumulated in place, which streams sequential writes and
-    amortises each random row lookup over all frontier words -- and falls
-    back to the ``bitwise_or.reduceat`` segment reduction on skew-degreed
-    snapshots.  Returns the new frontier buffer (``scratch.out``, swapped by
-    the caller) already masked by ``~visited``.
+    Without ``stats`` every level folds into the per-node ``(n,)`` int64
+    accumulators ``ecc`` (max depth) and ``totals`` (depth sum).  With
+    ``stats`` -- a ``(3, sources.size)`` int64 block, zeroed by the caller --
+    every (source ``j``, node) pair first reached at depth ``d`` adds 1 to
+    ``stats[0, j]`` (nodes reached), ``d`` to ``stats[1, j]`` (distance sum)
+    and sets ``stats[2, j] = d`` (eccentricity); a ``(sources.size, n)``
+    int32 ``depths`` matrix additionally receives ``d`` at ``[j, node]``.
+
+    The waves run on the compiled kernel (:mod:`repro.graphs._wavekernel`)
+    when it builds and loads, else on :func:`_dense_wave`; both produce the
+    same integers, and the ``wave.kernel`` telemetry gauge names the one
+    that ran.
     """
-    out = scratch.out
-    table = _ell_of(csr)
-    if table is not None:
-        np.take(frontier, table[0], axis=0, out=out)
-        tmp = scratch.tmp
-        for slot in range(1, table.shape[0]):
-            np.take(frontier, table[slot], axis=0, out=tmp)
-            np.bitwise_or(out, tmp, out=out)
-    else:
-        if scratch.nonzero is None:
-            degrees = np.diff(csr.indptr)
-            scratch.nonzero = np.flatnonzero(degrees > 0)
-            scratch.starts = csr.indptr[scratch.nonzero]
-        gathered = frontier[csr.indices]
-        neighbor_or = np.bitwise_or.reduceat(gathered, scratch.starts, axis=0)
-        out[:] = 0
-        out[scratch.nonzero] = neighbor_or
-    np.invert(visited, out=scratch.inv)
-    np.bitwise_and(out, scratch.inv, out=out)
-    rows = np.flatnonzero(out.reshape(-1) if out.shape[1] == 1 else out.any(axis=1))
-    return rows, out
+    n = csr.n
+    if int(sources.min()) < 0 or int(sources.max()) >= n:
+        raise IndexError(f"source index out of range for {n} nodes")
+    # Imported here so that importing this module stays free of the
+    # loader's subprocess/ctypes machinery (process set-up time).
+    from repro.graphs import _wavekernel
+
+    kernel = _wavekernel.load()
+    tel = _telemetry()
+    if tel.enabled:
+        tel.gauge("wave.kernel", "numpy" if kernel is None else "compiled")
+    chunk_size = _wave_width(csr, sources.size)
+    if kernel is not None:
+        _compiled_waves(kernel, csr, sources, chunk_size, ecc, totals, stats, depths)
+        return
+    for offset in range(0, sources.size, chunk_size):
+        chunk = sources[offset:offset + chunk_size]
+        batch = chunk.size
+        for depth, (rows, words) in enumerate(_dense_wave(csr, chunk), start=1):
+            if stats is None:
+                totals[rows] += depth * _row_popcounts(words)
+                # ``rows`` is duplicate-free per level, so a fancy-indexed max
+                # is safe; depths vary across chunks, hence max, not assign.
+                ecc[rows] = np.maximum(ecc[rows], depth)
+                continue
+            counts = _frontier_bit_counts(words, batch)
+            block = stats[:, offset:offset + batch]
+            block[0] += counts
+            block[1] += depth * counts
+            block[2][counts > 0] = depth
+            if depths is not None:
+                row_pos, source_bit = np.nonzero(_frontier_bits(words, batch))
+                depths[offset + source_bit, rows[row_pos]] = depth
 
 
-def _batched_wave(csr: CSRGraph, sources: np.ndarray, counting: bool = False):
-    """Advance many BFS sources at once, yielding ``(rows, words)`` per level.
+def _compiled_waves(
+    kernel,
+    csr: CSRGraph,
+    sources: np.ndarray,
+    chunk_size: int,
+    ecc: Optional[np.ndarray],
+    totals: Optional[np.ndarray],
+    stats: Optional[np.ndarray],
+    depths: Optional[np.ndarray],
+) -> None:
+    """:func:`_run_waves` on the C kernel, one kernel call per wave chunk.
 
-    Source ``j`` of the batch occupies bit ``j % 64`` of frontier word
-    ``j // 64`` of each node, so one wave carries ``64 * words`` sources --
-    there is no 64-source cap; callers chunk by :func:`wave_batch`.  Every
-    level advances *all* sources at once, dispatching between two
-    bit-identical steps on live frontier occupancy (or as forced by
-    :data:`WAVE_STEP_MODE`):
+    Interrupts and deadlines are served between waves.  Every buffer is
+    allocated here once and reused by all chunks; each wave's tallies
+    (levels, levels per step kind, newly reached rows) feed the same
+    ``wave.*`` counters the numpy fallback emits.
+    """
+    n = csr.n
+    indptr = np.ascontiguousarray(csr.indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(csr.indices, dtype=np.int32)
+    # The kernel trusts these shapes for every pointer it walks.
+    if indptr.size != n + 1 or int(indptr[-1]) != indices.size:
+        raise ValueError("CSR arrays do not match the node count")
+    for array, dtype, shape in (
+        (stats, np.int64, (3, sources.size)),
+        (depths, np.int32, (sources.size, n)),
+    ):
+        if array is not None and not (
+            array.dtype == dtype and array.shape == shape and array.flags.c_contiguous
+        ):
+            raise ValueError("per-source output buffer has the wrong layout")
+    words = -(-min(chunk_size, sources.size) // BFS_BATCH)
+    visited, frontier, scratch = np.empty((3, n * words), dtype=np.uint64)
+    active, fresh = np.empty((2, n), dtype=np.int64)
+    touched = np.empty(n, dtype=np.uint8)
+    tallies = np.empty(4, dtype=np.int64)
+    mode = _KERNEL_MODES[WAVE_STEP_MODE]
+    pointers = [
+        None if array is None else array.ctypes.data
+        for array in (visited, frontier, scratch, active, fresh, touched, ecc, totals, tallies)
+    ]
+    outputs = [None] * 4
+    tel = _telemetry()
+    for offset in range(0, sources.size, chunk_size):
+        chunk = np.ascontiguousarray(sources[offset:offset + chunk_size])
+        if stats is not None:
+            # Row views starting at this chunk's first source: the kernel
+            # writes ``chunk.size`` entries (and depth rows) from there.
+            outputs = [stats[row, offset:].ctypes.data for row in range(3)]
+            outputs.append(None if depths is None else depths[offset].ctypes.data)
+        kernel(
+            n, indptr.ctypes.data, indices.ctypes.data, chunk.ctypes.data,
+            chunk.size, mode, *pointers, *outputs,
+        )
+        if tel.enabled:
+            # The kernel counts with the compiler's popcount builtin, not
+            # with the numpy row popcount that configure_popcount selects.
+            tel.gauge("wave.popcount_backend", "builtin")
+            levels, dense, sparse, rows = tallies.tolist()
+            for name, value in (
+                ("wave.count", 1),
+                ("wave.sources", chunk.size),
+                (f"wave.words.{-(-chunk.size // BFS_BATCH)}", 1),
+                ("wave.levels", levels),
+                ("wave.dispatch.dense", dense),
+                ("wave.dispatch.sparse", sparse),
+                ("wave.frontier_rows", rows),
+                ("wave.node_levels", n * levels),
+            ):
+                if value:
+                    tel.count(name, int(value))
 
-    * **dense** -- all-edges neighbour OR (transposed-ELL accumulation, or
-      segment reduction on skew-degreed snapshots);
-    * **sparse** -- touch only the edges incident to the frontier rows
-      (CSR slice gather + sort/segment-reduce scatter-OR), restoring
-      near-linear total work on high-diameter, thin-frontier topologies.
 
-    The yield for level ``d >= 1`` is ``(rows, words)``: ``words[i]`` has
-    bit ``j`` set iff source ``j`` first reached node ``rows[i]`` at
-    distance ``d``.  With ``counting=True`` the second element is instead
-    the per-row popcount vector (how many sources first reached each row at
-    this level), which the aggregate estimators consume without a second
-    popcount pass.  ``rows`` ascends; the yielded arrays are fresh copies
-    safe to keep across levels.
+def _dense_wave(csr: CSRGraph, sources: np.ndarray):
+    """The numpy fallback wave: yields ``(rows, words)`` per BFS level.
+
+    Source ``j`` occupies bit ``j % 64`` of frontier word ``j // 64`` of each
+    node.  Every level takes one dense step over all edges -- each node ORs
+    its neighbours' frontier words (a gather plus a ``bitwise_or.reduceat``
+    segment reduction) and keeps the bits it has not visited -- until a level
+    reaches nothing new.  The yield for level ``d >= 1`` is ``(rows,
+    words)``: ``words[i]`` has bit ``j`` set iff source ``j`` first reached
+    node ``rows[i]`` at distance ``d``; ``rows`` ascends.
     """
     batch = sources.size
-    if batch == 0:
-        return
     n = csr.n
     words = -(-batch // BFS_BATCH)
     tel = _telemetry()
-    # Hoisted so the disabled path pays one attribute check per *level*, not
-    # a collector call; everything below is observational only (no branch of
-    # the wave may ever depend on a collected value).
+    # Hoisted so the disabled path pays one attribute check per *level*; no
+    # branch of the wave depends on a collected value.
     rec = tel.enabled
     if rec:
+        tel.gauge("wave.popcount_backend", _POPCOUNT_BACKEND)
         tel.count("wave.count")
         tel.count("wave.sources", int(batch))
         tel.count(f"wave.words.{words}")
-        tel.gauge("wave.popcount_backend", _POPCOUNT_BACKEND)
-    bits = np.left_shift(
-        np.uint64(1), np.arange(batch, dtype=np.uint64) & np.uint64(63)
-    )
-    word_col = np.arange(batch, dtype=np.int64) >> 6
-    visited = np.zeros((n, words), dtype=np.uint64)
-    np.bitwise_or.at(visited, (sources, word_col), bits)
-    frontier = visited.copy()
-    active = np.unique(sources)
     if csr.indices.size == 0:
         return
-    indptr = csr.indptr
-    m = csr.indices.size
-    mean_degree = m / n
-    scratch: Optional[_DenseScratch] = None
-    flat = words == 1
-    # Saturation bookkeeping: a full row can never gain a bit, so the wave
-    # (a) stops outright once every (source, node) pair is visited -- no
-    # final all-edges step just to discover an empty frontier -- and (b)
-    # switches to the pull step over the unsaturated rows once few bits are
-    # missing.  ``full_row`` is the all-sources-visited word pattern.
-    full_row = np.full(words, np.uint64(2 ** 64 - 1), dtype=np.uint64)
-    if batch % BFS_BATCH:
-        full_row[-1] = np.uint64((1 << (batch % BFS_BATCH)) - 1)
-    remaining = n * batch - int(_row_popcounts(visited[active]).sum())
-    unsat: Optional[np.ndarray] = None
-    sparse_limit = m // SPARSE_EDGE_DIVISOR
-    try:
-        while True:
-            # Summing frontier degrees costs O(active); skip it when the
-            # active count alone already rules the sparse step out (every
-            # row contributes at least one edge or the step is a no-op).
-            if active.size > sparse_limit:
-                frontier_edges = m
-            else:
-                frontier_edges = int((indptr[active + 1] - indptr[active]).sum())
-                if frontier_edges == 0:
-                    return
-            mode = WAVE_STEP_MODE
-            if mode == "adaptive":
-                if frontier_edges * SPARSE_EDGE_DIVISOR <= m:
-                    mode = "sparse"
-                elif remaining * mean_degree * PULL_EDGE_DIVISOR <= m:
-                    mode = "pull"
-                else:
-                    mode = "dense"
-            if mode == "dense":
-                if scratch is None:
-                    # Checked out for this generator's lifetime, so two
-                    # interleaved waves on one snapshot never share buffers.
-                    scratch = csr._scratch.pop(words, None)
-                    if scratch is None:
-                        scratch = _DenseScratch(n, words)
-                        if rec:
-                            tel.count("wave.scratch.miss")
-                    elif rec:
-                        tel.count("wave.scratch.hit")
-                rows, new_frontier = _dense_step(csr, frontier, visited, scratch)
-                if rows.size == 0:
-                    return
-                scratch.out = frontier  # recycle the old buffer next level
-                frontier = new_frontier
-                if flat:
-                    step_words = frontier.reshape(-1)[rows]
-                    if 2 * rows.size < n:
-                        visited.reshape(-1)[rows] |= step_words
-                    else:
-                        visited |= frontier
-                    step_words = step_words.reshape(-1, 1)
-                elif 2 * rows.size < n:
-                    step_words = frontier[rows]
-                    visited[rows] |= step_words
-                else:
-                    visited |= frontier
-                    step_words = frontier[rows]
-            else:
-                if mode == "pull":
-                    if flat:
-                        visited_1d = visited.reshape(-1)
-                        if unsat is None:
-                            unsat = np.flatnonzero(visited_1d != full_row[0])
-                        else:
-                            unsat = unsat[visited_1d[unsat] != full_row[0]]
-                    elif unsat is None:
-                        unsat = np.flatnonzero((visited != full_row).any(axis=1))
-                    else:
-                        unsat = unsat[(visited[unsat] != full_row).any(axis=1)]
-                    rows, step_words = _pull_step(csr, frontier, unsat, visited)
-                else:
-                    rows, step_words = _sparse_step(csr, frontier, active, visited)
-                if flat:
-                    frontier_1d = frontier.reshape(-1)
-                    frontier_1d[active] = 0
-                    if rows.size == 0:
-                        return
-                    words_1d = step_words.reshape(-1)
-                    frontier_1d[rows] = words_1d
-                    visited.reshape(-1)[rows] |= words_1d
-                else:
-                    frontier[active] = 0
-                    if rows.size == 0:
-                        return
-                    frontier[rows] = step_words
-                    visited[rows] |= step_words
-            active = rows
-            popcounts = _row_popcounts(step_words)
-            if rec:
-                tel.count("wave.levels")
-                tel.count("wave.dispatch." + mode)
-                # Frontier density falls out of the pair: newly-reached rows
-                # summed per level over the row slots a dense level scans.
-                tel.count("wave.frontier_rows", int(rows.size))
-                tel.count("wave.node_levels", n)
-            yield rows, (popcounts if counting else step_words)
-            remaining -= int(popcounts.sum())
-            if remaining == 0:
-                return
-    finally:
-        if scratch is not None:
-            csr._scratch[words] = scratch
+    # Word-major ``(words, n)`` buffers: every gather and segment reduction
+    # runs over contiguous rows of one word each.
+    column = np.arange(batch, dtype=np.int64)
+    bits = np.left_shift(np.uint64(1), (column & 63).astype(np.uint64))
+    visited = np.zeros((words, n), dtype=np.uint64)
+    np.bitwise_or.at(visited, (column >> 6, sources), bits)
+    # ``reduceat`` needs non-empty segments: isolated rows are left out and
+    # stay zero.
+    nonzero = np.flatnonzero(np.diff(csr.indptr) > 0)
+    starts = csr.indptr[nonzero]
+    frontier = visited.copy()
+    while True:
+        gathered = np.take(frontier, csr.indices, axis=1)
+        if nonzero.size == n:
+            reached = np.bitwise_or.reduceat(gathered, starts, axis=1)
+        else:
+            reached = np.zeros((words, n), dtype=np.uint64)
+            reached[:, nonzero] = np.bitwise_or.reduceat(gathered, starts, axis=1)
+        reached &= ~visited
+        rows = np.flatnonzero(reached.any(axis=0))
+        if rows.size == 0:
+            return
+        visited |= reached
+        frontier = reached
+        if rec:
+            tel.count("wave.levels")
+            tel.count("wave.dispatch.dense")
+            tel.count("wave.frontier_rows", int(rows.size))
+            tel.count("wave.node_levels", n)
+        yield rows, np.ascontiguousarray(reached[:, rows].T)
 
 
 def _le_bytes(words: np.ndarray) -> np.ndarray:
@@ -705,7 +477,9 @@ def configure_popcount() -> str:
     """(Re)select the row-popcount kernel; returns ``"native"`` or ``"lut"``.
 
     Reads :data:`POPCOUNT_LUT_ENV_VAR` and rebinds the module-level
-    ``_row_popcounts`` used by every wave.  Called once at import; tests and
+    ``_row_popcounts`` used by the numpy wave's per-node accumulation (the
+    compiled kernel counts with the compiler's builtin).  Called once at
+    import; tests and
     long-lived processes that flip the variable call it again.  An
     unrecognised value raises :class:`~repro.core.errors.ConfigError` rather
     than silently picking a path.
@@ -730,20 +504,20 @@ _POPCOUNT_BACKEND = "lut"
 configure_popcount()
 
 
-def _batched_level_counts(csr: CSRGraph, sources: np.ndarray) -> List[np.ndarray]:
-    """Per-level newly-visited counts for one wave of BFS sources.
+def _source_stats(
+    csr: CSRGraph, sources: np.ndarray, depths: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``(3, B)`` int64 per-source ``[reached, distance sum, eccentricity]``.
 
-    Returns one ``(B,)`` int64 array per BFS level ``d >= 1``: entry ``j`` is
-    the number of nodes source ``j`` first reached at distance ``d``.
-    Everything the sampled estimators need (eccentricity, distance sums,
-    reachable counts) derives from these counts, so distances are never
-    materialised.
+    ``reached`` counts the other nodes each source reaches, so every sampled
+    estimator (eccentricity, distance sums, reachable counts) reads its
+    answer off this block without materialising distances; see
+    :func:`_run_waves` for ``depths``.
     """
-    batch = sources.size
-    return [
-        _frontier_bit_counts(words, batch)
-        for _rows, words in _batched_wave(csr, sources)
-    ]
+    stats = np.zeros((3, sources.size), dtype=np.int64)
+    if sources.size:
+        _run_waves(csr, sources, stats=stats, depths=depths)
+    return stats
 
 
 def _batched_source_indices(csr: CSRGraph, nodes: Sequence[NodeId]) -> np.ndarray:
@@ -756,24 +530,14 @@ def _batched_source_indices(csr: CSRGraph, nodes: Sequence[NodeId]) -> np.ndarra
 def bfs_distances_batch(csr: CSRGraph, sources: np.ndarray) -> np.ndarray:
     """BFS distances (``-1`` unreachable) from many sources: a ``(B, n)`` matrix.
 
-    Runs the same multi-word wave as :func:`_batched_level_counts` in chunks
-    of :func:`wave_batch` sources, materialising per-level distance rows.
-    Use the count-based estimators when only aggregates are needed; this is
-    the kernel behind :func:`shortest_path_lengths_from_many`.
+    The waves write each (source, node) depth straight into the matrix.  Use
+    the count-based estimators when only aggregates are needed; this is the
+    kernel behind :func:`shortest_path_lengths_from_many`.
     """
     sources = np.asarray(sources, dtype=np.int64)
-    total = sources.size
-    n = csr.n
-    distances = np.full((total, n), -1, dtype=np.int32)
-    chunk_size = wave_batch(csr, total) if total else BFS_BATCH
-    for offset in range(0, total, chunk_size):
-        chunk = sources[offset:offset + chunk_size]
-        batch = chunk.size
-        rows_matrix = distances[offset:offset + batch]
-        rows_matrix[np.arange(batch), chunk] = 0
-        for depth, (rows, words) in enumerate(_batched_wave(csr, chunk), start=1):
-            row_pos, source_bit = np.nonzero(_frontier_bits(words, batch))
-            rows_matrix[source_bit, rows[row_pos]] = depth
+    distances = np.full((sources.size, csr.n), -1, dtype=np.int32)
+    _source_stats(csr, sources, depths=distances)
+    distances[np.arange(sources.size), sources] = 0
     return distances
 
 
@@ -794,18 +558,6 @@ def shortest_path_lengths_from_many(
         reached = np.flatnonzero(row >= 0)
         result.append({nodes[int(i)]: int(row[i]) for i in reached})
     return result
-
-
-def _chunked_level_counts(
-    csr: CSRGraph, nodes: Sequence[NodeId]
-) -> Iterable[Tuple[int, List[np.ndarray]]]:
-    """Yield ``(chunk_size, per-level counts)`` for sources in wave chunks."""
-    indices = _batched_source_indices(csr, nodes)
-    chunk_size = wave_batch(csr, indices.size) if indices.size else BFS_BATCH
-    for offset in range(0, indices.size, chunk_size):
-        chunk = indices[offset:offset + chunk_size]
-        yield chunk.size, _batched_level_counts(csr, chunk)
-
 
 def _component_labels(
     n: int, indptr: np.ndarray, indices: np.ndarray
@@ -887,14 +639,15 @@ def average_closeness_centrality(
     """Mean closeness centrality over all nodes (or a deterministic sample).
 
     All sources run as bit-packed multi-word BFS waves; the per-source
-    closeness values are reassembled from per-level visit counts with exactly
-    the reference's integer-then-float arithmetic (and summed in the same
-    source order), so the result stays bit-identical.
+    closeness values are assembled from each source's reached count and
+    distance sum with exactly the reference's integer-then-float arithmetic
+    (and summed in the same source order), so the result stays
+    bit-identical.
 
     The full-population case (``sample_size=None`` or covering every node)
     additionally exploits distance symmetry: when *every* node is a source,
     ``sum_u d(u, v)`` over all sources equals node ``v``'s own distance sum,
-    so the per-source column counts collapse to per-node row popcounts
+    so the per-source counts collapse to per-node row popcounts
     accumulated as the waves advance -- same integers, same node order, same
     float arithmetic, at a fraction of the counting cost.  This is what makes
     *exact* 100k-node closeness practical rather than merely sampled.
@@ -908,23 +661,16 @@ def average_closeness_centrality(
     csr = csr_of(graph)
     if len(nodes) == n:
         return _full_population_closeness(csr, n)
+    reachable, totals, _ecc = _source_stats(csr, _batched_source_indices(csr, nodes))
+    # Per-source floats in source order, with the reference's exact
+    # integer-then-float arithmetic on the exact int64 counts.
     values: List[float] = []
-    for batch, level_counts in _chunked_level_counts(csr, nodes):
-        reachable = np.zeros(batch, dtype=np.int64)
-        totals = np.zeros(batch, dtype=np.int64)
-        for depth, counts in enumerate(level_counts, start=1):
-            reachable += counts
-            totals += depth * counts
-        # Per-source floats in source order, with the reference's exact
-        # integer-then-float arithmetic (the int64 accumulators are exact, so
-        # vectorising the accumulation cannot perturb a bit).
-        for j in range(batch):
-            reached = int(reachable[j])
-            if reached == 0:
-                values.append(0.0)
-            else:
-                closeness = reached / int(totals[j])
-                values.append(closeness * (reached / (n - 1)))
+    for reached, total in zip(reachable.tolist(), totals.tolist()):
+        if reached == 0:
+            values.append(0.0)
+        else:
+            closeness = reached / total
+            values.append(closeness * (reached / (n - 1)))
     return sum(values) / len(values)
 
 
@@ -978,9 +724,9 @@ def accumulate_path_shard(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-node path accumulators from one shard of BFS sources.
 
-    Runs the multi-word waves for ``sources`` (index array) in
-    :func:`wave_batch`-sized chunks and scatters each level's per-node row
-    popcounts into two ``(csr.n,)`` int64 accumulators:
+    Runs the multi-word waves for ``sources`` (index array) through
+    :func:`_run_waves` and folds each level's per-node row popcounts into
+    two ``(csr.n,)`` int64 accumulators:
 
     * ``ecc[v]``    -- ``max_u d(u, v)`` over the shard's sources ``u`` (the
       transposed per-node *max* over wave levels);
@@ -993,117 +739,13 @@ def accumulate_path_shard(
     ``+`` for ``totals``) is bit-identical no matter how the source set was
     split -- which is what lets the runner fan a 100k-source campaign across
     process-pool workers for free.
-
-    The waves run on the compiled kernel (:mod:`repro.graphs._wavekernel`)
-    when it builds and loads, else on the numpy engine; both produce the
-    same integers, and the ``wave.kernel`` telemetry gauge names the one
-    that ran.
     """
     sources = np.asarray(sources, dtype=np.int64)
     ecc = np.zeros(csr.n, dtype=np.int64)
     totals = np.zeros(csr.n, dtype=np.int64)
-    if sources.size == 0:
-        return ecc, totals
-    # Imported here so that importing this module stays free of the
-    # loader's subprocess/ctypes machinery (process set-up time).
-    from repro.graphs import _wavekernel
-
-    kernel = _wavekernel.load()
-    tel = _telemetry()
-    if tel.enabled:
-        tel.gauge("wave.kernel", "numpy" if kernel is None else "compiled")
-    if kernel is None:
-        chunk_size = wave_batch(csr, sources.size)
-        for offset in range(0, sources.size, chunk_size):
-            chunk = sources[offset:offset + chunk_size]
-            waves = _batched_wave(csr, chunk, counting=True)
-            for depth, (rows, popcounts) in enumerate(waves, start=1):
-                totals[rows] += depth * popcounts
-                # ``rows`` is duplicate-free per level, so a fancy-indexed max
-                # is safe; depths vary across chunks, hence max, not assign.
-                ecc[rows] = np.maximum(ecc[rows], depth)
-    else:
-        _compiled_waves(kernel, csr, sources, ecc, totals)
+    if sources.size:
+        _run_waves(csr, sources, ecc=ecc, totals=totals)
     return ecc, totals
-
-
-#: Frontier words per node of a compiled wave under the ``auto`` width
-#: policy (``64 * COMPILED_WAVE_WORDS`` sources per wave).  Chosen by the
-#: A/B in the README's "Compiled kernel" section: wider waves amortise each
-#: neighbour gather over more sources but keep more levels on the dense
-#: step.  Two words was fastest on the 8-regular graphs of the resilience
-#: campaigns and stays within 2x of one word on rings.
-COMPILED_WAVE_WORDS = 2
-
-#: :data:`WAVE_STEP_MODE` as the compiled kernel's level-kind selector; it has
-#: no separate pull step, because its dense step already skips saturated rows.
-_KERNEL_MODES = {"adaptive": 0, "dense": 1, "pull": 1, "sparse": 2}
-
-
-def _compiled_wave_batch(csr: CSRGraph, total_sources: int) -> int:
-    """Sources per compiled wave: forced policy, else the constant width."""
-    from repro.graphs import backend
-
-    policy = backend.bfs_batch_policy()
-    if policy != "auto":
-        return int(policy)
-    budget_words = max(1, WAVE_BUFFER_BUDGET // (8 * max(csr.n, 1)))
-    return min(total_sources, BFS_BATCH * min(COMPILED_WAVE_WORDS, budget_words))
-
-
-def _compiled_waves(
-    kernel, csr: CSRGraph, sources: np.ndarray, ecc: np.ndarray, totals: np.ndarray
-) -> None:
-    """Fold every wave of ``sources`` into ``ecc``/``totals`` via the C kernel.
-
-    One kernel call per wave chunk, so interrupts and deadlines are served
-    between waves.  Every buffer is allocated here once and reused by all
-    chunks; each wave's tallies (levels, levels per step kind, newly
-    reached rows) feed the same ``wave.*`` counters the numpy engine emits.
-    """
-    n = csr.n
-    if int(sources.min()) < 0 or int(sources.max()) >= n:
-        raise IndexError(f"source index out of range for {n} nodes")
-    indptr = np.ascontiguousarray(csr.indptr, dtype=np.int64)
-    indices = np.ascontiguousarray(csr.indices, dtype=np.int32)
-    # The kernel trusts these shapes for every pointer it walks.
-    if indptr.size != n + 1 or int(indptr[-1]) != indices.size:
-        raise ValueError("CSR arrays do not match the node count")
-    chunk_size = _compiled_wave_batch(csr, sources.size)
-    words = -(-min(chunk_size, sources.size) // BFS_BATCH)
-    visited, frontier, scratch = np.empty((3, n * words), dtype=np.uint64)
-    active, fresh = np.empty((2, n), dtype=np.int64)
-    touched = np.empty(n, dtype=np.uint8)
-    tallies = np.empty(4, dtype=np.int64)
-    mode = _KERNEL_MODES[WAVE_STEP_MODE]
-    pointers = [
-        array.ctypes.data
-        for array in (visited, frontier, scratch, active, fresh, touched, ecc, totals, tallies)
-    ]
-    tel = _telemetry()
-    for offset in range(0, sources.size, chunk_size):
-        chunk = np.ascontiguousarray(sources[offset:offset + chunk_size])
-        kernel(
-            n, indptr.ctypes.data, indices.ctypes.data, chunk.ctypes.data,
-            chunk.size, mode, *pointers,
-        )
-        if tel.enabled:
-            # The kernel counts with the compiler's popcount builtin, not
-            # with the numpy row popcount that configure_popcount selects.
-            tel.gauge("wave.popcount_backend", "builtin")
-            levels, dense, sparse, rows = tallies.tolist()
-            for name, value in (
-                ("wave.count", 1),
-                ("wave.sources", chunk.size),
-                (f"wave.words.{-(-chunk.size // BFS_BATCH)}", 1),
-                ("wave.levels", levels),
-                ("wave.dispatch.dense", dense),
-                ("wave.dispatch.sparse", sparse),
-                ("wave.frontier_rows", rows),
-                ("wave.node_levels", n * levels),
-            ):
-                if value:
-                    tel.count(name, int(value))
 
 
 def serialize_accumulators(ecc: np.ndarray, totals: np.ndarray) -> Dict[str, str]:
@@ -1383,16 +1025,8 @@ def diameter(
             return float("inf")
     csr = csr_of(working)
     nodes = _select_nodes(working, sample_size, rng)
-    best = 0
-    # A source's eccentricity is the last level at which its packed frontier
-    # still advanced, so the batched wave's level count *is* the chunk's max
-    # -- no per-level count extraction needed at all.
-    indices = _batched_source_indices(csr, nodes)
-    chunk_size = wave_batch(csr, indices.size) if indices.size else BFS_BATCH
-    for offset in range(0, indices.size, chunk_size):
-        chunk = indices[offset:offset + chunk_size]
-        best = max(best, sum(1 for _ in _batched_wave(csr, chunk)))
-    return float(best)
+    ecc = _source_stats(csr, _batched_source_indices(csr, nodes))[2]
+    return float(int(ecc.max())) if ecc.size else 0.0
 
 
 def average_shortest_path_length(
@@ -1408,22 +1042,11 @@ def average_shortest_path_length(
     working = graph if connected else _working_component(graph)[0]
     csr = csr_of(working)
     nodes = _select_nodes(working, sample_size, rng)
-    total = 0
-    pairs = 0
-    # Only the per-level aggregate is needed, so row popcounts suffice -- no
-    # per-source column counting at all (the integers are identical).
-    indices = _batched_source_indices(csr, nodes)
-    chunk_size = wave_batch(csr, indices.size) if indices.size else BFS_BATCH
-    for offset in range(0, indices.size, chunk_size):
-        chunk = indices[offset:offset + chunk_size]
-        waves = _batched_wave(csr, chunk, counting=True)
-        for depth, (_rows, popcounts) in enumerate(waves, start=1):
-            newly = int(popcounts.sum())
-            total += depth * newly
-            pairs += newly
+    reached, totals, _ecc = _source_stats(csr, _batched_source_indices(csr, nodes))
+    pairs = int(reached.sum())
     if pairs == 0:
         return 0.0
-    return total / pairs
+    return int(totals.sum()) / pairs
 
 
 def degree_histogram(graph: UndirectedGraph) -> Dict[int, int]:
@@ -1529,3 +1152,4 @@ def partition_summary_after_removal(
     largest = int(counts.max())
     isolated = int((counts == 1).sum())
     return surviving, components, largest, isolated
+

@@ -1,15 +1,24 @@
 /*
- * Compiled multi-source BFS wave kernel behind
- * repro.graphs.fast.accumulate_path_shard.
+ * Compiled multi-source BFS wave kernel behind every multi-source BFS of
+ * repro.graphs.fast: the exact path metrics (accumulate_path_shard) and the
+ * sampled estimators (diameter, average shortest path length, closeness,
+ * bfs_distances_batch).
  *
  * One call runs one wave: up to 64 * words BFS sources advance together over
  * a CSR graph, each node carrying `words` bit-packed uint64 frontier words
  * (source j owns bit j % 64 of word j / 64).  Every level fuses the
  * neighbour gather, the OR, the `& ~visited` mask, the popcount and the
- * per-node accumulator update into one pass over the rows it touches:
+ * accumulator update into one pass over the rows it touches.  Without the
+ * per-source buffers the accumulators are per node:
  *
  *   ecc[v]    = max(ecc[v], d)        for every row v first reached at d,
  *   totals[v] += d * popcount(new bits of v at level d).
+ *
+ * With them (src_reached non-NULL) every new (node v, source j) bit at
+ * level d goes to source j instead, and ecc/totals are not touched:
+ *
+ *   src_reached[j] += 1,  src_totals[j] += d,  src_ecc[j] = d,
+ *   depths[j * n + v] = d                      (when depths is non-NULL).
  *
  * Two level kinds give identical results (Then et al., "The More the
  * Merrier", VLDB 2014; Beamer et al., "Direction-Optimizing BFS", SC 2012):
@@ -23,7 +32,9 @@
  * The kernel allocates nothing: the caller passes every buffer, so one set
  * serves all the waves of a campaign and concurrent calls on distinct
  * buffers are independent.  Sizes: visited/frontier/next hold n * words
- * uint64, active/fresh hold n int64, touched holds n bytes.
+ * uint64, active/fresh hold n int64, touched holds n bytes, ecc/totals hold
+ * n int64, src_reached/src_totals/src_ecc hold batch int64 and depths holds
+ * batch * n int32.
  */
 #include <stdint.h>
 #include <string.h>
@@ -45,7 +56,9 @@
 
 #if defined(__GNUC__)
 #define POPCOUNT64(x) ((int64_t)__builtin_popcountll(x))
+#define CTZ64(x) ((int64_t)__builtin_ctzll(x))
 #define ALWAYS_INLINE static inline __attribute__((always_inline))
+#define NOINLINE static __attribute__((noinline))
 #else
 static int64_t popcount64(uint64_t x)
 {
@@ -55,8 +68,16 @@ static int64_t popcount64(uint64_t x)
     return (int64_t)((x * UINT64_C(0x0101010101010101)) >> 56);
 }
 #define POPCOUNT64(x) popcount64(x)
+#define CTZ64(x) popcount64(((x) & (0 - (x))) - 1)
 #define ALWAYS_INLINE static inline
+#define NOINLINE static
 #endif
+
+/* The per-source outputs of one wave (see the top of this file). */
+typedef struct {
+    int64_t *reached, *totals, *ecc;
+    int32_t *depths;
+} source_out;
 
 /* Masks the gathered words of row v by ~visited, folds the new bits into
  * visited and returns their popcount (0 when the row gained nothing). */
@@ -70,6 +91,25 @@ ALWAYS_INLINE int64_t settle_row(uint64_t *nv, uint64_t *vv, int64_t words)
         count += POPCOUNT64(x);
     }
     return count;
+}
+
+/* Credits each new bit of row v at `depth` (nv, as settle_row left it) to
+ * its source's outputs. */
+ALWAYS_INLINE void credit_sources(
+    const uint64_t *nv, int64_t words, const source_out *out, int64_t n, int64_t v,
+    int64_t depth)
+{
+    for (int64_t w = 0; w < words; w++) {
+        for (uint64_t x = nv[w]; x; x &= x - 1) {
+            const int64_t j = 64 * w + CTZ64(x);
+            out->reached[j] += 1;
+            out->totals[j] += depth;
+            out->ecc[j] = depth;
+            if (out->depths) {
+                out->depths[j * n + v] = (int32_t)depth;
+            }
+        }
+    }
 }
 
 ALWAYS_INLINE int row_saturated(const uint64_t *vv, int64_t words, uint64_t last)
@@ -87,7 +127,8 @@ ALWAYS_INLINE void run_wave(
     const int64_t *sources, int64_t batch, int64_t mode, int64_t words,
     uint64_t *visited, uint64_t *frontier, uint64_t *next,
     int64_t *active, int64_t *fresh, uint8_t *touched,
-    int64_t *ecc, int64_t *totals, int64_t *tallies)
+    int64_t *ecc, int64_t *totals, int64_t *tallies,
+    const int per_source, const source_out *out)
 {
     const int64_t m = indptr[n];
     const uint64_t last = (batch % 64) ? ((UINT64_C(1) << (batch % 64)) - 1) : ~UINT64_C(0);
@@ -154,9 +195,13 @@ ALWAYS_INLINE void run_wave(
                 const int64_t count = settle_row(next + v * words, visited + v * words, words);
                 if (count) {
                     fresh[n_fresh++] = v;
-                    totals[v] += depth * count;
-                    if (ecc[v] < depth) {
-                        ecc[v] = depth;
+                    if (per_source) {
+                        credit_sources(next + v * words, words, out, n, v, depth);
+                    } else {
+                        totals[v] += depth * count;
+                        if (ecc[v] < depth) {
+                            ecc[v] = depth;
+                        }
                     }
                     newly += count;
                 }
@@ -177,9 +222,13 @@ ALWAYS_INLINE void run_wave(
                 const int64_t count = settle_row(nv, vv, words);
                 if (count) {
                     fresh[n_fresh++] = v;
-                    totals[v] += depth * count;
-                    if (ecc[v] < depth) {
-                        ecc[v] = depth;
+                    if (per_source) {
+                        credit_sources(nv, words, out, n, v, depth);
+                    } else {
+                        totals[v] += depth * count;
+                        if (ecc[v] < depth) {
+                            ecc[v] = depth;
+                        }
                     }
                     newly += count;
                 }
@@ -206,9 +255,12 @@ ALWAYS_INLINE void run_wave(
     }
 }
 
-/* Runs one wave of `batch` sources (0 < batch; every source in [0, n)),
- * folds its levels into ecc/totals and writes its tallies. */
-void repro_wave_accumulate(
+/* The per-node and the per-source waves, each with one instantiation per
+ * word count: constant word counts let the compiler unroll the per-row
+ * loops, and the constant per_source flag drops the per-bit loop from the
+ * per-node waves.  They stay two separate functions because inlining both
+ * into one changes the per-node loop's code. */
+NOINLINE void per_node_waves(
     int64_t n, const int64_t *indptr, const int32_t *indices,
     const int64_t *sources, int64_t batch, int64_t mode,
     uint64_t *visited, uint64_t *frontier, uint64_t *next,
@@ -216,15 +268,56 @@ void repro_wave_accumulate(
     int64_t *ecc, int64_t *totals, int64_t *tallies)
 {
     const int64_t words = (batch + 63) / 64;
-    /* Constant word counts let the compiler unroll the per-row loops. */
     if (words == 2) {
         run_wave(n, indptr, indices, sources, batch, mode, 2, visited, frontier,
-                 next, active, fresh, touched, ecc, totals, tallies);
+                 next, active, fresh, touched, ecc, totals, tallies, 0, NULL);
     } else if (words == 1) {
         run_wave(n, indptr, indices, sources, batch, mode, 1, visited, frontier,
-                 next, active, fresh, touched, ecc, totals, tallies);
+                 next, active, fresh, touched, ecc, totals, tallies, 0, NULL);
     } else {
         run_wave(n, indptr, indices, sources, batch, mode, words, visited, frontier,
-                 next, active, fresh, touched, ecc, totals, tallies);
+                 next, active, fresh, touched, ecc, totals, tallies, 0, NULL);
+    }
+}
+
+NOINLINE void per_source_waves(
+    int64_t n, const int64_t *indptr, const int32_t *indices,
+    const int64_t *sources, int64_t batch, int64_t mode,
+    uint64_t *visited, uint64_t *frontier, uint64_t *next,
+    int64_t *active, int64_t *fresh, uint8_t *touched,
+    int64_t *tallies, const source_out *out)
+{
+    const int64_t words = (batch + 63) / 64;
+    if (words == 2) {
+        run_wave(n, indptr, indices, sources, batch, mode, 2, visited, frontier,
+                 next, active, fresh, touched, NULL, NULL, tallies, 1, out);
+    } else if (words == 1) {
+        run_wave(n, indptr, indices, sources, batch, mode, 1, visited, frontier,
+                 next, active, fresh, touched, NULL, NULL, tallies, 1, out);
+    } else {
+        run_wave(n, indptr, indices, sources, batch, mode, words, visited, frontier,
+                 next, active, fresh, touched, NULL, NULL, tallies, 1, out);
+    }
+}
+
+/* Runs one wave of `batch` sources (0 < batch; every source in [0, n)) and
+ * writes its tallies.  Its levels fold into ecc/totals, or, when src_reached
+ * is non-NULL, into src_reached/src_totals/src_ecc and the optional depths
+ * matrix. */
+void repro_wave_accumulate(
+    int64_t n, const int64_t *indptr, const int32_t *indices,
+    const int64_t *sources, int64_t batch, int64_t mode,
+    uint64_t *visited, uint64_t *frontier, uint64_t *next,
+    int64_t *active, int64_t *fresh, uint8_t *touched,
+    int64_t *ecc, int64_t *totals, int64_t *tallies,
+    int64_t *src_reached, int64_t *src_totals, int64_t *src_ecc, int32_t *depths)
+{
+    if (src_reached) {
+        const source_out out = {src_reached, src_totals, src_ecc, depths};
+        per_source_waves(n, indptr, indices, sources, batch, mode, visited, frontier,
+                         next, active, fresh, touched, tallies, &out);
+    } else {
+        per_node_waves(n, indptr, indices, sources, batch, mode, visited, frontier,
+                       next, active, fresh, touched, ecc, totals, tallies);
     }
 }

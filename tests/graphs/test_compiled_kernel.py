@@ -1,10 +1,12 @@
 """The compiled wave kernel: differential against numpy and the reference.
 
-:func:`repro.graphs.fast.accumulate_path_shard` runs its waves on the C
+Every multi-source BFS of :mod:`repro.graphs.fast` runs its waves on the C
 kernel in ``wavekernel.c`` when :mod:`repro.graphs._wavekernel` can build
-and load it, and on the numpy engine otherwise.  The two engines and the
-pure-Python BFS reference must produce the same ``(ecc, totals)`` integers
-on every topology, source set, wave width and shard split.  The build
+and load it, and on the plain dense numpy wave otherwise.  Here the two
+engines and the pure-Python BFS reference must produce the same per-node
+``(ecc, totals)`` integers of :func:`~repro.graphs.fast.accumulate_path_shard`
+on every topology, source set, wave width and shard split; the per-source
+outputs of the sampled callers are pinned in ``test_sampled_waves.py``.  The build
 itself must never break a run: no compiler, a corrupt cached artifact, or
 two processes building at once all end in correct results.
 """
@@ -132,14 +134,25 @@ def test_zoo_all_engines_agree(kernel, zoo_graph):
         assert_same(accumulate(None, csr, sources), expected, name)
 
 
-@pytest.mark.parametrize("mode", ["dense", "sparse", "pull"])
+def distances(engine, csr, sources):
+    """``bfs_distances_batch`` pinned to ``engine`` (``None`` = numpy)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_wavekernel, "load", lambda: engine)
+        return fast.bfs_distances_batch(csr, np.asarray(sources, dtype=np.int64))
+
+
+@pytest.mark.parametrize("mode", ["dense", "sparse"])
 def test_zoo_forced_step_modes(kernel, zoo_graph, mode, monkeypatch):
-    """Both level kinds of the kernel are exact on their own."""
+    """Both level kinds of the kernel are exact on their own, per node and
+    per source."""
     csr = fast.csr_of(zoo_graph)
     sources = np.arange(csr.n, dtype=np.int64)
     expected = accumulate(None, csr, sources)
+    sampled = source_sets(csr.n)["duplicates"]
+    expected_depths = distances(None, csr, sampled)
     monkeypatch.setattr(fast, "WAVE_STEP_MODE", mode)
     assert_same(accumulate(kernel, csr, sources), expected)
+    assert np.array_equal(distances(kernel, csr, sampled), expected_depths)
 
 
 @pytest.mark.parametrize("width", [64, 100, 128, 4096])
@@ -166,8 +179,26 @@ def test_empty_sources_and_singleton(kernel):
 
 def test_out_of_range_source_rejected(kernel):
     csr = fast.csr_of(ring_graph(10))
-    with pytest.raises(IndexError):
-        accumulate(kernel, csr, [3, 10])
+    for engine in (kernel, None):
+        for sources in ([3, 10], [-1, 2]):
+            with pytest.raises(IndexError):
+                accumulate(engine, csr, sources)
+
+
+def test_misshapen_per_source_buffers_rejected(kernel, monkeypatch):
+    """The kernel writes through these pointers, so their layout is checked."""
+    csr = fast.csr_of(ring_graph(10))
+    sources = np.arange(4, dtype=np.int64)
+    monkeypatch.setattr(_wavekernel, "load", lambda: kernel)
+    for stats, depths in (
+        (np.zeros((3, 3), dtype=np.int64), None),
+        (np.zeros((3, 4), dtype=np.int32), None),
+        (np.zeros((4, 3), dtype=np.int64).T, None),
+        (np.zeros((3, 4), dtype=np.int64), np.zeros((4, 9), dtype=np.int32)),
+        (np.zeros((3, 4), dtype=np.int64), np.zeros((4, 10), dtype=np.int64)),
+    ):
+        with pytest.raises(ValueError):
+            fast._run_waves(csr, sources, stats=stats, depths=depths)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

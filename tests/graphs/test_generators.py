@@ -65,29 +65,6 @@ class TestKRegular:
         assert again.edges() == graph.edges()
 
 
-def _list_pairing_model(n, k, rng):
-    """The pairing model over a plain list: the oracle for ``_StubList``."""
-    stubs = [node for node in range(n) for _ in range(k)]
-    rng.shuffle(stubs)
-    graph = UndirectedGraph(nodes=range(n))
-    while stubs:
-        u = stubs.pop()
-        placed = False
-        for attempt in range(len(stubs)):
-            index = rng.randrange(len(stubs))
-            v = stubs[index]
-            if v != u and not graph.has_edge(u, v):
-                stubs.pop(index)
-                graph.add_edge(u, v)
-                placed = True
-                break
-        if not placed:
-            return None
-    if any(graph.degree(node) != k for node in range(n)):
-        return None
-    return graph
-
-
 def _fingerprint(graph):
     """Per-node adjacency in iteration (insertion) order plus the stamp."""
     if graph is None:
@@ -104,35 +81,23 @@ _PAIRING_CASES = [
 
 
 class TestPairingModelOracle:
-    """``_try_pairing_model`` against the plain-list algorithm it replaced."""
-
-    @pytest.mark.parametrize("n,k", _PAIRING_CASES)
-    def test_matches_plain_list_oracle(self, monkeypatch, n, k):
-        # Four stubs per block, so even these small graphs span many blocks.
-        monkeypatch.setattr(generators, "STUB_BLOCK", 4)
-        for seed in range(40):
-            oracle_rng, rng = random.Random(seed), random.Random(seed)
-            expected = _list_pairing_model(n, k, oracle_rng)
-            graph = generators._try_pairing_model(n, k, rng)
-            assert (graph is None) == (expected is None), seed
-            assert _fingerprint(graph) == _fingerprint(expected), seed
-            assert rng.getstate() == oracle_rng.getstate(), seed
+    """``k_regular_graph`` against the Python attempt loop, its oracle."""
 
     def test_oracle_cases_include_failed_attempts(self):
         failed = sum(
-            _list_pairing_model(n, k, random.Random(seed)) is None
+            generators._try_pairing_model(n, k, random.Random(seed)) is None
             for n, k in _PAIRING_CASES
             for seed in range(40)
         )
         assert failed > 0
 
-    def test_matches_oracle_at_default_block_across_restarts(self):
+    def test_matches_oracle_across_restarts(self):
         # k_regular_graph retries from the same rng, so the whole stream of
         # attempts (and what a caller draws afterwards) must match too.
         oracle_rng = random.Random(7)
         expected = None
         while expected is None:
-            expected = _list_pairing_model(2000, 5, oracle_rng)
+            expected = generators._try_pairing_model(2000, 5, oracle_rng)
         rng = random.Random(7)
         graph = k_regular_graph(2000, 5, rng=rng)
         assert _fingerprint(graph) == _fingerprint(expected)

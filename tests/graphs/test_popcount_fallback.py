@@ -5,8 +5,9 @@ when numpy >= 2.0 provides it, and with a byte-lookup-table fold otherwise.
 The fallback used to be exercised only on numpy < 1.26 installs; these tests
 (and a CI step running the graphs suite under ``REPRO_FORCE_POPCOUNT_LUT=1``)
 force-select it on any numpy and assert that every wave-engine result -- the
-full matrix of topologies, step modes and estimators -- matches the native
-path and the pure-Python reference exactly.
+full matrix of topologies and estimators -- matches the native path and the
+pure-Python reference exactly.  The compiled kernel counts with the
+compiler's builtin instead, so these tests pin the numpy wave.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.core.errors import ConfigError
-from repro.graphs import backend, fast, metrics
+from repro.graphs import _wavekernel, backend, fast, metrics
 from repro.graphs.generators import k_regular_graph, ring_graph
 
 from tests.graphs.test_wave_engine import STEP_ZOO
@@ -26,7 +27,7 @@ from tests.graphs.test_wave_engine import STEP_ZOO
 
 @pytest.fixture
 def forced_lut(monkeypatch):
-    """Force the LUT popcount path for one test, restoring afterwards.
+    """Force the LUT popcount path and the numpy wave for one test.
 
     Teardown first undoes the monkeypatch (restoring whatever the *ambient*
     environment says -- the LUT CI job keeps the flag set for the whole run)
@@ -34,6 +35,7 @@ def forced_lut(monkeypatch):
     environment-configured path.
     """
     monkeypatch.setenv(fast.POPCOUNT_LUT_ENV_VAR, "1")
+    monkeypatch.setattr(_wavekernel, "load", lambda: None)
     assert fast.configure_popcount() == "lut"
     yield
     monkeypatch.undo()
@@ -96,22 +98,23 @@ def test_lut_kernel_matches_native_on_random_words():
 
 
 @pytest.mark.parametrize("name,graph", STEP_ZOO, ids=[n for n, _ in STEP_ZOO])
-@pytest.mark.parametrize("mode", ["dense", "sparse", "pull", "adaptive"])
-def test_lut_wave_matrix_bit_identical(forced_lut, monkeypatch, name, graph, mode):
-    """The full wave-engine matrix under the forced LUT path: exact parity."""
-    monkeypatch.setattr(fast, "WAVE_STEP_MODE", mode)
-    assert fast.diameter(graph, sample_size=12, rng=random.Random(1)) == (
-        metrics.diameter(graph, sample_size=12, rng=random.Random(1))
-    )
-    assert fast.average_closeness_centrality(graph) == (
-        metrics.average_closeness_centrality(graph)
-    )
-    assert fast.average_shortest_path_length(
-        graph, sample_size=9, rng=random.Random(2)
-    ) == metrics.average_shortest_path_length(
-        graph, sample_size=9, rng=random.Random(2)
-    )
-    assert fast.full_path_metrics(graph) == metrics.full_path_metrics(graph)
+@pytest.mark.parametrize("width", [64, "auto"])
+def test_lut_wave_matrix_bit_identical(forced_lut, name, graph, width):
+    """The full wave-engine matrix under the forced LUT path: exact parity,
+    on one-word waves and on the default multi-word width."""
+    with backend.using_bfs_batch(width):
+        assert fast.diameter(graph, sample_size=12, rng=random.Random(1)) == (
+            metrics.diameter(graph, sample_size=12, rng=random.Random(1))
+        )
+        assert fast.average_closeness_centrality(graph) == (
+            metrics.average_closeness_centrality(graph)
+        )
+        assert fast.average_shortest_path_length(
+            graph, sample_size=9, rng=random.Random(2)
+        ) == metrics.average_shortest_path_length(
+            graph, sample_size=9, rng=random.Random(2)
+        )
+        assert fast.full_path_metrics(graph) == metrics.full_path_metrics(graph)
 
 
 def test_lut_multiword_wave_identical(forced_lut):

@@ -1,11 +1,14 @@
-"""Adaptive multi-word frontier engine: parity, dispatch, and tuning knobs.
+"""Multi-source BFS waves: parity, wave widths and the width policy.
 
-The engine under test is :func:`repro.graphs.fast._batched_wave` and the
-machinery around it: multi-word (>64-source) waves, the per-level
-dense / sparse / pull step dispatch, the wave-width auto-tuner, and the
-``REPRO_BFS_BATCH`` / ``backend.use_bfs_batch`` override plumbing.  Every
-configuration must return results identical to the pure-Python reference in
+The waves under test run through :func:`repro.graphs.fast._run_waves` --
+on the compiled kernel when it loads, else on the plain dense numpy wave
+(:func:`repro.graphs.fast._dense_wave`): multi-word (>64-source) waves, the
+kernel's forced step modes against the fallback, the wave-width policy,
+and the ``REPRO_BFS_BATCH`` / ``backend.use_bfs_batch`` override plumbing.  Every configuration must
+return results identical to the pure-Python reference in
 :mod:`repro.graphs.metrics` -- the knobs tune wall-clock time, never values.
+Both engines are pinned against each other and the reference for every
+sampled caller in ``test_sampled_waves.py``.
 
 The 100k-node full-sample closeness golden lives in
 ``benchmarks/bench_graph_kernels.py`` (the benchmark builds that graph
@@ -21,9 +24,10 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.graphs import backend, fast, metrics
+from repro.graphs import _wavekernel, backend, fast, metrics
 from repro.graphs.adjacency import UndirectedGraph
 from repro.graphs.generators import k_regular_graph, ring_graph
+from repro.obs import telemetry
 
 #: Full-population (every node a source) mean closeness on
 #: ``k_regular_graph(800, 6, seed=11)`` -- pinned under both backends.
@@ -49,7 +53,7 @@ def _partitioned(n: int, k: int, seed: int) -> UndirectedGraph:
 
 
 def step_zoo():
-    """Graphs spanning every step regime the dispatcher can pick."""
+    """Graphs spanning every step regime the kernel's dispatcher can pick."""
     return [
         ("k-regular", k_regular_graph(260, 8, seed=21)),
         ("ring", ring_graph(180)),
@@ -65,6 +69,20 @@ STEP_ZOO = step_zoo()
 @pytest.fixture(params=STEP_ZOO, ids=[name for name, _ in STEP_ZOO])
 def step_graph(request):
     return request.param[1]
+
+
+def _pin_wave_engine(monkeypatch, mode):
+    """Pin the waves to the numpy fallback (``"numpy"``) or to the compiled
+    kernel with ``WAVE_STEP_MODE = mode``; skips the compiled modes without
+    a C compiler."""
+    if mode == "numpy":
+        monkeypatch.setattr(_wavekernel, "load", lambda: None)
+        return
+    kernel = _wavekernel.load()
+    if kernel is None:
+        pytest.skip("no working C compiler")
+    monkeypatch.setattr(_wavekernel, "load", lambda: kernel)
+    monkeypatch.setattr(fast, "WAVE_STEP_MODE", mode)
 
 
 # ----------------------------------------------------------------------
@@ -84,7 +102,7 @@ def test_multiword_wave_width_is_actually_used():
     graph = k_regular_graph(200, 6, seed=32)
     csr = fast.csr_of(graph)
     sources = np.arange(200, dtype=np.int64)
-    levels = list(fast._batched_wave(csr, sources))
+    levels = list(fast._dense_wave(csr, sources))
     assert levels, "wave advanced no level"
     for rows, words in levels:
         assert words.shape[1] == 4  # ceil(200 / 64) frontier words per node
@@ -137,11 +155,12 @@ def test_multiword_wave_after_mutations():
 
 
 # ----------------------------------------------------------------------
-# Dense / sparse / pull step equivalence
+# Kernel step modes and the numpy fallback
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("mode", ["dense", "sparse", "pull", "adaptive"])
+@pytest.mark.parametrize("mode", ["dense", "sparse", "adaptive", "numpy"])
 def test_forced_step_modes_identical(step_graph, mode, monkeypatch):
-    monkeypatch.setattr(fast, "WAVE_STEP_MODE", mode)
+    """Every sampled caller, on each kernel step mode and on numpy."""
+    _pin_wave_engine(monkeypatch, mode)
     sources = step_graph.nodes()[::3]
     batched = fast.shortest_path_lengths_from_many(step_graph, sources)
     for source, distances in zip(sources, batched):
@@ -159,65 +178,41 @@ def test_forced_step_modes_identical(step_graph, mode, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("mode", ["dense", "sparse", "pull"])
+@pytest.mark.parametrize("mode", ["dense", "sparse", "numpy"])
 def test_forced_step_modes_identical_multiword(step_graph, mode, monkeypatch):
-    """Step forcing and >64-source waves compose."""
-    monkeypatch.setattr(fast, "WAVE_STEP_MODE", mode)
+    """Forced step modes and >64-source waves compose."""
+    _pin_wave_engine(monkeypatch, mode)
     sources = step_graph.nodes()
+    stride = max(1, len(sources) // 8)
     with backend.using_bfs_batch(192):
         batched = fast.shortest_path_lengths_from_many(step_graph, sources)
-    for source, distances in zip(sources[:: max(1, len(sources) // 8)], batched[:: max(1, len(sources) // 8)]):
+    for source, distances in zip(sources[::stride], batched[::stride]):
         assert distances == metrics.shortest_path_lengths_from(step_graph, source)
 
 
 def test_adaptive_ring_uses_sparse_steps(monkeypatch):
-    """On a ring nearly every level must take the sparse step (the point)."""
-    graph = ring_graph(400)
-    csr = fast.csr_of(graph)
-    calls = {"sparse": 0, "dense": 0, "pull": 0}
-    for name in ("_sparse_step", "_dense_step", "_pull_step"):
-        original = getattr(fast, name)
-
-        def counting(*args, _original=original, _key=name.strip("_").split("_")[0], **kwargs):
-            calls[_key] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(fast, name, counting)
-    fast.diameter(graph, sample_size=4, rng=random.Random(0), connected=True)
-    assert calls["sparse"] > 50
-    assert calls["dense"] == 0
+    """On a ring the kernel's adaptive dispatch takes sparse steps only."""
+    _pin_wave_engine(monkeypatch, "adaptive")
+    with telemetry.collecting() as collector:
+        fast.diameter(ring_graph(400), sample_size=4, rng=random.Random(0), connected=True)
+    counters = collector.snapshot()["counters"]
+    assert counters["wave.dispatch.sparse"] > 50
+    assert counters.get("wave.dispatch.dense", 0) == 0
 
 
 # ----------------------------------------------------------------------
-# Auto-tuner and override plumbing
+# Width policy and override plumbing
 # ----------------------------------------------------------------------
-def test_wave_batch_narrow_on_low_diameter_graphs():
-    csr = fast.csr_of(k_regular_graph(3000, 10, seed=41))
-    assert fast.wave_batch(csr, 1024) == fast.BFS_BATCH
-
-
-def test_wave_batch_wide_on_high_diameter_graphs():
+def test_wave_width_default_and_small_requests():
     csr = fast.csr_of(ring_graph(3000))
-    width = fast.wave_batch(csr, 3000)
-    assert width >= 47 * fast.BFS_BATCH  # every source packs into one wave
-    assert width % fast.BFS_BATCH == 0
+    assert fast._wave_width(csr, 3000) == fast.WAVE_WORDS * fast.BFS_BATCH
+    assert fast._wave_width(csr, 17) == 17
 
 
-def test_wave_batch_respects_buffer_budget(monkeypatch):
-    monkeypatch.setattr(fast, "WAVE_BUFFER_BUDGET", 8 * 3000 * 2)  # two words
+def test_wave_width_respects_buffer_budget(monkeypatch):
+    monkeypatch.setattr(fast, "WAVE_BUFFER_BUDGET", 8 * 3000)  # one word
     csr = fast.csr_of(ring_graph(3000))
-    assert fast.wave_batch(csr, 3000) == 2 * fast.BFS_BATCH
-
-
-def test_wave_batch_small_requests_stay_single_word():
-    csr = fast.csr_of(ring_graph(3000))
-    assert fast.wave_batch(csr, 17) == fast.BFS_BATCH
-
-
-def test_estimated_levels_regimes():
-    assert fast._estimated_levels(fast.csr_of(k_regular_graph(2000, 10, seed=42))) < 10
-    ring_csr = fast.csr_of(ring_graph(2000))
-    assert fast._estimated_levels(ring_csr) >= 2000  # mean degree 2: path-like
+    assert fast._wave_width(csr, 3000) == fast.BFS_BATCH
 
 
 def test_use_bfs_batch_forced_and_restored():
@@ -238,7 +233,7 @@ def test_bfs_batch_env_var(monkeypatch):
         monkeypatch.setenv(backend.BFS_BATCH_ENV_VAR, "256")
         assert backend.bfs_batch_policy() == 256
         csr = fast.csr_of(ring_graph(64))
-        assert fast.wave_batch(csr, 5000) == 256
+        assert fast._wave_width(csr, 5000) == 256
         monkeypatch.setenv(backend.BFS_BATCH_ENV_VAR, "auto")
         assert backend.bfs_batch_policy() == "auto"
         monkeypatch.setenv(backend.BFS_BATCH_ENV_VAR, "bogus")
@@ -327,24 +322,6 @@ def test_full_population_closeness_after_mutations():
     )
 
 
-def test_wave_scratch_is_not_shared_between_interleaved_waves():
-    """Two generators advancing in lockstep must not corrupt each other."""
-    graph = k_regular_graph(300, 8, seed=54)
-    csr = fast.csr_of(graph)
-    first = fast._batched_wave(csr, np.arange(0, 64, dtype=np.int64))
-    second = fast._batched_wave(csr, np.arange(64, 128, dtype=np.int64))
-    interleaved = []
-    for (rows_a, words_a), (rows_b, words_b) in zip(first, second):
-        interleaved.append((rows_a.copy(), words_a.copy(), rows_b.copy(), words_b.copy()))
-    replay_first = list(fast._batched_wave(csr, np.arange(0, 64, dtype=np.int64)))
-    replay_second = list(fast._batched_wave(csr, np.arange(64, 128, dtype=np.int64)))
-    for (rows_a, words_a, rows_b, words_b), (ra, wa), (rb, wb) in zip(
-        interleaved, replay_first, replay_second
-    ):
-        assert np.array_equal(rows_a, ra) and np.array_equal(words_a, wa)
-        assert np.array_equal(rows_b, rb) and np.array_equal(words_b, wb)
-
-
 # ----------------------------------------------------------------------
 # Exact full-population path metrics (eccentricity / diameter / ASPL)
 # ----------------------------------------------------------------------
@@ -408,10 +385,10 @@ def test_path_length_accumulators_match_reference(step_graph):
     )
 
 
-@pytest.mark.parametrize("mode", ["dense", "sparse", "pull"])
+@pytest.mark.parametrize("mode", ["dense", "sparse", "numpy"])
 def test_full_path_metrics_forced_step_modes(step_graph, mode, monkeypatch):
     expected = metrics.full_path_metrics(step_graph)
-    monkeypatch.setattr(fast, "WAVE_STEP_MODE", mode)
+    _pin_wave_engine(monkeypatch, mode)
     assert fast.full_path_metrics(step_graph) == expected
 
 

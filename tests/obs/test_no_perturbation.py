@@ -79,8 +79,6 @@ class TestWaveCampaignDifferential:
         counters = collector.snapshot()["counters"]
         # The level-map rows scanned per level always span all n nodes.
         assert counters["wave.node_levels"] == 500 * counters["wave.levels"]
-        # Scratch buffers were recycled: at most one miss per width in use.
-        assert counters.get("wave.scratch.miss", 0) <= counters["wave.count"]
 
 
 class TestRunnerDifferential:
