@@ -41,6 +41,9 @@ SEED = 71
 
 def _campaign(fresh_pool_per_checkpoint: bool):
     """One checkpointed campaign; returns the per-checkpoint metrics."""
+    # A persistent pool left by an earlier benchmark in the same pytest run
+    # would serve the first checkpoint without a spin-up of its own.
+    shutdown_pools()
     graph = k_regular_graph(N, K, seed=SEED)
     rng = random.Random(5)
     results = []

@@ -64,7 +64,9 @@ SOURCES = (
     Path(__file__).with_name("soap.c"),
 )
 
-#: Portable compiler flags (no CPU-specific code generation).
+#: Portable compiler flags (no ``-march``): the artifact runs on any CPU of
+#: the machine type; the wave functions' POPCNT clone is picked at load time
+#: (``WAVE_CLONES`` in ``wavekernel.c``).
 FLAGS = ("-O3", "-std=c99", "-shared", "-fPIC")
 
 #: Marks the integrity trailer appended after the library bytes.

@@ -122,6 +122,10 @@ class CSRGraph:
         return np.diff(self.indptr)
 
 
+#: Edges relabelled per array lookup in :func:`build_csr`.
+_RELABEL_BLOCK = 1 << 15
+
+
 def build_csr(graph: UndirectedGraph) -> CSRGraph:
     """Convert ``graph`` into a fresh :class:`CSRGraph` (no caching)."""
     adjacency = graph._adjacency
@@ -133,19 +137,25 @@ def build_csr(graph: UndirectedGraph) -> CSRGraph:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
     total = int(indptr[-1])
-    if nodes == list(range(n)):
-        # Contiguous integer labels (every generator's output): neighbour ids
-        # are already CSR indices, so skip the per-edge dict lookups.
-        index_of = {node: node for node in nodes}
+    index_of = dict(zip(nodes, range(n)))
+    # Plain int labels in a bounded range (every generator's output, and what
+    # a takedown leaves of it) are mapped to indices through an array lookup
+    # below instead of a dict lookup per edge.
+    int_labels = bool(nodes) and all(type(node) is int for node in nodes) and (
+        0 <= min(nodes) and max(nodes) < 4 * n
+    )
+    if int_labels:
         flat = chain.from_iterable(adjacency[node] for node in nodes)
     else:
-        index_of = {node: i for i, node in enumerate(nodes)}
-        flat = (
-            index_of[neighbor]
-            for node in nodes
-            for neighbor in adjacency[node]
-        )
+        flat = (index_of[neighbor] for node in nodes for neighbor in adjacency[node])
     indices = np.fromiter(flat, dtype=np.int32, count=total)
+    if int_labels:
+        lookup = np.empty(max(nodes) + 1, dtype=np.int32)
+        lookup[np.fromiter(nodes, dtype=np.int32, count=n)] = np.arange(n, dtype=np.int32)
+        # In place, a block at a time: no second edge-sized array is held.
+        for start in range(0, total, _RELABEL_BLOCK):
+            block = indices[start:start + _RELABEL_BLOCK]
+            block[:] = lookup[block]
     return CSRGraph(nodes, index_of, indptr, indices)
 
 
@@ -331,8 +341,10 @@ def _compiled_waves(
             chunk.size, mode, *pointers, *outputs,
         )
         if tel.enabled:
-            # The kernel counts with the compiler's popcount builtin, not
-            # with the numpy row popcount that configure_popcount selects.
+            # The kernel counts with the compiler's popcount builtin (the
+            # POPCNT instruction where the CPU has it, else the portable
+            # libgcc routine; same counts), not with the numpy row popcount
+            # that configure_popcount selects.
             tel.gauge("wave.popcount_backend", "builtin")
             levels, dense, sparse, rows = tallies.tolist()
             for name, value in (

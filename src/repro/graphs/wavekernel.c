@@ -29,6 +29,12 @@
  *             their neighbours, for thin levels (high-diameter graphs, and
  *             the first and last levels of every wave).
  *
+ * A dense row ORs its neighbours' words into a local accumulator that stays
+ * in registers and stores it once.  The two wave functions are compiled
+ * twice, a POPCNT clone and the portable default, and the library's loader
+ * (glibc ifunc) picks one per CPU; see WAVE_CLONES.  The compiler flags stay
+ * portable, and both clones compute the same integers.
+ *
  * The kernel allocates nothing: the caller passes every buffer, so one set
  * serves all the waves of a campaign and concurrent calls on distinct
  * buffers are independent.  Sizes: visited/frontier/next hold n * words
@@ -54,6 +60,9 @@
 #define TALLY_SPARSE 2
 #define TALLY_ROWS 3
 
+/* Widest row (in words) whose dense-step OR runs in registers. */
+#define ACC_WORDS 2
+
 #if defined(__GNUC__)
 #define POPCOUNT64(x) ((int64_t)__builtin_popcountll(x))
 #define CTZ64(x) ((int64_t)__builtin_ctzll(x))
@@ -71,6 +80,23 @@ static int64_t popcount64(uint64_t x)
 #define CTZ64(x) popcount64(((x) & (0 - (x))) - 1)
 #define ALWAYS_INLINE static inline
 #define NOINLINE static
+#endif
+
+/* Run-time ISA dispatch of the two wave functions.  On x86-64 glibc (whose
+ * ifunc resolver picks a clone once, when the library loads) and with a
+ * compiler that knows target_clones, CPUs with POPCNT run a clone in which
+ * POPCOUNT64 is one instruction, and every other CPU the default clone:
+ * the portable code, whose popcount is a libgcc call.  Both clones compute
+ * the same integers.  Anywhere else, or when built with
+ * -DREPRO_WAVE_NO_CLONES, only the portable code is compiled. */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute) \
+    && !defined(REPRO_WAVE_NO_CLONES)
+#if __has_attribute(target_clones)
+#define WAVE_CLONES __attribute__((target_clones("popcnt", "default")))
+#endif
+#endif
+#ifndef WAVE_CLONES
+#define WAVE_CLONES
 #endif
 
 /* The per-source outputs of one wave (see the top of this file). */
@@ -110,6 +136,34 @@ ALWAYS_INLINE void credit_sources(
             }
         }
     }
+}
+
+/* The dense step of row v: ORs the frontier words of its neighbours
+ * (first..end) and settles them into nv/vv like settle_row, whose count it
+ * returns.  Up to ACC_WORDS words the OR runs in a local accumulator that
+ * the compiler keeps in registers (the word count is a constant in each
+ * instantiation), so nv is written once; wider rows OR into nv itself,
+ * which the level starts all-zero. */
+ALWAYS_INLINE int64_t gather_row(
+    uint64_t *nv, uint64_t *vv, const uint64_t *frontier,
+    const int32_t *first, const int32_t *end, int64_t words)
+{
+    uint64_t local[ACC_WORDS] = {0};
+    uint64_t *acc = words > ACC_WORDS ? nv : local;
+    for (const int32_t *e = first; e < end; e++) {
+        const uint64_t *fu = frontier + (int64_t)*e * words;
+        for (int64_t w = 0; w < words; w++) {
+            acc[w] |= fu[w];
+        }
+    }
+    int64_t count = 0;
+    for (int64_t w = 0; w < words; w++) {
+        const uint64_t x = acc[w] & ~vv[w];
+        nv[w] = x;
+        vv[w] |= x;
+        count += POPCOUNT64(x);
+    }
+    return count;
 }
 
 ALWAYS_INLINE int row_saturated(const uint64_t *vv, int64_t words, uint64_t last)
@@ -213,13 +267,8 @@ ALWAYS_INLINE void run_wave(
                     continue;
                 }
                 uint64_t *nv = next + v * words;
-                for (int64_t e = indptr[v]; e < indptr[v + 1]; e++) {
-                    const uint64_t *fu = frontier + (int64_t)indices[e] * words;
-                    for (int64_t w = 0; w < words; w++) {
-                        nv[w] |= fu[w];
-                    }
-                }
-                const int64_t count = settle_row(nv, vv, words);
+                const int64_t count = gather_row(
+                    nv, vv, frontier, indices + indptr[v], indices + indptr[v + 1], words);
                 if (count) {
                     fresh[n_fresh++] = v;
                     if (per_source) {
@@ -260,7 +309,7 @@ ALWAYS_INLINE void run_wave(
  * loops, and the constant per_source flag drops the per-bit loop from the
  * per-node waves.  They stay two separate functions because inlining both
  * into one changes the per-node loop's code. */
-NOINLINE void per_node_waves(
+NOINLINE WAVE_CLONES void per_node_waves(
     int64_t n, const int64_t *indptr, const int32_t *indices,
     const int64_t *sources, int64_t batch, int64_t mode,
     uint64_t *visited, uint64_t *frontier, uint64_t *next,
@@ -280,7 +329,7 @@ NOINLINE void per_node_waves(
     }
 }
 
-NOINLINE void per_source_waves(
+NOINLINE WAVE_CLONES void per_source_waves(
     int64_t n, const int64_t *indptr, const int32_t *indices,
     const int64_t *sources, int64_t batch, int64_t mode,
     uint64_t *visited, uint64_t *frontier, uint64_t *next,

@@ -360,9 +360,14 @@ def resilience_at_scale(
     """Figure 5's gradual-takedown sweep at sizes the paper could not reach.
 
     A k-regular DDSR overlay loses ``max_fraction`` of its nodes one at a
-    time (repair after every deletion); components, degree centrality and the
-    path metrics are recorded at every checkpoint through
-    :meth:`~repro.core.ddsr.DDSROverlay.path_metric_summary`.  Every path
+    time (repair after every deletion), in batches of ``len(schedule) //
+    checkpoints`` victims (one more, smaller batch when that leaves a
+    remainder).  Before the first batch and after each one, components,
+    degree centrality and the path metrics are measured through
+    :meth:`~repro.core.ddsr.DDSROverlay.path_metric_summary`, but only the
+    components of the intermediate checkpoints are used (for
+    ``stayed_connected_until_fraction``): the path metrics and degree
+    centrality are returned for the initial and the final overlay.  Every path
     metric defaults to the *exact full population* (``metric_sample=None``):
     diameter, ASPL and closeness all come from one full-population wave
     campaign per checkpoint, so the 100k-node resilience curves report exact

@@ -324,6 +324,69 @@ def _assert_all_metrics_match(graph):
         )
 
 
+def _dict_csr(graph):
+    """``build_csr``'s general path spelled out: one dict lookup per edge."""
+    adjacency = graph._adjacency
+    nodes = list(adjacency)
+    index_of = {node: i for i, node in enumerate(nodes)}
+    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(adjacency[node]) for node in nodes], dtype=np.int64)
+    indices = np.array(
+        [index_of[neighbor] for node in nodes for neighbor in adjacency[node]],
+        dtype=np.int32,
+    )
+    return nodes, index_of, indptr, indices
+
+
+def _with_holes():
+    graph = k_regular_graph(200, 6, seed=11)
+    for victim in random.Random(12).sample(graph.nodes(), 50):
+        graph.remove_node(victim)
+    return graph
+
+
+def _shifted(graph, offset):
+    return relabel(graph, {node: node + offset for node in graph.nodes()})
+
+
+CSR_LABEL_ZOO = [
+    ("contiguous", lambda: k_regular_graph(60, 4, seed=10)),
+    ("holes", _with_holes),
+    ("negative-ints", lambda: _shifted(ring_graph(40), -20)),
+    # max label == 4n - 1 takes the array path, 4n the dict path.
+    ("bound-inside", lambda: _shifted(ring_graph(10), 30)),
+    ("bound-outside", lambda: _shifted(ring_graph(10), 31)),
+    ("huge-sparse-ids", lambda: relabel(ring_graph(30), {i: i * 10**12 for i in range(30)})),
+    ("bools", lambda: UndirectedGraph(edges=[(False, True), (True, 2), (2, 3), (3, False)])),
+    ("numpy-ints", lambda: relabel(ring_graph(25), {i: np.int64(i) for i in range(25)})),
+    ("mixed-int-numpy", lambda: relabel(ring_graph(25), {3: np.int32(3)})),
+    ("strings", lambda: relabel(ring_graph(25), {i: f"n{i}" for i in range(25)})),
+    ("mixed-int-str", lambda: relabel(ring_graph(25), {0: "zero"})),
+    ("isolated-only", lambda: UndirectedGraph(nodes=[5, 1, 3])),
+    ("empty", UndirectedGraph),
+]
+
+
+@pytest.mark.parametrize("make", [make for _, make in CSR_LABEL_ZOO],
+                         ids=[name for name, _ in CSR_LABEL_ZOO])
+@pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
+def test_build_csr_matches_dict_path(make, block, monkeypatch):
+    """The int-label array lookup builds exactly what the dict path builds,
+    however its in-place relabelling is blocked."""
+    if block is not None:
+        monkeypatch.setattr(fast, "_RELABEL_BLOCK", block)
+    graph = make()
+    nodes, index_of, indptr, indices = _dict_csr(graph)
+    csr = fast.build_csr(graph)
+    assert [(type(node), node) for node in csr.nodes] == [(type(node), node) for node in nodes]
+    assert [(type(key), key, value) for key, value in csr.index_of.items()] == [
+        (type(key), key, value) for key, value in index_of.items()
+    ]
+    for built, expected in ((csr.indptr, indptr), (csr.indices, indices)):
+        assert built.dtype == expected.dtype
+        assert np.array_equal(built, expected)
+
+
 def _assert_cache_is_fresh(graph):
     """The cached mirror equals a from-scratch build: no stale snapshot."""
     cached = fast.csr_of(graph)

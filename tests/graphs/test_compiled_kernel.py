@@ -6,7 +6,8 @@ and load it, and on the plain dense numpy wave otherwise.  Here the two
 engines and the pure-Python BFS reference must produce the same per-node
 ``(ecc, totals)`` integers of :func:`~repro.graphs.fast.accumulate_path_shard`
 on every topology, source set, wave width and shard split; the per-source
-outputs of the sampled callers are pinned in ``test_sampled_waves.py``.  The build
+outputs of the sampled callers are pinned in ``test_sampled_waves.py``.  The
+kernel's POPCNT clone and its portable code must agree as well.  The build
 itself must never break a run: no compiler, a corrupt cached artifact, or
 two processes building at once all end in correct results.
 """
@@ -83,6 +84,28 @@ def kernel(tmp_path_factory):
     return built
 
 
+@pytest.fixture(scope="module")
+def portable_kernel(tmp_path_factory):
+    """The compiled kernel built with its ISA dispatch compiled out.
+
+    ``-DREPRO_WAVE_NO_CLONES`` leaves only the portable wave functions, the
+    code every CPU without POPCNT (or every non-x86-64 or non-glibc build)
+    runs.  Skips when no C compiler exists.
+    """
+    cache_home = tmp_path_factory.mktemp("xdg-portable")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("CC", "cc -DREPRO_WAVE_NO_CLONES")
+        patch.setenv("XDG_CACHE_HOME", str(cache_home))
+        _wavekernel.reset()
+        built = _wavekernel.load()
+        _wavekernel.reset()
+    if built is None:
+        pytest.skip("no working C compiler")
+    (artifact,) = (cache_home / "repro").glob("wavekernel-*.so")
+    assert b"per_node_waves.popcnt" not in artifact.read_bytes()
+    return built
+
+
 def accumulate(engine, csr, sources):
     """``accumulate_path_shard`` pinned to ``engine`` (``None`` = numpy)."""
     with pytest.MonkeyPatch.context() as patch:
@@ -153,6 +176,30 @@ def test_zoo_forced_step_modes(kernel, zoo_graph, mode, monkeypatch):
     monkeypatch.setattr(fast, "WAVE_STEP_MODE", mode)
     assert_same(accumulate(kernel, csr, sources), expected)
     assert np.array_equal(distances(kernel, csr, sampled), expected_depths)
+
+
+@pytest.mark.parametrize("mode", ["dense", "sparse"])
+def test_zoo_portable_clone_matches_dispatched(
+    kernel, portable_kernel, zoo_graph, mode, monkeypatch
+):
+    """The clone the loader's CPU dispatch picks and the portable code compute
+    the same per-node and per-source integers on both level kinds."""
+    csr = fast.csr_of(zoo_graph)
+    sources = np.arange(csr.n, dtype=np.int64)
+    sampled = np.asarray(source_sets(csr.n)["duplicates"], dtype=np.int64)
+    monkeypatch.setattr(fast, "WAVE_STEP_MODE", mode)
+    outputs = []
+    for engine in (kernel, portable_kernel):
+        stats = np.zeros((3, sampled.size), dtype=np.int64)
+        depths = np.full((sampled.size, csr.n), -1, dtype=np.int32)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_wavekernel, "load", lambda engine=engine: engine)
+            fast._run_waves(csr, sampled, stats=stats, depths=depths)
+        outputs.append((accumulate(engine, csr, sources), stats, depths))
+    (dispatched, stats, depths), (portable, portable_stats, portable_depths) = outputs
+    assert_same(portable, dispatched)
+    assert np.array_equal(portable_stats, stats)
+    assert np.array_equal(portable_depths, depths)
 
 
 @pytest.mark.parametrize("width", [64, 100, 128, 4096])
