@@ -9,7 +9,12 @@ to node deletions.  This package provides:
   graph with neighbour-of-neighbour (NoN) queries, the data structure the DDSR
   overlay is built on.
 * :mod:`~repro.graphs.generators` -- k-regular, Erdos--Renyi and
-  Barabasi--Albert generators plus conversion to/from ``networkx``.
+  Barabasi--Albert generators plus conversion to/from ``networkx``.  The
+  package itself needs neither ``networkx`` (imported only by the
+  converters and the k-regular generator's last-resort fallback) nor
+  ``numpy`` (which enables the ``fast`` backend) nor a C compiler (which
+  builds the compiled kernels; without one, Python twins give the same
+  results).
 * :mod:`~repro.graphs.metrics` -- our own BFS-based implementations of every
   metric the paper reports (cross-checked against ``networkx`` in the tests),
   including sampled estimators that make 5000--15000-node sweeps tractable.

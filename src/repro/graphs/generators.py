@@ -2,21 +2,27 @@
 
 The paper's experiments start from k-regular random graphs (k = 5, 10, 15) of
 5000 or 15000 nodes.  We implement a pairing-model k-regular generator directly
-on :class:`~repro.graphs.adjacency.UndirectedGraph` (so the overlay never needs
-``networkx`` at runtime) plus Erdos--Renyi and Barabasi--Albert generators used
-for robustness checks and ablations.  Conversion helpers to and from
-``networkx`` support cross-validation in the test-suite.
+on :class:`~repro.graphs.adjacency.UndirectedGraph` plus Erdos--Renyi and
+Barabasi--Albert generators used for robustness checks and ablations.
+
+``networkx`` is optional and never imported at module level: only
+:func:`to_networkx` (with :func:`from_networkx`, which just reads a graph,
+the test-suite's cross-checks) and :func:`k_regular_graph`'s last-resort
+fallback, reached after ``max_attempts`` failed pairings, import it when
+they run.  Importing ``repro`` or running a campaign therefore loads none
+of its ~320 modules.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.graphs.adjacency import GraphError, UndirectedGraph
 from repro.obs.telemetry import current as _telemetry
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def _resolve_rng(rng: Optional[random.Random], seed: Optional[int]) -> random.Random:
@@ -38,7 +44,9 @@ def k_regular_graph(
 
     Uses the configuration (pairing) model with rejection of self-loops and
     multi-edges, restarting on failure.  ``n * k`` must be even and ``k < n``.
-    After ``max_attempts`` failed attempts it falls back to networkx.
+    After ``max_attempts`` failed attempts it falls back to networkx's
+    ``random_regular_graph``; when networkx cannot be imported, that
+    fallback raises :class:`GraphError` instead.
 
     The graph and the draws taken from ``rng`` are a fixed function of the
     rng's state, so callers that keep drawing from the same rng afterwards
@@ -87,6 +95,14 @@ def k_regular_graph(
                 return graph
     # Fall back to networkx's generator, which uses a smarter algorithm and
     # practically always succeeds; convert back to our structure.
+    try:
+        import networkx as nx
+    except ImportError as exc:
+        raise GraphError(
+            f"the pairing model failed {max_attempts} times for n={n}, k={k} "
+            "and its fallback, networkx.random_regular_graph, needs networkx, "
+            f"which cannot be imported ({exc})"
+        ) from exc
     nx_graph = nx.random_regular_graph(k, n, seed=rng.randrange(2**32))
     return from_networkx(nx_graph)
 
@@ -227,6 +243,8 @@ def ring_graph(n: int) -> UndirectedGraph:
 
 def to_networkx(graph: UndirectedGraph) -> nx.Graph:
     """Convert our adjacency structure into a ``networkx.Graph``."""
+    import networkx as nx
+
     nx_graph = nx.Graph()
     nx_graph.add_nodes_from(graph.nodes())
     nx_graph.add_edges_from(graph.edges())

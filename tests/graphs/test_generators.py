@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -63,6 +64,13 @@ class TestKRegular:
         assert graph.number_of_edges() == n * k // 2
         again = k_regular_graph(n, k, seed=n, max_attempts=0)
         assert again.edges() == graph.edges()
+
+    def test_missing_networkx_fallback_is_a_graph_error(self, monkeypatch):
+        # A None entry in sys.modules makes ``import networkx`` raise, so
+        # max_attempts=0 reaches a fallback that cannot load.
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        with pytest.raises(GraphError, match="networkx"):
+            k_regular_graph(10, 3, seed=10, max_attempts=0)
 
 
 def _fingerprint(graph):

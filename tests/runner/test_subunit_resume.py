@@ -22,12 +22,14 @@ The PR 9 contract, each clause locked by a differential against a clean run:
 
 from __future__ import annotations
 
+import base64
 import glob
 import json
 import os
 import subprocess
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import pytest
@@ -211,6 +213,44 @@ class TestMidUnitResume:
             resumed = _run(journal=path, resume=True)
         assert resumed.unit_metrics == clean.unit_metrics
         assert resumed.checkpoints_replayed > 0
+
+
+class TestAccumulatorPayload:
+    """The journaled ``(ecc, totals)`` encoding across zlib levels."""
+
+    @pytest.fixture
+    def shard(self):
+        from repro.graphs import fast
+        from repro.graphs.generators import k_regular_graph
+
+        csr = fast.build_csr(k_regular_graph(300, 6, seed=3))
+        return fast.accumulate_path_shard(csr, np.arange(0, 300, 7))
+
+    def test_level_six_payload_still_decodes(self, shard):
+        # Journals written before the encoder moved to level 1 hold level 6.
+        from repro.graphs import fast
+
+        state = {
+            name: base64.b64encode(
+                zlib.compress(np.ascontiguousarray(array, dtype="<i8").tobytes(), 6)
+            ).decode("ascii")
+            for name, array in zip(("ecc", "totals"), shard)
+        }
+        ecc, totals = fast.deserialize_accumulators(state, shard[0].size)
+        assert ecc.tolist() == shard[0].tolist()
+        assert totals.tolist() == shard[1].tolist()
+
+    def test_encoder_writes_level_one_and_round_trips(self, shard):
+        from repro.graphs import fast
+
+        state = fast.serialize_accumulators(*shard)
+        for payload in state.values():
+            # FLEVEL, the top two bits of the zlib header's second byte,
+            # is 0 only for level 1 ("fastest").
+            assert base64.b64decode(payload)[1] >> 6 == 0
+        ecc, totals = fast.deserialize_accumulators(state, shard[0].size)
+        assert ecc.tolist() == shard[0].tolist()
+        assert totals.tolist() == shard[1].tolist()
 
 
 class TestParentWatchdog:
