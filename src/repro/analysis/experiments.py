@@ -120,7 +120,7 @@ def run_fig4_centrality(
     engine's symmetric per-node accumulation makes that affordable well past
     the paper's 5000 nodes (it is the default of the ``resilience-at-scale``
     runner scenario at 100k), while the sampled default keeps the pure-Python
-    reference path quick for small-n sweeps.
+    reference backend quick for small-n sweeps.
     """
     results: List[Fig4Result] = []
     for degree in degrees:

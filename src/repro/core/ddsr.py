@@ -431,9 +431,8 @@ class DDSROverlay:
     def connectivity_summary(self) -> "tuple[int, float]":
         """``(component_count, largest_component_fraction)`` of the overlay.
 
-        Routed through :mod:`repro.graphs.backend`, so paper-scale sweeps get
-        the vectorized CSR kernels while small overlays keep the pure-Python
-        reference path.
+        Routed through :mod:`repro.graphs.backend`: the vectorized CSR kernels
+        whenever numpy >= 2.0 imports, else the pure-Python reference.
         """
         from repro.graphs.backend import component_summary
 

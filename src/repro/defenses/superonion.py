@@ -256,7 +256,9 @@ class SuperOnionNetwork:
         for round_index in range(1, rounds + 1):
             # --- attacker phase -------------------------------------------------
             attacked = 0
-            for target in list(known):
+            # Sorted: set order of strings follows PYTHONHASHSEED, and the
+            # targets picked (hence every clone and rng draw) must not.
+            for target in sorted(known, key=str):
                 if attacked >= targets_per_round:
                     break
                 if target not in self.overlay.graph:

@@ -12,17 +12,18 @@ to node deletions.  This package provides:
   Barabasi--Albert generators plus conversion to/from ``networkx``.  The
   package itself needs neither ``networkx`` (imported only by the
   converters and the k-regular generator's last-resort fallback) nor
-  ``numpy`` (which enables the ``fast`` backend) nor a C compiler (which
-  builds the compiled kernels; without one, Python twins give the same
-  results).
+  ``numpy`` (numpy >= 2.0 enables the ``fast`` backend) nor a C compiler
+  (which builds the compiled kernels; without one, Python twins give the
+  same results).
 * :mod:`~repro.graphs.metrics` -- our own BFS-based implementations of every
   metric the paper reports (cross-checked against ``networkx`` in the tests),
   including sampled estimators that make 5000--15000-node sweeps tractable.
 * :mod:`~repro.graphs.fast` -- vectorized CSR (numpy) twins of every metric
   kernel, differential-tested to return results identical to ``metrics``.
 * :mod:`~repro.graphs.backend` -- backend selection (``python`` / ``fast`` /
-  ``auto`` by graph size, ``REPRO_GRAPH_BACKEND``) and the dispatchers the
-  overlay, adversary and experiment layers call.
+  ``auto``, which is fast whenever numpy >= 2.0 imports;
+  ``REPRO_GRAPH_BACKEND``) and the dispatchers the overlay, adversary and
+  experiment layers call.
 * :mod:`~repro.graphs.partition` -- connected-component and partition-threshold
   analysis used by Figure 6.
 """

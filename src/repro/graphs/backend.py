@@ -17,14 +17,14 @@ the dispatchers below and pick up whichever backend is active:
     backend.use("fast")                    # force, process-wide
     with backend.using("python"):          # force, scoped
         ...
-    backend.use("auto")                    # default: fast iff the graph is
-                                           # large enough and numpy imports
+    backend.use("auto")                    # default: fast iff numpy >= 2.0
+                                           # imports
 
 The ``REPRO_GRAPH_BACKEND`` environment variable (``python`` / ``fast`` /
 ``auto``) supplies the initial policy; :func:`use` overrides it at runtime.
-Under ``auto`` the choice is made per call from the graph's size, so small
-graphs keep the zero-overhead reference path while resilience sweeps at
-paper scale and beyond get the CSR kernels transparently.
+``auto`` has one rule: the CSR kernels whenever :func:`fast_available`, the
+reference otherwise -- whatever the graph's size.  ``python`` stays the
+oracle switch the differential tests flip.
 
 A second, independent knob controls the fast backend's multi-source BFS
 wave width (sources advanced per bit-packed wave).  ``REPRO_BFS_BATCH``
@@ -56,16 +56,6 @@ BACKENDS = ("python", "fast", "auto")
 #: to whole 64-bit frontier words by the kernel).
 BFS_BATCH_ENV_VAR = "REPRO_BFS_BATCH"
 
-#: Set truthy to force the fast backend's byte-LUT row-popcount kernel even
-#: when ``np.bitwise_count`` exists (the numpy < 2.0 fallback, kept honest
-#: by a dedicated CI job).  Parsed here -- without importing numpy -- so the
-#: runner's cache keys can cover it on any install.
-POPCOUNT_LUT_ENV_VAR = "REPRO_FORCE_POPCOUNT_LUT"
-
-#: Under ``auto``, graphs with at least this many nodes use the fast backend.
-#: Below it the numpy fixed costs rival the pure-Python BFS runtime.
-AUTO_THRESHOLD = 2048
-
 _forced: Optional[str] = None
 _forced_bfs_batch: "Optional[object]" = None  # None | "auto" | int >= 1
 
@@ -89,12 +79,18 @@ def _validate(name: str, *, source: str = "") -> str:
 
 
 def fast_available() -> bool:
-    """Whether the vectorized backend can be used (numpy imports)."""
+    """Whether the vectorized backend can be used: numpy >= 2.0 imports.
+
+    The fast kernels count frontier bits with ``np.bitwise_count``, which
+    numpy 2.0 introduced; an older numpy leaves the reference path.
+    """
     try:
+        import numpy as np
+
         import repro.graphs.fast  # noqa: F401
     except ImportError:
         return False
-    return True
+    return hasattr(np, "bitwise_count")
 
 
 def use(name: Optional[str]) -> Optional[str]:
@@ -198,39 +194,17 @@ def bfs_batch_policy():
     return "auto"
 
 
-def popcount_lut_forced() -> bool:
-    """Whether :data:`POPCOUNT_LUT_ENV_VAR` forces the LUT popcount kernel.
-
-    Raises :class:`BackendError` (a :class:`~repro.core.errors.ConfigError`)
-    for unrecognised values -- a kernel-selection typo must fail loudly, not
-    silently pick a path.  :func:`repro.graphs.fast.configure_popcount`
-    consumes this; it also feeds the runner's cache keys, so it deliberately
-    avoids importing numpy.
-    """
-    raw = os.environ.get(POPCOUNT_LUT_ENV_VAR, "").strip().lower()
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("", "0", "false", "no", "off"):
-        return False
-    raise BackendError(
-        f"invalid {POPCOUNT_LUT_ENV_VAR}={raw!r}; expected 1/true/yes/on "
-        "to force the LUT popcount fallback, or 0/false/no/off/unset"
-    )
-
-
 def resolve_for(graph: UndirectedGraph) -> str:
     """The backend a metric call on ``graph`` will use right now."""
     active = policy()
     if active == "python":
         return "python"
+    if fast_available():
+        return "fast"
     if active == "fast":
-        if not fast_available():
-            raise BackendError(
-                "graph backend forced to 'fast' but numpy is not importable"
-            )
-        return "fast"
-    if graph.number_of_nodes() >= AUTO_THRESHOLD and fast_available():
-        return "fast"
+        raise BackendError(
+            "graph backend forced to 'fast' but numpy >= 2.0 is not importable"
+        )
     return "python"
 
 

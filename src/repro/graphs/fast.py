@@ -38,6 +38,10 @@ float ones (the float expressions deliberately mirror the reference
 implementation's evaluation order, and sampled estimators consume a shared
 ``random.Random`` in exactly the same way).
 
+The module needs numpy >= 2.0: per-node row popcounts use
+``np.bitwise_count``.  :func:`repro.graphs.backend.fast_available` checks
+for it, so an older numpy leaves every dispatch on the reference path.
+
 The CSR mirror is cached on the graph object, keyed on the graph's mutation
 stamp; on a stamp mismatch :func:`csr_of` rebuilds it from scratch with
 :func:`build_csr`.  Every snapshot is therefore compact: index ``i`` is the
@@ -343,8 +347,7 @@ def _compiled_waves(
         if tel.enabled:
             # The kernel counts with the compiler's popcount builtin (the
             # POPCNT instruction where the CPU has it, else the portable
-            # libgcc routine; same counts), not with the numpy row popcount
-            # that configure_popcount selects.
+            # libgcc routine; same counts), not with np.bitwise_count.
             tel.gauge("wave.popcount_backend", "builtin")
             levels, dense, sparse, rows = tallies.tolist()
             for name, value in (
@@ -380,7 +383,7 @@ def _dense_wave(csr: CSRGraph, sources: np.ndarray):
     # branch of the wave depends on a collected value.
     rec = tel.enabled
     if rec:
-        tel.gauge("wave.popcount_backend", _POPCOUNT_BACKEND)
+        tel.gauge("wave.popcount_backend", "native")
         tel.count("wave.count")
         tel.count("wave.sources", int(batch))
         tel.count(f"wave.words.{words}")
@@ -458,62 +461,19 @@ def _frontier_bit_counts(words: np.ndarray, batch: int) -> np.ndarray:
     return counts[:batch]
 
 
-#: Per-byte popcount table backing the LUT row-popcount path (the only path
-#: on numpy < 2.0, and force-selectable for testing on numpy >= 2.0).
-_BYTE_POPCOUNT = _BYTE_BITS.sum(axis=1)
-
-#: Set to ``1`` (or ``true``/``yes``/``on``) to force the byte-LUT popcount
-#: path even when ``np.bitwise_count`` exists -- the CI job that keeps the
-#: numpy < 2.0 fallback honest runs the wave-engine matrix under this flag.
-#: The canonical definition (and numpy-free parser) live in
-#: :mod:`repro.graphs.backend` so the runner's cache keys can cover it.
-POPCOUNT_LUT_ENV_VAR = "REPRO_FORCE_POPCOUNT_LUT"
-
-
-def _row_popcounts_lut(words: np.ndarray) -> np.ndarray:
-    """Per-row popcount of a packed level via the byte lookup table."""
-    return _BYTE_POPCOUNT[_le_bytes(words)].sum(axis=1)
-
-
-if hasattr(np, "bitwise_count"):
-
-    def _row_popcounts_native(words: np.ndarray) -> np.ndarray:
-        """Per-row popcount of a packed level via ``np.bitwise_count``."""
-        return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-
-else:  # pragma: no cover - numpy < 2.0
-    _row_popcounts_native = None
+def _row_popcounts(words: np.ndarray) -> np.ndarray:
+    """Per-row popcount of a packed level via ``np.bitwise_count``."""
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
 
 def configure_popcount() -> str:
-    """(Re)select the row-popcount kernel; returns ``"native"`` or ``"lut"``.
+    """The numpy wave's row-popcount kernel: always ``"native"``.
 
-    Reads :data:`POPCOUNT_LUT_ENV_VAR` and rebinds the module-level
-    ``_row_popcounts`` used by the numpy wave's per-node accumulation (the
-    compiled kernel counts with the compiler's builtin).  Called once at
-    import; tests and
-    long-lived processes that flip the variable call it again.  An
-    unrecognised value raises :class:`~repro.core.errors.ConfigError` rather
-    than silently picking a path.
+    ``np.bitwise_count`` is the only kernel (the fast backend requires
+    numpy >= 2.0).  Kept solely because ``perfbench/run.py``'s machine
+    fingerprint calls it; drop it once that call goes.
     """
-    global _row_popcounts, _POPCOUNT_BACKEND
-    from repro.graphs import backend
-
-    if backend.popcount_lut_forced() or _row_popcounts_native is None:
-        _row_popcounts = _row_popcounts_lut
-        _POPCOUNT_BACKEND = "lut"
-    else:
-        _row_popcounts = _row_popcounts_native
-        _POPCOUNT_BACKEND = "native"
-    return _POPCOUNT_BACKEND
-
-
-#: The active per-row popcount kernel (rebindable via
-#: :func:`configure_popcount`); both choices return identical int64 counts.
-#: ``_POPCOUNT_BACKEND`` names the selection for the telemetry layer.
-_row_popcounts = _row_popcounts_lut
-_POPCOUNT_BACKEND = "lut"
-configure_popcount()
+    return "native"
 
 
 def _source_stats(

@@ -543,7 +543,7 @@ def sharded_full_path_metrics(
     if not backend.fast_available():
         raise backend.BackendError(
             "sharded full-population path metrics need the fast graph "
-            "backend, but numpy is not importable"
+            "backend, but numpy >= 2.0 is not importable"
         )
     scope = journal_mod.active_unit_scope()
     if workers == 1 and scope is None:

@@ -3,8 +3,8 @@
 A journal is one append-only JSONL file per campaign.  The first line is a
 **header** pinning everything that determines the campaign's output -- the
 resolved spec hash, scenario name and version, master seed, trials, unit
-count, and the active execution environment (graph backend / wave width /
-popcount policy, the same knobs :meth:`repro.runner.spec.WorkUnit.key_material`
+count, and the active execution environment (graph backend and wave-width
+policy, the same knobs :meth:`repro.runner.spec.WorkUnit.key_material`
 folds into cache keys).  Every completed work unit appends one
 ``{"unit": index, "metrics": {...}}`` record (flushed immediately, so a
 SIGKILL mid-campaign loses at most the record in flight), and a finished
@@ -120,7 +120,6 @@ def environment_pins() -> Dict[str, Any]:
     return {
         "graph_backend": backend.policy(),
         "bfs_batch": backend.bfs_batch_policy(),
-        "popcount_lut": backend.popcount_lut_forced(),
     }
 
 
@@ -150,6 +149,8 @@ def _header_mismatches(recorded: Mapping[str, Any], header: Mapping[str, Any]):
 
     The ``journal`` schema tag is compared separately (v1 journals resume
     under v2 code); every identity/environment field must match exactly.
+    Only ``header``'s fields count, so a journal carrying a pin this code no
+    longer writes still resumes.
     """
     return sorted(
         key

@@ -235,6 +235,7 @@ def hsdir_interception(*, seed: int, relays: int) -> Dict[str, float]:
 @scenario(
     name="superonion-vs-soap",
     description="SuperOnion hosts vs a basic overlay of equal size under SOAP",
+    version="2",
     defaults={
         "hosts": 5,
         "virtual_per_host": 3,

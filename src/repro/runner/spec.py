@@ -36,13 +36,12 @@ class WorkUnit:
         """The canonical string the cache key is hashed from.
 
         Besides the unit's own identity this covers the *active execution
-        environment* -- the graph-backend policy, the BFS wave-width
-        override and the forced-LUT popcount flag -- so a result computed
-        under ``REPRO_GRAPH_BACKEND=python`` is never served to a
-        ``fast``-backend invocation (or vice versa), and a run under a
-        forced wave width or popcount kernel never masks the default one.
-        The backends and kernels are contractually bit-identical, but the
-        cache must not *assume* the contract it exists to help verify.
+        environment* -- the graph-backend policy and the BFS wave-width
+        override -- so a result computed under ``REPRO_GRAPH_BACKEND=python``
+        is never served to a ``fast``-backend invocation (or vice versa), and
+        a run under a forced wave width never masks the default one.  The
+        backends are contractually bit-identical, but the cache must not
+        *assume* the contract it exists to help verify.
         """
         from repro.graphs import backend
 
@@ -55,7 +54,6 @@ class WorkUnit:
                 f"seed={self.seed}",
                 f"graph_backend={backend.policy()}",
                 f"bfs_batch={backend.bfs_batch_policy()}",
-                f"popcount_lut={backend.popcount_lut_forced()}",
             ]
         )
 

@@ -150,6 +150,7 @@ class TestGradualPathMetrics:
         assert final.connected_components == summary["components"]
 
     def test_exact_path_metrics_identical_across_backends(self):
+        pytest.importorskip("numpy")
         from repro.graphs import backend
 
         def run():

@@ -212,6 +212,7 @@ class TestPathMetricSummary:
         assert summary["avg_closeness"] == backend.average_closeness_centrality(working)
 
     def test_summary_identical_across_backends(self):
+        pytest.importorskip("numpy")
         import random
 
         from repro.graphs import backend
@@ -236,6 +237,7 @@ class TestPathMetricSummary:
 
     def test_exact_summary_matches_full_path_metrics(self):
         """sample_size=None routes through the one-campaign exact kernel."""
+        pytest.importorskip("numpy")
         import random
 
         from repro.graphs import backend

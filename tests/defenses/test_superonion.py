@@ -84,3 +84,34 @@ class TestSurvivalUnderSoap:
         result = network.withstand_soap(attack, rounds=3, targets_per_round=1)
         assert all(0.0 <= fraction <= 1.0 for _, fraction in result.survival_timeline)
         assert result.hosts_total == 4
+
+
+#: One ``superonion-vs-soap`` campaign, its unit rows printed as JSON.
+_CAMPAIGN = (
+    "import json\n"
+    "from repro.runner.executor import run_scenario\n"
+    "result = run_scenario('superonion-vs-soap', trials=4, seed=0)\n"
+    "print(json.dumps(result.unit_metrics, sort_keys=True))\n"
+)
+
+
+def test_superonion_vs_soap_rows_do_not_depend_on_the_hash_seed():
+    """String-set iteration order follows ``PYTHONHASHSEED``; the targets
+    the attacker picks, and so every row, must not."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    rows = []
+    for hash_seed in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env.update(PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        done = subprocess.run(
+            [sys.executable, "-c", _CAMPAIGN],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        rows.append(done.stdout)
+    assert rows[0] == rows[1]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -634,16 +635,48 @@ def test_backend_env_var_selection(monkeypatch):
         backend.use(previous)
 
 
-def test_backend_auto_picks_by_size(monkeypatch):
+def test_backend_auto_picks_fast_iff_available(monkeypatch):
+    """``auto`` is fast whenever numpy >= 2.0 imports, whatever the size."""
     previous = backend.use("auto")
     try:
         monkeypatch.delenv(backend.ENV_VAR, raising=False)
-        small = ring_graph(8)
-        assert backend.resolve_for(small) == "python"
-        big = UndirectedGraph(nodes=range(backend.AUTO_THRESHOLD))
-        assert backend.resolve_for(big) == "fast"
+        assert backend.fast_available()
+        for graph in (UndirectedGraph(), ring_graph(8), k_regular_graph(300, 4, seed=3)):
+            assert backend.resolve_for(graph) == "fast"
     finally:
         backend.use(previous)
+
+
+def test_backend_auto_without_bitwise_count_is_python(monkeypatch):
+    """numpy < 2.0 (no ``np.bitwise_count``): ``auto`` keeps the reference,
+    and a forced ``fast`` fails loudly instead of degrading."""
+    monkeypatch.delattr(np, "bitwise_count")
+    assert not backend.fast_available()
+    graph = ring_graph(8)
+    with backend.using("auto"):
+        assert backend.resolve_for(graph) == "python"
+        assert backend.diameter(graph) == metrics.diameter(graph)
+    with backend.using("fast"):
+        with pytest.raises(backend.BackendError, match="numpy >= 2.0"):
+            backend.resolve_for(graph)
+
+
+def test_backend_auto_without_numpy_is_python(monkeypatch):
+    """No numpy at all: ``auto`` runs the reference, with the same results."""
+    graph = _two_rings_and_dust()
+    expected = metrics.full_path_metrics(graph)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert not backend.fast_available()
+    with backend.using("auto"):
+        assert backend.resolve_for(graph) == "python"
+        assert backend.full_path_metrics(graph) == expected
+
+
+def test_backend_forced_fast_without_numpy_raises(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with backend.using("fast"):
+        with pytest.raises(backend.BackendError, match="numpy >= 2.0"):
+            backend.diameter(ring_graph(8))
 
 
 def test_backend_rejects_unknown_name():

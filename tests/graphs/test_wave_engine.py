@@ -34,8 +34,8 @@ from repro.obs import telemetry
 FULL_POPULATION_GOLDEN_800 = 0.24697170483624897
 
 #: Sampled (96 sources) and full-population mean closeness on
-#: ``k_regular_graph(2500, 10, seed=77)`` -- a graph past ``AUTO_THRESHOLD``,
-#: so the ``auto`` policy routes it through the wave engine.
+#: ``k_regular_graph(2500, 10, seed=77)`` -- pinned through the dispatcher
+#: under both backends.
 SAMPLED_GOLDEN_2500 = 0.2712470362069424
 FULL_POPULATION_GOLDEN_2500 = 0.27123199657863245
 
@@ -278,9 +278,8 @@ def test_full_population_closeness_golden_both_backends():
 
 
 def test_autosized_graph_goldens_both_backends():
-    """Past AUTO_THRESHOLD the dispatcher itself must hit the same goldens."""
+    """The dispatcher itself must hit the same goldens on both backends."""
     graph = k_regular_graph(2500, 10, seed=77)
-    assert graph.number_of_nodes() >= backend.AUTO_THRESHOLD
     with backend.using("python"):
         assert backend.average_closeness_centrality(
             graph, sample_size=96, rng=random.Random(5)
@@ -336,8 +335,7 @@ FULL_PATH_GOLDEN_800 = {
 }
 
 #: Exact full-population path metrics of ``k_regular_graph(2500, 10, seed=77)``
-#: (past ``AUTO_THRESHOLD``; ``avg_closeness`` matches
-#: :data:`FULL_POPULATION_GOLDEN_2500`).
+#: (``avg_closeness`` matches :data:`FULL_POPULATION_GOLDEN_2500`).
 FULL_PATH_GOLDEN_2500 = {
     "components": 1,
     "largest_fraction": 1.0,
@@ -354,9 +352,9 @@ def test_full_path_metrics_golden_both_backends():
 
 
 def test_full_path_metrics_autosized_golden():
-    """Past AUTO_THRESHOLD the dispatcher itself must hit the same golden."""
+    """The dispatcher itself must hit the same golden under ``auto`` (the
+    fast backend) and under the reference."""
     graph = k_regular_graph(2500, 10, seed=77)
-    assert graph.number_of_nodes() >= backend.AUTO_THRESHOLD
     assert backend.full_path_metrics(graph) == FULL_PATH_GOLDEN_2500
     with backend.using("python"):
         assert backend.full_path_metrics(graph) == FULL_PATH_GOLDEN_2500

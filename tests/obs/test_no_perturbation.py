@@ -37,15 +37,11 @@ class TestWaveCampaignDifferential:
         assert snap["wave.levels"] >= 1
         dispatch = sum(v for k, v in snap.items() if k.startswith("wave.dispatch."))
         assert dispatch == snap["wave.levels"]
-        # The engine that counted: the kernel's builtin, else numpy's pick.
+        # The engine that counted: the kernel's builtin, else numpy's.
         from repro.graphs import _wavekernel
 
         backend_gauge = collector.snapshot()["gauges"]["wave.popcount_backend"]
-        if _wavekernel.load() is not None:
-            assert backend_gauge == "builtin"
-        else:
-            assert backend_gauge in ("native", "lut")
-            assert backend_gauge == fast._POPCOUNT_BACKEND
+        assert backend_gauge == ("native" if _wavekernel.load() is None else "builtin")
 
     def test_closeness_campaign_identical_and_csr_cache_observed(self):
         import random

@@ -75,19 +75,6 @@ class TestCacheKeying:
         monkeypatch.setenv(backend.BFS_BATCH_ENV_VAR, "256")
         assert unit.cache_key("1") != forced_key
 
-    def test_key_covers_popcount_lut_flag(self, monkeypatch):
-        from repro.graphs import backend
-
-        unit = unit_of(ScenarioSpec(name="s", params={"n": 10}))
-        # Pin both states explicitly: the ambient environment may already
-        # force the LUT (the dedicated CI job runs this suite that way).
-        monkeypatch.setenv(backend.POPCOUNT_LUT_ENV_VAR, "0")
-        native_key = unit.cache_key("1")
-        monkeypatch.setenv(backend.POPCOUNT_LUT_ENV_VAR, "1")
-        assert unit.cache_key("1") != native_key
-        monkeypatch.delenv(backend.POPCOUNT_LUT_ENV_VAR)
-        assert unit.cache_key("1") == native_key  # unset == explicit off
-
     def test_invalid_backend_env_raises_not_silently_falls_back(self, monkeypatch):
         import pytest
 

@@ -73,7 +73,7 @@ class TestJournalFile:
         assert header["journal"] == JOURNAL_SCHEMA
         for key in (
             "scenario", "version", "spec_hash", "seed", "trials", "units",
-            "graph_backend", "bfs_batch", "popcount_lut",
+            "graph_backend", "bfs_batch",
         ):
             assert key in header
 
@@ -145,6 +145,20 @@ class TestJournalV2:
         replay = journal.resume_state(_header())
         assert replay == {1: {"m": 2.0}}
         assert journal.checkpoints == {}
+
+    def test_journal_with_a_retired_environment_pin_still_resumes(self, tmp_path):
+        """A header written by code that pinned one more environment knob
+        carries an extra field; only the current header's fields are
+        compared, so such a journal resumes and inspects as resumable."""
+        path = tmp_path / "j.jsonl"
+        header = dict(_header(), retired_knob=False)
+        with path.open("w", encoding="utf-8") as handle:
+            handle.write(json.dumps(header) + "\n")
+            handle.write(json.dumps({"unit": 0, "metrics": {"m": 1.0}}) + "\n")
+        assert CampaignJournal(path).resume_state(_header()) == {0: {"m": 1.0}}
+        info = journal_mod.inspect(path)
+        assert info["environment_mismatches"] == []
+        assert info["resumable"]
 
     def test_unknown_schema_is_rejected(self, tmp_path):
         path = tmp_path / "j.jsonl"

@@ -7,7 +7,7 @@ The PR 9 contract, each clause locked by a differential against a clean run:
   incomplete checkpoint shard -- the journal's ``ckpt`` records replay
   (``runner.journal.ckpt_replayed``) instead of recomputing, and the final
   aggregates are **bit-identical** to an uninterrupted run, under
-  backend-auto, forced-fast and the forced popcount-LUT matrix alike;
+  backend-auto and forced-fast alike;
 * an in-parent ``hang`` -- in the serial unit loop, its per-unit
   bookkeeping, or units the pool handed back after they used up their
   attempts -- is bounded by the parent watchdog (``REPRO_TASK_TIMEOUT``):
@@ -70,31 +70,17 @@ def _clean_plane(monkeypatch):
 #: (initial + 3): enough sub-unit structure for mid-unit interruption.
 PARAMS = {"n": 300, "checkpoints": 3, "metric_sample": None, "closeness_sample": None}
 
-#: Same campaign kept above the backend auto-threshold (2048) at *every*
-#: checkpoint (max_fraction 0.2 leaves 2080 of 2600 nodes), so the
-#: ``backend-auto`` matrix point resolves to the fast engine -- and its
-#: sub-unit journaling path -- for the whole takedown.
-PARAMS_AUTO = {
-    "n": 2600,
-    "checkpoints": 2,
-    "max_fraction": 0.2,
-    "metric_sample": None,
-    "closeness_sample": None,
-}
-
-#: (backend policy override, force the popcount LUT) -- the satellite matrix.
+#: Backend policy override (``None``: the ambient policy) -- the satellite
+#: matrix.
 BACKEND_MATRIX = [
-    pytest.param((None, False), id="backend-auto"),
-    pytest.param(("fast", False), id="backend-fast"),
-    pytest.param(("fast", True), id="backend-fast-lut"),
+    pytest.param(None, id="backend-auto"),
+    pytest.param("fast", id="backend-fast"),
 ]
 
 
 @pytest.fixture
-def forced_backend(request, monkeypatch):
-    policy, lut = request.param
-    if lut:
-        monkeypatch.setenv(backend.POPCOUNT_LUT_ENV_VAR, "1")
+def forced_backend(request):
+    policy = request.param
     if policy is None:
         yield
         return
@@ -109,14 +95,13 @@ def _run(params=PARAMS, **kwargs):
 class TestMidUnitResume:
     @pytest.mark.parametrize("forced_backend", BACKEND_MATRIX, indirect=True)
     def test_fault_mid_unit_resumes_bit_identically(self, forced_backend, tmp_path):
-        params = PARAMS_AUTO
-        clean = _run(params)
+        clean = _run()
         path = tmp_path / "j.jsonl"
-        # Units carry 3 checkpoints each (initial + checkpoints=2); the 3rd
-        # entry is unit 0's last, leaving two journaled shards behind it.
+        # Units carry 4 checkpoints each (initial + checkpoints=3); the 3rd
+        # entry is inside unit 0, leaving two journaled shards behind it.
         faults.install("executor.checkpoint=raise@3")
         with pytest.raises(faults.InjectedFault):
-            _run(params, journal=path)
+            _run(journal=path)
         faults.install("")
         journal = CampaignJournal(path)
         _, units, complete = journal._read()
@@ -124,12 +109,32 @@ class TestMidUnitResume:
         # The interrupted unit's completed checkpoints are on disk.
         assert journal.checkpoints, "no sub-unit checkpoint records journaled"
         with telemetry.collecting() as collector:
-            resumed = _run(params, journal=path, resume=True)
+            resumed = _run(journal=path, resume=True)
         assert resumed.unit_metrics == clean.unit_metrics
         # Proof of re-entry: journaled shards replayed instead of recomputed.
         assert resumed.checkpoints_replayed > 0
         counters = collector.snapshot()["counters"]
         assert counters["runner.journal.ckpt_replayed"] == resumed.checkpoints_replayed
+
+    def test_python_backend_resumes_at_unit_granularity(self, tmp_path):
+        """The reference engine has no sharded accumulators to journal: an
+        interrupted campaign journals whole units only, and the resume
+        replays them and stays bit-identical."""
+        path = tmp_path / "j.jsonl"
+        with backend.using("python"):
+            clean = _run()
+            faults.install("executor.unit=raise@1")  # after unit 0 is recorded
+            with pytest.raises(faults.InjectedFault):
+                _run(journal=path)
+            faults.install("")
+            journal = CampaignJournal(path)
+            _, units, complete = journal._read()
+            assert not complete and 0 in units
+            assert journal.checkpoints == {}
+            resumed = _run(journal=path, resume=True)
+        assert resumed.unit_metrics == clean.unit_metrics
+        assert resumed.replayed == 1
+        assert resumed.checkpoints_replayed == 0
 
     def test_completed_units_keep_unit_granularity_on_resume(self, tmp_path):
         """Checkpoint records of a *finished* unit are dead weight: the unit
