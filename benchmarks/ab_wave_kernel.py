@@ -10,8 +10,8 @@ A configuration is ``engine:width:mode``:
   (the kernel built from the working tree's ``wavekernel.c``) or
   ``against`` (a kernel built from the ``--against`` source, e.g. an older
   ``wavekernel.c``, into a temporary directory);
-* ``width``  -- sources per wave (``auto`` or an integer; see
-  ``REPRO_BFS_BATCH``);
+* ``width``  -- sources per wave: ``auto`` (``fast._wave_width``'s rule)
+  or an integer, substituted for ``fast._wave_width``;
 * ``mode``   -- the compiled kernel's ``adaptive``, ``dense`` or ``sparse``
   (``fast.WAVE_STEP_MODE``); the numpy wave has one mode, ``dense``.
 
@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.graphs import _wavekernel, backend, fast
+from repro.graphs import _wavekernel, fast
 from repro.graphs.generators import k_regular_graph, ring_graph
 
 DEFAULT_CONFIGS = (
@@ -107,9 +107,11 @@ def run(args, engines, configs) -> int:
     configs = [tuple(item.split(":")) for item in configs.split(",")]
     for engine, width, mode in configs:
         allowed = ("dense",) if engine == "numpy" else tuple(fast._KERNEL_MODES)
-        if engine not in engines or mode not in allowed:
+        width_ok = width == "auto" or (width.isdigit() and int(width) > 0)
+        if engine not in engines or mode not in allowed or not width_ok:
             print(f"error: unknown configuration {engine}:{width}:{mode}", file=sys.stderr)
             return 2
+    auto_width = fast._wave_width
     times = {config: [] for config in configs}
     expected = None
     for _ in range(args.rounds):
@@ -118,10 +120,12 @@ def run(args, engines, configs) -> int:
             chosen = engines[engine]
             _wavekernel.load = lambda chosen=chosen: chosen
             fast.WAVE_STEP_MODE = mode
-            with backend.using_bfs_batch(width):
-                started = time.perf_counter()
-                result = fast.accumulate_path_shard(csr, sources)
-                times[config].append(time.perf_counter() - started)
+            fast._wave_width = auto_width if width == "auto" else (
+                lambda csr, total_sources, width=int(width): width
+            )
+            started = time.perf_counter()
+            result = fast.accumulate_path_shard(csr, sources)
+            times[config].append(time.perf_counter() - started)
             if expected is None:
                 expected = result
             if not all(np.array_equal(a, b) for a, b in zip(result, expected)):

@@ -758,12 +758,16 @@ def main(argv=None) -> int:
         # Forces >64 sources through one multi-word wave and cross-checks the
         # PR 3 path bit for bit (speedups at smoke sizes are noise; identity
         # is the CI contract).
-        from repro.graphs import backend as graph_backend
+        from repro.graphs import fast
 
-        with graph_backend.using_bfs_batch(max(128, args.multiword_sources)):
+        auto_width, width = fast._wave_width, max(128, args.multiword_sources)
+        fast._wave_width = lambda csr, total_sources: width
+        try:
             entry["multiword_smoke"] = run_full_closeness_benchmark(
                 args.multiword_n, sample_size=args.multiword_sources
             )
+        finally:
+            fast._wave_width = auto_width
     if args.ring_n:
         entry["sparse_frontier"] = row = run_sparse_frontier_benchmark(args.ring_n)
         if row["speedup"] < 1.2:

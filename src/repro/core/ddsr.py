@@ -486,7 +486,7 @@ class DDSROverlay:
                 "avg_closeness": 0.0,
             }
         if sample_size is None and closeness_sample is None:
-            if backend.resolve_for(graph) == "fast":
+            if backend.resolve_for() == "fast":
                 from repro.runner.executor import sharded_full_path_metrics
                 from repro.runner.journal import active_unit_scope
 

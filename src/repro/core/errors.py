@@ -11,8 +11,8 @@ class ConfigError(BotnetError):
     """A configuration knob (environment variable, policy value) is invalid.
 
     Raised instead of silently falling back to a default, so a typo like
-    ``REPRO_BFS_BATCH=full`` or ``REPRO_GRAPH_BACKEND=numpy`` fails loudly at
-    the first affected call rather than quietly degrading performance or
+    ``REPRO_PATH_WORKERS=many`` or ``REPRO_GRAPH_BACKEND=numpy`` fails loudly
+    at the first affected call rather than quietly degrading performance or
     routing metrics through an unintended backend.
     """
 

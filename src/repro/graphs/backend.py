@@ -25,14 +25,6 @@ The ``REPRO_GRAPH_BACKEND`` environment variable (``python`` / ``fast`` /
 ``auto`` has one rule: the CSR kernels whenever :func:`fast_available`, the
 reference otherwise -- whatever the graph's size.  ``python`` stays the
 oracle switch the differential tests flip.
-
-A second, independent knob controls the fast backend's multi-source BFS
-wave width (sources advanced per bit-packed wave).  ``REPRO_BFS_BATCH``
-supplies the initial policy (``auto`` or a positive source count) and
-:func:`use_bfs_batch` / :func:`using_bfs_batch` override it at runtime;
-``auto`` gives every wave ``64 * repro.graphs.fast.WAVE_WORDS`` sources
-(fewer on graphs too large for the wave buffer budget).  Results never
-depend on the wave width -- only wall-clock time and memory do.
 """
 
 from __future__ import annotations
@@ -51,21 +43,15 @@ NodeId = Hashable
 ENV_VAR = "REPRO_GRAPH_BACKEND"
 BACKENDS = ("python", "fast", "auto")
 
-#: Environment variable seeding the multi-source BFS wave-width policy:
-#: ``auto`` (default) or a positive integer of sources per wave (rounded up
-#: to whole 64-bit frontier words by the kernel).
-BFS_BATCH_ENV_VAR = "REPRO_BFS_BATCH"
-
 _forced: Optional[str] = None
-_forced_bfs_batch: "Optional[object]" = None  # None | "auto" | int >= 1
 
 
 class BackendError(ConfigError):
     """Raised for unknown backend names, policies or unavailable backends.
 
     Subclasses :class:`repro.core.errors.ConfigError`: an invalid
-    ``REPRO_GRAPH_BACKEND`` / ``REPRO_BFS_BATCH`` value is a configuration
-    error and must fail loudly, never silently fall back to a default.
+    ``REPRO_GRAPH_BACKEND`` value is a configuration error and must fail
+    loudly, never silently fall back to a default.
     """
 
 
@@ -131,71 +117,8 @@ def policy() -> str:
     return "auto"
 
 
-# ----------------------------------------------------------------------
-# Multi-source BFS wave-width policy (threaded into repro.graphs.fast)
-# ----------------------------------------------------------------------
-def _validate_bfs_batch(value, *, source: str = ""):
-    """Normalise a wave-width policy value to ``"auto"`` or a positive int."""
-    origin = f"{source}=" if source else "BFS batch policy "
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text == "auto":
-            return "auto"
-        try:
-            value = int(text)
-        except ValueError:
-            raise BackendError(
-                f"invalid {origin}{value!r}; expected 'auto' or a "
-                "positive integer of sources per wave"
-            ) from None
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise BackendError(
-            f"invalid {origin}{value!r}; expected 'auto' or a "
-            "positive integer of sources per wave"
-        )
-    return value
-
-
-def use_bfs_batch(value) -> "Optional[object]":
-    """Force the BFS wave-width policy process-wide; returns the previous value.
-
-    ``value`` is ``"auto"`` or a positive source count per wave (the kernel
-    rounds it up to whole 64-bit frontier words).  ``None`` clears the
-    override, falling back to ``REPRO_BFS_BATCH`` (default ``auto``).  Wave
-    width never changes results -- only wall-clock time and memory -- so this
-    is a tuning knob, not a semantic switch.
-    """
-    global _forced_bfs_batch
-    previous = _forced_bfs_batch
-    _forced_bfs_batch = _validate_bfs_batch(value) if value is not None else None
-    return previous
-
-
-@contextmanager
-def using_bfs_batch(value) -> Iterator[None]:
-    """Context manager scoping a forced BFS wave-width policy."""
-    previous = use_bfs_batch(value)
-    try:
-        yield
-    finally:
-        use_bfs_batch(previous)
-
-
-def bfs_batch_policy():
-    """The active wave-width policy: forced > environment > ``"auto"``.
-
-    Returns ``"auto"`` or a positive integer of sources per wave.
-    """
-    if _forced_bfs_batch is not None:
-        return _forced_bfs_batch
-    env = os.environ.get(BFS_BATCH_ENV_VAR, "").strip()
-    if env:
-        return _validate_bfs_batch(env, source=BFS_BATCH_ENV_VAR)
-    return "auto"
-
-
-def resolve_for(graph: UndirectedGraph) -> str:
-    """The backend a metric call on ``graph`` will use right now."""
+def resolve_for() -> str:
+    """The backend a metric call will use right now."""
     active = policy()
     if active == "python":
         return "python"
@@ -208,8 +131,8 @@ def resolve_for(graph: UndirectedGraph) -> str:
     return "python"
 
 
-def _impl(graph: UndirectedGraph):
-    if resolve_for(graph) == "fast":
+def _impl():
+    if resolve_for() == "fast":
         from repro.graphs import fast
 
         return fast
@@ -221,7 +144,7 @@ def _impl(graph: UndirectedGraph):
 # ----------------------------------------------------------------------
 def shortest_path_lengths_from(graph: UndirectedGraph, source: NodeId) -> Dict[NodeId, int]:
     """BFS distances from ``source`` (active backend)."""
-    return _impl(graph).shortest_path_lengths_from(graph, source)
+    return _impl().shortest_path_lengths_from(graph, source)
 
 
 def shortest_path_lengths_from_many(
@@ -236,7 +159,7 @@ def shortest_path_lengths_from_many(
     :func:`shortest_path_lengths_from` calls would.
     """
     sources = list(sources)
-    if resolve_for(graph) == "fast":
+    if resolve_for() == "fast":
         from repro.graphs import fast
 
         return fast.shortest_path_lengths_from_many(graph, sources)
@@ -245,7 +168,7 @@ def shortest_path_lengths_from_many(
 
 def closeness_centrality(graph: UndirectedGraph, node: NodeId) -> float:
     """Normalised closeness centrality of ``node`` (active backend)."""
-    return _impl(graph).closeness_centrality(graph, node)
+    return _impl().closeness_centrality(graph, node)
 
 
 def average_closeness_centrality(
@@ -255,34 +178,34 @@ def average_closeness_centrality(
     rng: Optional[random.Random] = None,
 ) -> float:
     """Mean closeness centrality (active backend)."""
-    return _impl(graph).average_closeness_centrality(
+    return _impl().average_closeness_centrality(
         graph, sample_size=sample_size, rng=rng
     )
 
 
 def degree_centrality(graph: UndirectedGraph, node: NodeId) -> float:
     """Degree centrality of ``node`` (active backend)."""
-    return _impl(graph).degree_centrality(graph, node)
+    return _impl().degree_centrality(graph, node)
 
 
 def average_degree_centrality(graph: UndirectedGraph) -> float:
     """Mean degree centrality (active backend)."""
-    return _impl(graph).average_degree_centrality(graph)
+    return _impl().average_degree_centrality(graph)
 
 
 def connected_components(graph: UndirectedGraph) -> List[Set[NodeId]]:
     """Connected components, largest first (active backend)."""
-    return _impl(graph).connected_components(graph)
+    return _impl().connected_components(graph)
 
 
 def number_connected_components(graph: UndirectedGraph) -> int:
     """Count of connected components (active backend)."""
-    return _impl(graph).number_connected_components(graph)
+    return _impl().number_connected_components(graph)
 
 
 def largest_component_fraction(graph: UndirectedGraph) -> float:
     """Fraction of nodes in the largest component (active backend)."""
-    return _impl(graph).largest_component_fraction(graph)
+    return _impl().largest_component_fraction(graph)
 
 
 def component_summary(graph: UndirectedGraph) -> Tuple[int, int]:
@@ -291,7 +214,7 @@ def component_summary(graph: UndirectedGraph) -> Tuple[int, int]:
     Cheaper than materialising every component when only the counts matter
     (takedown summaries, checkpoint records).
     """
-    if resolve_for(graph) == "fast":
+    if resolve_for() == "fast":
         from repro.graphs import fast
 
         return fast.component_summary(graph)
@@ -309,7 +232,7 @@ def largest_component_subgraph(graph: UndirectedGraph) -> UndirectedGraph:
     instead of every metric re-deriving it.  ``UndirectedGraph.subgraph``
     orders nodes canonically, so both backends return the same subgraph.
     """
-    if resolve_for(graph) == "fast":
+    if resolve_for() == "fast":
         from repro.graphs import fast
 
         return fast.largest_component_subgraph(graph)
@@ -321,7 +244,7 @@ def largest_component_subgraph(graph: UndirectedGraph) -> UndirectedGraph:
 
 def eccentricity(graph: UndirectedGraph, node: NodeId) -> int:
     """Largest BFS distance from ``node`` (active backend)."""
-    return _impl(graph).eccentricity(graph, node)
+    return _impl().eccentricity(graph, node)
 
 
 def diameter(
@@ -338,7 +261,7 @@ def diameter(
     connected (e.g. from :func:`component_summary`) to skip the redundant
     component scan on both backends.
     """
-    return _impl(graph).diameter(
+    return _impl().diameter(
         graph,
         sample_size=sample_size,
         rng=rng,
@@ -355,7 +278,7 @@ def average_shortest_path_length(
     connected: Optional[bool] = None,
 ) -> float:
     """Mean pairwise distance, optionally sampled (active backend)."""
-    return _impl(graph).average_shortest_path_length(
+    return _impl().average_shortest_path_length(
         graph, sample_size=sample_size, rng=rng, connected=connected
     )
 
@@ -370,7 +293,7 @@ def full_path_metrics(graph: UndirectedGraph) -> Dict:
     level-weighted distance sums accumulated as the waves advance); the
     reference path runs one BFS per node.  Results are bit-identical.
     """
-    return _impl(graph).full_path_metrics(graph)
+    return _impl().full_path_metrics(graph)
 
 
 def path_length_accumulators(graph: UndirectedGraph) -> Dict:
@@ -380,12 +303,12 @@ def path_length_accumulators(graph: UndirectedGraph) -> Dict:
     ``distance_sum / reachable_count``.  Both backends return identical
     integers.
     """
-    return _impl(graph).path_length_accumulators(graph)
+    return _impl().path_length_accumulators(graph)
 
 
 def degree_histogram(graph: UndirectedGraph) -> Dict[int, int]:
     """Degree -> node-count histogram (active backend)."""
-    return _impl(graph).degree_histogram(graph)
+    return _impl().degree_histogram(graph)
 
 
 def top_degree_nodes(graph: UndirectedGraph) -> List[NodeId]:
@@ -399,7 +322,7 @@ def top_degree_nodes(graph: UndirectedGraph) -> List[NodeId]:
     """
     if graph.number_of_nodes() == 0:
         return []
-    if resolve_for(graph) == "fast":
+    if resolve_for() == "fast":
         from repro.graphs import fast
 
         return fast.top_degree_nodes(graph)
@@ -421,7 +344,7 @@ def induced_component_summary(
     subgraph and walks it with the pure-Python kernels.
     """
     keep_nodes = list(keep_nodes)
-    if resolve_for(graph) == "fast":
+    if resolve_for() == "fast":
         from repro.graphs import fast
 
         return fast.induced_component_summary(graph, keep_nodes)
@@ -444,7 +367,7 @@ def partition_summary_after_removal(
     survivor subgraph; the reference path materialises the subgraph exactly
     like :func:`repro.graphs.partition.simultaneous_deletion_survivors`.
     """
-    if resolve_for(graph) == "fast":
+    if resolve_for() == "fast":
         from repro.graphs import fast
 
         return fast.partition_summary_after_removal(graph, list(victims))

@@ -15,9 +15,8 @@ vectorized kernels over it:
   :mod:`repro.graphs._wavekernel`), which picks a dense or a sparse step per
   level; without a C compiler a plain dense numpy wave
   (:func:`_dense_wave`) returns the same integers.  Both engines share one
-  wave width (:func:`_wave_width`, overridable via ``REPRO_BFS_BATCH`` /
-  ``backend.use_bfs_batch``) and fold each level either per source -- the
-  sampled diameter / average-shortest-path / closeness estimators and
+  wave width (:func:`_wave_width`) and fold each level either per source --
+  the sampled diameter / average-shortest-path / closeness estimators and
   :func:`bfs_distances_batch` -- or per node,
 * exact full-population path metrics: per wave level the per-node row
   popcounts fold into an eccentricity *max* and a level-weighted distance
@@ -71,17 +70,17 @@ _CSR_CACHE_ATTR = "_csr_cache"
 #: width *granularity*, not a cap.
 BFS_BATCH = 64
 
-#: Frontier words per node of a wave under the ``auto`` width policy
-#: (``64 * WAVE_WORDS`` sources per wave).  Chosen by the A/B in the
-#: README's "Compiled kernel" section: wider waves amortise each neighbour
-#: gather over more sources but keep more levels on the dense step.  Two
-#: words was fastest on the 8-regular graphs of the resilience campaigns and
-#: stays within 2x of one word on rings.
+#: Frontier words per node of a wave (``64 * WAVE_WORDS`` sources per
+#: wave).  Chosen by the A/B in the README's "Compiled kernel" section:
+#: wider waves amortise each neighbour gather over more sources but keep
+#: more levels on the dense step.  Two words was fastest on the 8-regular
+#: graphs of the resilience campaigns and stays within 2x of one word on
+#: rings.
 WAVE_WORDS = 2
 
-#: Byte budget for one ``(n, words)`` uint64 wave buffer under ``auto``; the
-#: width policy drops to fewer words on huge graphs so the handful of wave
-#: buffers stays RAM-friendly.
+#: Byte budget for one ``(n, words)`` uint64 wave buffer; :func:`_wave_width`
+#: drops to fewer words on huge graphs so the handful of wave buffers stays
+#: RAM-friendly.
 WAVE_BUFFER_BUDGET = 64 << 20
 
 #: The compiled kernel's per-level step selection: ``"adaptive"`` (frontier
@@ -221,12 +220,7 @@ def bfs_distances(csr: CSRGraph, source_index: int) -> np.ndarray:
 # Multi-source BFS waves (compiled kernel, plain dense numpy fallback)
 # ----------------------------------------------------------------------
 def _wave_width(csr: CSRGraph, total_sources: int) -> int:
-    """Sources per wave: the forced policy, else ``64 * WAVE_WORDS`` in budget."""
-    from repro.graphs import backend
-
-    policy = backend.bfs_batch_policy()
-    if policy != "auto":
-        return int(policy)
+    """Sources per wave: ``64 * WAVE_WORDS``, fewer if over the buffer budget."""
     budget_words = max(1, WAVE_BUFFER_BUDGET // (8 * max(csr.n, 1)))
     return min(total_sources, BFS_BATCH * min(WAVE_WORDS, budget_words))
 

@@ -4,10 +4,10 @@ Every finished work unit is stored as one small JSON file under
 ``<root>/<scenario>/<key>.json`` where ``key`` is the SHA-256 hash of the
 unit's full identity (scenario name *and version*, canonical parameters,
 trial index, derived seed) plus the active execution environment (the
-``REPRO_GRAPH_BACKEND`` policy and the ``REPRO_BFS_BATCH`` wave-width
-override -- see :meth:`repro.runner.spec.WorkUnit.key_material`).  Because
-the key covers everything that can change the output -- and the knobs that
-*should not* but whose contract the cache must not assume -- a cache hit is
+``REPRO_GRAPH_BACKEND`` policy -- see
+:meth:`repro.runner.spec.WorkUnit.key_material`).  Because the key covers
+everything that can change the output -- and the knobs that *should not*
+but whose contract the cache must not assume -- a cache hit is
 always safe to serve, repeated runs are near-instant, and a
 partially-cached sweep only computes the missing units.
 Writes are atomic (temp file + ``os.replace``) so parallel workers and

@@ -53,7 +53,6 @@ apart:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -218,6 +217,7 @@ def _journal_path(args: argparse.Namespace, spec: ScenarioSpec) -> Optional[str]
 
 def _cmd_run(args: argparse.Namespace, grid_args: Sequence[str]) -> int:
     from repro.core.errors import ConfigError
+    from repro.obs import telemetry
     from repro.runner import faults
     from repro.runner.pool import PoolError, PoolTaskError
 
@@ -228,11 +228,9 @@ def _cmd_run(args: argparse.Namespace, grid_args: Sequence[str]) -> int:
         return EXIT_USAGE
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     progress = None if args.quiet else lambda line: print(line, file=sys.stderr)
-    telemetry_out = args.telemetry_out or os.environ.get("REPRO_TELEMETRY", "").strip() or None
+    telemetry_out = args.telemetry_out or telemetry.env_report_path()
     collector = None
     if telemetry_out:
-        from repro.obs import telemetry
-
         collector = telemetry.enable(label=f"runner:{sc.name}")
     journal = None
     try:
@@ -277,8 +275,6 @@ def _cmd_run(args: argparse.Namespace, grid_args: Sequence[str]) -> int:
         return EXIT_USAGE
     finally:
         if collector is not None:
-            from repro.obs import telemetry
-
             telemetry.disable()
 
     from repro.analysis.reporting import render_result_rows

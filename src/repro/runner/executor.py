@@ -17,10 +17,8 @@ in-process or on the invocation-wide persistent worker pool
 
 from __future__ import annotations
 
-import importlib
 import logging
 import os
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -75,54 +73,11 @@ def path_workers_policy() -> int:
 # ----------------------------------------------------------------------
 # Worker-side entry points (top-level so they pickle under any start method)
 # ----------------------------------------------------------------------
-#: Worker-side flag: whether the parent had telemetry enabled when the pool
-#: spun up.  When set, every shard runs under a fresh worker-local collector
-#: whose snapshot rides back to the parent with the shard's results.
+#: Worker-side flag: whether the parent campaign has telemetry enabled (set
+#: per task by :func:`repro.runner.pool._apply_worker_context`).  When set,
+#: every shard runs under a fresh worker-local collector whose snapshot
+#: rides back to the parent with the shard's results.
 _WORKER_TELEMETRY = {"enabled": False}
-
-
-def _worker_init(
-    src_path: str, module: str, graph_backend: str, bfs_batch, telemetry: bool = False
-) -> None:
-    """Apply parent policies inside a worker (initializer or per-task).
-
-    The persistent pool (:mod:`repro.runner.pool`) calls this per *task*
-    with ``src_path=""``: the pool outlives any one campaign, so the
-    parent's *resolved* graph-backend and wave-width policies are re-forced
-    for every shard -- forced state set via ``backend.use()`` /
-    ``use_bfs_batch()`` lives in process globals that ``spawn`` /
-    ``forkserver`` children do not inherit, and the cache keys record the
-    parent's policy, so workers must actually compute under it.  The
-    parent's telemetry state is shipped the same way (a pure observation
-    flag: it feeds no seed, parameter or cache key).  A scenario home
-    module that fails to import raises
-    :class:`~repro.core.errors.ConfigError` naming the module.
-    """
-    if src_path and src_path not in sys.path:
-        sys.path.insert(0, src_path)
-    from repro.graphs import backend
-    from repro.runner import registry
-
-    backend.use(graph_backend)
-    backend.use_bfs_batch(bfs_batch)
-    _WORKER_TELEMETRY["enabled"] = bool(telemetry)
-    registry._ensure_builtins()
-    if module and module != "__main__":
-        try:
-            importlib.import_module(module)
-        except ImportError as error:
-            # A broken scenario home must fail loudly *here*, naming the
-            # module -- not later as a baffling unknown-scenario error when
-            # the first shard tries to resolve its scenario.
-            from repro.core.errors import ConfigError
-
-            logger.exception(
-                "scenario home module %r failed to import in a worker", module
-            )
-            raise ConfigError(
-                f"scenario home module {module!r} failed to import in a "
-                f"worker: {error}"
-            ) from error
 
 
 def run_unit(scenario_name: str, module: str, params: Mapping[str, Any], seed: int) -> Dict[str, float]:
@@ -433,7 +388,6 @@ def execute(
                     ctx = {
                         "module": sc.module,
                         "backend": backend.policy(),
-                        "bfs_batch": backend.bfs_batch_policy(),
                         "telemetry": tel.enabled,
                     }
 
@@ -644,7 +598,6 @@ def sharded_full_path_metrics(
             tel.gauge("runner.path_shards", len(shards))
         ctx = {
             "backend": backend.policy(),
-            "bfs_batch": backend.bfs_batch_policy(),
             "telemetry": tel.enabled,
         }
 

@@ -3,9 +3,9 @@
 A journal is one append-only JSONL file per campaign.  The first line is a
 **header** pinning everything that determines the campaign's output -- the
 resolved spec hash, scenario name and version, master seed, trials, unit
-count, and the active execution environment (graph backend and wave-width
-policy, the same knobs :meth:`repro.runner.spec.WorkUnit.key_material`
-folds into cache keys).  Every completed work unit appends one
+count, and the active execution environment (:func:`environment_pins`,
+the same settings :meth:`repro.runner.spec.WorkUnit.key_material` folds
+into cache keys).  Every completed work unit appends one
 ``{"unit": index, "metrics": {...}}`` record (flushed immediately, so a
 SIGKILL mid-campaign loses at most the record in flight), and a finished
 campaign appends a ``{"complete": true}`` marker.
@@ -39,7 +39,7 @@ campaign: a journal append the filesystem refuses (``ENOSPC``, read-only
 root...) logs one warning, counts ``runner.journal.write_failed`` and
 degrades the rest of the campaign to un-journaled execution -- mirroring
 :meth:`repro.runner.cache.ResultCache.put` -- and an oversized checkpoint
-state (above :func:`state_limit_policy`) is dropped with a logged fallback
+state (above :data:`STATE_LIMIT`) is dropped with a logged fallback
 to unit-granularity journaling instead of bloating the journal.
 
 One writer per journal: :meth:`CampaignJournal.open` takes an exclusive,
@@ -74,53 +74,23 @@ JOURNAL_SCHEMA_V1 = "repro.runner/journal.v1"
 #: Every schema the loader accepts.
 ACCEPTED_SCHEMAS = (JOURNAL_SCHEMA, JOURNAL_SCHEMA_V1)
 
-#: Per-record byte budget for serialized checkpoint state
-#: (:func:`state_limit_policy` override).  A 1M-node checkpoint shard is a
-#: few MB compressed; anything past this cap falls back -- loudly -- to
-#: unit-granularity journaling rather than ballooning the journal file.
-STATE_LIMIT_ENV_VAR = "REPRO_JOURNAL_STATE_LIMIT"
-
-#: Default checkpoint-state cap in bytes (64 MiB).
-DEFAULT_STATE_LIMIT = 64 * 1024 * 1024
-
-
-def state_limit_policy() -> int:
-    """Max encoded bytes of one checkpoint-state record (default 64 MiB).
-
-    Parses :data:`STATE_LIMIT_ENV_VAR`; an invalid value raises
-    :class:`repro.core.errors.ConfigError` instead of silently journaling
-    unbounded state.
-    """
-    raw = os.environ.get(STATE_LIMIT_ENV_VAR, "").strip()
-    if not raw:
-        return DEFAULT_STATE_LIMIT
-    from repro.core.errors import ConfigError
-
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ConfigError(
-            f"invalid {STATE_LIMIT_ENV_VAR}={raw!r}; expected a positive "
-            "integer byte budget"
-        )
-    return value
+#: Per-record byte budget for serialized checkpoint state (64 MiB).  A
+#: 1M-node checkpoint shard is a few MB compressed; anything past this cap
+#: falls back -- loudly -- to unit-granularity journaling rather than
+#: ballooning the journal file.
+STATE_LIMIT = 64 * 1024 * 1024
 
 
 def environment_pins() -> Dict[str, Any]:
-    """The execution-environment fields pinned into every journal header.
+    """The execution-environment settings that could change a result.
 
-    The same knobs :meth:`repro.runner.spec.WorkUnit.key_material` folds
-    into cache keys: anything that could change a recorded value must
-    refuse to replay under a different setting.
+    The one list of them: every journal header pins these fields and
+    :meth:`repro.runner.spec.WorkUnit.key_material` folds them into cache
+    keys, so a result never replays under a different setting.
     """
     from repro.graphs import backend
 
-    return {
-        "graph_backend": backend.policy(),
-        "bfs_batch": backend.bfs_batch_policy(),
-    }
+    return {"graph_backend": backend.policy()}
 
 
 def journal_header(spec, version: str, unit_count: int) -> Dict[str, Any]:
@@ -458,7 +428,7 @@ class CampaignJournal:
 
         ``state`` maps accumulator names to encoded payloads
         (:func:`repro.graphs.fast.serialize_accumulators`).  Oversized
-        states (past :func:`state_limit_policy`) are not written: the
+        states (past :data:`STATE_LIMIT`) are not written: the
         fallback to unit-granularity journaling is logged and counted
         (``runner.journal.ckpt_oversize``), because an interrupted unit
         that silently stopped checkpointing would look resumable-at-shard
@@ -467,18 +437,17 @@ class CampaignJournal:
         if self._handle is None:
             return False
         encoded_size = sum(len(value) for value in state.values())
-        if encoded_size > state_limit_policy():
+        if encoded_size > STATE_LIMIT:
             _telemetry().count("runner.journal.ckpt_oversize")
             logger.warning(
                 "journal %s: checkpoint state for unit %d seq %d is %d "
-                "bytes (limit %d, %s); falling back to unit-granularity "
+                "bytes (limit %d); falling back to unit-granularity "
                 "journaling for this checkpoint",
                 self.path,
                 unit,
                 seq,
                 encoded_size,
-                state_limit_policy(),
-                STATE_LIMIT_ENV_VAR,
+                STATE_LIMIT,
             )
             return False
         written = self._append(

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import _thread
 import atexit
+import importlib
 import logging
 import os
 import signal
@@ -315,8 +316,8 @@ _MAX_MIRRORS = MAX_PUBLICATIONS
 def _pool_worker_boot(src_path: str) -> None:
     """Pool initializer: make ``repro`` importable and warm the registry.
 
-    Deliberately minimal -- everything policy-like (graph backend, wave
-    width, telemetry, scenario home module) arrives *per task* via
+    Deliberately minimal -- everything policy-like (graph backend,
+    telemetry, scenario home module) arrives *per task* via
     :func:`_apply_worker_context`, because a persistent pool outlives any
     single campaign's policies.
     """
@@ -330,17 +331,44 @@ def _pool_worker_boot(src_path: str) -> None:
 
 
 def _apply_worker_context(ctx: Dict[str, Any]) -> None:
-    """Re-force the parent's per-campaign policies inside the worker."""
-    from repro.runner import executor
+    """Re-force the parent's per-campaign policies inside the worker.
 
-    executor._worker_init(
-        "", ctx.get("module", ""), ctx["backend"], ctx["bfs_batch"], ctx["telemetry"]
-    )
+    The pool outlives any one campaign, so the parent's *resolved* graph
+    backend is re-forced for every task: ``backend.use()`` lives in process
+    globals that ``spawn`` / ``forkserver`` children do not inherit, and the
+    cache keys record the parent's policy, so workers must actually compute
+    under it.  The parent's telemetry state ships the same way (a pure
+    observation flag: it feeds no seed, parameter or cache key).  A scenario
+    home module that fails to import raises
+    :class:`~repro.core.errors.ConfigError` naming the module.
+    """
+    from repro.graphs import backend
+    from repro.obs import telemetry
+    from repro.runner import executor, registry
+
+    backend.use(ctx["backend"])
+    executor._WORKER_TELEMETRY["enabled"] = bool(ctx["telemetry"])
+    registry._ensure_builtins()
+    module = ctx.get("module", "")
+    if module and module != "__main__":
+        try:
+            importlib.import_module(module)
+        except ImportError as error:
+            # A broken scenario home must fail loudly *here*, naming the
+            # module -- not later as a baffling unknown-scenario error when
+            # the first shard tries to resolve its scenario.
+            from repro.core.errors import ConfigError
+
+            logger.exception(
+                "scenario home module %r failed to import in a worker", module
+            )
+            raise ConfigError(
+                f"scenario home module {module!r} failed to import in a "
+                f"worker: {error}"
+            ) from error
     if not ctx["telemetry"]:
         # A forked worker may have inherited a live parent collector; a
         # dark campaign must not keep feeding it.
-        from repro.obs import telemetry
-
         telemetry.disable()
 
 

@@ -36,14 +36,14 @@ class WorkUnit:
         """The canonical string the cache key is hashed from.
 
         Besides the unit's own identity this covers the *active execution
-        environment* -- the graph-backend policy and the BFS wave-width
-        override -- so a result computed under ``REPRO_GRAPH_BACKEND=python``
-        is never served to a ``fast``-backend invocation (or vice versa), and
-        a run under a forced wave width never masks the default one.  The
-        backends are contractually bit-identical, but the cache must not
-        *assume* the contract it exists to help verify.
+        environment* (:func:`repro.runner.journal.environment_pins`, the
+        graph-backend policy), so a result computed under
+        ``REPRO_GRAPH_BACKEND=python`` is never served to a ``fast``-backend
+        invocation (or vice versa).  The backends are contractually
+        bit-identical, but the cache must not *assume* the contract it
+        exists to help verify.
         """
-        from repro.graphs import backend
+        from repro.runner.journal import environment_pins
 
         return "\n".join(
             [
@@ -52,8 +52,7 @@ class WorkUnit:
                 f"params={canonical_params(self.params)}",
                 f"trial={self.trial}",
                 f"seed={self.seed}",
-                f"graph_backend={backend.policy()}",
-                f"bfs_batch={backend.bfs_batch_policy()}",
+                *(f"{name}={value}" for name, value in environment_pins().items()),
             ]
         )
 

@@ -26,7 +26,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.core.ddsr import DDSROverlay
-from repro.graphs import _wavekernel, backend, fast, metrics
+from repro.graphs import _wavekernel, fast, metrics
 from repro.graphs.adjacency import UndirectedGraph
 from repro.graphs.generators import k_regular_graph, ring_graph
 from repro.obs import telemetry
@@ -203,12 +203,12 @@ def test_zoo_portable_clone_matches_dispatched(
 
 
 @pytest.mark.parametrize("width", [64, 100, 128, 4096])
-def test_forced_widths(kernel, width):
+def test_forced_widths(kernel, width, wave_width):
     graph = k_regular_graph(300, 6, seed=71)
     csr = fast.csr_of(graph)
     sources = np.arange(csr.n, dtype=np.int64)[::-1].copy()
     expected = reference(graph, csr, sources)
-    with backend.using_bfs_batch(width):
+    with wave_width(width):
         assert_same(accumulate(kernel, csr, sources), expected)
         assert_same(accumulate(None, csr, sources), expected)
 
@@ -288,12 +288,12 @@ def _wave_counters(engine, csr, sources):
     return snap["counters"], snap["gauges"]
 
 
-def test_telemetry_parity_with_numpy_engine(kernel):
+def test_telemetry_parity_with_numpy_engine(kernel, wave_width):
     """At one wave width both engines run the same waves and levels."""
     graph = k_regular_graph(500, 8, seed=73)
     csr = fast.csr_of(graph)
     sources = np.arange(csr.n, dtype=np.int64)
-    with backend.using_bfs_batch(128):
+    with wave_width(128):
         compiled, compiled_gauges = _wave_counters(kernel, csr, sources)
         numpy_counters, numpy_gauges = _wave_counters(None, csr, sources)
     assert compiled_gauges["wave.kernel"] == "compiled"

@@ -12,12 +12,13 @@ the reference exactly.
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.graphs import _wavekernel, backend, fast, metrics
+from repro.graphs import _wavekernel, fast, metrics
 from repro.graphs.generators import k_regular_graph, ring_graph
 from repro.obs import telemetry
 
@@ -91,10 +92,10 @@ def test_configure_popcount_reports_the_native_kernel():
 
 @pytest.mark.parametrize("name,graph", STEP_ZOO, ids=[n for n, _ in STEP_ZOO])
 @pytest.mark.parametrize("width", [64, "auto"])
-def test_numpy_wave_matrix_bit_identical(numpy_wave, name, graph, width):
+def test_numpy_wave_matrix_bit_identical(numpy_wave, wave_width, name, graph, width):
     """The full wave-engine matrix on the numpy wave: exact parity, on
     one-word waves and on the default multi-word width."""
-    with backend.using_bfs_batch(width):
+    with nullcontext() if width == "auto" else wave_width(width):
         assert fast.diameter(graph, sample_size=12, rng=random.Random(1)) == (
             metrics.diameter(graph, sample_size=12, rng=random.Random(1))
         )
@@ -109,9 +110,9 @@ def test_numpy_wave_matrix_bit_identical(numpy_wave, name, graph, width):
         assert fast.full_path_metrics(graph) == metrics.full_path_metrics(graph)
 
 
-def test_numpy_multiword_wave_identical(numpy_wave):
+def test_numpy_multiword_wave_identical(numpy_wave, wave_width):
     graph = k_regular_graph(300, 6, seed=31)
-    with backend.using_bfs_batch(512):
+    with wave_width(512):
         batched = fast.shortest_path_lengths_from_many(graph, graph.nodes())
     for source, distances in zip(graph.nodes(), batched):
         assert distances == metrics.shortest_path_lengths_from(graph, source)

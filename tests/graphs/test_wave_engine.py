@@ -1,12 +1,13 @@
-"""Multi-source BFS waves: parity, wave widths and the width policy.
+"""Multi-source BFS waves: parity, wave widths and the width rule.
 
 The waves under test run through :func:`repro.graphs.fast._run_waves` --
 on the compiled kernel when it loads, else on the plain dense numpy wave
-(:func:`repro.graphs.fast._dense_wave`): multi-word (>64-source) waves, the
-kernel's forced step modes against the fallback, the wave-width policy,
-and the ``REPRO_BFS_BATCH`` / ``backend.use_bfs_batch`` override plumbing.  Every configuration must
-return results identical to the pure-Python reference in
-:mod:`repro.graphs.metrics` -- the knobs tune wall-clock time, never values.
+(:func:`repro.graphs.fast._dense_wave`): multi-word (>64-source) waves
+(widths substituted through the ``wave_width`` fixture), the kernel's
+forced step modes against the fallback, and the wave-width rule.  Every
+configuration must return results identical to the pure-Python reference
+in :mod:`repro.graphs.metrics` -- width and step mode tune wall-clock time,
+never values.
 Both engines are pinned against each other and the reference for every
 sampled caller in ``test_sampled_waves.py``.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -88,11 +90,11 @@ def _pin_wave_engine(monkeypatch, mode):
 # ----------------------------------------------------------------------
 # >64-source waves
 # ----------------------------------------------------------------------
-def test_multiword_wave_matches_per_source_reference():
+def test_multiword_wave_matches_per_source_reference(wave_width):
     """300 sources in one 5-word wave reproduce per-source BFS exactly."""
     graph = k_regular_graph(300, 6, seed=31)
     sources = graph.nodes()
-    with backend.using_bfs_batch(512):
+    with wave_width(512):
         batched = fast.shortest_path_lengths_from_many(graph, sources)
     for source, distances in zip(sources, batched):
         assert distances == metrics.shortest_path_lengths_from(graph, source)
@@ -110,7 +112,7 @@ def test_multiword_wave_width_is_actually_used():
 
 
 @pytest.mark.parametrize("forced", [64, 100, 128, 512])
-def test_forced_wave_widths_identical(forced):
+def test_forced_wave_widths_identical(forced, wave_width):
     """Any forced wave width returns the same estimator values."""
     graph = k_regular_graph(300, 8, seed=33)
     expected_diameter = metrics.diameter(graph, sample_size=40, rng=random.Random(3))
@@ -120,7 +122,7 @@ def test_forced_wave_widths_identical(forced):
     expected_aspl = metrics.average_shortest_path_length(
         graph, sample_size=40, rng=random.Random(5)
     )
-    with backend.using_bfs_batch(forced):
+    with wave_width(forced):
         assert fast.diameter(graph, sample_size=40, rng=random.Random(3)) == (
             expected_diameter
         )
@@ -144,11 +146,11 @@ def _mutate_between_reads(graph, rng, steps):
         assert np.array_equal(cached.indices, fresh.indices)
 
 
-def test_multiword_wave_after_mutations():
+def test_multiword_wave_after_mutations(wave_width):
     """Snapshots rebuilt after mutations run wide waves correctly."""
     graph = k_regular_graph(220, 6, seed=34)
     _mutate_between_reads(graph, random.Random(35), 12)
-    with backend.using_bfs_batch(256):
+    with wave_width(256):
         batched = fast.shortest_path_lengths_from_many(graph, graph.nodes())
     for source, distances in zip(graph.nodes(), batched):
         assert distances == metrics.shortest_path_lengths_from(graph, source)
@@ -179,12 +181,14 @@ def test_forced_step_modes_identical(step_graph, mode, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["dense", "sparse", "numpy"])
-def test_forced_step_modes_identical_multiword(step_graph, mode, monkeypatch):
+def test_forced_step_modes_identical_multiword(
+    step_graph, mode, monkeypatch, wave_width
+):
     """Forced step modes and >64-source waves compose."""
     _pin_wave_engine(monkeypatch, mode)
     sources = step_graph.nodes()
     stride = max(1, len(sources) // 8)
-    with backend.using_bfs_batch(192):
+    with wave_width(192):
         batched = fast.shortest_path_lengths_from_many(step_graph, sources)
     for source, distances in zip(sources[::stride], batched[::stride]):
         assert distances == metrics.shortest_path_lengths_from(step_graph, source)
@@ -201,7 +205,7 @@ def test_adaptive_ring_uses_sparse_steps(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Width policy and override plumbing
+# Width rule
 # ----------------------------------------------------------------------
 def test_wave_width_default_and_small_requests():
     csr = fast.csr_of(ring_graph(3000))
@@ -215,55 +219,45 @@ def test_wave_width_respects_buffer_budget(monkeypatch):
     assert fast._wave_width(csr, 3000) == fast.BFS_BATCH
 
 
-def test_use_bfs_batch_forced_and_restored():
-    previous = backend.use_bfs_batch(128)
-    try:
-        assert backend.bfs_batch_policy() == 128
-        with backend.using_bfs_batch("auto"):
-            assert backend.bfs_batch_policy() == "auto"
-        assert backend.bfs_batch_policy() == 128
-    finally:
-        backend.use_bfs_batch(previous)
-    assert backend.bfs_batch_policy() == "auto"
+#: The most nodes whose two-word ``(n, 2)`` uint64 wave buffer fits the
+#: 64 MiB budget.
+TWO_WORD_BUDGET_NODES = (64 << 20) // 16
 
 
-def test_bfs_batch_env_var(monkeypatch):
-    previous = backend.use_bfs_batch(None)
-    try:
-        monkeypatch.setenv(backend.BFS_BATCH_ENV_VAR, "256")
-        assert backend.bfs_batch_policy() == 256
-        csr = fast.csr_of(ring_graph(64))
-        assert fast._wave_width(csr, 5000) == 256
-        monkeypatch.setenv(backend.BFS_BATCH_ENV_VAR, "auto")
-        assert backend.bfs_batch_policy() == "auto"
-        monkeypatch.setenv(backend.BFS_BATCH_ENV_VAR, "bogus")
-        with pytest.raises(backend.BackendError):
-            backend.bfs_batch_policy()
-    finally:
-        backend.use_bfs_batch(previous)
+@pytest.mark.parametrize(
+    "n,words",
+    [(TWO_WORD_BUDGET_NODES, 2), (TWO_WORD_BUDGET_NODES + 1, 1), (20_000_000, 1)],
+)
+def test_wave_width_stays_within_the_buffer_budget(n, words):
+    """Two words while an ``(n, 2)`` buffer fits the budget, else one."""
+    assert fast.WAVE_BUFFER_BUDGET == 64 << 20
+    csr = SimpleNamespace(n=n)
+    assert fast._wave_width(csr, 10_000) == words * fast.BFS_BATCH
+    assert fast._wave_width(csr, 5) == 5
 
 
-def test_forced_policy_wins_over_env(monkeypatch):
-    monkeypatch.setenv(backend.BFS_BATCH_ENV_VAR, "512")
-    with backend.using_bfs_batch(96):
-        assert backend.bfs_batch_policy() == 96
+@pytest.mark.parametrize("width", [64, 192, 512])
+def test_wave_width_fixture_sets_the_words_per_wave(wave_width, width):
+    """The substituted width reaches the engine: one wave of width/64 words."""
+    graph = k_regular_graph(600, 6, seed=44)
+    with wave_width(width), telemetry.collecting() as collector:
+        fast.shortest_path_lengths_from_many(graph, graph.nodes()[:width])
+    counters = collector.snapshot()["counters"]
+    assert counters["wave.count"] == 1
+    assert {name for name in counters if name.startswith("wave.words.")} == {
+        f"wave.words.{width // 64}"
+    }
 
 
-@pytest.mark.parametrize("bad", [0, -3, "zero", 1.5, True])
-def test_invalid_bfs_batch_rejected(bad):
-    with pytest.raises(backend.BackendError):
-        backend.use_bfs_batch(bad)
-
-
-def test_env_batch_changes_results_not_one_bit(monkeypatch):
+def test_wave_width_changes_results_not_one_bit(wave_width):
     graph = k_regular_graph(500, 8, seed=43)
     baseline = fast.average_closeness_centrality(
         graph, sample_size=100, rng=random.Random(9)
     )
-    monkeypatch.setenv(backend.BFS_BATCH_ENV_VAR, "128")
-    assert fast.average_closeness_centrality(
-        graph, sample_size=100, rng=random.Random(9)
-    ) == baseline
+    with wave_width(64):
+        assert fast.average_closeness_centrality(
+            graph, sample_size=100, rng=random.Random(9)
+        ) == baseline
 
 
 # ----------------------------------------------------------------------
@@ -390,11 +384,11 @@ def test_full_path_metrics_forced_step_modes(step_graph, mode, monkeypatch):
     assert fast.full_path_metrics(step_graph) == expected
 
 
-def test_full_path_metrics_multiword_wave():
+def test_full_path_metrics_multiword_wave(wave_width):
     """Forced >64-source waves feed the same exact accumulators."""
     graph = k_regular_graph(300, 6, seed=61)
     expected = metrics.full_path_metrics(graph)
-    with backend.using_bfs_batch(192):
+    with wave_width(192):
         assert fast.full_path_metrics(graph) == expected
 
 

@@ -62,18 +62,18 @@ class TestCacheKeying:
         monkeypatch.setenv(backend.ENV_VAR, "python")
         assert unit.cache_key("1") != default_key
 
-    def test_key_covers_bfs_batch_override(self, monkeypatch):
-        from repro.graphs import backend
+    def test_key_folds_in_every_environment_pin(self, monkeypatch):
+        """The journal's pin list is the cache key's: a new pin re-keys."""
+        from repro.runner import journal
 
         unit = unit_of(ScenarioSpec(name="s", params={"n": 10}))
-        auto_key = unit.cache_key("1")
-        with backend.using_bfs_batch(128):
-            forced_key = unit.cache_key("1")
-        assert forced_key != auto_key
-        monkeypatch.setenv(backend.BFS_BATCH_ENV_VAR, "128")
-        assert unit.cache_key("1") == forced_key  # env and forced agree
-        monkeypatch.setenv(backend.BFS_BATCH_ENV_VAR, "256")
-        assert unit.cache_key("1") != forced_key
+        key = unit.cache_key("1")
+        pins = journal.environment_pins()
+        monkeypatch.setattr(
+            journal, "environment_pins", lambda: dict(pins, extra_pin="on")
+        )
+        assert unit.cache_key("1") != key
+        assert unit.key_material("1").endswith("\nextra_pin=on")
 
     def test_invalid_backend_env_raises_not_silently_falls_back(self, monkeypatch):
         import pytest
@@ -84,10 +84,6 @@ class TestCacheKeying:
         unit = unit_of(ScenarioSpec(name="s", params={"n": 10}))
         monkeypatch.setenv(backend.ENV_VAR, "numpy")
         with pytest.raises(ConfigError, match="REPRO_GRAPH_BACKEND"):
-            unit.cache_key("1")
-        monkeypatch.delenv(backend.ENV_VAR)
-        monkeypatch.setenv(backend.BFS_BATCH_ENV_VAR, "full")
-        with pytest.raises(ConfigError, match="REPRO_BFS_BATCH"):
             unit.cache_key("1")
 
 

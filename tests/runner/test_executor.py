@@ -89,26 +89,59 @@ class TestParallelDeterminism:
         assert parallel.unit_metrics == serial.unit_metrics
         assert parallel.rows() == serial.rows()
 
-    def test_worker_init_applies_parent_policies(self):
-        """Workers re-force the parent's resolved backend/wave policies.
+    def test_worker_context_applies_parent_policies(self):
+        """Workers re-force the parent's resolved backend and telemetry flag.
 
         Forced state set via ``backend.use()`` lives in process globals that
-        spawn/forkserver children never inherit; the initializer must apply
+        spawn/forkserver children never inherit; every pool task must apply
         it so results are computed under the policy the cache key records.
         """
         pytest.importorskip("numpy")
         from repro.graphs import backend
-        from repro.runner.executor import _worker_init
+        from repro.runner import executor
+        from repro.runner.pool import _apply_worker_context
 
         previous = backend.use(None)
-        previous_batch = backend.use_bfs_batch(None)
         try:
-            _worker_init("", "", "python", 128)
+            _apply_worker_context({"backend": "python", "telemetry": True})
             assert backend.policy() == "python"
-            assert backend.bfs_batch_policy() == 128
+            assert executor._WORKER_TELEMETRY["enabled"]
+            _apply_worker_context({"backend": "fast", "telemetry": False})
+            assert backend.policy() == "fast"
+            assert not executor._WORKER_TELEMETRY["enabled"]
         finally:
             backend.use(previous)
-            backend.use_bfs_batch(previous_batch)
+            executor._WORKER_TELEMETRY["enabled"] = False
+
+    def test_worker_context_broken_home_module_is_a_config_error(self):
+        """A scenario home that fails to import in a worker is named."""
+        from repro.core.errors import ConfigError
+        from repro.graphs import backend
+        from repro.runner.pool import _apply_worker_context
+
+        previous = backend.use(None)
+        try:
+            with pytest.raises(ConfigError, match="repro_no_such_home"):
+                _apply_worker_context(
+                    {"backend": "auto", "telemetry": False, "module": "repro_no_such_home"}
+                )
+        finally:
+            backend.use(previous)
+
+    def test_dark_worker_context_stops_an_inherited_collector(self):
+        """A forked worker's inherited live collector is switched off."""
+        from repro.graphs import backend
+        from repro.obs import telemetry
+        from repro.runner.pool import _apply_worker_context
+
+        previous = backend.use(None)
+        telemetry.enable(label="inherited")
+        try:
+            _apply_worker_context({"backend": "auto", "telemetry": False})
+            assert not telemetry.current().enabled
+        finally:
+            telemetry.disable()
+            backend.use(previous)
 
     def test_forced_backend_parallel_matches_serial(self):
         """The parallel==serial guarantee holds under a forced backend too."""

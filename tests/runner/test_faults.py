@@ -161,11 +161,11 @@ class TestCacheFaults:
         assert result.unit_metrics == clean.unit_metrics
 
 
-#: Backend policy override (``None``: the ambient policy) -- the satellite
-#: matrix.  ``auto`` runs the fast engine wherever numpy >= 2.0 imports, so
-#: the ``python`` point keeps the reference engine's recovery path covered.
+#: Backend policy override -- the satellite matrix.  ``auto`` is ``fast``
+#: wherever these tests run (numpy >= 2.0 imports), so ``fast`` stands for
+#: it and the ``python`` point keeps the reference engine's recovery path
+#: covered.
 BACKEND_MATRIX = [
-    pytest.param(None, id="backend-auto"),
     pytest.param("fast", id="backend-fast"),
     pytest.param("python", id="backend-python"),
 ]
@@ -187,11 +187,7 @@ def _campaign(**overrides):
 @pytest.fixture
 def forced_backend(request):
     """Apply one backend matrix point for the duration of a test."""
-    policy = request.param
-    if policy is None:
-        yield
-        return
-    with backend.using(policy):
+    with backend.using(request.param):
         yield
 
 

@@ -19,7 +19,6 @@ from repro.runner.executor import execute, run_scenario
 from repro.runner.journal import (
     JOURNAL_SCHEMA,
     JOURNAL_SCHEMA_V1,
-    STATE_LIMIT_ENV_VAR,
     CampaignJournal,
     journal_header,
 )
@@ -73,9 +72,18 @@ class TestJournalFile:
         assert header["journal"] == JOURNAL_SCHEMA
         for key in (
             "scenario", "version", "spec_hash", "seed", "trials", "units",
-            "graph_backend", "bfs_batch",
+            *journal_mod.environment_pins(),
         ):
             assert key in header
+
+    @pytest.mark.parametrize("policy", ["python", "fast", "auto"])
+    def test_environment_pins_follow_the_backend_policy(self, policy):
+        """The one pin list holds the backend policy, header and all."""
+        from repro.graphs import backend
+
+        with backend.using(policy):
+            assert journal_mod.environment_pins() == {"graph_backend": policy}
+            assert _header()["graph_backend"] == policy
 
     def test_truncated_trailing_line_is_dropped(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -146,12 +154,19 @@ class TestJournalV2:
         assert replay == {1: {"m": 2.0}}
         assert journal.checkpoints == {}
 
-    def test_journal_with_a_retired_environment_pin_still_resumes(self, tmp_path):
-        """A header written by code that pinned one more environment knob
-        carries an extra field; only the current header's fields are
+    @pytest.mark.parametrize(
+        "retired",
+        [{"bfs_batch": "auto", "popcount_lut": False}, {"bfs_batch": "auto"}],
+        ids=["wave-width-and-popcount-lut", "wave-width"],
+    )
+    def test_journal_with_a_retired_environment_pin_still_resumes(
+        self, tmp_path, retired
+    ):
+        """A header written by code that pinned more environment knobs
+        carries extra fields; only the current header's fields are
         compared, so such a journal resumes and inspects as resumable."""
         path = tmp_path / "j.jsonl"
-        header = dict(_header(), retired_knob=False)
+        header = dict(_header(), **retired)
         with path.open("w", encoding="utf-8") as handle:
             handle.write(json.dumps(header) + "\n")
             handle.write(json.dumps({"unit": 0, "metrics": {"m": 1.0}}) + "\n")
@@ -214,8 +229,18 @@ class TestJournalV2:
         assert reader.checkpoints == {}
         assert sorted(units) == [0, 1]
 
+    @pytest.mark.parametrize("slack,written", [(0, True), (-1, False)])
+    def test_state_limit_is_inclusive(self, tmp_path, monkeypatch, slack, written):
+        """A state of exactly ``STATE_LIMIT`` encoded bytes is journaled."""
+        encoded_size = sum(len(value) for value in STATE.values())
+        monkeypatch.setattr(journal_mod, "STATE_LIMIT", encoded_size + slack)
+        journal = CampaignJournal(tmp_path / "j.jsonl")
+        journal.open(_header())
+        assert journal.record_checkpoint_shard(0, 0, "k", (0, 5), 1, STATE) is written
+        journal.close()
+
     def test_oversized_state_is_not_written(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STATE_LIMIT_ENV_VAR, "4")
+        monkeypatch.setattr(journal_mod, "STATE_LIMIT", 4)
         path = tmp_path / "j.jsonl"
         journal = CampaignJournal(path)
         journal.open(_header())
@@ -226,11 +251,6 @@ class TestJournalV2:
         reader = CampaignJournal(path)
         reader._read()
         assert reader.checkpoints == {}
-
-    def test_invalid_state_limit_is_a_config_error(self, monkeypatch):
-        monkeypatch.setenv(STATE_LIMIT_ENV_VAR, "zero")
-        with pytest.raises(ConfigError, match=STATE_LIMIT_ENV_VAR):
-            journal_mod.state_limit_policy()
 
     def test_refused_append_degrades_writes(self, tmp_path):
         """The first OSError on append warns, counts, and stops journaling;

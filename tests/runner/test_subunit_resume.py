@@ -6,8 +6,7 @@ The PR 9 contract, each clause locked by a differential against a clean run:
   path-metric unit (injected fault, SIGKILL) resumes from its first
   incomplete checkpoint shard -- the journal's ``ckpt`` records replay
   (``runner.journal.ckpt_replayed``) instead of recomputing, and the final
-  aggregates are **bit-identical** to an uninterrupted run, under
-  backend-auto and forced-fast alike;
+  aggregates are **bit-identical** to an uninterrupted run;
 * an in-parent ``hang`` -- in the serial unit loop, its per-unit
   bookkeeping, or units the pool handed back after they used up their
   attempts -- is bounded by the parent watchdog (``REPRO_TASK_TIMEOUT``):
@@ -37,6 +36,7 @@ import pytest
 from repro.graphs import backend
 from repro.obs import telemetry
 from repro.runner import faults
+from repro.runner import journal as journal_mod
 from repro.runner.executor import run_scenario
 from repro.runner.journal import CampaignJournal
 from repro.runner.pool import SHM_PREFIX, ParentTimeoutError, shutdown_pools
@@ -70,21 +70,16 @@ def _clean_plane(monkeypatch):
 #: (initial + 3): enough sub-unit structure for mid-unit interruption.
 PARAMS = {"n": 300, "checkpoints": 3, "metric_sample": None, "closeness_sample": None}
 
-#: Backend policy override (``None``: the ambient policy) -- the satellite
-#: matrix.
+#: Backend policy override -- the satellite matrix.  ``auto`` is ``fast``
+#: wherever these tests run (numpy >= 2.0 imports), so ``fast`` stands for it.
 BACKEND_MATRIX = [
-    pytest.param(None, id="backend-auto"),
     pytest.param("fast", id="backend-fast"),
 ]
 
 
 @pytest.fixture
 def forced_backend(request):
-    policy = request.param
-    if policy is None:
-        yield
-        return
-    with backend.using(policy):
+    with backend.using(request.param):
         yield
 
 
@@ -392,7 +387,7 @@ class TestJournalPressure:
     def test_oversized_checkpoint_state_falls_back_to_unit_granularity(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_JOURNAL_STATE_LIMIT", "16")
+        monkeypatch.setattr(journal_mod, "STATE_LIMIT", 16)
         path = tmp_path / "j.jsonl"
         with backend.using("fast"):
             clean = _run()
