@@ -462,11 +462,10 @@ class DDSROverlay:
         1`` additionally shards the campaign's sources across a process pool
         (:func:`repro.runner.executor.sharded_full_path_metrics`); the merged
         int64 accumulators make the parallel result bit-identical to serial.
-        A forced/auto-resolved *python* backend wins over ``path_workers``:
-        sharding is a fast-backend facility, and an explicit reference-path
-        request (or a graph below the auto threshold, where pool startup
-        dwarfs the campaign) runs the serial reference instead -- the values
-        are identical either way.
+        A *python* backend wins over ``path_workers``: sharding is a
+        fast-backend facility, so a forced ``python`` backend, or ``auto``
+        without numpy >= 2.0, runs the serial reference instead -- the
+        values are identical either way.
 
         With a ``sample_size`` the component is extracted once and both path
         estimators run with ``connected=True`` on sampled sources;

@@ -352,10 +352,9 @@ def execute(
 
     def run_in_parent(to_run: Sequence[WorkUnit]) -> None:
         for unit in to_run:
-            # The deadline bounds an in-parent hang the pool watchdog cannot
-            # see (there is no worker to kill), bookkeeping included; the
-            # unit scope lets in-parent path-metric checkpoints journal at
-            # shard granularity.
+            # The deadline bounds an in-parent hang (there is no worker to
+            # kill), bookkeeping included; the unit scope lets in-parent
+            # path-metric checkpoints journal at shard granularity.
             with parent_deadline(
                 f"work unit {unit.index} of scenario {spec.name!r}"
             ):
@@ -617,8 +616,8 @@ def sharded_full_path_metrics(
             pool_mod.shutdown_pools(terminate=True)
             raise
         if returned:
-            # A no-op under an outer deadline (an in-parent work unit),
-            # which then bounds these shards itself.
+            # Under an outer deadline (an in-parent work unit) this is
+            # that deadline, which then bounds these shards itself.
             with pool_mod.parent_deadline(
                 f"{len(returned)} in-parent path-metric shard(s)"
             ):

@@ -26,7 +26,7 @@ worker-resident state from per-task inputs:
   whose result has not been merged yet one attempt; the executor is then
   recreated (``runner.pool.respawn``) and only those tasks are resubmitted
   (exactly-once delivery: accumulator merges are not idempotent).  A *hung*
-  worker is turned into a killed one by the task watchdog: when
+  worker is turned into a killed one by the watchdog: when
   ``REPRO_TASK_TIMEOUT`` is set and no task completes within that many
   seconds, the pool's workers are SIGKILLed (``runner.watchdog.kill``).  A
   worker-side :class:`TransientTaskError` (a shared-memory attach refused
@@ -37,6 +37,9 @@ worker-resident state from per-task inputs:
   in-order Welford drain are untouched and the campaign stays bit-identical
   to a clean one.  A task raising a real exception surfaces as
   :class:`PoolTaskError` carrying the failing shard's unit context.
+* **Watchdog** -- :func:`parent_deadline`, one no-progress timer in the
+  parent: expiring while it waits on the workers, it kills them (the
+  ladder above); anywhere else, it raises :class:`ParentTimeoutError`.
 
 Everything is observation-instrumented via :mod:`repro.obs.telemetry`:
 ``runner.pool_spinup`` span, ``runner.pool.generation`` gauge, publish
@@ -49,7 +52,6 @@ via :mod:`repro.runner.faults` (sites ``pool.task`` / ``pool.path_task`` /
 
 from __future__ import annotations
 
-import _thread
 import atexit
 import importlib
 import logging
@@ -83,11 +85,11 @@ MAX_PUBLICATIONS = 4
 #: worker-side :class:`TransientTaskError` costs only its own task one.
 MAX_POOL_ATTEMPTS = 2
 
-#: Per-task deadline in seconds (float).  When set, the watchdog SIGKILLs
-#: the pool's workers after that long without *any* task completing --
-#: turning a hung worker into the (recoverable) killed-worker path -- and
-#: :func:`parent_deadline` bounds in-parent work by the same number.  Unset
-#: = no deadline.
+#: No-progress deadline in seconds (float) of :func:`parent_deadline`.  When
+#: set, the parent SIGKILLs the pool's workers after that long without *any*
+#: task completing -- turning a hung worker into the (recoverable)
+#: killed-worker path -- and raises :class:`ParentTimeoutError` after that
+#: long without progress in its own work.  Unset = no deadline.
 TASK_TIMEOUT_ENV_VAR = "REPRO_TASK_TIMEOUT"
 
 
@@ -100,15 +102,13 @@ class PoolTaskError(PoolError):
 
 
 class ParentTimeoutError(PoolError):
-    """In-parent work (serial units and shards) blew the task deadline.
+    """In-parent work (serial units, shards, merges) blew the task deadline.
 
-    The pool watchdog can SIGKILL a hung *worker*, but work running in the
-    parent process -- the serial ``workers=1`` unit loop, in-parent
-    checkpoint shards, and the tasks the pool handed back after they used
-    up their attempts -- has no worker to kill.  :func:`parent_deadline`
-    monitors those stretches with a heartbeat thread and converts a stall
-    past ``REPRO_TASK_TIMEOUT`` into this error, so an in-parent hang
-    terminates with a resumable journal instead of hanging forever.
+    Work in the parent -- the serial unit loop, in-parent checkpoint
+    shards, the merge of each pool result, the tasks the pool handed back
+    -- has no worker to kill, so when :func:`parent_deadline`'s timer
+    expires there the deadline raises this, and the hang ends with a
+    resumable journal instead of lasting forever.
     """
 
 
@@ -139,164 +139,111 @@ def task_timeout_policy() -> Optional[float]:
 
 
 # ----------------------------------------------------------------------
-# Parent-side watchdog (in-parent hangs: serial units and shards)
+# Parent-side watchdog: one no-progress deadline on ITIMER_REAL
 # ----------------------------------------------------------------------
-class _ParentDeadline:
-    """A no-progress deadline over in-parent work, enforced by a monitor
-    thread.
+class _DeadlineExpired(BaseException):
+    """Raised by the deadline's ``SIGALRM`` handler outside a pool wait.
 
-    The protected stretch calls :meth:`beat` at every progress point (unit
-    finished, checkpoint shard merged).  A daemon monitor polls; once
-    ``timeout`` seconds pass without a beat while the deadline is not
-    :meth:`pause`-d, it fires **once**: warns, counts
-    ``runner.watchdog.parent_timeout`` and interrupts the main thread.  The
-    owning :func:`parent_deadline` context converts the resulting
-    ``KeyboardInterrupt`` into :class:`ParentTimeoutError`; a genuine ^C
-    (deadline never fired) passes through untouched.
-
-    Pausing exists because the parent spends most of a pooled campaign
-    *waiting on the pool* -- a stretch the pool's own watchdog already
-    bounds; racing two watchdogs over it would misattribute worker hangs
-    to the parent.
+    A ``BaseException``, like ^C's ``KeyboardInterrupt``, so that no
+    ``except Exception`` in the interrupted code can swallow it; the armed
+    :func:`parent_deadline` turns it into :class:`ParentTimeoutError`.
     """
 
-    def __init__(self, what: str, timeout: float) -> None:
-        self.what = what
+
+class _ParentDeadline:
+    """A no-progress deadline on the main thread's ``ITIMER_REAL``.
+
+    Every progress point re-arms the timer (:meth:`beat`).  Its ``SIGALRM``
+    EINTRs whatever blocking call the main thread is in, and the handler
+    then runs there.  While :attr:`on_stall` is set (the parent waits on
+    pool workers) it calls ``on_stall(timeout)``, which kills the workers,
+    and re-arms; otherwise it raises :class:`_DeadlineExpired` where the
+    main thread stands.
+    """
+
+    def __init__(self, timeout: float) -> None:
         self.timeout = timeout
-        self.fired = False
-        self._on_main = threading.current_thread() is threading.main_thread()
-        self._lock = threading.Lock()
-        self._last_beat = time.monotonic()
-        self._paused = 0
-        self._stop = threading.Event()
-        self._monitor: Optional[threading.Thread] = None
-
-    def start(self) -> None:
-        self._monitor = threading.Thread(
-            target=self._watch, name="repro-parent-watchdog", daemon=True
-        )
-        self._monitor.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._monitor is not None:
-            self._monitor.join(timeout=1.0)
-            self._monitor = None
+        self.on_stall: Optional[Callable[[float], None]] = None
 
     def beat(self) -> None:
-        with self._lock:
-            self._last_beat = time.monotonic()
+        signal.setitimer(signal.ITIMER_REAL, self.timeout)
 
-    def pause(self) -> None:
-        with self._lock:
-            self._paused += 1
-
-    def resume(self) -> None:
-        with self._lock:
-            if self._paused > 0:
-                self._paused -= 1
-            # Waiting on the pool made progress by definition; the clock
-            # restarts when the parent picks the work back up.
-            self._last_beat = time.monotonic()
-
-    def _watch(self) -> None:
-        poll = min(0.25, self.timeout / 4)
-        while not self._stop.wait(poll):
-            with self._lock:
-                if self._paused:
-                    continue
-                if time.monotonic() - self._last_beat < self.timeout:
-                    continue
-                self.fired = True
-            logger.warning(
-                "parent watchdog: %s made no progress within %.3gs (%s); "
-                "interrupting -- the campaign journal stays resumable",
-                self.what,
-                self.timeout,
-                TASK_TIMEOUT_ENV_VAR,
-            )
-            _telemetry().count("runner.watchdog.parent_timeout")
-            if self._on_main:
-                try:
-                    # A real SIGINT aimed at the main thread: unlike
-                    # interrupt_main()'s between-bytecodes flag, it EINTRs
-                    # whatever blocking C call the hang is stuck in.
-                    signal.pthread_kill(
-                        threading.main_thread().ident, signal.SIGINT
-                    )
-                except (AttributeError, ProcessLookupError, OSError):
-                    _thread.interrupt_main()
+    def _expired(self, signum, frame) -> None:
+        if _armed is not self:
+            return  # a late signal while the deadline is torn down
+        if self.on_stall is not None:
+            self.on_stall(self.timeout)
+            self.beat()
             return
+        raise _DeadlineExpired
 
 
-#: Innermost-active-last stack of armed parent deadlines.  The runner's
-#: in-parent work is single-threaded, so a plain list suffices.
-_parent_deadlines: List[_ParentDeadline] = []
+#: The armed parent deadline, if any.  Only the main thread arms one.
+_armed: Optional[_ParentDeadline] = None
+_warned_off_main = False
 
 
 @contextmanager
 def parent_deadline(what: str):
-    """Bound in-parent work by ``REPRO_TASK_TIMEOUT`` (no-op when unset).
+    """Bound in-parent work by ``REPRO_TASK_TIMEOUT`` (``None`` when unset).
 
-    Also a no-op when an *outer* deadline is already armed: the outer
-    context owns hang detection for everything nested under it, and its
-    beats (via :func:`watchdog_beat`, which always targets the innermost
-    armed deadline) keep flowing from the nested progress points.
+    Nested under an armed deadline, yields that outer deadline: it owns
+    hang detection for everything under it, and the nested progress points
+    keep beating it through :func:`watchdog_beat`.  Off the main thread it
+    yields ``None`` and warns once, since no signal handler runs there: no
+    in-parent deadline, and no hung pool worker is killed.  While armed it
+    owns the process's ``ITIMER_REAL``; exiting disarms it.
     """
+    global _armed, _warned_off_main
     timeout = task_timeout_policy()
-    if timeout is None or _parent_deadlines:
+    if timeout is None:
         yield None
         return
-    deadline = _ParentDeadline(what, timeout)
-    _parent_deadlines.append(deadline)
-    deadline.start()
+    if threading.current_thread() is not threading.main_thread():
+        if not _warned_off_main:
+            _warned_off_main = True
+            logger.warning(
+                "%s is set but %s runs off the main thread, where no "
+                "signal handler can run; it has no deadline and a hung pool "
+                "worker is not killed",
+                TASK_TIMEOUT_ENV_VAR,
+                what,
+            )
+        yield None
+        return
+    if _armed is not None:
+        yield _armed
+        return
+    deadline = _ParentDeadline(timeout)
+    previous = signal.signal(signal.SIGALRM, deadline._expired)
+    _armed = deadline
     try:
+        deadline.beat()
         yield deadline
-    except KeyboardInterrupt:
-        if deadline.fired:
-            raise ParentTimeoutError(
-                f"{what} made no progress within {timeout:g}s "
-                f"({TASK_TIMEOUT_ENV_VAR}); the campaign journal stays "
-                "resumable -- rerun with --resume"
-            ) from None
-        raise
+    except _DeadlineExpired:
+        logger.warning(
+            "parent watchdog: %s made no progress within %.3gs (%s); "
+            "interrupting -- the campaign journal stays resumable",
+            what,
+            timeout,
+            TASK_TIMEOUT_ENV_VAR,
+        )
+        _telemetry().count("runner.watchdog.parent_timeout")
+        raise ParentTimeoutError(
+            f"{what} made no progress within {timeout:g}s "
+            f"({TASK_TIMEOUT_ENV_VAR}); the campaign journal stays "
+            "resumable -- rerun with --resume"
+        )
     finally:
-        deadline.stop()
-        _parent_deadlines.remove(deadline)
+        _armed = None
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous or signal.SIG_DFL)
 
 
 def watchdog_beat() -> None:
-    """Record progress on the innermost armed parent deadline (if any)."""
-    if _parent_deadlines:
-        _parent_deadlines[-1].beat()
-
-
-@contextmanager
-def _paused_parent_deadline():
-    """Suspend the armed parent deadline while the parent waits on the pool."""
-    deadline = _parent_deadlines[-1] if _parent_deadlines else None
-    if deadline is not None:
-        deadline.pause()
-    try:
-        yield
-    finally:
-        if deadline is not None:
-            deadline.resume()
-
-
-@contextmanager
-def _unpaused_parent_deadline():
-    """Lift that pause for one stretch of in-parent work; beat when it ends."""
-    deadline = _parent_deadlines[-1] if _parent_deadlines else None
-    if deadline is not None:
-        deadline.resume()
-    try:
-        yield
-        if deadline is not None:
-            deadline.beat()
-    finally:
-        if deadline is not None:
-            deadline.pause()
+    """Record progress: re-arm the armed parent deadline (if any)."""
+    if _armed is not None:
+        _armed.beat()
 
 
 # ----------------------------------------------------------------------
@@ -557,14 +504,7 @@ class WorkerPool:
 
     def close(self) -> None:
         """Shut the executor down and unlink every published segment."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        for key in list(self._pubs):
-            self._drop_publication(key)
+        self._shut(kill=False)
 
     def terminate(self) -> None:
         """Close *now*: SIGKILL workers, never wait, unlink every segment.
@@ -573,16 +513,16 @@ class WorkerPool:
         a hung or busy worker must not block the shutdown, and no
         ``repro-pool-*`` segment may survive in ``/dev/shm``.
         """
+        self._shut(kill=True)
+
+    def _shut(self, kill: bool) -> None:
         if self._closed:
             return
         self._closed = True
         if self._executor is not None:
-            for process in list(getattr(self._executor, "_processes", {}).values()):
-                try:
-                    os.kill(process.pid, signal.SIGKILL)
-                except (ProcessLookupError, OSError):
-                    pass
-            self._executor.shutdown(wait=False, cancel_futures=True)
+            if kill:
+                self._kill_workers()
+            self._executor.shutdown(wait=not kill, cancel_futures=kill)
             self._executor = None
         for key in list(self._pubs):
             self._drop_publication(key)
@@ -618,6 +558,17 @@ class WorkerPool:
             )
             self._spinup_pending = False
 
+    def _kill_workers(self) -> List[int]:
+        """SIGKILL the executor's worker processes; returns their pids."""
+        processes = getattr(self._executor, "_processes", {})
+        pids = [process.pid for process in list(processes.values())]
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except (ProcessLookupError, OSError):
+                pass
+        return pids
+
     # -- task fan-out ---------------------------------------------------
     def _watchdog_kill(self, timeout: float) -> None:
         """No task finished within the deadline: SIGKILL the pool's workers.
@@ -626,10 +577,7 @@ class WorkerPool:
         ordinary failure ladder -- the one recovery path the pool already
         guarantees is exactly-once.
         """
-        if self._executor is None:
-            return
-        processes = list(getattr(self._executor, "_processes", {}).values())
-        pids = [process.pid for process in processes]
+        pids = self._kill_workers()
         logger.warning(
             "watchdog: no task completed within %.3gs; killing %d pool "
             "worker(s) %s and retrying unfinished shards",
@@ -638,11 +586,6 @@ class WorkerPool:
             pids,
         )
         _telemetry().count("runner.watchdog.kill")
-        for process in processes:
-            try:
-                os.kill(process.pid, signal.SIGKILL)
-            except (ProcessLookupError, OSError):
-                pass
 
     def _run_tasks(
         self,
@@ -663,11 +606,12 @@ class WorkerPool:
         other task exception is re-raised as :class:`PoolTaskError`
         carrying ``describe(key)``.
 
-        While the parent waits on the pool, the pool's own watchdog owns
-        hang detection and the parent deadline is paused.  ``on_done`` runs
-        in the parent, so every call runs under the deadline, unpaused --
-        the caller's when one is armed, else one armed here -- and beats it
-        when the call returns.
+        Everything runs under the parent deadline -- the caller's when one
+        is armed, else one armed here.  While the parent waits on the
+        workers its ``on_stall`` is :meth:`_watchdog_kill`, so a stall kills
+        the workers; ``on_done`` runs in the parent without it, so a stall
+        there raises :class:`ParentTimeoutError`.  Each round start, each
+        landed result and each merge beat the deadline.
         """
         from repro.runner import faults
 
@@ -675,9 +619,8 @@ class WorkerPool:
         # the whole process tree shares one set of invocation counters.
         faults.ensure_loaded()
         tel = _telemetry()
-        timeout = task_timeout_policy()
         remaining = dict(tasks)
-        with parent_deadline("merging pool results"), _paused_parent_deadline():
+        with parent_deadline("merging pool results") as deadline:
             for attempt in range(1, MAX_POOL_ATTEMPTS + 1):
                 executor = self._ensure_executor()
                 broken = False
@@ -688,27 +631,16 @@ class WorkerPool:
                 except (BrokenProcessPool, RuntimeError):
                     broken = True
                 pending = set(futures)
-                last_progress = time.monotonic()
-                watchdog_fired = False
+                watchdog_beat()
                 try:
                     while pending:
-                        if timeout is None:
+                        if deadline is not None:
+                            deadline.on_stall = self._watchdog_kill
+                        try:
                             done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                        else:
-                            budget = timeout - (time.monotonic() - last_progress)
-                            done, pending = wait(
-                                pending,
-                                timeout=max(budget, 0.05),
-                                return_when=FIRST_COMPLETED,
-                            )
-                            if not done:
-                                if (
-                                    not watchdog_fired
-                                    and time.monotonic() - last_progress >= timeout
-                                ):
-                                    watchdog_fired = True
-                                    self._watchdog_kill(timeout)
-                                continue
+                        finally:
+                            if deadline is not None:
+                                deadline.on_stall = None
                         for future in done:
                             key = futures[future]
                             try:
@@ -730,11 +662,11 @@ class WorkerPool:
                                 raise
                             except Exception as error:
                                 raise PoolTaskError(describe(key)) from error
-                            last_progress = time.monotonic()
+                            watchdog_beat()
                             self._note_first_result()
                             remaining.pop(key)
-                            with _unpaused_parent_deadline():
-                                on_done(key, result)
+                            on_done(key, result)
+                            watchdog_beat()
                 except BaseException:
                     for future in pending:
                         future.cancel()

@@ -361,6 +361,18 @@ class TestInterruptTeardown:
         clean_rows = json.loads((tmp_path / "clean.json").read_text())
         assert resumed_rows == clean_rows
 
+    def test_interrupt_under_a_task_timeout_still_exits_130(self, tmp_path):
+        """A ^C is not a watchdog timeout, deadline armed or not."""
+        interrupted = self._run_cli(
+            tmp_path,
+            "--journal", str(tmp_path / "campaign.jsonl"),
+            "--inject-faults", "executor.unit=interrupt@3",
+            task_timeout=60,
+        )
+        assert interrupted.returncode == 130, interrupted.stderr
+        assert "interrupted" in interrupted.stderr
+        assert _pool_segments() == []
+
     def test_pooled_bookkeeping_hang_is_bounded_then_resumes(self, tmp_path):
         """At ``workers=2`` the parent merges each shard's units (cache put,
         journal append, the ``executor.unit`` fault site) from the pool's

@@ -22,11 +22,14 @@ The PR 9 contract, each clause locked by a differential against a clean run:
 from __future__ import annotations
 
 import base64
+import contextlib
 import glob
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
 import zlib
 from pathlib import Path
@@ -356,13 +359,82 @@ class TestParentWatchdog:
         monkeypatch.setenv("REPRO_TASK_TIMEOUT", "60")
         from repro.runner.pool import parent_deadline
 
-        with parent_deadline("outer") as outer:
-            assert outer is not None
-            with parent_deadline("inner") as inner:
-                assert inner is None
-            # The outer deadline survives the nested no-op context.
-            assert not outer.fired
-        assert not outer.fired
+        with telemetry.collecting() as collector:
+            with parent_deadline("outer") as outer:
+                assert outer is not None
+                with parent_deadline("inner") as inner:
+                    assert inner is outer
+                # The outer deadline survives the nested no-op context.
+                assert signal.getitimer(signal.ITIMER_REAL)[0] > 0
+                assert signal.getsignal(signal.SIGALRM) == outer._expired
+        counters = collector.snapshot()["counters"]
+        assert counters.get("runner.watchdog.parent_timeout", 0) == 0
+
+    @pytest.mark.parametrize("stalls", [False, True])
+    def test_deadline_exit_disarms_the_timer_and_restores_the_handler(
+        self, monkeypatch, stalls
+    ):
+        from repro.runner.pool import parent_deadline
+
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "0.2")
+        previous = signal.getsignal(signal.SIGALRM)
+        threads = threading.active_count()
+        with telemetry.collecting() as collector:
+            with pytest.raises(ParentTimeoutError) if stalls else contextlib.nullcontext():
+                with parent_deadline("a stalled stretch") as deadline:
+                    assert deadline is not None
+                    assert signal.getitimer(signal.ITIMER_REAL)[0] > 0
+                    assert threading.active_count() == threads
+                    if stalls:
+                        time.sleep(30)
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) is previous
+        counters = collector.snapshot()["counters"]
+        assert counters.get("runner.watchdog.parent_timeout", 0) == int(stalls)
+
+    def test_a_stall_under_except_exception_still_times_out(self, monkeypatch):
+        """Code that swallows every ``Exception`` cannot swallow the deadline."""
+        from repro.runner.pool import parent_deadline
+
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "0.2")
+        give_up = time.monotonic() + 30
+        with pytest.raises(ParentTimeoutError, match="REPRO_TASK_TIMEOUT"):
+            with parent_deadline("a forgiving loop"):
+                while time.monotonic() < give_up:
+                    try:
+                        time.sleep(1)
+                    except Exception:
+                        pass
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+    def test_a_late_signal_after_exit_is_ignored(self, monkeypatch):
+        from repro.runner.pool import parent_deadline
+
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "60")
+        with parent_deadline("first") as first:
+            pass
+        # A SIGALRM that lands while the deadline is torn down runs the
+        # handler after ``_armed`` is cleared: it must neither raise nor
+        # leave the next deadline unarmed.
+        first._expired(signal.SIGALRM, None)
+        with parent_deadline("second") as second:
+            assert second is not first
+            assert signal.getsignal(signal.SIGALRM) == second._expired
+
+    def test_off_the_main_thread_there_is_no_deadline(self, monkeypatch):
+        from repro.runner.pool import parent_deadline
+
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "60")
+        seen = []
+
+        def run() -> None:
+            with parent_deadline("off the main thread") as deadline:
+                seen.append(deadline)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join()
+        assert seen == [None]
 
 
 class TestJournalPressure:
