@@ -30,8 +30,36 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set
 from repro.core.errors import OverlayError
 from repro.graphs.adjacency import UndirectedGraph
 from repro.graphs.generators import k_regular_graph
+from repro.obs.telemetry import current as _telemetry
 
 NodeId = Hashable
+
+#: Op pairs one call of the compiled deletion loop may return; it sizes the
+#: call's buffer, and a batch that needs more takes several calls.
+_KERNEL_OPS = 1 << 12
+
+#: Bytes the compiled deletion loop may spend on its fixed-width peer rows;
+#: a graph whose rows need more runs the Python loop.
+_KERNEL_ROW_BYTES = 64 << 20
+
+#: Plain int labels below this magnitude get repr-order codes
+#: (:func:`_repr_keys`): 17 digits, a digit count and a sign fit in 63 bits.
+_CODE_LIMIT = 10**17
+
+# The io[] slots of ``ddsr.c``.
+(
+    _IO_NODES,
+    _IO_WIDTH,
+    _IO_D_MAX,
+    _IO_HIGHEST,
+    _IO_VICTIMS,
+    _IO_NEXT,
+    _IO_OPS,
+    _IO_REMOVED,
+    _IO_REPAIRS,
+    _IO_EDGES,
+    _IO_PRUNES,
+) = range(11)
 
 
 class RepairPolicy(enum.Enum):
@@ -243,7 +271,34 @@ class DDSROverlay:
         return neighbors
 
     def remove_nodes(self, nodes: Iterable[NodeId], *, repair: bool = True) -> int:
-        """Delete several nodes sequentially (each followed by its repair)."""
+        """Delete several nodes sequentially (each followed by its repair).
+
+        :meth:`remove_node` for every node of ``nodes`` that is still in
+        the overlay when its turn comes (absent nodes and repeats are
+        skipped); returns how many were removed.
+
+        A list or tuple of victims is decided in one call into ``ddsr.c``
+        (:func:`_remove_compiled`) when that call can replay the Python
+        loop exactly -- ``repair=True``, clique repair, highest- or
+        lowest-degree pruning, an exact ``random.Random``, only plain
+        ``int``/``str`` labels -- and a measurement left a CSR mirror of
+        the current graph (``fast.cached_csr``), as every checkpoint of the
+        takedown sweeps does.  C makes every removal, repair and tie-break
+        decision on a replay of ``self.rng``; Python applies the returned
+        op list to the adjacency sets.  Anything else runs the Python loop
+        below, which is also the oracle: both leave the same adjacency (in
+        the same iteration order), ``overlay.stats``, ``mutation_stamp``,
+        ``forgotten`` and rng state.  With telemetry on, the gauge
+        ``ddsr.engine`` (``compiled``/``python``) names the path.
+        """
+        removed = None
+        if repair and isinstance(nodes, (list, tuple)):
+            removed = _remove_compiled(self, nodes)
+        tel = _telemetry()
+        if tel.enabled:
+            tel.gauge("ddsr.engine", "python" if removed is None else "compiled")
+        if removed is not None:
+            return removed
         count = 0
         for node in nodes:
             if node in self.graph:
@@ -340,10 +395,11 @@ class DDSROverlay:
         """Pick which peer ``node`` drops, according to the pruning policy.
 
         The degree-driven policies single-pass the (uncopied) adjacency set
-        instead of materialising a peer->degree dict: pruning runs once per
-        SOAP clone insertion, so this is one of the campaign's hottest lines.
-        The rng tie-break is unchanged -- candidates are sorted by ``repr``
-        before the draw, so candidate collection order cannot matter.
+        instead of materialising a peer->degree dict.  The rng tie-break is
+        unchanged -- candidates are sorted by ``repr`` before the draw, so
+        candidate collection order cannot matter.  That is what lets
+        ``ddsr.c`` (batch deletion) and ``soap.c`` (SOAP's per-clone
+        pruning) replay this rule on unordered peer rows.
         """
         adjacency = self.graph._adjacency
         policy = self.config.pruning_policy
@@ -517,3 +573,169 @@ class DDSROverlay:
     def snapshot(self) -> UndirectedGraph:
         """A deep copy of the current overlay graph (for offline analysis)."""
         return self.graph.copy()
+
+
+def _repr_keys(labels: List[NodeId]):
+    """Distinct int64 keys that sort like the labels' reprs, or ``None``.
+
+    Plain ints below :data:`_CODE_LIMIT` in magnitude are encoded from
+    their values, so no Python sort runs: a sign bit ('-' sorts before
+    every digit), the magnitude's digits zero-padded to 17, then the digit
+    count (equal padded digits mean one repr is a prefix of the other, and
+    the shorter sorts first).  Other mixes of plain ints and strs get their
+    rank among the sorted reprs (such labels have distinct reprs, so no
+    tie-break can hinge on set order).  Any other label type: ``None``.
+    """
+    import numpy as np
+
+    kinds = set(map(type, labels))
+    if not kinds <= {int, str}:
+        return None
+    values = None
+    if kinds <= {int} and labels:
+        try:
+            values = np.array(labels, dtype=np.int64)
+        except OverflowError:
+            pass
+    if values is not None and -_CODE_LIMIT < values.min() and values.max() < _CODE_LIMIT:
+        magnitude = np.abs(values).astype(np.uint64)
+        powers = 10 ** np.arange(18, dtype=np.uint64)
+        digits = np.searchsorted(powers[1:], magnitude, side="right") + 1
+        codes = (
+            (values >= 0).astype(np.uint64) << np.uint64(62)
+            | magnitude * powers[17 - digits] << np.uint64(5)
+            | digits.astype(np.uint64)
+        )
+        return codes.astype(np.int64)
+    reprs = list(map(repr, labels))
+    rank = np.empty(len(labels), dtype=np.int64)
+    rank[sorted(range(len(reprs)), key=reprs.__getitem__)] = np.arange(len(labels))
+    return rank
+
+
+def _remove_compiled(overlay: DDSROverlay, batch: Sequence[NodeId]) -> Optional[int]:
+    """:meth:`DDSROverlay.remove_nodes` with repair, decided by ``ddsr.c``.
+
+    Returns the number of nodes removed, or ``None`` -- having changed
+    nothing -- when the compiled loop cannot replay the Python one: a
+    repair or pruning policy it does not model, an rng that is not an exact
+    ``random.Random``, no numpy >= 2.0, no library, no CSR mirror cached
+    for the graph's current state, labels it cannot rank, rows over
+    :data:`_KERNEL_ROW_BYTES`, or a row overflow reported by C (which its
+    degree bound rules out).
+
+    C starts from the CSR mirror the last measurement left on the graph
+    (``fast.cached_csr``; building one here would cost more than a small
+    batch saves) and the rng's Mersenne Twister state, and decides the
+    whole batch first, as op pairs (see ``ddsr.c``).  Then its
+    buffers are freed and the ops are applied here in order, so every
+    adjacency set sees the mutations the Python loop makes, in the same
+    order; ``mutation_stamp``, ``overlay.stats``, ``forgotten`` and the rng
+    state are settled in bulk afterwards.
+    """
+    config = overlay.config
+    if (
+        config.repair_policy is not RepairPolicy.CLIQUE
+        or config.pruning_policy
+        not in (PruningPolicy.HIGHEST_DEGREE, PruningPolicy.LOWEST_DEGREE)
+        or type(overlay.rng) is not random.Random
+    ):
+        return None
+    from repro.graphs.backend import fast_available
+
+    if not fast_available():
+        return None
+    # Imported here so that importing this module stays free of numpy and
+    # of the loader's subprocess/ctypes machinery.
+    import numpy as np
+
+    from repro.graphs import _wavekernel
+    from repro.graphs.fast import cached_csr
+
+    graph = overlay.graph
+    csr = cached_csr(graph)
+    if csr is None:
+        return None
+    kernel = _wavekernel.load_ddsr()
+    if kernel is None:
+        return None
+    labels = csr.nodes
+    key = _repr_keys(labels)
+    if key is None:
+        return None
+    n = len(labels)
+    # No degree exceeds this between removals (see ddsr.c).
+    width = max(config.d_max, int(csr.degrees().max()) if n else 0, 1)
+    if n * width * 4 > _KERNEL_ROW_BYTES:
+        return None
+    index_of = csr.index_of
+    victims = np.fromiter(
+        (index_of.get(node, -1) for node in batch), dtype=np.int32, count=len(batch)
+    )
+    room = max(_KERNEL_OPS, 3 * width * width)
+    io = np.zeros(_IO_PRUNES + 1, dtype=np.int64)
+    io[_IO_NODES] = n
+    io[_IO_WIDTH] = width
+    io[_IO_D_MAX] = config.d_max
+    io[_IO_HIGHEST] = config.pruning_policy is PruningPolicy.HIGHEST_DEGREE
+    io[_IO_VICTIMS] = len(batch)
+    io[_IO_OPS] = room
+    version, words, gauss_next = overlay.rng.getstate()
+    state = np.array(words, dtype=np.uint32)
+    ops = np.empty(2 * room, dtype=np.int32)
+    buffers = (
+        io,
+        state,
+        key,
+        np.empty(n * width, dtype=np.int32),
+        np.empty(n, dtype=np.int32),
+        np.empty(n, dtype=np.int32),
+        victims,
+        ops,
+        np.empty(3 * width + 2 * width * width, dtype=np.int32),
+        np.ascontiguousarray(csr.indptr, dtype=np.int64),
+        np.ascontiguousarray(csr.indices, dtype=np.int32),
+    )
+    arguments = [buffer.ctypes.data for buffer in buffers]
+    chunks = []
+    while io[_IO_NEXT] < len(batch):
+        count = kernel(*arguments)
+        if count < 0:
+            return None
+        chunks.append(ops[:2 * count].copy())
+    # C's buffers go before the adjacency sets grow, so the sets can reuse
+    # their memory instead of stacking above it.
+    del buffers, key, ops
+    adjacency = graph._adjacency
+    gone: List[NodeId] = []
+    for chunk in chunks:
+        # A memoryview makes one int at a time; a list of a chunk's ints
+        # would sit between the set tables growing now and fragment them.
+        flat = iter(memoryview(chunk))
+        for a, b in zip(flat, flat):
+            if b < 0:
+                label = labels[a]
+                for peer in adjacency.pop(label):
+                    adjacency[peer].discard(label)
+                gone.append(batch[~b])
+            elif a < 0:
+                u, w = labels[~a], labels[b]
+                adjacency[u].discard(w)
+                adjacency[w].discard(u)
+            else:
+                u, w = labels[a], labels[b]
+                adjacency[u].add(w)
+                adjacency[w].add(u)
+    overlay.rng.setstate((version, tuple(state.tolist()), gauss_next))
+    removed, repairs, edges, prunes = map(int, io[_IO_REMOVED:])
+    graph._mutations += removed + edges + prunes
+    stats = overlay.stats
+    stats.nodes_removed += removed
+    stats.repairs_performed += repairs
+    stats.repair_edges_added += edges
+    stats.prune_operations += prunes
+    stats.prune_edges_removed += prunes
+    if config.forgetting_enabled:
+        overlay.forgotten.update(gone)
+        stats.addresses_forgotten += removed + prunes
+    return removed

@@ -1,7 +1,7 @@
 """Build-on-first-use loader for the compiled kernels of ``repro``.
 
-The three C sources, ``wavekernel.c``, ``pairing.c`` and ``soap.c``, compile
-into one shared library with three entry points:
+The four C sources, ``wavekernel.c``, ``pairing.c``, ``soap.c`` and
+``ddsr.c``, compile into one shared library with four entry points:
 
 * :func:`load` binds ``repro_wave_accumulate``: every multi-source BFS of
   :mod:`repro.graphs.fast` runs its waves through it when this module can
@@ -20,18 +20,24 @@ into one shared library with three entry points:
   clone/prune loop through it, on the same replay of ``random.Random``,
   and through the Python ``contain_node`` otherwise -- both prune the same
   victims, mint the same clones and leave the rng in the same state.
+* :func:`load_ddsr` binds ``repro_ddsr_remove``:
+  :meth:`repro.core.ddsr.DDSROverlay.remove_nodes` decides a batch's
+  removals, clique repairs and prunes through it, on the same replay of
+  ``random.Random``, and runs the Python deletion loop otherwise -- both
+  make the same mutations in the same order and leave the rng in the same
+  state.
 
 Either way the choice never reaches a cache key.
 
 * **Lazy.** Nothing happens at import; the first :func:`load`,
-  :func:`load_pairing` or :func:`load_soap` call builds and loads the
-  library and memoises the outcome (the library, or ``None``) for the life
-  of the process; all three bind from that one library.  :func:`reset`
-  forgets it.
+  :func:`load_pairing`, :func:`load_soap` or :func:`load_ddsr` call builds
+  and loads the library and memoises the outcome (the library, or
+  ``None``) for the life of the process; all four bind from that one
+  library.  :func:`reset` forgets it.
 * **Compiler.** ``$CC`` (split like a shell word list) or else ``cc``, with
   the portable :data:`FLAGS`.  No compiler, a failed build or a failed load
-  all mean ``None``: the numpy wave, the Python pairing model and the
-  Python containment loop run instead.
+  all mean ``None``: the numpy wave, the Python pairing model, the Python
+  containment loop and the Python deletion loop run instead.
 * **Cache.** The shared object lives in ``$XDG_CACHE_HOME/repro/`` or else
   ``~/.cache/repro/``, named by the sha256 of every source, the flags, the
   compiler command, its ``--version`` output and the machine type, so an
@@ -62,6 +68,7 @@ SOURCES = (
     Path(__file__).with_name("wavekernel.c"),
     Path(__file__).with_name("pairing.c"),
     Path(__file__).with_name("soap.c"),
+    Path(__file__).with_name("ddsr.c"),
 )
 
 #: Portable compiler flags (no ``-march``): the artifact runs on any CPU of
@@ -112,6 +119,15 @@ def load_soap():
     """
     library = _library()
     return None if library is None else library.repro_soap_contain
+
+
+def load_ddsr():
+    """The bound ``repro_ddsr_remove`` function, or ``None``.
+
+    Comes from the same memoised library as :func:`load`.
+    """
+    library = _library()
+    return None if library is None else library.repro_ddsr_remove
 
 
 def _library() -> Optional[ctypes.CDLL]:
@@ -168,6 +184,11 @@ def _load() -> Optional[ctypes.CDLL]:
     soap.restype = ctypes.c_int64
     # (io, rng state, rank, degree, work, ops, names, prefix, prefix length)
     soap.argtypes = [ctypes.c_void_p] * 8 + [ctypes.c_int64]
+    ddsr = library.repro_ddsr_remove
+    ddsr.restype = ctypes.c_int64
+    # (io, rng state, key, rows, degree, slot, victims, ops, scratch, indptr,
+    # indices)
+    ddsr.argtypes = [ctypes.c_void_p] * 11
     return library
 
 

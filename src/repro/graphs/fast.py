@@ -162,16 +162,24 @@ def build_csr(graph: UndirectedGraph) -> CSRGraph:
     return CSRGraph(nodes, index_of, indptr, indices)
 
 
+def cached_csr(graph: UndirectedGraph) -> Optional[CSRGraph]:
+    """The CSR mirror cached for ``graph``'s current state, or ``None``."""
+    cached = getattr(graph, _CSR_CACHE_ATTR, None)
+    if cached is not None and cached[0] == graph.mutation_stamp:
+        return cached[1]
+    return None
+
+
 def csr_of(graph: UndirectedGraph) -> CSRGraph:
     """The cached CSR mirror of ``graph``, rebuilt after any mutation."""
-    stamp = graph.mutation_stamp
-    cached = getattr(graph, _CSR_CACHE_ATTR, None)
+    cached = cached_csr(graph)
     tel = _telemetry()
-    if cached is not None and cached[0] == stamp:
+    if cached is not None:
         if tel.enabled:
             tel.count("csr.cache.hit")
-        return cached[1]
+        return cached
     started = time.perf_counter() if tel.enabled else 0.0
+    stamp = graph.mutation_stamp
     csr = build_csr(graph)
     setattr(graph, _CSR_CACHE_ATTR, (stamp, csr))
     if tel.enabled:

@@ -85,6 +85,10 @@ MAX_PUBLICATIONS = 4
 #: worker-side :class:`TransientTaskError` costs only its own task one.
 MAX_POOL_ATTEMPTS = 2
 
+#: Seconds :meth:`WorkerPool.terminate` waits for the executor's management
+#: thread to notice its killed workers and close its wakeup pipe.
+TERMINATE_JOIN_SECONDS = 5.0
+
 #: No-progress deadline in seconds (float) of :func:`parent_deadline`.  When
 #: set, the parent SIGKILLs the pool's workers after that long without *any*
 #: task completing -- turning a hung worker into the (recoverable)
@@ -511,7 +515,12 @@ class WorkerPool:
 
         The interrupt path (``KeyboardInterrupt``/SIGINT mid-campaign):
         a hung or busy worker must not block the shutdown, and no
-        ``repro-pool-*`` segment may survive in ``/dev/shm``.
+        ``repro-pool-*`` segment may survive in ``/dev/shm``.  After the
+        SIGKILL it joins the executor's management thread, for at most
+        :data:`TERMINATE_JOIN_SECONDS`: left running, that thread's
+        teardown can close its wakeup pipe while ``concurrent.futures``'
+        exit hook writes to it, which prints ``OSError: [Errno 9] Bad file
+        descriptor`` as the interpreter exits.
         """
         self._shut(kill=True)
 
@@ -520,10 +529,13 @@ class WorkerPool:
             return
         self._closed = True
         if self._executor is not None:
+            manager = getattr(self._executor, "_executor_manager_thread", None)
             if kill:
                 self._kill_workers()
             self._executor.shutdown(wait=not kill, cancel_futures=kill)
             self._executor = None
+            if kill and manager is not None:
+                manager.join(TERMINATE_JOIN_SECONDS)
         for key in list(self._pubs):
             self._drop_publication(key)
 

@@ -430,6 +430,7 @@ def _edit_source(name, fresh_loader, monkeypatch, tmp_path):
     assert _wavekernel.load() is not None
     assert _wavekernel.load_pairing() is not None
     assert _wavekernel.load_soap() is not None
+    assert _wavekernel.load_ddsr() is not None
     artifacts = _artifacts(fresh_loader)
     assert len(artifacts) == 2 and original in artifacts
 
@@ -441,6 +442,10 @@ def test_pairing_source_edit_changes_the_artifact(fresh_loader, monkeypatch, tmp
 
 def test_soap_source_edit_changes_the_artifact(fresh_loader, monkeypatch, tmp_path):
     _edit_source("soap.c", fresh_loader, monkeypatch, tmp_path)
+
+
+def test_ddsr_source_edit_changes_the_artifact(fresh_loader, monkeypatch, tmp_path):
+    _edit_source("ddsr.c", fresh_loader, monkeypatch, tmp_path)
 
 
 def test_concurrent_first_calls_both_succeed(fresh_loader):
@@ -470,6 +475,7 @@ def test_import_neither_compiles_nor_loads(fresh_loader):
         "import repro.graphs.fast\n"
         "import repro.graphs.generators\n"
         "import repro.adversary.soap\n"
+        "import repro.core.ddsr\n"
         "assert 'repro.graphs._wavekernel' not in sys.modules\n"
     )
     subprocess.run(

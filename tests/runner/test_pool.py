@@ -86,6 +86,21 @@ class TestPoolLifecycle:
         snap = collector.snapshot()
         assert snap["spans"]["runner.pool_spinup"]["count"] == 1
 
+    def test_terminate_joins_the_management_thread(self):
+        """``terminate()`` returns after the executor's management thread ends.
+
+        Left running, its teardown races ``concurrent.futures``' exit hook
+        for the wakeup pipe (``OSError: [Errno 9]`` printed at exit).
+        """
+        pool = get_pool(2)
+        with backend.using("fast"):
+            sharded_full_path_metrics(k_regular_graph(300, 6, seed=7), workers=2)
+        manager = pool._executor._executor_manager_thread
+        assert manager.is_alive()
+        pool.terminate()
+        assert not manager.is_alive()
+        assert _pool_segments() == []
+
 
 class TestSharedMemoryPublication:
     CHECKPOINTS = ((), (3, 77), (141, 200, 250))
