@@ -26,12 +26,16 @@ Crash safety: unless ``--no-journal`` is given, every cached run journals
 completed units under ``<cache-dir>/journals/<spec-hash>.jsonl`` (override
 with ``--journal PATH``); after a crash or ^C, ``--resume`` replays the
 journal's units verbatim and finishes the remainder, bit-identical to an
-uninterrupted run.  Journal schema v2 additionally records sub-unit
-checkpoint state, so a campaign killed *inside* a long unit re-enters it
-from its first incomplete path-metric checkpoint shard.  ``journal PATH``
-inspects a journal without running anything: schema version, progress,
-whether ``--resume`` in the current environment would accept it (exit 0
-valid / 3 mismatched-or-corrupt).  ``--inject-faults SPEC`` arms the
+uninterrupted run; it reads the journal once, under the journal's writer
+lock.  The journal also records sub-unit checkpoint state, so a campaign
+killed *inside* a long unit re-enters it from its first incomplete
+path-metric checkpoint shard.  A second invocation on the same journal
+(two runs sharing one ``--cache-dir``) prints one stderr line naming it
+and waits for the first to finish, then serves the first run's units from
+the cache.  ``journal PATH`` inspects a journal without running anything
+or taking the lock: schema version, progress, whether ``--resume`` in the
+current environment would accept it (exit 0 valid / 3 mismatched, corrupt,
+or an unknown schema such as the retired v1).  ``--inject-faults SPEC`` arms the
 deterministic fault plane (:mod:`repro.runner.faults`) for chaos testing.
 
 Exit codes are distinct per failure class so scripts and CI can tell them
@@ -43,7 +47,8 @@ apart:
   bad environment policy, malformed fault spec, journal mismatch on
   resume or inspect)
 * ``4``   the worker pool failed (:class:`~repro.runner.pool.PoolError`,
-  including an in-parent hang caught by the parent watchdog)
+  including an in-parent hang -- or a journal-lock wait -- caught by the
+  parent watchdog)
 * ``5``   a task failed inside a worker
   (:class:`~repro.runner.pool.PoolTaskError`)
 * ``130`` interrupted (^C); pools are torn down and the journal stays

@@ -217,17 +217,17 @@ def execute(
     :class:`ResultCache` to serve repeats from disk and persist fresh results.
 
     ``journal`` (a path) records every completed unit into an append-only
-    :class:`~repro.runner.journal.CampaignJournal`; with ``resume=True`` the
-    journal's recorded units are replayed verbatim first (header-validated
-    against this spec and environment), so a campaign interrupted by a
-    crash or ^C finishes with aggregates bit-identical to an uninterrupted
-    run.  Journaled campaigns also checkpoint *inside* long units: exact
-    path-metric checkpoints computed in the parent process journal their
-    integer accumulators per shard (journal schema v2), and ``--resume``
-    re-enters a partially-finished unit from its first incomplete
-    checkpoint shard -- still bit-identical, because the accumulator
-    merges are exact-integer and order-free.  ``resume=True`` without a
-    journal raises :class:`~repro.core.errors.ConfigError`.
+    :class:`~repro.runner.journal.CampaignJournal`; its open waits for the
+    journal's writer lock.  With ``resume=True`` that open reads the journal
+    once and returns the replay, validated against this spec and
+    environment: recorded units replay verbatim, and in-parent path-metric
+    checkpoints (one :func:`~repro.runner.journal.unit_scope` per in-parent
+    unit) journal their integer accumulators per shard, so a unit
+    interrupted mid-way re-enters from its first incomplete checkpoint
+    shard.  A campaign interrupted by a crash or ^C thus finishes
+    bit-identical to an uninterrupted run (the accumulator merges are
+    exact-integer and order-free).  ``resume=True`` without a journal raises
+    :class:`~repro.core.errors.ConfigError`.
 
     Units run in-parent -- every unit with ``workers=1``, and the units of
     shards the pool hands back after they used up their attempts -- go
@@ -276,22 +276,10 @@ def execute(
     replay: Dict[int, Dict[str, float]] = {}
     saved_checkpoints: Dict[Tuple[int, int], Dict[str, Any]] = {}
     if journal is not None:
-        from repro.runner.journal import CampaignJournal, journal_header
-
-        jrnl = CampaignJournal(journal)
-        header = journal_header(spec, sc.version, len(units))
-        if resume:
-            replay = jrnl.resume_state(header)
-            # Sub-unit checkpoint states of units the journal did NOT
-            # finish: the replayed units above never recompute, so their
-            # checkpoint records are dead weight -- only partial units
-            # re-enter.
-            saved_checkpoints = {
-                key: value
-                for key, value in jrnl.checkpoints.items()
-                if key[0] not in replay
-            }
-        jrnl.open(header, resume=resume)
+        jrnl = journal_mod.CampaignJournal(journal)
+        replay, saved_checkpoints = jrnl.open(
+            journal_mod.journal_header(spec, sc.version, len(units)), resume=resume
+        )
     elif resume:
         raise ConfigError(
             "resume requested but no journal given; pass a journal path "
@@ -350,7 +338,11 @@ def execute(
                 f"({len(results)}/{len(units)} complete)"
             )
 
+    ckpt_replayed = 0
+    ckpt_recorded = 0
+
     def run_in_parent(to_run: Sequence[WorkUnit]) -> None:
+        nonlocal ckpt_replayed, ckpt_recorded
         for unit in to_run:
             # The deadline bounds an in-parent hang (there is no worker to
             # kill), bookkeeping included; the unit scope lets in-parent
@@ -358,75 +350,68 @@ def execute(
             with parent_deadline(
                 f"work unit {unit.index} of scenario {spec.name!r}"
             ):
-                with journal_mod.unit_scope(unit.index), tel.span("runner.unit"):
+                with journal_mod.unit_scope(
+                    jrnl, saved_checkpoints, unit.index
+                ) as scope, tel.span("runner.unit"):
                     metrics = sc.call(seed=unit.seed, **unit.params)
+                if scope is not None:
+                    ckpt_replayed += scope.replayed
+                    ckpt_recorded += scope.recorded
                 finish_unit(unit.index, metrics)
 
-    ckpt_replayed = 0
-    ckpt_recorded = 0
     try:
-        with journal_mod.campaign_checkpoints(jrnl, saved_checkpoints) as ckpt_ctx:
-            try:
-                if pending and workers == 1:
-                    run_in_parent(pending)
-                elif pending:
-                    shards = _shards(pending, shard_size)
-                    max_workers = min(workers, len(shards))
-                    if tel.enabled:
-                        # The fan-out shape: shard count, effective width,
-                        # pool size.
-                        tel.gauge("runner.shards", len(shards))
-                        tel.gauge("runner.shard_size", shard_size)
-                        tel.gauge("runner.pool_workers", max_workers)
-                    from repro.graphs import backend
+        if pending and workers == 1:
+            run_in_parent(pending)
+        elif pending:
+            shards = _shards(pending, shard_size)
+            max_workers = min(workers, len(shards))
+            if tel.enabled:
+                # The fan-out shape: shard count, effective width, pool size.
+                tel.gauge("runner.shards", len(shards))
+                tel.gauge("runner.shard_size", shard_size)
+                tel.gauge("runner.pool_workers", max_workers)
+            from repro.graphs import backend
 
-                    # Everything policy-like ships per task: the persistent
-                    # pool outlives this campaign, so workers re-force the
-                    # parent's resolved policies for every shard instead of
-                    # baking them in at spin-up.
-                    ctx = {
-                        "module": sc.module,
-                        "backend": backend.policy(),
-                        "telemetry": tel.enabled,
-                    }
+            # Everything policy-like ships per task: the persistent pool
+            # outlives this campaign, so workers re-force the parent's
+            # resolved policies for every shard instead of baking them in at
+            # spin-up.
+            ctx = {
+                "module": sc.module,
+                "backend": backend.policy(),
+                "telemetry": tel.enabled,
+            }
 
-                    def on_shard(shard_results, shard_snapshot) -> None:
-                        if shard_snapshot is not None:
-                            tel.merge_snapshot(shard_snapshot)
-                        for unit_index, metrics in shard_results:
-                            finish_unit(unit_index, metrics)
+            def on_shard(shard_results, shard_snapshot) -> None:
+                if shard_snapshot is not None:
+                    tel.merge_snapshot(shard_snapshot)
+                for unit_index, metrics in shard_results:
+                    finish_unit(unit_index, metrics)
 
-                    returned = get_pool(workers).run_unit_shards(
-                        ctx, spec.name, shards, on_shard
-                    )
-                    run_in_parent(
-                        [
-                            units[index]
-                            for key in returned
-                            for index, _, _ in shards[key]
-                        ]
-                    )
-            except (KeyboardInterrupt, ParentTimeoutError) as error:
-                # Deterministic teardown for ^C and an in-parent hang alike:
-                # kill the pools (unlinking every repro-pool-* shm segment)
-                # and leave the journal resumable.
-                logger.warning(
-                    "%s mid-campaign; terminating worker pools%s",
-                    "interrupted"
-                    if isinstance(error, KeyboardInterrupt)
-                    else "in-parent hang timed out",
-                    "" if jrnl is None else f" (resume with the journal at {jrnl.path})",
-                )
-                shutdown_pools(terminate=True)
-                raise
-            if ckpt_ctx is not None:
-                ckpt_replayed = ckpt_ctx.shards_replayed
-                ckpt_recorded = ckpt_ctx.shards_recorded
+            returned = get_pool(workers).run_unit_shards(
+                ctx, spec.name, shards, on_shard
+            )
+            run_in_parent(
+                [units[index] for key in returned for index, _, _ in shards[key]]
+            )
 
         drain_ready()
         ordered = [results[unit.index] for unit in units]
         if jrnl is not None:
             jrnl.finish()
+    except (KeyboardInterrupt, ParentTimeoutError) as error:
+        # Deterministic teardown for ^C and an in-parent hang alike: kill
+        # the pools (unlinking every repro-pool-* shm segment) and leave the
+        # journal resumable.
+        logger.warning(
+            "%s mid-campaign; terminating worker pools%s",
+            "interrupted"
+            if isinstance(error, KeyboardInterrupt)
+            else "in-parent hang timed out",
+            "" if jrnl is None else f" (resume with the journal at {jrnl.path})",
+        )
+        shutdown_pools(terminate=True)
+        raise
     finally:
         # Whatever got us here -- success, ^C, a watchdog timeout, an
         # injected fault -- the journal ends up closed and resumable.
@@ -524,12 +509,11 @@ def sharded_full_path_metrics(
         # Sub-unit journaling: anchor this checkpoint to a content hash of
         # the exact CSR snapshot + source set, and pull whatever spans a
         # previous (interrupted) run already journaled for it.
-        key = ""
-        seq = 0
         saved_spans: Dict[Tuple[int, int], Any] = {}
         if scope is not None:
-            key = fast.accumulator_state_key(csr, sources)
-            seq, saved_spans = scope.begin_checkpoint(key)
+            saved_spans = scope.begin_checkpoint(
+                fast.accumulator_state_key(csr, sources)
+            )
 
         pending: List[int] = []
         replayed = 0
@@ -549,7 +533,7 @@ def sharded_full_path_metrics(
                     span,
                 )
             pending.append(index)
-        if replayed and scope is not None:
+        if replayed:
             scope.note_replayed(replayed)
             pool_mod.watchdog_beat()
 
@@ -566,8 +550,6 @@ def sharded_full_path_metrics(
             np.add(totals, shard_totals, out=totals)
             if scope is not None:
                 scope.record_shard(
-                    seq,
-                    key,
                     spans[index],
                     len(spans),
                     fast.serialize_accumulators(shard_ecc, shard_totals),

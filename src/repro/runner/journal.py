@@ -10,26 +10,29 @@ into cache keys).  Every completed work unit appends one
 SIGKILL mid-campaign loses at most the record in flight), and a finished
 campaign appends a ``{"complete": true}`` marker.
 
-Schema v2 (``repro.runner/journal.v2``; the loader still reads v1) adds
-**sub-unit checkpoint records**: a long-running unit whose exact
-path-metric checkpoints run in the parent process appends one
+The schema (``repro.runner/journal.v2``) also carries **sub-unit checkpoint
+records**: a long-running unit whose exact path-metric checkpoints run in
+the parent process appends one
 ``{"ckpt": unit, "seq": k, "key": ..., "span": [a, b], "state": {...}}``
 record per completed checkpoint *shard* -- the serialized int64
 eccentricity-max / distance-sum accumulators of
 :func:`repro.graphs.fast.accumulate_path_shard`, keyed by a content hash of
 the checkpoint's CSR snapshot and source set plus the shard's source span.
-``--resume`` then re-enters a partially-finished unit: when the re-run
-reaches a checkpoint whose content key matches a journaled one, the saved
-accumulators are reloaded instead of recomputed (integer exactness makes
-the merge order-free, so the resumed aggregates stay **bit-identical** to
-an uninterrupted run), and at most one checkpoint shard of work is lost.
+A header with any other schema tag (the retired unit-records-only v1
+included) is refused with a :class:`~repro.core.errors.ConfigError` naming
+the schema found.
 
-``python -m repro.runner run --resume`` replays the recorded units verbatim
--- JSON round-trips IEEE doubles exactly, and the executor drains results
-in unit-schedule order either way.  Resume refuses a journal whose header
-does not match the current campaign (different spec, scenario version, or
-execution environment) with a :class:`~repro.core.errors.ConfigError`
-naming the mismatched fields.
+``--resume`` is one locked read: :meth:`CampaignJournal.open` takes the
+writer lock, parses the file once, and refuses a header that "does not
+match this campaign" (different spec, scenario version, or execution
+environment) with a ``ConfigError`` naming the fields.  It returns the
+replay: the recorded units, replayed verbatim (JSON round-trips IEEE doubles
+exactly), and the checkpoint states of the units the journal did not
+finish.  A re-run reaching a checkpoint whose content key matches a
+journaled one reloads the saved accumulators instead of recomputing them
+(integer exactness makes the merge order-free, so the resumed aggregates
+stay **bit-identical** to an uninterrupted run); at most one checkpoint
+shard of work is lost.
 
 Crash tolerance on load: a process killed mid-append can leave one
 truncated trailing line; it is dropped (with a warning) and the record
@@ -42,13 +45,16 @@ degrades the rest of the campaign to un-journaled execution -- mirroring
 state (above :data:`STATE_LIMIT`) is dropped with a logged fallback
 to unit-granularity journaling instead of bloating the journal.
 
-One writer per journal: :meth:`CampaignJournal.open` takes an exclusive,
-non-blocking ``flock`` on the journal file and holds it until
+One writer per journal: :meth:`CampaignJournal.open` takes an exclusive
+``flock`` on the journal file and holds it until
 :meth:`CampaignJournal.close`.  A second invocation pointed at the same
-journal (two runs sharing one cache directory, say) fails with a
-:class:`~repro.core.errors.ConfigError` naming the path instead of
-truncating or interleaving the first run's records.  Reading a journal
-(``--resume`` validation, :func:`inspect`) takes no lock.
+journal (two runs sharing one cache directory, say) prints one stderr line
+naming the journal and waits for the lock -- bounded by the parent watchdog
+when ``REPRO_TASK_TIMEOUT`` is set -- instead of truncating or interleaving
+the first run's records; it then reads what the first run left (a fresh run
+finds the first run's units in the result cache).  Opening a journal this
+process already holds raises :class:`~repro.core.errors.ConfigError` at
+once.  Reading a journal (:func:`inspect`) takes no lock.
 """
 
 from __future__ import annotations
@@ -56,29 +62,37 @@ from __future__ import annotations
 import json
 import logging
 import os
+import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Set, Tuple, Union
 
 from repro.obs.telemetry import current as _telemetry
 
 logger = logging.getLogger(__name__)
 
-#: Versioned identifier stamped into every new journal header.
+#: Versioned identifier stamped into every journal header; the only schema
+#: the loader accepts.
 JOURNAL_SCHEMA = "repro.runner/journal.v2"
-
-#: The PR 8 schema: unit records only.  Still accepted on load/resume --
-#: a v1 journal simply carries no sub-unit checkpoint state.
-JOURNAL_SCHEMA_V1 = "repro.runner/journal.v1"
-
-#: Every schema the loader accepts.
-ACCEPTED_SCHEMAS = (JOURNAL_SCHEMA, JOURNAL_SCHEMA_V1)
 
 #: Per-record byte budget for serialized checkpoint state (64 MiB).  A
 #: 1M-node checkpoint shard is a few MB compressed; anything past this cap
 #: falls back -- loudly -- to unit-granularity journaling rather than
 #: ballooning the journal file.
 STATE_LIMIT = 64 * 1024 * 1024
+
+#: Unit metrics by unit index, as journaled.
+Units = Dict[int, Dict[str, float]]
+
+#: Sub-unit checkpoint states:
+#: ``{(unit, seq): {"key": str, "spans": {(a, b): state-dict}}}``.
+Checkpoints = Dict[Tuple[int, int], Dict[str, Any]]
+
+#: Journals this process holds the writer lock on (resolved paths).  A
+#: second open of one of them fails at once: ``flock`` locks belong to the
+#: open file description, so a blocking lock taken through a second
+#: descriptor would wait on this process forever.
+_held: Set[str] = set()
 
 
 def environment_pins() -> Dict[str, Any]:
@@ -114,21 +128,6 @@ def journal_header(spec, version: str, unit_count: int) -> Dict[str, Any]:
     return header
 
 
-def _header_mismatches(recorded: Mapping[str, Any], header: Mapping[str, Any]):
-    """Field names of ``header`` that ``recorded`` contradicts.
-
-    The ``journal`` schema tag is compared separately (v1 journals resume
-    under v2 code); every identity/environment field must match exactly.
-    Only ``header``'s fields count, so a journal carrying a pin this code no
-    longer writes still resumes.
-    """
-    return sorted(
-        key
-        for key in header
-        if key != "journal" and recorded.get(key) != header[key]
-    )
-
-
 class CampaignJournal:
     """One campaign's append-only progress journal on disk."""
 
@@ -140,24 +139,21 @@ class CampaignJournal:
         #: Set once the filesystem refuses an append: the campaign carries
         #: on un-journaled (warned once, counted once per journal).
         self.write_failed = False
-        #: Sub-unit checkpoint states loaded by the last :meth:`_read` --
-        #: ``{(unit, seq): {"key": str, "spans": {(a, b): state-dict}}}``.
-        self.checkpoints: Dict[Tuple[int, int], Dict[str, Any]] = {}
 
     # -- reading -------------------------------------------------------
-    def _read(self) -> Tuple[Optional[Dict[str, Any]], Dict[int, Dict[str, float]], bool]:
-        """Parse the file: ``(header, {unit_index: metrics}, complete)``.
+    def _read(self) -> Tuple[Optional[Dict[str, Any]], Units, Checkpoints, bool]:
+        """Parse the file: ``(header, units, checkpoints, complete)``.
 
-        Sub-unit checkpoint records land in :attr:`checkpoints` as a side
-        effect.  Tolerates exactly one undecodable *trailing* line (a crash
-        between write and flush); earlier garbage raises ``ConfigError``.
+        Tolerates exactly one undecodable *trailing* line (a crash between
+        write and flush); earlier garbage, or a first record that is not a
+        :data:`JOURNAL_SCHEMA` header, raises ``ConfigError``.
         """
         from repro.core.errors import ConfigError
         from repro.runner import faults
 
         header: Optional[Dict[str, Any]] = None
-        units: Dict[int, Dict[str, float]] = {}
-        checkpoints: Dict[Tuple[int, int], Dict[str, Any]] = {}
+        units: Units = {}
+        checkpoints: Checkpoints = {}
         complete = False
         try:
             faults.fault_point("journal.read")
@@ -187,13 +183,12 @@ class CampaignJournal:
                     "delete it to start the campaign from scratch"
                 ) from None
             if header is None:
-                if (
-                    not isinstance(record, dict)
-                    or record.get("journal") not in ACCEPTED_SCHEMAS
-                ):
+                schema = record.get("journal") if isinstance(record, dict) else None
+                if schema != JOURNAL_SCHEMA:
                     raise ConfigError(
-                        f"journal {self.path} has no {JOURNAL_SCHEMA} header; "
-                        "delete it to start the campaign from scratch"
+                        f"journal {self.path} has no {JOURNAL_SCHEMA} header "
+                        f"(schema: {schema!r}); delete it to start the "
+                        "campaign from scratch"
                     )
                 header = record
             elif record.get("complete"):
@@ -205,13 +200,10 @@ class CampaignJournal:
                     str(key): float(value)
                     for key, value in record.get("metrics", {}).items()
                 }
-        self.checkpoints = checkpoints
-        return header, units, complete
+        return header, units, checkpoints, complete
 
     def _load_checkpoint_record(
-        self,
-        record: Mapping[str, Any],
-        checkpoints: Dict[Tuple[int, int], Dict[str, Any]],
+        self, record: Mapping[str, Any], checkpoints: Checkpoints
     ) -> None:
         """Fold one ``ckpt`` record into the per-``(unit, seq)`` state map.
 
@@ -243,26 +235,52 @@ class CampaignJournal:
             checkpoints[(unit, seq)] = entry
         entry["spans"][span] = state
 
-    def resume_state(self, header: Mapping[str, Any]) -> Dict[int, Dict[str, float]]:
-        """Validate the on-disk journal against ``header`` and load its units.
+    # -- writing -------------------------------------------------------
+    def open(
+        self, header: Mapping[str, Any], *, resume: bool = False
+    ) -> Tuple[Units, Checkpoints]:
+        """Take the writer lock, then start journaling; returns the replay.
 
-        Also populates :attr:`checkpoints` with the journal's sub-unit
-        checkpoint states.  Raises ``ConfigError`` when there is nothing to
-        resume or the journal belongs to a different campaign/environment.
+        A fresh open truncates the file and writes ``header`` (empty replay).
+        A resumed open reads the journal once, under the lock, appends below
+        its records and returns ``(units, checkpoints)``: the recorded unit
+        metrics, and the checkpoint states of the units the journal did not
+        finish.  Nothing to resume, an unreadable or mismatched header, or
+        an out-of-range unit record raise
+        :class:`~repro.core.errors.ConfigError`.
         """
         from repro.core.errors import ConfigError
 
-        if not self.path.exists():
+        if resume and not self.path.exists():
             raise ConfigError(
                 f"nothing to resume: no journal at {self.path} "
                 "(run without --resume first)"
             )
-        recorded, units, _complete = self._read()
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._lock()
+        try:
+            replay = self._replay(header) if resume else ({}, {})
+            self._handle = self.path.open("a" if resume else "w", encoding="utf-8")
+            if not resume:
+                self._append(header, fsync=True)
+        except BaseException:
+            self._unlock()
+            raise
+        return replay
+
+    def _replay(self, header: Mapping[str, Any]) -> Tuple[Units, Checkpoints]:
+        """The resume half of :meth:`open`: one read, validated."""
+        from repro.core.errors import ConfigError
+
+        recorded, units, checkpoints, _complete = self._read()
         if recorded is None:
             raise ConfigError(
-                f"nothing to resume: journal {self.path} has no readable header"
+                f"nothing to resume: journal {self.path} has no readable "
+                "header; delete it and rerun without --resume"
             )
-        mismatched = _header_mismatches(recorded, header)
+        # Only ``header``'s fields count, so a journal carrying a pin this
+        # code no longer writes still resumes.
+        mismatched = sorted(key for key in header if recorded.get(key) != header[key])
         if mismatched:
             detail = ", ".join(
                 f"{key}: journal={recorded.get(key)!r} vs campaign={header[key]!r}"
@@ -279,85 +297,48 @@ class CampaignJournal:
                 f"journal {self.path} records out-of-range unit(s) "
                 f"{sorted(out_of_range)} for a {total}-unit campaign"
             )
-        stale = [key for key in self.checkpoints if not 0 <= key[0] < total]
-        for key in stale:
-            # Checkpoint state is an optimization: out-of-range records are
-            # dropped (warned), never fatal like a contradictory unit record.
-            logger.warning(
-                "journal %s: dropping checkpoint state for out-of-range "
-                "unit %d",
-                self.path,
-                key[0],
-            )
-            del self.checkpoints[key]
-        return units
-
-    # -- writing -------------------------------------------------------
-    def open(self, header: Mapping[str, Any], *, resume: bool = False) -> None:
-        """Start journaling: fresh runs truncate and write the header,
-        resumed runs append below the existing records.
-
-        A resumed open **re-verifies** the on-disk header immediately
-        before appending: the tolerant-truncation pass (or a concurrent
-        writer) may have changed what is actually on disk since
-        :meth:`resume_state` ran, and appending under a stale or absent pin
-        would let a journal truncated down into its header silently restart
-        a different campaign.  Mismatch or unreadable header raises
-        :class:`~repro.core.errors.ConfigError`.
-
-        Both modes first take the single-writer lock (see the module
-        docstring); a journal another process holds open raises
-        :class:`~repro.core.errors.ConfigError` before anything is touched.
-        """
-        from repro.core.errors import ConfigError
-
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        resuming = resume and self.path.exists()
-        self._lock()
-        try:
-            if resuming:
-                recorded, _units, _complete = self._read()
-                if recorded is None:
-                    raise ConfigError(
-                        f"cannot resume into journal {self.path}: no readable "
-                        "header survives on disk; delete it and rerun without "
-                        "--resume"
-                    )
-                mismatched = _header_mismatches(recorded, header)
-                if mismatched:
-                    raise ConfigError(
-                        f"cannot resume into journal {self.path}: the on-disk "
-                        f"header no longer matches this campaign "
-                        f"(fields: {', '.join(mismatched)}); delete it or rerun "
-                        "without --resume"
-                    )
-                self._handle = self.path.open("a", encoding="utf-8")
-                return
-            self._handle = self.path.open("w", encoding="utf-8")
-            self._append(header, fsync=True)
-        except BaseException:
-            self._unlock()
-            raise
+        for key in list(checkpoints):
+            if not 0 <= key[0] < total:
+                # Checkpoint state is an optimization: out-of-range records
+                # are dropped (warned), never fatal like a unit record.
+                logger.warning(
+                    "journal %s: dropping checkpoint state for out-of-range "
+                    "unit %d",
+                    self.path,
+                    key[0],
+                )
+                del checkpoints[key]
+            elif key[0] in units:
+                del checkpoints[key]
+        return units, checkpoints
 
     def _lock(self) -> None:
-        """Take the exclusive single-writer ``flock`` without blocking."""
+        """Take the exclusive single-writer ``flock``, waiting for a holder."""
         import fcntl
 
         from repro.core.errors import ConfigError
+        from repro.runner.pool import parent_deadline
 
+        key = os.path.realpath(self.path)
+        if key in _held:
+            raise ConfigError(
+                f"journal {self.path} is already open in this process; "
+                "pass a different --journal path"
+            )
         fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
         try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            os.close(fd)
-            raise ConfigError(
-                f"journal {self.path} is in use by another running campaign; "
-                "wait for it to finish or pass a different --journal path"
-            ) from None
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                message = f"waiting for journal {self.path}: another campaign holds it"
+                print(message, file=sys.stderr, flush=True)
+                with parent_deadline(f"the wait for journal {self.path}"):
+                    fcntl.flock(fd, fcntl.LOCK_EX)
         except BaseException:
             os.close(fd)
             raise
         self._lock_fd = fd
+        _held.add(key)
 
     def _unlock(self) -> None:
         if self._lock_fd is not None:
@@ -369,6 +350,7 @@ class CampaignJournal:
             fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
             os.close(self._lock_fd)
             self._lock_fd = None
+            _held.discard(os.path.realpath(self.path))
 
     def _degrade_writes(self, error: OSError) -> None:
         """First refused append: warn once, count once, stop journaling.
@@ -386,6 +368,11 @@ class CampaignJournal:
             self.path,
             error,
         )
+        self._close_handle()
+
+    def _close_handle(self) -> None:
+        # ``close`` flushes first and closes the file even when that flush
+        # fails.
         if self._handle is not None:
             try:
                 self._handle.close()
@@ -472,138 +459,91 @@ class CampaignJournal:
     def close(self) -> None:
         """Close the handle and drop the writer lock (idempotent; an
         unfinished journal stays resumable)."""
-        if self._handle is not None:
-            try:
-                self._handle.flush()
-            except OSError:
-                pass
-            finally:
-                try:
-                    self._handle.close()
-                except OSError:
-                    pass
-                self._handle = None
+        self._close_handle()
         self._unlock()
 
 
 # ----------------------------------------------------------------------
 # Sub-unit checkpoint plumbing (parent-process state)
 # ----------------------------------------------------------------------
-# The executor installs one CheckpointJournalContext per journaled campaign
-# and a UnitCheckpointScope around every work unit it computes *in the
-# parent process* (the in-parent unit loop: every unit at ``workers=1``,
-# and the units the pool hands back).  Checkpointed computations deep
+# The executor wraps every work unit it computes *in the parent process*
+# (the in-parent unit loop: every unit at ``workers=1``, and the units the
+# pool hands back) in a :func:`unit_scope`.  Checkpointed computations deep
 # inside a unit -- the exact path-metric campaigns of
-# ``sharded_full_path_metrics`` -- consult
-# :func:`active_unit_scope` to replay journaled accumulators and to record
-# fresh ones.  Pool workers never see this state (it is process-local and
-# never shipped), so a unit running in a worker journals at unit
-# granularity exactly as before.
-
-class CheckpointJournalContext:
-    """One journaled campaign's sub-unit checkpoint state (parent-side)."""
-
-    def __init__(
-        self,
-        journal: CampaignJournal,
-        saved: Mapping[Tuple[int, int], Dict[str, Any]],
-    ) -> None:
-        self.journal = journal
-        self.saved = dict(saved)
-        #: Checkpoint shards replayed from the journal instead of computed.
-        self.shards_replayed = 0
-        #: Fresh checkpoint shards appended to the journal.
-        self.shards_recorded = 0
-
+# ``sharded_full_path_metrics`` -- consult :func:`active_unit_scope` to
+# replay journaled accumulators and to record fresh ones.  Pool workers
+# never see this state (it is process-local and never shipped), so a unit
+# running in a worker journals at unit granularity.
 
 class UnitCheckpointScope:
-    """One in-parent work unit's view of the campaign checkpoint context."""
+    """One in-parent work unit's checkpoint replay and recording."""
 
-    def __init__(self, context: CheckpointJournalContext, unit_index: int) -> None:
-        self.context = context
+    def __init__(
+        self, journal: CampaignJournal, saved: Checkpoints, unit_index: int
+    ) -> None:
+        self.journal = journal
+        self.saved = saved
         self.unit = unit_index
-        #: Checkpoints are numbered in execution order within the unit; the
-        #: re-run reaches them in the same deterministic order, which is
-        #: what lets ``seq`` anchor a journaled state to "the k-th
-        #: checkpoint of unit i".
-        self.seq = 0
+        #: The checkpoint in flight: its position in the unit (``-1`` before
+        #: the first) and content key.  Checkpoints are numbered in
+        #: execution order within the unit; the re-run reaches them in the
+        #: same deterministic order, which is what lets ``seq`` anchor a
+        #: journaled state to "the k-th checkpoint of unit i".
+        self.seq = -1
+        self.key = ""
+        #: Checkpoint shards replayed from the journal instead of computed.
+        self.replayed = 0
+        #: Fresh checkpoint shards appended to the journal.
+        self.recorded = 0
 
-    def begin_checkpoint(self, key: str) -> Tuple[int, Dict[Tuple[int, int], Any]]:
-        """Enter the next checkpoint; returns ``(seq, saved_spans)``.
+    def begin_checkpoint(self, key: str) -> Dict[Tuple[int, int], Any]:
+        """Enter the next checkpoint; returns its saved spans.
 
-        ``saved_spans`` maps source spans to serialized states journaled
-        for this exact checkpoint (same unit, same sequence position, same
-        content key).  A key mismatch -- the journaled state belongs to a
-        different graph snapshot -- yields no spans: the checkpoint simply
-        recomputes, it can never replay the wrong state.
+        They map source spans to serialized states journaled for this exact
+        checkpoint (same unit, same sequence position, same content key).
+        A key mismatch -- the journaled state belongs to a different graph
+        snapshot -- yields no spans: the checkpoint simply recomputes, it
+        can never replay the wrong state.
         """
-        seq = self.seq
         self.seq += 1
-        entry = self.context.saved.get((self.unit, seq))
+        self.key = key
+        entry = self.saved.get((self.unit, self.seq))
         if entry is not None and entry["key"] == key:
-            return seq, dict(entry["spans"])
-        return seq, {}
+            return dict(entry["spans"])
+        return {}
 
     def note_replayed(self, spans: int = 1) -> None:
-        self.context.shards_replayed += spans
+        self.replayed += spans
         _telemetry().count("runner.journal.ckpt_replayed", spans)
 
     def record_shard(
-        self,
-        seq: int,
-        key: str,
-        span: Tuple[int, int],
-        spans: int,
-        state: Mapping[str, str],
+        self, span: Tuple[int, int], spans: int, state: Mapping[str, str]
     ) -> None:
-        if self.context.journal.record_checkpoint_shard(
-            self.unit, seq, key, span, spans, state
+        """Journal one computed shard of the checkpoint in flight."""
+        if self.journal.record_checkpoint_shard(
+            self.unit, self.seq, self.key, span, spans, state
         ):
-            self.context.shards_recorded += 1
+            self.recorded += 1
 
 
-_campaign_context: Optional[CheckpointJournalContext] = None
 _active_scope: Optional[UnitCheckpointScope] = None
 
 
 @contextmanager
-def campaign_checkpoints(
-    journal: Optional[CampaignJournal],
-    saved: Optional[Mapping[Tuple[int, int], Dict[str, Any]]] = None,
+def unit_scope(
+    journal: Optional[CampaignJournal], saved: Checkpoints, unit_index: int
 ):
-    """Install the campaign checkpoint context for the executor's duration.
-
-    Yields the installed :class:`CheckpointJournalContext` (``None`` when
-    ``journal`` is ``None``: an un-journaled campaign runs with sub-unit
-    checkpointing off).  Re-entrant: a nested campaign shadows and then
-    restores the outer one.
-    """
-    global _campaign_context
-    previous = _campaign_context
-    context = (
-        CheckpointJournalContext(journal, saved or {}) if journal is not None else None
-    )
-    _campaign_context = context
-    try:
-        yield context
-    finally:
-        _campaign_context = previous
-
-
-@contextmanager
-def unit_scope(unit_index: int):
     """Activate sub-unit checkpointing for one in-parent work unit.
 
-    A no-op (yields ``None``) outside a journaled campaign -- which is
-    exactly what happens inside pool workers, where the campaign context is
-    never installed.
+    Yields the unit's :class:`UnitCheckpointScope` -- ``saved`` is the
+    replay :meth:`CampaignJournal.open` returned -- or ``None`` when
+    ``journal`` is ``None`` (an un-journaled campaign runs with sub-unit
+    checkpointing off).  Re-entrant: a nested unit shadows and then
+    restores the outer one.
     """
     global _active_scope
-    if _campaign_context is None:
-        yield None
-        return
     previous = _active_scope
-    scope = UnitCheckpointScope(_campaign_context, unit_index)
+    scope = None if journal is None else UnitCheckpointScope(journal, saved, unit_index)
     _active_scope = scope
     try:
         yield scope
@@ -626,8 +566,7 @@ def inspect(path: Union[str, Path]) -> Dict[str, Any]:
     (or ``FileNotFoundError``) when the journal is unreadable or corrupt --
     the CLI maps both onto exit code 3.
     """
-    journal = CampaignJournal(path)
-    header, units, complete = journal._read()
+    header, units, checkpoints, complete = CampaignJournal(path)._read()
     if header is None:
         from repro.core.errors import ConfigError
 
@@ -639,9 +578,7 @@ def inspect(path: Union[str, Path]) -> Dict[str, Any]:
     env_mismatches = sorted(
         key for key in current_env if header.get(key) != current_env[key]
     )
-    checkpoint_shards = sum(
-        len(entry["spans"]) for entry in journal.checkpoints.values()
-    )
+    checkpoint_shards = sum(len(entry["spans"]) for entry in checkpoints.values())
     return {
         "path": str(path),
         "schema": header.get("journal"),
@@ -654,7 +591,7 @@ def inspect(path: Union[str, Path]) -> Dict[str, Any]:
         "units_complete": len(in_range),
         "percent_complete": (100.0 * len(in_range) / total) if total else 0.0,
         "complete": complete,
-        "checkpoints": len(journal.checkpoints),
+        "checkpoints": len(checkpoints),
         "checkpoint_shards": checkpoint_shards,
         "environment": {key: header.get(key) for key in current_env},
         "environment_mismatches": env_mismatches,

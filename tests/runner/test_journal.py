@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -16,12 +17,7 @@ from repro.runner import faults
 from repro.runner import journal as journal_mod
 from repro.runner.cache import ResultCache
 from repro.runner.executor import execute, run_scenario
-from repro.runner.journal import (
-    JOURNAL_SCHEMA,
-    JOURNAL_SCHEMA_V1,
-    CampaignJournal,
-    journal_header,
-)
+from repro.runner.journal import JOURNAL_SCHEMA, CampaignJournal, journal_header
 from repro.runner.pool import shutdown_pools
 from repro.runner.registry import get_scenario
 from repro.runner.spec import ScenarioSpec
@@ -53,6 +49,14 @@ def _header(spec=None, units=3):
     return journal_header(spec.resolved(sc.defaults), sc.version, units)
 
 
+def _resume(path, header=None):
+    """Resume-open the journal at ``path`` and close it; returns the replay."""
+    journal = CampaignJournal(path)
+    replay = journal.open(header or _header(), resume=True)
+    journal.close()
+    return replay
+
+
 class TestJournalFile:
     def test_roundtrip_header_units_complete(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -62,7 +66,7 @@ class TestJournalFile:
         journal.record_unit(0, {"m": 1.5})
         journal.record_unit(2, {"m": -0.25})
         journal.finish()
-        recorded, units, complete = CampaignJournal(path)._read()
+        recorded, units, _, complete = CampaignJournal(path)._read()
         assert recorded == json.loads(json.dumps(header))
         assert units == {0: {"m": 1.5}, 2: {"m": -0.25}}
         assert complete
@@ -93,8 +97,8 @@ class TestJournalFile:
         journal.close()
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"unit": 1, "metr')  # crash mid-append
-        replay = CampaignJournal(path).resume_state(_header())
-        assert replay == {0: {"m": 1.0}}
+        units, _ = _resume(path)
+        assert units == {0: {"m": 1.0}}
 
     def test_mid_file_corruption_fails_loudly(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -106,25 +110,25 @@ class TestJournalFile:
         lines.insert(1, "not json")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match="corrupt at line 2"):
-            CampaignJournal(path).resume_state(_header())
+            _resume(path)
 
     def test_resume_without_a_journal_file(self, tmp_path):
         with pytest.raises(ConfigError, match="nothing to resume"):
-            CampaignJournal(tmp_path / "absent.jsonl").resume_state(_header())
+            _resume(tmp_path / "absent.jsonl")
 
     def test_header_mismatch_names_the_fields(self, tmp_path):
         path = tmp_path / "j.jsonl"
         journal = CampaignJournal(path)
         journal.open(_header(_spec(seed=5)))
         journal.close()
-        with pytest.raises(ConfigError, match="seed"):
-            CampaignJournal(path).resume_state(_header(_spec(seed=6)))
+        with pytest.raises(ConfigError, match="does not match this campaign.*seed"):
+            _resume(path, _header(_spec(seed=6)))
 
     def test_missing_header_fails(self, tmp_path):
         path = tmp_path / "j.jsonl"
         path.write_text('{"unit": 0, "metrics": {}}\n{"unit": 1, "metrics": {}}\n')
         with pytest.raises(ConfigError, match="header"):
-            CampaignJournal(path).resume_state(_header())
+            _resume(path)
 
     def test_out_of_range_unit_fails(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -133,26 +137,37 @@ class TestJournalFile:
         journal.record_unit(7, {"m": 1.0})
         journal.close()
         with pytest.raises(ConfigError, match="out-of-range"):
-            CampaignJournal(path).resume_state(_header(units=3))
+            _resume(path, _header(units=3))
 
 
 STATE = {"ecc": "ZWNj", "totals": "dG90"}  # opaque to the journal layer
 
 
 class TestJournalV2:
-    def test_v1_journal_still_resumes(self, tmp_path):
-        """A PR 8 journal (v1 schema tag, unit records only) replays under
-        the v2 loader -- it just carries no checkpoint state."""
+    def test_v1_journal_is_refused(self, tmp_path):
+        """A unit-records-only v1 journal is refused like any unknown
+        schema: on resume and by the ``journal`` subcommand (exit 3)."""
         path = tmp_path / "j.jsonl"
         header = dict(_header())
-        header["journal"] = JOURNAL_SCHEMA_V1
+        header["journal"] = "repro.runner/journal.v1"
         with path.open("w", encoding="utf-8") as handle:
             handle.write(json.dumps(header) + "\n")
             handle.write(json.dumps({"unit": 1, "metrics": {"m": 2.0}}) + "\n")
-        journal = CampaignJournal(path)
-        replay = journal.resume_state(_header())
-        assert replay == {1: {"m": 2.0}}
-        assert journal.checkpoints == {}
+        before = path.read_bytes()
+        with pytest.raises(ConfigError, match="journal.v1"):
+            _resume(path)
+        assert path.read_bytes() == before
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        inspected = subprocess.run(
+            [sys.executable, "-m", "repro.runner", "journal", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert inspected.returncode == 3
+        assert "journal.v1" in inspected.stderr
 
     @pytest.mark.parametrize(
         "retired",
@@ -170,7 +185,7 @@ class TestJournalV2:
         with path.open("w", encoding="utf-8") as handle:
             handle.write(json.dumps(header) + "\n")
             handle.write(json.dumps({"unit": 0, "metrics": {"m": 1.0}}) + "\n")
-        assert CampaignJournal(path).resume_state(_header()) == {0: {"m": 1.0}}
+        assert _resume(path) == ({0: {"m": 1.0}}, {})
         info = journal_mod.inspect(path)
         assert info["environment_mismatches"] == []
         assert info["resumable"]
@@ -181,7 +196,7 @@ class TestJournalV2:
         header["journal"] = "repro.runner/journal.v99"
         path.write_text(json.dumps(header) + "\n")
         with pytest.raises(ConfigError, match="header"):
-            CampaignJournal(path).resume_state(_header())
+            _resume(path)
 
     def test_checkpoint_record_roundtrip(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -191,10 +206,9 @@ class TestJournalV2:
         assert journal.record_checkpoint_shard(0, 0, "k0", (5, 9), 2, STATE)
         assert journal.record_checkpoint_shard(0, 1, "k1", (0, 9), 1, STATE)
         journal.close()
-        reader = CampaignJournal(path)
-        reader._read()
-        assert sorted(reader.checkpoints) == [(0, 0), (0, 1)]
-        entry = reader.checkpoints[(0, 0)]
+        _, _, checkpoints, _ = CampaignJournal(path)._read()
+        assert sorted(checkpoints) == [(0, 0), (0, 1)]
+        entry = checkpoints[(0, 0)]
         assert entry["key"] == "k0"
         assert sorted(entry["spans"]) == [(0, 5), (5, 9)]
         assert entry["spans"][(0, 5)] == STATE
@@ -208,9 +222,8 @@ class TestJournalV2:
         journal.record_checkpoint_shard(0, 0, "old", (0, 5), 2, STATE)
         journal.record_checkpoint_shard(0, 0, "new", (5, 9), 2, STATE)
         journal.close()
-        reader = CampaignJournal(path)
-        reader._read()
-        entry = reader.checkpoints[(0, 0)]
+        _, _, checkpoints, _ = CampaignJournal(path)._read()
+        entry = checkpoints[(0, 0)]
         assert entry["key"] == "new"
         assert sorted(entry["spans"]) == [(5, 9)]
 
@@ -223,10 +236,9 @@ class TestJournalV2:
         with path.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps({"ckpt": 0, "seq": 0, "key": "k"}) + "\n")
             handle.write(json.dumps({"unit": 1, "metrics": {"m": 2.0}}) + "\n")
-        reader = CampaignJournal(path)
-        _, units, _ = reader._read()
+        _, units, checkpoints, _ = CampaignJournal(path)._read()
         # The broken ckpt record vanished; everything around it survived.
-        assert reader.checkpoints == {}
+        assert checkpoints == {}
         assert sorted(units) == [0, 1]
 
     @pytest.mark.parametrize("slack,written", [(0, True), (-1, False)])
@@ -248,9 +260,8 @@ class TestJournalV2:
             assert not journal.record_checkpoint_shard(0, 0, "k", (0, 5), 1, STATE)
         journal.close()
         assert collector.snapshot()["counters"]["runner.journal.ckpt_oversize"] == 1
-        reader = CampaignJournal(path)
-        reader._read()
-        assert reader.checkpoints == {}
+        _, _, checkpoints, _ = CampaignJournal(path)._read()
+        assert checkpoints == {}
 
     def test_refused_append_degrades_writes(self, tmp_path):
         """The first OSError on append warns, counts, and stops journaling;
@@ -265,7 +276,7 @@ class TestJournalV2:
         faults.install("")
         assert journal.write_failed
         assert collector.snapshot()["counters"]["runner.journal.write_failed"] == 1
-        _, units, _ = CampaignJournal(path)._read()
+        _, units, _, _ = CampaignJournal(path)._read()
         assert units == {}
 
     def test_open_resume_verifies_the_on_disk_header(self, tmp_path):
@@ -273,7 +284,7 @@ class TestJournalV2:
         journal = CampaignJournal(path)
         journal.open(_header(_spec(seed=5)))
         journal.close()
-        with pytest.raises(ConfigError, match="cannot resume into journal"):
+        with pytest.raises(ConfigError, match="does not match this campaign"):
             CampaignJournal(path).open(_header(_spec(seed=6)), resume=True)
 
     def test_open_resume_refuses_a_headerless_file(self, tmp_path):
@@ -288,10 +299,22 @@ class TestJournalV2:
         journal.open(_header(units=3))
         journal.record_checkpoint_shard(7, 0, "k", (0, 5), 1, STATE)
         journal.close()
-        reader = CampaignJournal(path)
-        replay = reader.resume_state(_header(units=3))
-        assert replay == {}
-        assert reader.checkpoints == {}
+        assert _resume(path, _header(units=3)) == ({}, {})
+
+    def test_resume_replays_checkpoints_of_unfinished_units_only(self, tmp_path):
+        """A finished unit replays verbatim, so its shards are dead weight:
+        the replay carries only the unfinished units' checkpoint states."""
+        path = tmp_path / "j.jsonl"
+        journal = CampaignJournal(path)
+        journal.open(_header(units=3))
+        journal.record_checkpoint_shard(0, 0, "k0", (0, 5), 1, STATE)
+        journal.record_unit(0, {"m": 1.0})
+        journal.record_checkpoint_shard(1, 0, "k1", (0, 5), 1, STATE)
+        journal.close()
+        units, checkpoints = _resume(path, _header(units=3))
+        assert units == {0: {"m": 1.0}}
+        assert sorted(checkpoints) == [(1, 0)]
+        assert checkpoints[(1, 0)]["spans"] == {(0, 5): STATE}
 
 
 class TestInspect:
@@ -349,7 +372,7 @@ class TestExecutorIntegration:
         result = execute(_spec(), journal=path)
         assert result.journal_path == str(path)
         assert result.replayed == 0
-        _, units, complete = CampaignJournal(path)._read()
+        _, units, _, complete = CampaignJournal(path)._read()
         assert sorted(units) == [0, 1, 2]
         assert complete
 
@@ -373,7 +396,7 @@ class TestExecutorIntegration:
         with pytest.raises(KeyboardInterrupt):
             execute(spec, workers=2, journal=path, shard_size=1)
         faults.install("")
-        _, units, complete = CampaignJournal(path)._read()
+        _, units, _, complete = CampaignJournal(path)._read()
         assert len(units) == 3 and not complete
         resumed = execute(spec, workers=2, journal=path, shard_size=1, resume=True)
         assert resumed.replayed == 3
@@ -390,6 +413,23 @@ class TestExecutorIntegration:
         assert resumed.replayed == 3
         assert resumed.unit_metrics == warm.unit_metrics
 
+    def test_resume_parses_the_journal_once(self, tmp_path, monkeypatch):
+        """One locked read per resume: the open that takes the writer lock
+        is the only pass over the file."""
+        path = tmp_path / "j.jsonl"
+        execute(_spec(), journal=path)
+        reads = []
+        read = CampaignJournal._read
+
+        def counting_read(self):
+            reads.append(self.path)
+            return read(self)
+
+        monkeypatch.setattr(CampaignJournal, "_read", counting_read)
+        resumed = execute(_spec(), journal=path, resume=True)
+        assert resumed.replayed == 3
+        assert reads == [path]
+
     def test_journal_mismatch_on_resume_propagates(self, tmp_path):
         path = tmp_path / "j.jsonl"
         execute(_spec(seed=5), journal=path)
@@ -400,14 +440,15 @@ class TestExecutorIntegration:
         path = tmp_path / "j.jsonl"
         execute(_spec(seed=5), journal=path)
         execute(_spec(seed=6), journal=path)  # no --resume: start over
-        header, units, complete = CampaignJournal(path)._read()
+        header, units, _, complete = CampaignJournal(path)._read()
         assert header["seed"] == 6
         assert sorted(units) == [0, 1, 2]
         assert complete
 
 
 #: Child process that opens a journal, reports, and holds it until stdin
-#: closes -- the "first invocation" of the single-writer tests.
+#: closes -- the "first invocation" of the single-writer tests.  An
+#: ``append`` line on stdin makes it record one more unit before closing.
 _HOLDER = """
 import json, sys
 from repro.runner.journal import CampaignJournal
@@ -415,19 +456,30 @@ journal = CampaignJournal(sys.argv[1])
 journal.open(json.loads(sys.argv[2]))
 journal.record_unit(0, {"m": 1.0})
 print("locked", flush=True)
-sys.stdin.read()
+if sys.stdin.readline() == "append\\n":
+    journal.record_unit(1, {"m": 2.0})
 journal.close()
+"""
+
+#: Child process that resumes a journal and prints the unit indices replayed.
+_RESUMER = """
+import json, sys
+from repro.runner.journal import CampaignJournal
+journal = CampaignJournal(sys.argv[1])
+units, _ = journal.open(json.loads(sys.argv[2]), resume=True)
+journal.close()
+print(json.dumps(sorted(units)))
 """
 
 
 class TestSingleWriterLock:
-    def _env(self):
+    def _env(self, **extra):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        env.update(extra)
         return env
 
-    def test_concurrent_invocation_on_one_journal_is_refused(self, tmp_path):
-        path = tmp_path / "j.jsonl"
+    def _holder(self, path):
         holder = subprocess.Popen(
             [sys.executable, "-c", _HOLDER, str(path), json.dumps(_header())],
             stdin=subprocess.PIPE,
@@ -435,36 +487,96 @@ class TestSingleWriterLock:
             text=True,
             env=self._env(),
         )
+        assert holder.stdout.readline().strip() == "locked"
+        return holder
+
+    def _second_run(self, tmp_path, path, **env):
+        return subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.runner", "run", "fig3-walkthrough",
+                "--trials", "3", "--seed", "5", "--quiet",
+                "--cache-dir", str(tmp_path / "cache"), "--journal", str(path),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=self._env(**env),
+        )
+
+    @staticmethod
+    def _await_wait_line(process, path):
+        """Read ``process``'s stderr up to the line announcing the wait."""
+        for line in process.stderr:
+            if "waiting for journal" in line:
+                assert str(path) in line
+                return
+        raise AssertionError(f"no wait line; exit {process.wait()}")
+
+    def test_concurrent_invocation_on_one_journal_waits(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        holder = self._holder(path)
+        second = None
         try:
-            assert holder.stdout.readline().strip() == "locked"
             before = path.read_bytes()
-            second = subprocess.run(
-                [
-                    sys.executable, "-m", "repro.runner", "run", "fig3-walkthrough",
-                    "--trials", "3", "--seed", "5", "--quiet",
-                    "--cache-dir", str(tmp_path / "cache"), "--journal", str(path),
-                ],
-                capture_output=True,
-                text=True,
-                env=self._env(),
-                timeout=120,
-            )
-            assert second.returncode == 3, second.stderr
-            assert str(path) in second.stderr
-            assert "in use by another running campaign" in second.stderr
+            second = self._second_run(tmp_path, path)
+            self._await_wait_line(second, path)
+            assert second.poll() is None
             # The first writer's records were neither truncated nor appended to.
             assert path.read_bytes() == before
             # Reading stays lock-free while the writer holds the journal.
             assert journal_mod.inspect(path)["units_complete"] == 1
-            with pytest.raises(ConfigError, match="in use"):
-                CampaignJournal(path).open(_header(), resume=True)
         finally:
             holder.stdin.close()
             assert holder.wait(timeout=60) == 0
-        # The holder's close released the lock: a new writer gets in.
-        journal = CampaignJournal(path)
-        journal.open(_header())
-        journal.finish()
+            if second is not None:
+                _, stderr = second.communicate(timeout=120)
+        # The holder's close released the lock: the waiter ran its campaign.
+        assert second.returncode == 0, stderr
+        header, units, _, complete = CampaignJournal(path)._read()
+        assert sorted(units) == [0, 1, 2] and complete
+
+    @pytest.mark.parametrize("how,code", [("timeout", 4), ("sigint", 130)])
+    def test_the_wait_ends_on_the_task_timeout_or_sigint(self, tmp_path, how, code):
+        """A holder that never finishes: ``REPRO_TASK_TIMEOUT`` bounds the
+        wait (exit 4) and ^C ends it (exit 130), the journal untouched."""
+        path = tmp_path / "j.jsonl"
+        holder = self._holder(path)
+        try:
+            before = path.read_bytes()
+            env = {"REPRO_TASK_TIMEOUT": "1"} if how == "timeout" else {}
+            second = self._second_run(tmp_path, path, **env)
+            self._await_wait_line(second, path)
+            if how == "sigint":
+                second.send_signal(signal.SIGINT)
+            _, stderr = second.communicate(timeout=120)
+            assert second.returncode == code, stderr
+            assert path.read_bytes() == before
+        finally:
+            holder.stdin.close()
+            assert holder.wait(timeout=60) == 0
+
+    def test_a_waiting_resume_replays_what_the_holder_appended(self, tmp_path):
+        """Lock before read: a record the holder appends while the resume
+        waits is part of the replay."""
+        path = tmp_path / "j.jsonl"
+        holder = self._holder(path)
+        try:
+            resumer = subprocess.Popen(
+                [sys.executable, "-c", _RESUMER, str(path), json.dumps(_header())],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=self._env(),
+            )
+            self._await_wait_line(resumer, path)
+            holder.stdin.write("append\n")
+            holder.stdin.flush()
+        finally:
+            holder.stdin.close()
+            assert holder.wait(timeout=60) == 0
+        stdout, stderr = resumer.communicate(timeout=60)
+        assert resumer.returncode == 0, stderr
+        assert json.loads(stdout) == [0, 1]
 
     def test_lock_released_by_close_and_by_failed_open(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -474,7 +586,7 @@ class TestSingleWriterLock:
             CampaignJournal(path).open(_header())
         first.close()
         # A resume refused on header grounds must not keep the lock either.
-        with pytest.raises(ConfigError, match="no longer matches"):
+        with pytest.raises(ConfigError, match="does not match this campaign"):
             CampaignJournal(path).open(_header(_spec(seed=9)), resume=True)
         second = CampaignJournal(path)
         second.open(_header(), resume=True)

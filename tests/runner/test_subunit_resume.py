@@ -101,11 +101,10 @@ class TestMidUnitResume:
         with pytest.raises(faults.InjectedFault):
             _run(journal=path)
         faults.install("")
-        journal = CampaignJournal(path)
-        _, units, complete = journal._read()
+        _, units, checkpoints, complete = CampaignJournal(path)._read()
         assert not complete
         # The interrupted unit's completed checkpoints are on disk.
-        assert journal.checkpoints, "no sub-unit checkpoint records journaled"
+        assert checkpoints, "no sub-unit checkpoint records journaled"
         with telemetry.collecting() as collector:
             resumed = _run(journal=path, resume=True)
         assert resumed.unit_metrics == clean.unit_metrics
@@ -125,10 +124,9 @@ class TestMidUnitResume:
             with pytest.raises(faults.InjectedFault):
                 _run(journal=path)
             faults.install("")
-            journal = CampaignJournal(path)
-            _, units, complete = journal._read()
+            _, units, checkpoints, complete = CampaignJournal(path)._read()
             assert not complete and 0 in units
-            assert journal.checkpoints == {}
+            assert checkpoints == {}
             resumed = _run(journal=path, resume=True)
         assert resumed.unit_metrics == clean.unit_metrics
         assert resumed.replayed == 1
@@ -144,7 +142,7 @@ class TestMidUnitResume:
             with pytest.raises(faults.InjectedFault):
                 _run(journal=path)
             faults.install("")
-            _, units, _ = CampaignJournal(path)._read()
+            _, units, _, _ = CampaignJournal(path)._read()
             assert 0 in units  # unit 0 completed before the fault
             resumed = _run(journal=path, resume=True)
         assert resumed.unit_metrics == clean.unit_metrics
@@ -205,11 +203,10 @@ class TestMidUnitResume:
                 _run(journal=path)
             faults.install("")
             shutdown_pools()
-            journal = CampaignJournal(path)
-            journal._read()
+            _, _, checkpoints, _ = CampaignJournal(path)._read()
             spans = {
                 span
-                for entry in journal.checkpoints.values()
+                for entry in checkpoints.values()
                 for span in entry["spans"]
             }
             assert len(spans) > 1, "pool fan-out should journal per-shard spans"
@@ -300,7 +297,7 @@ class TestParentWatchdog:
         counters = collector.snapshot()["counters"]
         assert counters["runner.watchdog.parent_timeout"] == 1
         # The hang fires after the first unit's journal record.
-        _, units, complete = CampaignJournal(path)._read()
+        _, units, _, complete = CampaignJournal(path)._read()
         assert len(units) == 1 and not complete
         monkeypatch.delenv("REPRO_TASK_TIMEOUT")
         resumed = execute(spec, journal=path, resume=True)
@@ -342,7 +339,7 @@ class TestParentWatchdog:
         shutdown_pools()
         # The hang fires *after* finish_unit journals its record, so every
         # unit is on disk -- but no complete marker: resume replays all 6.
-        _, units, complete = CampaignJournal(path)._read()
+        _, units, _, complete = CampaignJournal(path)._read()
         assert len(units) == 6 and not complete
         monkeypatch.delenv("REPRO_TASK_TIMEOUT")
         resumed = execute(spec, shard_size=1, journal=path, resume=True)
@@ -449,12 +446,11 @@ class TestJournalPressure:
         assert result.unit_metrics == clean.unit_metrics
         counters = collector.snapshot()["counters"]
         assert counters["runner.journal.write_failed"] == 1
-        journal = CampaignJournal(path)
-        header, units, complete = journal._read()
+        header, units, checkpoints, complete = CampaignJournal(path)._read()
         # Degraded after the header: the campaign carried on un-journaled.
         assert header is not None
         assert units == {} and not complete
-        assert journal.checkpoints == {}
+        assert checkpoints == {}
 
     def test_oversized_checkpoint_state_falls_back_to_unit_granularity(
         self, tmp_path, monkeypatch
@@ -468,11 +464,10 @@ class TestJournalPressure:
         assert result.unit_metrics == clean.unit_metrics
         assert result.checkpoints_recorded == 0
         assert collector.snapshot()["counters"]["runner.journal.ckpt_oversize"] > 0
-        journal = CampaignJournal(path)
-        _, units, complete = journal._read()
+        _, units, checkpoints, complete = CampaignJournal(path)._read()
         # Unit-granularity journaling still works: units landed, no ckpts.
         assert sorted(units) == [0, 1] and complete
-        assert journal.checkpoints == {}
+        assert checkpoints == {}
 
     def test_read_fault_on_resume_is_a_config_error(self, tmp_path):
         from repro.core.errors import ConfigError
@@ -518,9 +513,8 @@ class TestSigkillSubprocess:
         )
         assert killed.returncode == -9, (killed.returncode, killed.stderr)
         assert journal.exists()
-        reader = CampaignJournal(journal)
-        reader._read()
-        assert reader.checkpoints, "SIGKILL left no checkpoint records"
+        _, _, checkpoints, _ = CampaignJournal(journal)._read()
+        assert checkpoints, "SIGKILL left no checkpoint records"
 
         # The inspect subcommand accepts the leftover journal (exit 0).
         env = dict(os.environ)
