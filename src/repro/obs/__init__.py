@@ -21,7 +21,6 @@ bit-identical to telemetry off (locked by ``tests/obs``).
 """
 
 from repro.obs.telemetry import (  # noqa: F401
-    ENV_VAR,
     NULL,
     Collector,
     NullCollector,
@@ -30,7 +29,6 @@ from repro.obs.telemetry import (  # noqa: F401
     disable,
     enable,
     enabled,
-    env_report_path,
 )
 from repro.obs.report import (  # noqa: F401
     SCHEMA_ID,

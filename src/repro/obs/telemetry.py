@@ -39,25 +39,10 @@ Instrumentation sites use :func:`current`::
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Mapping, Optional
-
-#: Environment variable the runner CLI reads: when set (non-empty), telemetry
-#: is enabled for the run and the JSON report is written to this path.  An
-#: *environment* knob rather than a scenario parameter on purpose --
-#: parameters feed unit-seed derivation and cache identity
-#: (:meth:`repro.runner.spec.WorkUnit.key_material`), and telemetry must
-#: change neither.
-ENV_VAR = "REPRO_TELEMETRY"
-
-
-def env_report_path() -> Optional[str]:
-    """The report path requested via :data:`ENV_VAR`, or ``None`` when unset."""
-    raw = os.environ.get(ENV_VAR, "").strip()
-    return raw or None
 
 
 class _NullSpan:

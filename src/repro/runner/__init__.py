@@ -13,8 +13,8 @@ reproduction:
 * :mod:`~repro.runner.journal` -- crash-safe per-campaign progress journals
   behind ``--resume`` (bit-identical replay of completed units);
 * :mod:`~repro.runner.faults` -- deterministic fault injection
-  (``REPRO_FAULTS`` / ``--inject-faults``) for chaos-testing the pool,
-  executor and cache failure paths;
+  (``--inject-faults``, shipped to pool workers in each task's context)
+  for chaos-testing the pool, executor and cache failure paths;
 * :mod:`~repro.runner.stats` -- streaming Welford aggregation with
   confidence intervals;
 * :mod:`~repro.runner.scenarios` -- built-in scenarios: paper-figure wrappers

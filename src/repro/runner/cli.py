@@ -16,11 +16,14 @@ Examples::
 under ``--cache-dir`` (default ``.repro-cache``), so a repeated invocation is
 served from disk; pass ``--no-cache`` to force recomputation.
 
-``--telemetry PATH`` (or the ``REPRO_TELEMETRY`` environment variable)
-enables the :mod:`repro.obs` collector for the run and writes its JSON
-report to PATH afterwards -- an environment-level observation knob that
-never feeds unit seeds or cache keys, so an instrumented run is bit-identical
-to a dark one.  ``telemetry`` pretty-prints (and validates) a saved report.
+``--telemetry PATH`` enables the :mod:`repro.obs` collector for the run and
+writes its JSON report to PATH afterwards -- an observation flag that never
+feeds unit seeds or cache keys, so an instrumented run is bit-identical to a
+dark one.  The report's ``meta.config`` records the run's three environment
+knobs (``REPRO_GRAPH_BACKEND``, ``REPRO_PATH_WORKERS``,
+``REPRO_TASK_TIMEOUT``), which are read before any work starts, so an
+invalid value exits 3 at once.  ``telemetry`` pretty-prints (and validates)
+a saved report.
 
 Crash safety: unless ``--no-journal`` is given, every cached run journals
 completed units under ``<cache-dir>/journals/<spec-hash>.jsonl`` (override
@@ -36,7 +39,8 @@ the cache.  ``journal PATH`` inspects a journal without running anything
 or taking the lock: schema version, progress, whether ``--resume`` in the
 current environment would accept it (exit 0 valid / 3 mismatched, corrupt,
 or an unknown schema such as the retired v1).  ``--inject-faults SPEC`` arms the
-deterministic fault plane (:mod:`repro.runner.faults`) for chaos testing.
+deterministic fault plane (:mod:`repro.runner.faults`) for chaos testing;
+each pool task carries the plane in its context, so workers fire it too.
 
 Exit codes are distinct per failure class so scripts and CI can tell them
 apart:
@@ -99,10 +103,7 @@ def _add_common_run_args(parser: argparse.ArgumentParser) -> None:
         dest="telemetry_out",
         default=None,
         metavar="PATH",
-        help=(
-            "collect run telemetry and write the JSON report to PATH "
-            "(defaults to $REPRO_TELEMETRY when that is set)"
-        ),
+        help="collect run telemetry and write the JSON report to PATH",
     )
     parser.add_argument(
         "--journal",
@@ -129,8 +130,8 @@ def _add_common_run_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SPEC",
         help=(
-            "arm deterministic fault injection, e.g. 'pool.task=kill@2' "
-            "(see repro.runner.faults; also $REPRO_FAULTS)"
+            "arm deterministic fault injection in this process and its pool "
+            "workers, e.g. 'pool.task=kill@2' (see repro.runner.faults)"
         ),
     )
 
@@ -222,9 +223,11 @@ def _journal_path(args: argparse.Namespace, spec: ScenarioSpec) -> Optional[str]
 
 def _cmd_run(args: argparse.Namespace, grid_args: Sequence[str]) -> int:
     from repro.core.errors import ConfigError
+    from repro.graphs import backend
     from repro.obs import telemetry
     from repro.runner import faults
-    from repro.runner.pool import PoolError, PoolTaskError
+    from repro.runner.executor import path_workers_policy
+    from repro.runner.pool import PoolError, PoolTaskError, task_timeout_policy
 
     try:
         sc = get_scenario(args.scenario)
@@ -233,12 +236,18 @@ def _cmd_run(args: argparse.Namespace, grid_args: Sequence[str]) -> int:
         return EXIT_USAGE
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     progress = None if args.quiet else lambda line: print(line, file=sys.stderr)
-    telemetry_out = args.telemetry_out or telemetry.env_report_path()
     collector = None
-    if telemetry_out:
+    if args.telemetry_out:
         collector = telemetry.enable(label=f"runner:{sc.name}")
     journal = None
     try:
+        # Read every environment knob up front: an invalid value must fail
+        # before any work is done, and the report records what ran.
+        config = {
+            "graph_backend": backend.policy(),
+            "path_workers": path_workers_policy(),
+            "task_timeout": task_timeout_policy(),
+        }
         if args.inject_faults is not None:
             faults.install(args.inject_faults)
         grid: Dict[str, List[Any]] = {}
@@ -322,6 +331,7 @@ def _cmd_run(args: argparse.Namespace, grid_args: Sequence[str]) -> int:
             "cache_hits": result.cache_hits,
             "cache_misses": result.cache_misses,
             "cache_corrupt": result.cache_corrupt,
+            "config": config,
         }
         if result.journal_path is not None:
             meta["journal"] = {
@@ -335,8 +345,8 @@ def _cmd_run(args: argparse.Namespace, grid_args: Sequence[str]) -> int:
         if args.inject_faults:
             meta["injected_faults"] = args.inject_faults
         report = render_report(collector, meta=meta)
-        write_report(telemetry_out, report)
-        print(f"wrote telemetry report {telemetry_out}")
+        write_report(args.telemetry_out, report)
+        print(f"wrote telemetry report {args.telemetry_out}")
     return 0
 
 

@@ -380,6 +380,7 @@ def execute(
                 "module": sc.module,
                 "backend": backend.policy(),
                 "telemetry": tel.enabled,
+                "faults": faults.shipped(),
             }
 
             def on_shard(shard_results, shard_snapshot) -> None:
@@ -580,6 +581,7 @@ def sharded_full_path_metrics(
         ctx = {
             "backend": backend.policy(),
             "telemetry": tel.enabled,
+            "faults": faults.shipped(),
         }
 
         def on_result(task_key, shard_ecc, shard_totals, shard_snapshot) -> None:

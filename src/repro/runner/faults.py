@@ -11,8 +11,7 @@ campaign always injects the same fault at the same point, and every chaos
 differential ("kill the worker before shard 2, assert bit-identical
 aggregates") is deterministic.
 
-Spec grammar (``REPRO_FAULTS`` environment variable or the CLI's
-``--inject-faults``)::
+Spec grammar (the CLI's ``--inject-faults``, or :func:`install`)::
 
     SPEC    := CLAUSE ("," CLAUSE)*
     CLAUSE  := SITE "=" ACTION ["(" ARG ")"] ["@" N]
@@ -23,49 +22,45 @@ Spec grammar (``REPRO_FAULTS`` environment variable or the CLI's
 
 Examples::
 
-    REPRO_FAULTS="pool.task=kill@2"             # SIGKILL the worker running
+    --inject-faults "pool.task=kill@2"          # SIGKILL the worker running
                                                 # the 2nd task entered
-    REPRO_FAULTS="pool.task=hang@1,cache.read=oserror@3"
-    REPRO_FAULTS="pool.task=delay(0.2)@1"       # slow one task by 200ms
-    REPRO_FAULTS="executor.unit=interrupt@5"    # simulate ^C after 5 units
+    --inject-faults "pool.task=hang@1,cache.read=oserror@3"
+    --inject-faults "pool.task=delay(0.2)@1"    # slow one task by 200ms
+    --inject-faults "executor.unit=interrupt@5" # simulate ^C after 5 units
 
 Invocation counters are **cross-process**: sites fire in pool workers as
-well as in the parent, so counts live in small files under a state
-directory (``REPRO_FAULTS_STATE``, created automatically and exported so
-forked/spawned workers share it) and are bumped under an exclusive
-``flock``.  A fired clause is spent -- respawned workers re-reading the
-same spec never re-fire it -- which is what makes "kill once, then
-recover" scenarios expressible at all.
+well as in the parent, so counts live in small files under a counter
+directory that :func:`install` creates, bumped under an exclusive
+``flock``.  The plane reaches the workers through each pool task's
+context (:func:`shipped` in the parent, :func:`adopt` in the worker), so a
+plane armed after the pool spun up still reaches its workers.  A fired
+clause is spent -- respawned workers adopting the same plane never re-fire
+it -- which is what makes "kill once, then recover" scenarios expressible
+at all.  The process that created a counter directory removes it when its
+plane is replaced or reset, and at exit.
 
 Zero cost when off: :func:`fault_point` is a module-global ``None`` check
-when no spec is configured.  Every firing logs a warning and counts
+when no plane is armed.  Every firing logs a warning and counts
 ``runner.fault.injected`` on the active telemetry collector (best-effort:
 a ``kill`` obviously never reports).
 """
 
 from __future__ import annotations
 
+import atexit
 import logging
 import os
 import re
+import shutil
 import signal
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.telemetry import current as _telemetry
 
 logger = logging.getLogger(__name__)
-
-#: Environment variable holding the fault spec (empty/unset = no faults).
-ENV_VAR = "REPRO_FAULTS"
-
-#: Environment variable naming the shared counter-state directory.  Set
-#: automatically the first time a spec is parsed, so pool workers inherit
-#: the *same* directory and the per-site invocation counters are global
-#: across the whole process tree.
-STATE_ENV_VAR = "REPRO_FAULTS_STATE"
 
 #: Registered injection sites.  A spec naming anything else is a
 #: :class:`~repro.core.errors.ConfigError` -- a typo must fail loudly, not
@@ -167,18 +162,24 @@ def parse_spec(spec: str) -> List[FaultClause]:
 class FaultPlane:
     """A parsed spec plus the shared cross-process invocation counters."""
 
-    def __init__(self, clauses: List[FaultClause], state_dir: str) -> None:
+    def __init__(
+        self, spec: str, state_dir: str, *, owner: Optional[int] = None
+    ) -> None:
+        self.spec = spec
         self.state_dir = state_dir
+        #: Pid of the process that created ``state_dir`` and removes it;
+        #: ``None`` for a plane adopted from a task context.
+        self.owner = owner
         self.by_site: Dict[str, List[FaultClause]] = {}
-        for clause in clauses:
+        for clause in parse_spec(spec):
             self.by_site.setdefault(clause.site, []).append(clause)
 
     # ------------------------------------------------------------------
     def _bump(self, site: str) -> int:
         """Atomically increment and return ``site``'s invocation counter.
 
-        The counter file is shared by every process that inherited
-        :data:`STATE_ENV_VAR`, and the read-increment-write runs under an
+        The counter file is shared by every process that armed or adopted
+        this plane, and the read-increment-write runs under an
         exclusive ``flock``, so each invocation across the whole process
         tree observes a unique count -- the property that makes ``@N``
         fire exactly once no matter which worker gets there.
@@ -189,12 +190,12 @@ class FaultPlane:
         fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o600)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)
-            raw = os.read(fd, 64)
-            count = int(raw) if raw.strip() else 0
-            count += 1
-            os.lseek(fd, 0, os.SEEK_SET)
-            os.truncate(fd, 0)
-            os.write(fd, str(count).encode("ascii"))
+            count = int(os.pread(fd, 64, 0) or 0) + 1
+            # One fixed-width write and no truncate: a worker killed
+            # mid-update (a broken pool terminates all its workers) must
+            # never leave the counter empty, which would re-fire spent
+            # clauses.
+            os.pwrite(fd, b"%020d" % count, 0)
             return count
         finally:
             os.close(fd)
@@ -236,79 +237,57 @@ class FaultPlane:
 # Module-level active plane
 # ----------------------------------------------------------------------
 _plane: Optional[FaultPlane] = None
-_loaded = False
 
 
-def _build_plane(spec: str) -> Optional[FaultPlane]:
-    clauses = parse_spec(spec)
-    if not clauses:
-        return None
-    state_dir = os.environ.get(STATE_ENV_VAR, "").strip()
-    if not state_dir:
-        # First parser in the process tree owns the state dir; exporting it
-        # makes every later fork/spawn share the same counters.
-        state_dir = tempfile.mkdtemp(prefix="repro-faults-")
-        os.environ[STATE_ENV_VAR] = state_dir
-    else:
-        os.makedirs(state_dir, exist_ok=True)
-    return FaultPlane(clauses, state_dir)
-
-
-def ensure_loaded() -> None:
-    """Parse :data:`ENV_VAR` once (idempotent; called before pool fan-out).
-
-    Parsing in the parent *before* the first worker is forked matters: it
-    pins :data:`STATE_ENV_VAR` so all workers share one counter directory.
-    """
-    global _plane, _loaded
-    if _loaded:
-        return
-    _loaded = True
-    spec = os.environ.get(ENV_VAR, "").strip()
-    _plane = _build_plane(spec) if spec else None
+def _replace(plane: Optional[FaultPlane]) -> None:
+    """Make ``plane`` the active one; remove the old counters if we made them."""
+    global _plane
+    old, _plane = _plane, plane
+    if old is not None and old.owner == os.getpid():
+        shutil.rmtree(old.state_dir, ignore_errors=True)
 
 
 def install(spec: str) -> Optional[FaultPlane]:
-    """Activate ``spec`` for this process tree (the CLI's ``--inject-faults``).
+    """Arm ``spec`` for this process and its pool tasks (``--inject-faults``).
 
-    Exports :data:`ENV_VAR` (and the shared state directory) so pool
-    workers inherit the plane; raises ``ConfigError`` on a malformed spec.
+    Raises ``ConfigError`` on a malformed spec, leaving the active plane as
+    it was.  Each install owns a *fresh* counter directory: re-arming the
+    same spec restarts every site at invocation 0.  An empty spec disarms.
     """
-    global _plane, _loaded
-    _loaded = True
     spec = (spec or "").strip()
-    # Each install owns a *fresh* counter directory: re-arming the same spec
-    # must restart every site at invocation 0, never inherit counts from a
-    # previous plane in this process.
-    os.environ.pop(STATE_ENV_VAR, None)
-    if spec:
-        # Parse before exporting: a malformed spec must raise without
-        # leaving itself armed in the environment for later runs.
-        plane = _build_plane(spec)
-        os.environ[ENV_VAR] = spec
-        _plane = plane
-    else:
-        os.environ.pop(ENV_VAR, None)
-        _plane = None
-    return _plane
+    plane = None
+    if parse_spec(spec):
+        plane = FaultPlane(
+            spec, tempfile.mkdtemp(prefix="repro-faults-"), owner=os.getpid()
+        )
+    _replace(plane)
+    return plane
 
 
 def reset() -> None:
-    """Forget the active plane; the next :func:`fault_point` re-reads the env.
-
-    Also drops the exported counter-state directory so a re-armed spec
-    starts counting from scratch (test isolation).
-    """
-    global _plane, _loaded
-    _plane = None
-    _loaded = False
-    os.environ.pop(STATE_ENV_VAR, None)
+    """Disarm the active plane (and remove its counters if we made them)."""
+    _replace(None)
 
 
 def active() -> Optional[FaultPlane]:
     """The currently armed plane (``None`` when fault injection is off)."""
-    ensure_loaded()
     return _plane
+
+
+def shipped() -> Optional[Tuple[str, str]]:
+    """The active plane as a pool task ships it: ``(spec, state_dir)``."""
+    return None if _plane is None else (_plane.spec, _plane.state_dir)
+
+
+def adopt(plane: Optional[Tuple[str, str]]) -> None:
+    """Worker side: arm the plane a task context shipped, or disarm.
+
+    An adopted plane shares the parent's counter directory, so invocation
+    counts stay global across the process tree; the worker never removes
+    that directory.
+    """
+    if shipped() != plane:
+        _replace(None if plane is None else FaultPlane(*plane))
 
 
 def fault_point(site: str) -> None:
@@ -317,7 +296,11 @@ def fault_point(site: str) -> None:
     The disabled path is one module-global check -- instrumented code can
     call this unconditionally.
     """
-    if not _loaded:
-        ensure_loaded()
     if _plane is not None:
         _plane.fire(site)
+
+
+# Registered at import, before repro.runner.pool (which imports this module
+# first) registers its shutdown: atexit runs handlers in reverse order, so
+# the counters are removed only after the pools' workers are gone.
+atexit.register(reset)

@@ -35,9 +35,10 @@ stay **bit-identical** to an uninterrupted run); at most one checkpoint
 shard of work is lost.
 
 Crash tolerance on load: a process killed mid-append can leave one
-truncated trailing line; it is dropped (with a warning) and the record
-simply recomputes.  Anything undecodable *before* the end means real
-corruption and fails loudly.  Filesystem **pressure** never fails a
+truncated trailing line; it is dropped (with a warning), a resume cuts it
+from the file before appending, and the record simply recomputes.
+Anything undecodable *before* the end means real corruption and fails
+loudly.  Filesystem **pressure** never fails a
 campaign: a journal append the filesystem refuses (``ENOSPC``, read-only
 root...) logs one warning, counts ``runner.journal.write_failed`` and
 degrades the rest of the campaign to un-journaled execution -- mirroring
@@ -141,12 +142,14 @@ class CampaignJournal:
         self.write_failed = False
 
     # -- reading -------------------------------------------------------
-    def _read(self) -> Tuple[Optional[Dict[str, Any]], Units, Checkpoints, bool]:
-        """Parse the file: ``(header, units, checkpoints, complete)``.
+    def _read(self) -> Tuple[Optional[Dict[str, Any]], Units, Checkpoints, bool, int]:
+        """Parse the file: ``(header, units, checkpoints, complete, intact)``.
 
-        Tolerates exactly one undecodable *trailing* line (a crash between
-        write and flush); earlier garbage, or a first record that is not a
-        :data:`JOURNAL_SCHEMA` header, raises ``ConfigError``.
+        Tolerates exactly one torn *trailing* line -- undecodable, or
+        missing its newline (a crash between write and flush) -- and drops
+        it; ``intact`` is the byte length of what precedes it (the whole
+        file when nothing was dropped).  Earlier garbage, or a first record
+        that is not a :data:`JOURNAL_SCHEMA` header, raises ``ConfigError``.
         """
         from repro.core.errors import ConfigError
         from repro.runner import faults
@@ -157,7 +160,7 @@ class CampaignJournal:
         complete = False
         try:
             faults.fault_point("journal.read")
-            lines = self.path.read_text(encoding="utf-8").splitlines()
+            data = self.path.read_bytes()
         except FileNotFoundError:
             raise
         except OSError as error:
@@ -165,18 +168,23 @@ class CampaignJournal:
                 f"journal {self.path} could not be read ({error}); "
                 "delete it to start the campaign from scratch"
             ) from error
+        intact = len(data)
+        lines = data.splitlines(keepends=True)
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
+                if not line.endswith(b"\n"):
+                    raise ValueError("record has no newline")
                 record = json.loads(line)
-            except json.JSONDecodeError:
+            except ValueError:
                 if lineno == len(lines):
                     logger.warning(
                         "journal %s: dropping truncated trailing record "
                         "(crash mid-append); the record will recompute",
                         self.path,
                     )
+                    intact -= len(line)
                     break
                 raise ConfigError(
                     f"journal {self.path} is corrupt at line {lineno}; "
@@ -200,7 +208,7 @@ class CampaignJournal:
                     str(key): float(value)
                     for key, value in record.get("metrics", {}).items()
                 }
-        return header, units, checkpoints, complete
+        return header, units, checkpoints, complete, intact
 
     def _load_checkpoint_record(
         self, record: Mapping[str, Any], checkpoints: Checkpoints
@@ -242,8 +250,9 @@ class CampaignJournal:
         """Take the writer lock, then start journaling; returns the replay.
 
         A fresh open truncates the file and writes ``header`` (empty replay).
-        A resumed open reads the journal once, under the lock, appends below
-        its records and returns ``(units, checkpoints)``: the recorded unit
+        A resumed open reads the journal once, under the lock, cuts a torn
+        trailing line, appends below its records and returns
+        ``(units, checkpoints)``: the recorded unit
         metrics, and the checkpoint states of the units the journal did not
         finish.  Nothing to resume, an unreadable or mismatched header, or
         an out-of-range unit record raise
@@ -272,7 +281,7 @@ class CampaignJournal:
         """The resume half of :meth:`open`: one read, validated."""
         from repro.core.errors import ConfigError
 
-        recorded, units, checkpoints, _complete = self._read()
+        recorded, units, checkpoints, _complete, intact = self._read()
         if recorded is None:
             raise ConfigError(
                 f"nothing to resume: journal {self.path} has no readable "
@@ -310,6 +319,9 @@ class CampaignJournal:
                 del checkpoints[key]
             elif key[0] in units:
                 del checkpoints[key]
+        # Appends go right after the last intact record: a torn trailing
+        # line left in place would corrupt the first record appended.
+        os.truncate(self.path, intact)
         return units, checkpoints
 
     def _lock(self) -> None:
@@ -566,7 +578,7 @@ def inspect(path: Union[str, Path]) -> Dict[str, Any]:
     (or ``FileNotFoundError``) when the journal is unreadable or corrupt --
     the CLI maps both onto exit code 3.
     """
-    header, units, checkpoints, complete = CampaignJournal(path)._read()
+    header, units, checkpoints, complete, _intact = CampaignJournal(path)._read()
     if header is None:
         from repro.core.errors import ConfigError
 

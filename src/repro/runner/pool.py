@@ -68,6 +68,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.telemetry import current as _telemetry
+from repro.runner import faults
 
 logger = logging.getLogger(__name__)
 
@@ -289,10 +290,12 @@ def _apply_worker_context(ctx: Dict[str, Any]) -> None:
     globals that ``spawn`` / ``forkserver`` children do not inherit, and the
     cache keys record the parent's policy, so workers must actually compute
     under it.  The parent's telemetry state ships the same way (a pure
-    observation flag: it feeds no seed, parameter or cache key).  A scenario
-    home module that fails to import raises
-    :class:`~repro.core.errors.ConfigError` naming the module.
+    observation flag: it feeds no seed, parameter or cache key), and so does
+    its fault plane, adopted first so that a plane armed after the workers
+    were forked still reaches them.  A scenario home module that fails to
+    import raises :class:`~repro.core.errors.ConfigError` naming the module.
     """
+    faults.adopt(ctx["faults"])
     from repro.graphs import backend
     from repro.obs import telemetry
     from repro.runner import executor, registry
@@ -325,10 +328,10 @@ def _apply_worker_context(ctx: Dict[str, Any]) -> None:
 
 def _pool_run_shard(ctx: Dict[str, Any], scenario_name: str, shard):
     """Worker task: one batch of work units under the shipped context."""
-    from repro.runner import executor, faults
+    from repro.runner import executor
 
-    faults.fault_point("pool.task")
     _apply_worker_context(ctx)
+    faults.fault_point("pool.task")
     return executor._run_shard(scenario_name, ctx.get("module", ""), shard)
 
 
@@ -343,8 +346,6 @@ def _attach_segment(meta: Dict[str, Any]):
     """
     import numpy as np
     from multiprocessing import shared_memory
-
-    from repro.runner import faults
 
     try:
         faults.fault_point("pool.shm_attach")
@@ -432,10 +433,8 @@ def _pool_path_shard(ctx: Dict[str, Any], token: str, arrays: Dict[str, Any], so
     """
     from repro.graphs import fast
 
-    from repro.runner import faults
-
-    faults.fault_point("pool.path_task")
     _apply_worker_context(ctx)
+    faults.fault_point("pool.path_task")
     if not ctx["telemetry"]:
         csr = _mirror_of(token, arrays, None)
         ecc, totals = fast.accumulate_path_shard(csr, sources)
@@ -625,11 +624,6 @@ class WorkerPool:
         there raises :class:`ParentTimeoutError`.  Each round start, each
         landed result and each merge beat the deadline.
         """
-        from repro.runner import faults
-
-        # Parse the fault spec in-parent before the first worker exists, so
-        # the whole process tree shares one set of invocation counters.
-        faults.ensure_loaded()
         tel = _telemetry()
         remaining = dict(tasks)
         with parent_deadline("merging pool results") as deadline:

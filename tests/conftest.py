@@ -7,7 +7,6 @@ offline machines without the ``wheel`` package).
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 
@@ -28,16 +27,12 @@ from repro.tor.network import TorNetwork, TorNetworkConfig  # noqa: E402
 def _no_armed_fault_plane():
     """No test may leave a fault spec armed for the tests that follow.
 
-    ``faults.install`` exports the spec and its counter directory into
-    ``os.environ``, where every later campaign in the session would find it.
+    An armed plane is process state: every later campaign in the session,
+    and every pool task it ships, would fire it.
     """
     yield
-    leaked = {
-        name: os.environ[name]
-        for name in (faults.ENV_VAR, faults.STATE_ENV_VAR)
-        if name in os.environ
-    }
-    assert not leaked, f"test left the fault plane armed: {leaked}"
+    leaked = faults.active()
+    assert leaked is None, f"test left the fault plane armed: {leaked.spec}"
 
 
 @pytest.fixture

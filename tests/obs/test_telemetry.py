@@ -221,13 +221,5 @@ class TestMergeSnapshot:
 
 
 class TestEnvKnob:
-    def test_env_report_path(self, monkeypatch):
-        monkeypatch.delenv(telemetry.ENV_VAR, raising=False)
-        assert telemetry.env_report_path() is None
-        monkeypatch.setenv(telemetry.ENV_VAR, "  ")
-        assert telemetry.env_report_path() is None
-        monkeypatch.setenv(telemetry.ENV_VAR, "out/report.json")
-        assert telemetry.env_report_path() == "out/report.json"
-
     def test_null_collector_class_is_importable_for_isinstance(self):
         assert isinstance(NULL, NullCollector)

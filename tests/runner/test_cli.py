@@ -16,14 +16,8 @@ from repro.runner.pool import shutdown_pools
 
 
 @pytest.fixture(autouse=True)
-def _clean_faults(monkeypatch):
-    """No armed faults before or after a test, and cold pools after.
-
-    ``--inject-faults`` exports the spec into ``os.environ``; setting both
-    variables through monkeypatch makes it restore them after the test.
-    """
-    monkeypatch.setenv(faults.ENV_VAR, "")
-    monkeypatch.setenv(faults.STATE_ENV_VAR, "")
+def _clean_faults():
+    """No armed faults before or after a test, and cold pools after."""
     faults.reset()
     yield
     shutdown_pools()
@@ -114,10 +108,14 @@ class TestTelemetry:
         assert f"wrote telemetry report {report_path}" in out
         return report_path, out
 
-    def test_run_writes_schema_valid_report_with_meta(self, tmp_path, capsys):
+    def test_run_writes_schema_valid_report_with_meta(
+        self, tmp_path, capsys, monkeypatch
+    ):
         from repro.obs.report import load_report
         from repro.obs.schema import validate_report
 
+        for var in ("REPRO_GRAPH_BACKEND", "REPRO_PATH_WORKERS", "REPRO_TASK_TIMEOUT"):
+            monkeypatch.delenv(var, raising=False)
         report_path, _ = self._run_with_report(tmp_path, capsys)
         report = load_report(report_path)
         validate_report(report)
@@ -126,6 +124,11 @@ class TestTelemetry:
         assert report["meta"]["seed"] == 5
         assert report["spans"]["runner.execute"]["count"] == 1
         assert report["spans"]["runner.unit"]["count"] == 1
+        assert report["meta"]["config"] == {
+            "graph_backend": "auto",
+            "path_workers": 1,
+            "task_timeout": None,
+        }
 
     def test_collector_is_disabled_after_the_run(self, tmp_path, capsys):
         from repro.obs import telemetry
@@ -133,15 +136,17 @@ class TestTelemetry:
         self._run_with_report(tmp_path, capsys)
         assert not telemetry.enabled()
 
-    def test_env_var_enables_collection(self, tmp_path, capsys, monkeypatch):
-        from repro.obs import telemetry
-        from repro.obs.report import load_report
-
-        report_path = tmp_path / "env.json"
-        monkeypatch.setenv(telemetry.ENV_VAR, str(report_path))
+    def test_retired_env_copies_of_the_flags_are_ignored(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Only ``--inject-faults`` arms faults and only ``--telemetry``
+        writes a report; the old environment spellings do nothing."""
+        report_path = tmp_path / "x.json"
+        monkeypatch.setenv("REPRO_FAULTS", "pool.task=explode")
+        monkeypatch.setenv("REPRO_TELEMETRY", str(report_path))
         assert main(["run", "fig3-walkthrough", "--quiet", "--no-cache"]) == 0
-        capsys.readouterr()
-        assert load_report(report_path)["meta"]["scenario"] == "fig3-walkthrough"
+        assert "telemetry report" not in capsys.readouterr().out
+        assert not report_path.exists()
 
     def test_telemetry_results_match_dark_run(self, tmp_path, capsys):
         args = ["run", "fig3-walkthrough", "--seed", "5", "--quiet", "--no-cache"]
@@ -184,14 +189,25 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    def test_invalid_policy_env_is_3(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "soon")
+    @pytest.mark.parametrize(
+        "var, value",
+        [
+            ("REPRO_TASK_TIMEOUT", "soon"),
+            ("REPRO_PATH_WORKERS", "0"),
+            ("REPRO_GRAPH_BACKEND", "numpy"),
+        ],
+    )
+    def test_invalid_policy_env_is_3(self, var, value, capsys, monkeypatch):
+        """Every knob is read before any work, also one the scenario never
+        consults (fig3-walkthrough runs no path-metric campaign)."""
+        monkeypatch.setenv(var, value)
         code = main(
-            ["run", "fig3-walkthrough", "--no-cache", "--quiet",
-             "--workers", "2"]
+            ["run", "fig3-walkthrough", "--no-cache", "--workers", "2"]
         )
         assert code == EXIT_CONFIG
-        assert "REPRO_TASK_TIMEOUT" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert var in err
+        assert "unit 1/1 done" not in err
 
     def test_pool_failure_is_4(self, capsys, monkeypatch):
         # An in-parent hang past the deadline is a ParentTimeoutError, the

@@ -89,29 +89,40 @@ class TestParallelDeterminism:
         assert parallel.unit_metrics == serial.unit_metrics
         assert parallel.rows() == serial.rows()
 
-    def test_worker_context_applies_parent_policies(self):
+    def test_worker_context_applies_parent_policies(self, tmp_path):
         """Workers re-force the parent's resolved backend and telemetry flag.
 
         Forced state set via ``backend.use()`` lives in process globals that
         spawn/forkserver children never inherit; every pool task must apply
         it so results are computed under the policy the cache key records.
+        The fault plane ships the same way; an adopted plane shares the
+        parent's counter directory and never removes it.
         """
         pytest.importorskip("numpy")
         from repro.graphs import backend
-        from repro.runner import executor
+        from repro.runner import executor, faults
         from repro.runner.pool import _apply_worker_context
 
+        plane = ("cache.read=raise@2", str(tmp_path))
         previous = backend.use(None)
         try:
-            _apply_worker_context({"backend": "python", "telemetry": True})
+            _apply_worker_context(
+                {"backend": "python", "telemetry": True, "faults": plane}
+            )
             assert backend.policy() == "python"
             assert executor._WORKER_TELEMETRY["enabled"]
-            _apply_worker_context({"backend": "fast", "telemetry": False})
+            assert faults.shipped() == plane
+            _apply_worker_context(
+                {"backend": "fast", "telemetry": False, "faults": None}
+            )
             assert backend.policy() == "fast"
             assert not executor._WORKER_TELEMETRY["enabled"]
+            assert faults.active() is None
+            assert tmp_path.is_dir()
         finally:
             backend.use(previous)
             executor._WORKER_TELEMETRY["enabled"] = False
+            faults.reset()
 
     def test_worker_context_broken_home_module_is_a_config_error(self):
         """A scenario home that fails to import in a worker is named."""
@@ -123,7 +134,12 @@ class TestParallelDeterminism:
         try:
             with pytest.raises(ConfigError, match="repro_no_such_home"):
                 _apply_worker_context(
-                    {"backend": "auto", "telemetry": False, "module": "repro_no_such_home"}
+                    {
+                        "backend": "auto",
+                        "telemetry": False,
+                        "faults": None,
+                        "module": "repro_no_such_home",
+                    }
                 )
         finally:
             backend.use(previous)
@@ -137,7 +153,9 @@ class TestParallelDeterminism:
         previous = backend.use(None)
         telemetry.enable(label="inherited")
         try:
-            _apply_worker_context({"backend": "auto", "telemetry": False})
+            _apply_worker_context(
+                {"backend": "auto", "telemetry": False, "faults": None}
+            )
             assert not telemetry.current().enabled
         finally:
             telemetry.disable()

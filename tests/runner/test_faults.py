@@ -47,14 +47,8 @@ def _pool_segments():
 
 
 @pytest.fixture(autouse=True)
-def _clean_plane(monkeypatch):
-    """Each test starts with no armed faults, cold pools, and no leaks.
-
-    ``faults.install`` exports the spec into ``os.environ``; setting both
-    variables through monkeypatch makes it restore them after the test.
-    """
-    monkeypatch.setenv(faults.ENV_VAR, "")
-    monkeypatch.setenv(faults.STATE_ENV_VAR, "")
+def _clean_plane():
+    """Each test starts with no armed faults, cold pools, and no leaks."""
     faults.reset()
     shutdown_pools()
     yield
@@ -201,6 +195,16 @@ class TestPoolChaosDifferentials:
         assert result.unit_metrics == baseline.unit_metrics
         assert collector.snapshot()["counters"]["runner.pool.respawn"] == 1
 
+    def test_plane_armed_after_spin_up_reaches_the_workers(self):
+        """The plane rides in every task's context, so workers forked
+        before it was armed fire it all the same."""
+        baseline = _campaign(workers=2)
+        faults.install("pool.task=kill@1")
+        with telemetry.collecting() as collector:
+            result = _campaign(workers=2)
+        assert result.unit_metrics == baseline.unit_metrics
+        assert collector.snapshot()["counters"].get("runner.pool.respawn") == 1
+
     @pytest.mark.parametrize("forced_backend", BACKEND_MATRIX, indirect=True)
     def test_watchdog_converts_a_hang_into_recovery(
         self, forced_backend, monkeypatch
@@ -292,6 +296,37 @@ def _sharded_graph():
     return k_regular_graph(80, 4, seed=9)
 
 
+class TestCounterDirectory:
+    """The process that made a plane's counter directory removes it."""
+
+    def test_replace_and_reset_remove_the_directory(self):
+        first = faults.install("cache.read=raise@1").state_dir
+        second = faults.install("cache.read=raise@1").state_dir
+        assert not os.path.exists(first)
+        assert os.path.isdir(second)
+        faults.reset()
+        assert not os.path.exists(second)
+
+    def test_cli_run_leaves_no_directory_behind(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        env["TMPDIR"] = str(tmp_path)
+        run = subprocess.run(
+            [
+                sys.executable, "-m", "repro.runner", "run", "soap-campaign",
+                "--set", "n=30", "--trials", "2", "--workers", "2", "--quiet",
+                "--no-cache", "--inject-faults", "pool.task=delay(0.01)@1",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "fault injected" in run.stderr
+        assert list(tmp_path.glob("repro-faults-*")) == []
+
+
 class TestPolicyKnobs:
     @pytest.mark.parametrize(
         "var, value",
@@ -314,8 +349,6 @@ class TestInterruptTeardown:
     def _run_cli(self, tmp_path, *extra, task_timeout=None):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
-        env.pop(faults.ENV_VAR, None)
-        env.pop(faults.STATE_ENV_VAR, None)
         env.pop("REPRO_TASK_TIMEOUT", None)
         if task_timeout is not None:
             env["REPRO_TASK_TIMEOUT"] = str(task_timeout)

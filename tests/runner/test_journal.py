@@ -24,11 +24,7 @@ from repro.runner.spec import ScenarioSpec
 
 
 @pytest.fixture(autouse=True)
-def _clean(monkeypatch):
-    # faults.install exports the spec into os.environ; setting both
-    # variables through monkeypatch makes it restore them after the test.
-    monkeypatch.setenv(faults.ENV_VAR, "")
-    monkeypatch.setenv(faults.STATE_ENV_VAR, "")
+def _clean():
     faults.reset()
     yield
     shutdown_pools()
@@ -66,7 +62,7 @@ class TestJournalFile:
         journal.record_unit(0, {"m": 1.5})
         journal.record_unit(2, {"m": -0.25})
         journal.finish()
-        recorded, units, _, complete = CampaignJournal(path)._read()
+        recorded, units, _, complete, _ = CampaignJournal(path)._read()
         assert recorded == json.loads(json.dumps(header))
         assert units == {0: {"m": 1.5}, 2: {"m": -0.25}}
         assert complete
@@ -206,7 +202,7 @@ class TestJournalV2:
         assert journal.record_checkpoint_shard(0, 0, "k0", (5, 9), 2, STATE)
         assert journal.record_checkpoint_shard(0, 1, "k1", (0, 9), 1, STATE)
         journal.close()
-        _, _, checkpoints, _ = CampaignJournal(path)._read()
+        _, _, checkpoints, _, _ = CampaignJournal(path)._read()
         assert sorted(checkpoints) == [(0, 0), (0, 1)]
         entry = checkpoints[(0, 0)]
         assert entry["key"] == "k0"
@@ -222,7 +218,7 @@ class TestJournalV2:
         journal.record_checkpoint_shard(0, 0, "old", (0, 5), 2, STATE)
         journal.record_checkpoint_shard(0, 0, "new", (5, 9), 2, STATE)
         journal.close()
-        _, _, checkpoints, _ = CampaignJournal(path)._read()
+        _, _, checkpoints, _, _ = CampaignJournal(path)._read()
         entry = checkpoints[(0, 0)]
         assert entry["key"] == "new"
         assert sorted(entry["spans"]) == [(5, 9)]
@@ -236,7 +232,7 @@ class TestJournalV2:
         with path.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps({"ckpt": 0, "seq": 0, "key": "k"}) + "\n")
             handle.write(json.dumps({"unit": 1, "metrics": {"m": 2.0}}) + "\n")
-        _, units, checkpoints, _ = CampaignJournal(path)._read()
+        _, units, checkpoints, _, _ = CampaignJournal(path)._read()
         # The broken ckpt record vanished; everything around it survived.
         assert checkpoints == {}
         assert sorted(units) == [0, 1]
@@ -260,7 +256,7 @@ class TestJournalV2:
             assert not journal.record_checkpoint_shard(0, 0, "k", (0, 5), 1, STATE)
         journal.close()
         assert collector.snapshot()["counters"]["runner.journal.ckpt_oversize"] == 1
-        _, _, checkpoints, _ = CampaignJournal(path)._read()
+        _, _, checkpoints, _, _ = CampaignJournal(path)._read()
         assert checkpoints == {}
 
     def test_refused_append_degrades_writes(self, tmp_path):
@@ -276,7 +272,7 @@ class TestJournalV2:
         faults.install("")
         assert journal.write_failed
         assert collector.snapshot()["counters"]["runner.journal.write_failed"] == 1
-        _, units, _, _ = CampaignJournal(path)._read()
+        _, units, _, _, _ = CampaignJournal(path)._read()
         assert units == {}
 
     def test_open_resume_verifies_the_on_disk_header(self, tmp_path):
@@ -372,7 +368,7 @@ class TestExecutorIntegration:
         result = execute(_spec(), journal=path)
         assert result.journal_path == str(path)
         assert result.replayed == 0
-        _, units, _, complete = CampaignJournal(path)._read()
+        _, units, _, complete, _ = CampaignJournal(path)._read()
         assert sorted(units) == [0, 1, 2]
         assert complete
 
@@ -396,7 +392,7 @@ class TestExecutorIntegration:
         with pytest.raises(KeyboardInterrupt):
             execute(spec, workers=2, journal=path, shard_size=1)
         faults.install("")
-        _, units, _, complete = CampaignJournal(path)._read()
+        _, units, _, complete, _ = CampaignJournal(path)._read()
         assert len(units) == 3 and not complete
         resumed = execute(spec, workers=2, journal=path, shard_size=1, resume=True)
         assert resumed.replayed == 3
@@ -430,6 +426,21 @@ class TestExecutorIntegration:
         assert resumed.replayed == 3
         assert reads == [path]
 
+    def test_resume_after_a_torn_trailing_line_keeps_the_journal_readable(
+        self, tmp_path
+    ):
+        """The first resume cuts the torn line before it appends, so the
+        journal it leaves inspects clean and a second resume replays all."""
+        path = tmp_path / "j.jsonl"
+        first = execute(_spec(), journal=path)
+        header, unit0 = path.read_text(encoding="utf-8").splitlines()[:2]
+        path.write_text(f'{header}\n{unit0}\n{{"unit": 1, "metr', encoding="utf-8")
+        assert execute(_spec(), journal=path, resume=True).replayed == 1
+        assert journal_mod.inspect(path)["units_complete"] == 3
+        second = execute(_spec(), journal=path, resume=True)
+        assert second.replayed == 3
+        assert second.unit_metrics == first.unit_metrics
+
     def test_journal_mismatch_on_resume_propagates(self, tmp_path):
         path = tmp_path / "j.jsonl"
         execute(_spec(seed=5), journal=path)
@@ -440,7 +451,7 @@ class TestExecutorIntegration:
         path = tmp_path / "j.jsonl"
         execute(_spec(seed=5), journal=path)
         execute(_spec(seed=6), journal=path)  # no --resume: start over
-        header, units, _, complete = CampaignJournal(path)._read()
+        header, units, _, complete, _ = CampaignJournal(path)._read()
         assert header["seed"] == 6
         assert sorted(units) == [0, 1, 2]
         assert complete
@@ -532,7 +543,7 @@ class TestSingleWriterLock:
                 _, stderr = second.communicate(timeout=120)
         # The holder's close released the lock: the waiter ran its campaign.
         assert second.returncode == 0, stderr
-        header, units, _, complete = CampaignJournal(path)._read()
+        header, units, _, complete, _ = CampaignJournal(path)._read()
         assert sorted(units) == [0, 1, 2] and complete
 
     @pytest.mark.parametrize("how,code", [("timeout", 4), ("sigint", 130)])

@@ -55,10 +55,6 @@ def _pool_segments():
 @pytest.fixture(autouse=True)
 def _clean_plane(monkeypatch):
     """Each test starts with no armed faults, cold pools, and no leaks."""
-    # faults.install exports the spec into os.environ; setting both
-    # variables through monkeypatch makes it restore them after the test.
-    monkeypatch.setenv(faults.ENV_VAR, "")
-    monkeypatch.setenv(faults.STATE_ENV_VAR, "")
     monkeypatch.delenv("REPRO_PATH_WORKERS", raising=False)
     monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
     faults.reset()
@@ -101,7 +97,7 @@ class TestMidUnitResume:
         with pytest.raises(faults.InjectedFault):
             _run(journal=path)
         faults.install("")
-        _, units, checkpoints, complete = CampaignJournal(path)._read()
+        _, units, checkpoints, complete, _ = CampaignJournal(path)._read()
         assert not complete
         # The interrupted unit's completed checkpoints are on disk.
         assert checkpoints, "no sub-unit checkpoint records journaled"
@@ -124,7 +120,7 @@ class TestMidUnitResume:
             with pytest.raises(faults.InjectedFault):
                 _run(journal=path)
             faults.install("")
-            _, units, checkpoints, complete = CampaignJournal(path)._read()
+            _, units, checkpoints, complete, _ = CampaignJournal(path)._read()
             assert not complete and 0 in units
             assert checkpoints == {}
             resumed = _run(journal=path, resume=True)
@@ -142,7 +138,7 @@ class TestMidUnitResume:
             with pytest.raises(faults.InjectedFault):
                 _run(journal=path)
             faults.install("")
-            _, units, _, _ = CampaignJournal(path)._read()
+            _, units, _, _, _ = CampaignJournal(path)._read()
             assert 0 in units  # unit 0 completed before the fault
             resumed = _run(journal=path, resume=True)
         assert resumed.unit_metrics == clean.unit_metrics
@@ -203,7 +199,7 @@ class TestMidUnitResume:
                 _run(journal=path)
             faults.install("")
             shutdown_pools()
-            _, _, checkpoints, _ = CampaignJournal(path)._read()
+            _, _, checkpoints, _, _ = CampaignJournal(path)._read()
             spans = {
                 span
                 for entry in checkpoints.values()
@@ -297,7 +293,7 @@ class TestParentWatchdog:
         counters = collector.snapshot()["counters"]
         assert counters["runner.watchdog.parent_timeout"] == 1
         # The hang fires after the first unit's journal record.
-        _, units, _, complete = CampaignJournal(path)._read()
+        _, units, _, complete, _ = CampaignJournal(path)._read()
         assert len(units) == 1 and not complete
         monkeypatch.delenv("REPRO_TASK_TIMEOUT")
         resumed = execute(spec, journal=path, resume=True)
@@ -339,7 +335,7 @@ class TestParentWatchdog:
         shutdown_pools()
         # The hang fires *after* finish_unit journals its record, so every
         # unit is on disk -- but no complete marker: resume replays all 6.
-        _, units, _, complete = CampaignJournal(path)._read()
+        _, units, _, complete, _ = CampaignJournal(path)._read()
         assert len(units) == 6 and not complete
         monkeypatch.delenv("REPRO_TASK_TIMEOUT")
         resumed = execute(spec, shard_size=1, journal=path, resume=True)
@@ -446,7 +442,7 @@ class TestJournalPressure:
         assert result.unit_metrics == clean.unit_metrics
         counters = collector.snapshot()["counters"]
         assert counters["runner.journal.write_failed"] == 1
-        header, units, checkpoints, complete = CampaignJournal(path)._read()
+        header, units, checkpoints, complete, _ = CampaignJournal(path)._read()
         # Degraded after the header: the campaign carried on un-journaled.
         assert header is not None
         assert units == {} and not complete
@@ -464,7 +460,7 @@ class TestJournalPressure:
         assert result.unit_metrics == clean.unit_metrics
         assert result.checkpoints_recorded == 0
         assert collector.snapshot()["counters"]["runner.journal.ckpt_oversize"] > 0
-        _, units, checkpoints, complete = CampaignJournal(path)._read()
+        _, units, checkpoints, complete, _ = CampaignJournal(path)._read()
         # Unit-granularity journaling still works: units landed, no ckpts.
         assert sorted(units) == [0, 1] and complete
         assert checkpoints == {}
@@ -486,8 +482,6 @@ class TestSigkillSubprocess:
     def _run_cli(self, tmp_path, *extra, check=None):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
-        env.pop(faults.ENV_VAR, None)
-        env.pop(faults.STATE_ENV_VAR, None)
         env["REPRO_GRAPH_BACKEND"] = "fast"
         return subprocess.run(
             [
@@ -513,7 +507,7 @@ class TestSigkillSubprocess:
         )
         assert killed.returncode == -9, (killed.returncode, killed.stderr)
         assert journal.exists()
-        _, _, checkpoints, _ = CampaignJournal(journal)._read()
+        _, _, checkpoints, _, _ = CampaignJournal(journal)._read()
         assert checkpoints, "SIGKILL left no checkpoint records"
 
         # The inspect subcommand accepts the leftover journal (exit 0).
