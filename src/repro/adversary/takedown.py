@@ -161,11 +161,11 @@ class GradualTakedown:
     full-population path metrics: diameter, ASPL and closeness all come from
     one wave campaign per checkpoint
     (:func:`repro.graphs.backend.full_path_metrics`), no sampling anywhere.
-    ``path_workers > 1`` then shards each exact campaign's sources across
-    the invocation-wide persistent worker pool
+    ``REPRO_PATH_WORKERS=N`` then shards each exact campaign's sources
+    across the invocation-wide persistent worker pool
     (:mod:`repro.runner.pool`) -- consecutive checkpoints reuse the same
-    pool and shared-memory CSR publication, and the merged int64
-    accumulators keep every checkpoint bit-identical to serial.
+    pool, and the merged int64 accumulators keep every checkpoint
+    bit-identical to serial.
     """
 
     fraction: float
@@ -174,7 +174,6 @@ class GradualTakedown:
     path_metrics: bool = False
     metric_sample: Optional[int] = 32
     metric_rng: Optional[random.Random] = None
-    path_workers: int = 1
 
     def _checkpoint(self, overlay: DDSROverlay, removed: List[NodeId]) -> TakedownResult:
         if not self.path_metrics:
@@ -183,9 +182,7 @@ class GradualTakedown:
         # metrics (path_metric_summary reports the same component counts
         # _summarize would recompute).
         summary = overlay.path_metric_summary(
-            sample_size=self.metric_sample,
-            rng=self.metric_rng,
-            path_workers=self.path_workers,
+            sample_size=self.metric_sample, rng=self.metric_rng
         )
         return TakedownResult(
             strategy="gradual",

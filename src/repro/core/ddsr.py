@@ -504,7 +504,6 @@ class DDSROverlay:
         sample_size: "Optional[int]" = None,
         rng: "Optional[random.Random]" = None,
         closeness_sample: "Optional[int]" = None,
-        path_workers: int = 1,
     ) -> "dict":
         """Path metrics of the overlay's largest component, in one extraction.
 
@@ -514,14 +513,12 @@ class DDSROverlay:
         and closeness all come from one full-population wave campaign
         (:func:`repro.graphs.backend.full_path_metrics` -- per-node
         eccentricity max and distance sums accumulated as the waves advance),
-        affordable even at 100k nodes on the fast backend.  ``path_workers >
-        1`` additionally shards the campaign's sources across a process pool
-        (:func:`repro.runner.executor.sharded_full_path_metrics`); the merged
-        int64 accumulators make the parallel result bit-identical to serial.
-        A *python* backend wins over ``path_workers``: sharding is a
-        fast-backend facility, so a forced ``python`` backend, or ``auto``
-        without numpy >= 2.0, runs the serial reference instead -- the
-        values are identical either way.
+        affordable even at 100k nodes on the fast backend, where it runs
+        through :func:`repro.runner.executor.sharded_full_path_metrics`:
+        serially, journaled per checkpoint shard (in a journaled campaign's
+        in-parent unit) or sharded across the worker pool
+        (``REPRO_PATH_WORKERS=N``), bit-identical every way.  A *python*
+        backend runs the serial reference instead, with identical values.
 
         With a ``sample_size`` the component is extracted once and both path
         estimators run with ``connected=True`` on sampled sources;
@@ -543,14 +540,8 @@ class DDSROverlay:
         if sample_size is None and closeness_sample is None:
             if backend.resolve_for() == "fast":
                 from repro.runner.executor import sharded_full_path_metrics
-                from repro.runner.journal import active_unit_scope
 
-                # The sharded path also carries sub-unit checkpoint
-                # journaling: inside a journaled campaign's in-parent unit
-                # it is taken even serially, so every exact checkpoint
-                # journals (and can replay) its accumulator shards.
-                if path_workers > 1 or active_unit_scope() is not None:
-                    return sharded_full_path_metrics(graph, workers=path_workers)
+                return sharded_full_path_metrics(graph)
             return backend.full_path_metrics(graph)
         components, largest = backend.component_summary(graph)
         working = (

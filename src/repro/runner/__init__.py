@@ -8,6 +8,9 @@ reproduction:
   x seed) expanded into deterministic work units;
 * :mod:`~repro.runner.executor` -- serial or process-parallel execution with
   bit-identical results either way;
+* :mod:`~repro.runner.config` -- the one declared table of the runner's
+  ``REPRO_*`` environment knobs (validation, the report's ``meta.config``,
+  and the pins cache keys and journal headers carry);
 * :mod:`~repro.runner.cache` -- per-unit on-disk JSON cache keyed by a stable
   hash of the unit's full identity;
 * :mod:`~repro.runner.journal` -- crash-safe per-campaign progress journals

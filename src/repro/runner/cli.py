@@ -19,11 +19,11 @@ served from disk; pass ``--no-cache`` to force recomputation.
 ``--telemetry PATH`` enables the :mod:`repro.obs` collector for the run and
 writes its JSON report to PATH afterwards -- an observation flag that never
 feeds unit seeds or cache keys, so an instrumented run is bit-identical to a
-dark one.  The report's ``meta.config`` records the run's three environment
-knobs (``REPRO_GRAPH_BACKEND``, ``REPRO_PATH_WORKERS``,
-``REPRO_TASK_TIMEOUT``), which are read before any work starts, so an
-invalid value exits 3 at once.  ``telemetry`` pretty-prints (and validates)
-a saved report.
+dark one.  The report's ``meta.config`` records the run's environment
+knobs, :func:`repro.runner.config.snapshot` of the one declared table
+(``REPRO_GRAPH_BACKEND``, ``REPRO_PATH_WORKERS``, ``REPRO_TASK_TIMEOUT``),
+which is read before any work starts, so an invalid value exits 3 at once.
+``telemetry`` pretty-prints (and validates) a saved report.
 
 Crash safety: unless ``--no-journal`` is given, every cached run journals
 completed units under ``<cache-dir>/journals/<spec-hash>.jsonl`` (override
@@ -223,11 +223,9 @@ def _journal_path(args: argparse.Namespace, spec: ScenarioSpec) -> Optional[str]
 
 def _cmd_run(args: argparse.Namespace, grid_args: Sequence[str]) -> int:
     from repro.core.errors import ConfigError
-    from repro.graphs import backend
     from repro.obs import telemetry
-    from repro.runner import faults
-    from repro.runner.executor import path_workers_policy
-    from repro.runner.pool import PoolError, PoolTaskError, task_timeout_policy
+    from repro.runner import config, faults
+    from repro.runner.pool import PoolError, PoolTaskError
 
     try:
         sc = get_scenario(args.scenario)
@@ -243,11 +241,7 @@ def _cmd_run(args: argparse.Namespace, grid_args: Sequence[str]) -> int:
     try:
         # Read every environment knob up front: an invalid value must fail
         # before any work is done, and the report records what ran.
-        config = {
-            "graph_backend": backend.policy(),
-            "path_workers": path_workers_policy(),
-            "task_timeout": task_timeout_policy(),
-        }
+        knobs = config.snapshot()
         if args.inject_faults is not None:
             faults.install(args.inject_faults)
         grid: Dict[str, List[Any]] = {}
@@ -331,7 +325,7 @@ def _cmd_run(args: argparse.Namespace, grid_args: Sequence[str]) -> int:
             "cache_hits": result.cache_hits,
             "cache_misses": result.cache_misses,
             "cache_corrupt": result.cache_corrupt,
-            "config": config,
+            "config": knobs,
         }
         if result.journal_path is not None:
             meta["journal"] = {

@@ -37,49 +37,9 @@ logger = logging.getLogger(__name__)
 #: process round-trips for sweeps with many tiny units.
 DEFAULT_SHARD_SIZE = 8
 
-#: Execution-level override for source-sharded path-metric campaigns inside
-#: scenarios (``resilience-at-scale``): how many pool workers each
-#: full-population campaign fans its sources across.  An *environment* knob
-#: rather than a scenario parameter on purpose -- parameters feed unit-seed
-#: derivation and cache identity, and a pure performance knob must change
-#: neither (the sharded merge is bit-identical to serial by construction).
-PATH_WORKERS_ENV_VAR = "REPRO_PATH_WORKERS"
-
-
-def path_workers_policy() -> int:
-    """Workers for in-scenario sharded path-metric campaigns (default 1).
-
-    Parses :data:`PATH_WORKERS_ENV_VAR`; an invalid value raises
-    :class:`repro.core.errors.ConfigError` instead of silently running
-    serial.
-    """
-    raw = os.environ.get(PATH_WORKERS_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    from repro.core.errors import ConfigError
-
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ConfigError(
-            f"invalid {PATH_WORKERS_ENV_VAR}={raw!r}; expected a positive "
-            "integer of pool workers"
-        )
-    return value
-
-
 # ----------------------------------------------------------------------
 # Worker-side entry points (top-level so they pickle under any start method)
 # ----------------------------------------------------------------------
-#: Worker-side flag: whether the parent campaign has telemetry enabled (set
-#: per task by :func:`repro.runner.pool._apply_worker_context`).  When set,
-#: every shard runs under a fresh worker-local collector whose snapshot
-#: rides back to the parent with the shard's results.
-_WORKER_TELEMETRY = {"enabled": False}
-
-
 def run_unit(scenario_name: str, module: str, params: Mapping[str, Any], seed: int) -> Dict[str, float]:
     """Execute one work unit and return its flat metrics."""
     sc = resolve_for_worker(scenario_name, module)
@@ -90,17 +50,19 @@ def _run_shard(
     scenario_name: str,
     module: str,
     shard: Sequence[Tuple[int, Mapping[str, Any], int]],
+    telemetry_on: bool,
 ) -> Tuple[List[Tuple[int, Dict[str, float]]], Optional[Dict[str, Any]]]:
     """Execute a batch of ``(index, params, seed)`` units in one worker call.
 
     Returns ``(results, telemetry_snapshot)``; the snapshot is ``None``
-    unless the parent enabled telemetry, in which case the shard ran under a
+    unless the parent enabled telemetry (``telemetry_on``, shipped in the
+    task's context), in which case the shard ran under a
     fresh worker-local collector (per-unit ``runner.unit`` spans plus
     whatever the scenario's instrumented subsystems recorded) that the
     parent merges.  Collection is shard-scoped precisely so merging the
     returned snapshots can never double-count a long-lived worker.
     """
-    if not _WORKER_TELEMETRY["enabled"]:
+    if not telemetry_on:
         return [
             (index, run_unit(scenario_name, module, params, seed))
             for index, params, seed in shard
@@ -270,6 +232,7 @@ def execute(
         get_pool,
         parent_deadline,
         shutdown_pools,
+        task_context,
     )
 
     jrnl = None
@@ -370,18 +333,8 @@ def execute(
                 tel.gauge("runner.shards", len(shards))
                 tel.gauge("runner.shard_size", shard_size)
                 tel.gauge("runner.pool_workers", max_workers)
-            from repro.graphs import backend
-
-            # Everything policy-like ships per task: the persistent pool
-            # outlives this campaign, so workers re-force the parent's
-            # resolved policies for every shard instead of baking them in at
-            # spin-up.
-            ctx = {
-                "module": sc.module,
-                "backend": backend.policy(),
-                "telemetry": tel.enabled,
-                "faults": faults.shipped(),
-            }
+            # The pool outlives this campaign: its policies ship per task.
+            ctx = task_context(sc.module)
 
             def on_shard(shard_results, shard_snapshot) -> None:
                 if shard_snapshot is not None:
@@ -441,10 +394,15 @@ def execute(
 def sharded_full_path_metrics(
     graph,
     *,
-    workers: int = 1,
+    workers: Optional[int] = None,
     shard_size: Optional[int] = None,
 ) -> Dict[str, float]:
     """Exact full-population path metrics with sources sharded across workers.
+
+    The one place that picks how an exact fast-backend campaign runs:
+    serial, journaled or pooled.  ``workers=None`` (the default) reads
+    ``REPRO_PATH_WORKERS`` (:mod:`repro.runner.config`, default 1), the only
+    way to ask for sharding outside a direct call.
 
     The wave chunks of a full-population campaign are independent, so the
     source set of :func:`repro.graphs.fast.full_path_metrics` splits cleanly
@@ -473,8 +431,11 @@ def sharded_full_path_metrics(
     journaled path stays bit-identical to the plain serial call.
     """
     from repro.graphs import backend, fast
+    from repro.runner import config
     from repro.runner import journal as journal_mod
 
+    if workers is None:
+        workers = config.value("path_workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if shard_size is not None and shard_size < 1:
@@ -578,11 +539,7 @@ def sharded_full_path_metrics(
         if tel.enabled:
             tel.gauge("runner.path_workers", min(workers, len(shards)))
             tel.gauge("runner.path_shards", len(shards))
-        ctx = {
-            "backend": backend.policy(),
-            "telemetry": tel.enabled,
-            "faults": faults.shipped(),
-        }
+        ctx = pool_mod.task_context()
 
         def on_result(task_key, shard_ecc, shard_totals, shard_snapshot) -> None:
             if shard_snapshot is not None:

@@ -3,7 +3,7 @@
 A journal is one append-only JSONL file per campaign.  The first line is a
 **header** pinning everything that determines the campaign's output -- the
 resolved spec hash, scenario name and version, master seed, trials, unit
-count, and the active execution environment (:func:`environment_pins`,
+count, and the active execution environment (:func:`repro.runner.config.pins`,
 the same settings :meth:`repro.runner.spec.WorkUnit.key_material` folds
 into cache keys).  Every completed work unit appends one
 ``{"unit": index, "metrics": {...}}`` record (flushed immediately, so a
@@ -69,6 +69,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Set, Tuple, Union
 
 from repro.obs.telemetry import current as _telemetry
+from repro.runner import config
 
 logger = logging.getLogger(__name__)
 
@@ -96,18 +97,6 @@ Checkpoints = Dict[Tuple[int, int], Dict[str, Any]]
 _held: Set[str] = set()
 
 
-def environment_pins() -> Dict[str, Any]:
-    """The execution-environment settings that could change a result.
-
-    The one list of them: every journal header pins these fields and
-    :meth:`repro.runner.spec.WorkUnit.key_material` folds them into cache
-    keys, so a result never replays under a different setting.
-    """
-    from repro.graphs import backend
-
-    return {"graph_backend": backend.policy()}
-
-
 def journal_header(spec, version: str, unit_count: int) -> Dict[str, Any]:
     """The header record for one campaign: identity plus execution env.
 
@@ -125,7 +114,7 @@ def journal_header(spec, version: str, unit_count: int) -> Dict[str, Any]:
         "trials": spec.trials,
         "units": unit_count,
     }
-    header.update(environment_pins())
+    header.update(config.pins())
     return header
 
 
@@ -586,7 +575,7 @@ def inspect(path: Union[str, Path]) -> Dict[str, Any]:
     total = int(header.get("units", 0))
     in_range = [index for index in units if 0 <= index < total]
     out_of_range = sorted(set(units) - set(in_range))
-    current_env = environment_pins()
+    current_env = config.pins()
     env_mismatches = sorted(
         key for key in current_env if header.get(key) != current_env[key]
     )

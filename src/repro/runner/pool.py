@@ -68,7 +68,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.telemetry import current as _telemetry
-from repro.runner import faults
+from repro.runner import config, faults
 
 logger = logging.getLogger(__name__)
 
@@ -89,14 +89,6 @@ MAX_POOL_ATTEMPTS = 2
 #: Seconds :meth:`WorkerPool.terminate` waits for the executor's management
 #: thread to notice its killed workers and close its wakeup pipe.
 TERMINATE_JOIN_SECONDS = 5.0
-
-#: No-progress deadline in seconds (float) of :func:`parent_deadline`.  When
-#: set, the parent SIGKILLs the pool's workers after that long without *any*
-#: task completing -- turning a hung worker into the (recoverable)
-#: killed-worker path -- and raises :class:`ParentTimeoutError` after that
-#: long without progress in its own work.  Unset = no deadline.
-TASK_TIMEOUT_ENV_VAR = "REPRO_TASK_TIMEOUT"
-
 
 class PoolError(RuntimeError):
     """The pool itself failed (closed, or an in-parent deadline fired)."""
@@ -122,25 +114,6 @@ class TransientTaskError(RuntimeError):
     task itself did not fail).  Crosses the process boundary by pickling;
     it costs the task one of its :data:`MAX_POOL_ATTEMPTS` attempts.
     """
-
-
-def task_timeout_policy() -> Optional[float]:
-    """The per-task watchdog deadline in seconds, or ``None`` when unset."""
-    raw = os.environ.get(TASK_TIMEOUT_ENV_VAR, "").strip()
-    if not raw:
-        return None
-    from repro.core.errors import ConfigError
-
-    try:
-        value = float(raw)
-    except ValueError:
-        value = -1.0
-    if value <= 0:
-        raise ConfigError(
-            f"invalid {TASK_TIMEOUT_ENV_VAR}={raw!r}; expected a positive "
-            "number of seconds"
-        )
-    return value
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +173,7 @@ def parent_deadline(what: str):
     owns the process's ``ITIMER_REAL``; exiting disarms it.
     """
     global _armed, _warned_off_main
-    timeout = task_timeout_policy()
+    timeout = config.value("task_timeout")
     if timeout is None:
         yield None
         return
@@ -208,10 +181,9 @@ def parent_deadline(what: str):
         if not _warned_off_main:
             _warned_off_main = True
             logger.warning(
-                "%s is set but %s runs off the main thread, where no "
-                "signal handler can run; it has no deadline and a hung pool "
-                "worker is not killed",
-                TASK_TIMEOUT_ENV_VAR,
+                "REPRO_TASK_TIMEOUT is set but %s runs off the main thread, "
+                "where no signal handler can run; it has no deadline and a "
+                "hung pool worker is not killed",
                 what,
             )
         yield None
@@ -227,16 +199,16 @@ def parent_deadline(what: str):
         yield deadline
     except _DeadlineExpired:
         logger.warning(
-            "parent watchdog: %s made no progress within %.3gs (%s); "
-            "interrupting -- the campaign journal stays resumable",
+            "parent watchdog: %s made no progress within %.3gs "
+            "(REPRO_TASK_TIMEOUT); interrupting -- the campaign journal "
+            "stays resumable",
             what,
             timeout,
-            TASK_TIMEOUT_ENV_VAR,
         )
         _telemetry().count("runner.watchdog.parent_timeout")
         raise ParentTimeoutError(
             f"{what} made no progress within {timeout:g}s "
-            f"({TASK_TIMEOUT_ENV_VAR}); the campaign journal stays "
+            "(REPRO_TASK_TIMEOUT); the campaign journal stays "
             "resumable -- rerun with --resume"
         )
     finally:
@@ -282,28 +254,41 @@ def _pool_worker_boot(src_path: str) -> None:
     registry._ensure_builtins()
 
 
+def task_context(module: str = "") -> Dict[str, Any]:
+    """The parent's per-campaign policies, built once per fan-out.
+
+    The scenario's home ``module`` (empty for path-metric shards), the
+    result-changing knob ``pins`` (:func:`repro.runner.config.pins`),
+    whether the parent collects ``telemetry`` and its armed ``faults``.
+    """
+    return {
+        "module": module,
+        "pins": config.pins(),
+        "telemetry": _telemetry().enabled,
+        "faults": faults.shipped(),
+    }
+
+
 def _apply_worker_context(ctx: Dict[str, Any]) -> None:
     """Re-force the parent's per-campaign policies inside the worker.
 
     The pool outlives any one campaign, so the parent's *resolved* graph
-    backend is re-forced for every task: ``backend.use()`` lives in process
-    globals that ``spawn`` / ``forkserver`` children do not inherit, and the
-    cache keys record the parent's policy, so workers must actually compute
-    under it.  The parent's telemetry state ships the same way (a pure
-    observation flag: it feeds no seed, parameter or cache key), and so does
-    its fault plane, adopted first so that a plane armed after the workers
-    were forked still reaches them.  A scenario home module that fails to
-    import raises :class:`~repro.core.errors.ConfigError` naming the module.
+    backend (``ctx["pins"]``) is re-forced for every task: ``backend.use()``
+    lives in process globals that ``spawn`` / ``forkserver`` children do not
+    inherit, and the cache keys record the parent's policy, so workers must
+    actually compute under it.  The fault plane is adopted first, so that a
+    plane armed after the workers were forked still reaches them.  A
+    scenario home module that fails to import raises
+    :class:`~repro.core.errors.ConfigError` naming the module.
     """
     faults.adopt(ctx["faults"])
     from repro.graphs import backend
     from repro.obs import telemetry
-    from repro.runner import executor, registry
+    from repro.runner import registry
 
-    backend.use(ctx["backend"])
-    executor._WORKER_TELEMETRY["enabled"] = bool(ctx["telemetry"])
+    backend.use(ctx["pins"]["graph_backend"])
     registry._ensure_builtins()
-    module = ctx.get("module", "")
+    module = ctx["module"]
     if module and module != "__main__":
         try:
             importlib.import_module(module)
@@ -332,7 +317,9 @@ def _pool_run_shard(ctx: Dict[str, Any], scenario_name: str, shard):
 
     _apply_worker_context(ctx)
     faults.fault_point("pool.task")
-    return executor._run_shard(scenario_name, ctx.get("module", ""), shard)
+    return executor._run_shard(
+        scenario_name, ctx["module"], shard, ctx["telemetry"]
+    )
 
 
 def _attach_segment(meta: Dict[str, Any]):

@@ -374,16 +374,14 @@ def resilience_at_scale(
     campaign per checkpoint, so the 100k-node resilience curves report exact
     values where the paper (and PR 3/4) sampled diameter and path length.
     ``REPRO_PATH_WORKERS=N`` source-shards each campaign across a process
-    pool, bit-identically to serial (an environment knob, not a parameter:
-    performance settings must not perturb unit seeds or cache identity);
+    pool, bit-identically to serial; the overlay's exact campaigns read it
+    themselves (an environment knob, not a parameter: performance settings
+    must not perturb unit seeds or cache identity);
     ``metric_sample=<int>`` restores the PR 4 sampled estimators.
     """
     from repro.core.ddsr import DDSROverlay
     from repro.graphs import backend
-    from repro.runner.executor import path_workers_policy
     from repro.workloads.deletion import DeletionSchedule
-
-    path_workers = path_workers_policy()
 
     overlay = DDSROverlay.k_regular(n, k, seed=derive_seed(seed, "wiring"))
     schedule = DeletionSchedule.random(
@@ -397,7 +395,6 @@ def resilience_at_scale(
             sample_size=metric_sample,
             rng=metric_rng,
             closeness_sample=closeness_sample,
-            path_workers=path_workers,
         )
         return {
             "components": float(summary["components"]),

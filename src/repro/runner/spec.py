@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Sequence
 
+from repro.runner import config
 from repro.runner.grid import canonical_params, check_params, expand_grid
 from repro.sim.rng import derive_seed
 
@@ -36,15 +37,13 @@ class WorkUnit:
         """The canonical string the cache key is hashed from.
 
         Besides the unit's own identity this covers the *active execution
-        environment* (:func:`repro.runner.journal.environment_pins`, the
-        graph-backend policy), so a result computed under
+        environment* (:func:`repro.runner.config.pins`, the graph-backend
+        policy), so a result computed under
         ``REPRO_GRAPH_BACKEND=python`` is never served to a ``fast``-backend
         invocation (or vice versa).  The backends are contractually
         bit-identical, but the cache must not *assume* the contract it
         exists to help verify.
         """
-        from repro.runner.journal import environment_pins
-
         return "\n".join(
             [
                 f"scenario={self.scenario}",
@@ -52,7 +51,7 @@ class WorkUnit:
                 f"params={canonical_params(self.params)}",
                 f"trial={self.trial}",
                 f"seed={self.seed}",
-                *(f"{name}={value}" for name, value in environment_pins().items()),
+                *(f"{name}={value}" for name, value in config.pins().items()),
             ]
         )
 

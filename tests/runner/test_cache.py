@@ -63,15 +63,13 @@ class TestCacheKeying:
         assert unit.cache_key("1") != default_key
 
     def test_key_folds_in_every_environment_pin(self, monkeypatch):
-        """The journal's pin list is the cache key's: a new pin re-keys."""
-        from repro.runner import journal
+        """The config table's pin list is the cache key's: a new pin re-keys."""
+        from repro.runner import config
 
         unit = unit_of(ScenarioSpec(name="s", params={"n": 10}))
         key = unit.cache_key("1")
-        pins = journal.environment_pins()
-        monkeypatch.setattr(
-            journal, "environment_pins", lambda: dict(pins, extra_pin="on")
-        )
+        pins = config.pins()
+        monkeypatch.setattr(config, "pins", lambda: dict(pins, extra_pin="on"))
         assert unit.cache_key("1") != key
         assert unit.key_material("1").endswith("\nextra_pin=on")
 

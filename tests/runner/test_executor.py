@@ -89,8 +89,35 @@ class TestParallelDeterminism:
         assert parallel.unit_metrics == serial.unit_metrics
         assert parallel.rows() == serial.rows()
 
+    def test_task_context_carries_the_parent_policies(self):
+        """One context per fan-out: home module, pins, telemetry, faults."""
+        from repro.graphs import backend
+        from repro.obs import telemetry
+        from repro.runner import faults
+        from repro.runner.pool import task_context
+
+        with backend.using("python"):
+            assert task_context("home.module") == {
+                "module": "home.module",
+                "pins": {"graph_backend": "python"},
+                "telemetry": False,
+                "faults": None,
+            }
+            try:
+                faults.install("cache.read=raise@2")
+                with telemetry.collecting():
+                    ctx = task_context()
+                assert ctx == {
+                    "module": "",
+                    "pins": {"graph_backend": "python"},
+                    "telemetry": True,
+                    "faults": faults.shipped(),
+                }
+            finally:
+                faults.reset()
+
     def test_worker_context_applies_parent_policies(self, tmp_path):
-        """Workers re-force the parent's resolved backend and telemetry flag.
+        """Workers re-force the parent's resolved backend pin.
 
         Forced state set via ``backend.use()`` lives in process globals that
         spawn/forkserver children never inherit; every pool task must apply
@@ -100,29 +127,47 @@ class TestParallelDeterminism:
         """
         pytest.importorskip("numpy")
         from repro.graphs import backend
-        from repro.runner import executor, faults
+        from repro.runner import faults
         from repro.runner.pool import _apply_worker_context
 
         plane = ("cache.read=raise@2", str(tmp_path))
         previous = backend.use(None)
         try:
             _apply_worker_context(
-                {"backend": "python", "telemetry": True, "faults": plane}
+                {
+                    "module": "",
+                    "pins": {"graph_backend": "python"},
+                    "telemetry": True,
+                    "faults": plane,
+                }
             )
             assert backend.policy() == "python"
-            assert executor._WORKER_TELEMETRY["enabled"]
             assert faults.shipped() == plane
             _apply_worker_context(
-                {"backend": "fast", "telemetry": False, "faults": None}
+                {
+                    "module": "",
+                    "pins": {"graph_backend": "fast"},
+                    "telemetry": False,
+                    "faults": None,
+                }
             )
             assert backend.policy() == "fast"
-            assert not executor._WORKER_TELEMETRY["enabled"]
             assert faults.active() is None
             assert tmp_path.is_dir()
         finally:
             backend.use(previous)
-            executor._WORKER_TELEMETRY["enabled"] = False
             faults.reset()
+
+    def test_run_shard_collects_only_under_the_shipped_flag(self):
+        """The shipped telemetry flag decides whether a shard collects."""
+        from repro.runner.executor import _run_shard
+
+        shard = [(0, {"n": 60, "k": 6, "fraction": 0.5}, 9)]
+        dark, none = _run_shard("ablation-repair-policy", "", shard, False)
+        lit, snapshot = _run_shard("ablation-repair-policy", "", shard, True)
+        assert none is None
+        assert snapshot["spans"]["runner.unit"]["count"] == 1
+        assert lit == dark
 
     def test_worker_context_broken_home_module_is_a_config_error(self):
         """A scenario home that fails to import in a worker is named."""
@@ -135,10 +180,10 @@ class TestParallelDeterminism:
             with pytest.raises(ConfigError, match="repro_no_such_home"):
                 _apply_worker_context(
                     {
-                        "backend": "auto",
+                        "module": "repro_no_such_home",
+                        "pins": {"graph_backend": "auto"},
                         "telemetry": False,
                         "faults": None,
-                        "module": "repro_no_such_home",
                     }
                 )
         finally:
@@ -154,7 +199,12 @@ class TestParallelDeterminism:
         telemetry.enable(label="inherited")
         try:
             _apply_worker_context(
-                {"backend": "auto", "telemetry": False, "faults": None}
+                {
+                    "module": "",
+                    "pins": {"graph_backend": "auto"},
+                    "telemetry": False,
+                    "faults": None,
+                }
             )
             assert not telemetry.current().enabled
         finally:
@@ -341,7 +391,7 @@ class TestShardedPathMetrics:
         assert fast.full_path_metrics(graph) == expected
         assert sharded_full_path_metrics(graph, workers=2) == expected
 
-    def test_sharded_through_overlay_summary(self):
+    def test_sharded_through_overlay_summary(self, monkeypatch):
         pytest.importorskip("numpy")
         from repro.core.ddsr import DDSROverlay
         from repro.graphs import backend
@@ -349,7 +399,8 @@ class TestShardedPathMetrics:
         overlay = DDSROverlay.k_regular(500, 8, seed=45)
         with backend.using("fast"):
             serial = overlay.path_metric_summary()
-            parallel = overlay.path_metric_summary(path_workers=2)
+            monkeypatch.setenv("REPRO_PATH_WORKERS", "2")
+            parallel = overlay.path_metric_summary()
         assert parallel == serial
 
     def test_path_workers_env_does_not_perturb_scenario_results(self, monkeypatch):
@@ -360,31 +411,15 @@ class TestShardedPathMetrics:
         'performance' knob silently reran a different experiment.
         """
         pytest.importorskip("numpy")
-        from repro.runner.executor import PATH_WORKERS_ENV_VAR
 
         kwargs = dict(
             params={"n": 300, "checkpoints": 2}, trials=1, seed=7, workers=1
         )
         serial = run_scenario("resilience-at-scale", **kwargs)
-        monkeypatch.setenv(PATH_WORKERS_ENV_VAR, "2")
+        monkeypatch.setenv("REPRO_PATH_WORKERS", "2")
         sharded = run_scenario("resilience-at-scale", **kwargs)
         assert sharded.unit_metrics == serial.unit_metrics
         assert sharded.spec.spec_hash() == serial.spec.spec_hash()
-
-    def test_path_workers_env_validation(self, monkeypatch):
-        from repro.core.errors import ConfigError
-        from repro.runner.executor import (
-            PATH_WORKERS_ENV_VAR,
-            path_workers_policy,
-        )
-
-        assert path_workers_policy() == 1
-        monkeypatch.setenv(PATH_WORKERS_ENV_VAR, "3")
-        assert path_workers_policy() == 3
-        for bad in ("0", "-2", "two", "1.5"):
-            monkeypatch.setenv(PATH_WORKERS_ENV_VAR, bad)
-            with pytest.raises(ConfigError, match="REPRO_PATH_WORKERS"):
-                path_workers_policy()
 
     def test_sharded_validates_workers_and_shard_size(self):
         pytest.importorskip("numpy")

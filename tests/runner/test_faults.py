@@ -20,7 +20,6 @@ fault-free run:
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 import subprocess
@@ -36,25 +35,20 @@ from repro.obs import telemetry
 from repro.runner import faults
 from repro.runner.cache import ResultCache
 from repro.runner.executor import run_scenario
-from repro.runner.pool import SHM_PREFIX, shutdown_pools
+from repro.runner.pool import shutdown_pools
 from repro.runner.spec import ScenarioSpec
 
 np = pytest.importorskip("numpy")
 
 
-def _pool_segments():
-    return glob.glob(f"/dev/shm/{SHM_PREFIX}*")
-
-
 @pytest.fixture(autouse=True)
-def _clean_plane():
+def _clean_plane(pool_segments):
     """Each test starts with no armed faults, cold pools, and no leaks."""
     faults.reset()
     shutdown_pools()
     yield
     shutdown_pools()
     faults.reset()
-    assert _pool_segments() == []
 
 
 class TestSpecGrammar:
@@ -327,22 +321,6 @@ class TestCounterDirectory:
         assert list(tmp_path.glob("repro-faults-*")) == []
 
 
-class TestPolicyKnobs:
-    @pytest.mark.parametrize(
-        "var, value",
-        [
-            ("REPRO_TASK_TIMEOUT", "-1"),
-            ("REPRO_TASK_TIMEOUT", "soon"),
-        ],
-    )
-    def test_invalid_values_raise_config_error(self, var, value, monkeypatch):
-        from repro.runner import pool as pool_mod
-
-        monkeypatch.setenv(var, value)
-        with pytest.raises(ConfigError, match=var):
-            pool_mod.task_timeout_policy()
-
-
 class TestInterruptTeardown:
     """The SIGINT path, driven deterministically via an injected interrupt."""
 
@@ -366,7 +344,11 @@ class TestInterruptTeardown:
             timeout=300,
         )
 
-    def test_interrupt_exits_130_without_shm_leaks_then_resumes(self, tmp_path):
+    def test_interrupt_exits_130_without_shm_leaks_then_resumes(
+
+        self, pool_segments, tmp_path
+
+    ):
         journal = tmp_path / "campaign.jsonl"
         interrupted = self._run_cli(
             tmp_path,
@@ -375,7 +357,7 @@ class TestInterruptTeardown:
         )
         assert interrupted.returncode == 130, interrupted.stderr
         assert "interrupted" in interrupted.stderr
-        assert _pool_segments() == []
+        assert pool_segments() == []
         assert journal.exists()
         # The journal holds the three completed units; --resume replays
         # them and finishes the rest bit-identically to a clean run.
@@ -394,7 +376,11 @@ class TestInterruptTeardown:
         clean_rows = json.loads((tmp_path / "clean.json").read_text())
         assert resumed_rows == clean_rows
 
-    def test_interrupt_under_a_task_timeout_still_exits_130(self, tmp_path):
+    def test_interrupt_under_a_task_timeout_still_exits_130(
+
+        self, pool_segments, tmp_path
+
+    ):
         """A ^C is not a watchdog timeout, deadline armed or not."""
         interrupted = self._run_cli(
             tmp_path,
@@ -404,9 +390,13 @@ class TestInterruptTeardown:
         )
         assert interrupted.returncode == 130, interrupted.stderr
         assert "interrupted" in interrupted.stderr
-        assert _pool_segments() == []
+        assert pool_segments() == []
 
-    def test_pooled_bookkeeping_hang_is_bounded_then_resumes(self, tmp_path):
+    def test_pooled_bookkeeping_hang_is_bounded_then_resumes(
+
+        self, pool_segments, tmp_path
+
+    ):
         """At ``workers=2`` the parent merges each shard's units (cache put,
         journal append, the ``executor.unit`` fault site) from the pool's
         result loop; a hang there must hit the parent deadline too."""
@@ -422,7 +412,7 @@ class TestInterruptTeardown:
         assert hung.returncode == 4, hung.stderr
         assert "no progress within 2s" in hung.stderr
         assert elapsed < 2 + 15, f"pooled bookkeeping hang not bounded: {elapsed:.1f}s"
-        assert _pool_segments() == []
+        assert pool_segments() == []
         resumed = self._run_cli(
             tmp_path, "--journal", str(journal), "--resume", "--no-cache",
             "--json", str(tmp_path / "resumed.json"),

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.errors import ConfigError
 from repro.obs import telemetry
-from repro.runner import faults
+from repro.runner import config, faults
 from repro.runner import journal as journal_mod
 from repro.runner.cache import ResultCache
 from repro.runner.executor import execute, run_scenario
@@ -72,18 +72,9 @@ class TestJournalFile:
         assert header["journal"] == JOURNAL_SCHEMA
         for key in (
             "scenario", "version", "spec_hash", "seed", "trials", "units",
-            *journal_mod.environment_pins(),
+            *config.pins(),
         ):
             assert key in header
-
-    @pytest.mark.parametrize("policy", ["python", "fast", "auto"])
-    def test_environment_pins_follow_the_backend_policy(self, policy):
-        """The one pin list holds the backend policy, header and all."""
-        from repro.graphs import backend
-
-        with backend.using(policy):
-            assert journal_mod.environment_pins() == {"graph_backend": policy}
-            assert _header()["graph_backend"] == policy
 
     def test_truncated_trailing_line_is_dropped(self, tmp_path):
         path = tmp_path / "j.jsonl"

@@ -18,7 +18,6 @@ failure injection:
 from __future__ import annotations
 
 import gc
-import glob
 import os
 import signal
 
@@ -32,7 +31,6 @@ from repro.obs import telemetry
 from repro.runner import pool as pool_mod
 from repro.runner.executor import run_scenario, sharded_full_path_metrics
 from repro.runner.pool import (
-    SHM_PREFIX,
     PoolError,
     PoolTaskError,
     WorkerPool,
@@ -42,19 +40,12 @@ from repro.runner.pool import (
 from repro.runner.registry import scenario, unregister
 
 
-def _pool_segments():
-    """Live ``/dev/shm`` segments created by the pool (leak audit)."""
-    return glob.glob(f"/dev/shm/{SHM_PREFIX}*")
-
-
 @pytest.fixture(autouse=True)
-def _fresh_pools():
+def _fresh_pools(pool_segments):
     """Each test starts from cold pools and must leak no segments."""
     shutdown_pools()
     yield
     shutdown_pools()
-    gc.collect()
-    assert _pool_segments() == []
 
 
 class TestPoolLifecycle:
@@ -86,7 +77,7 @@ class TestPoolLifecycle:
         snap = collector.snapshot()
         assert snap["spans"]["runner.pool_spinup"]["count"] == 1
 
-    def test_terminate_joins_the_management_thread(self):
+    def test_terminate_joins_the_management_thread(self, pool_segments):
         """``terminate()`` returns after the executor's management thread ends.
 
         Left running, its teardown races ``concurrent.futures``' exit hook
@@ -99,7 +90,7 @@ class TestPoolLifecycle:
         assert manager.is_alive()
         pool.terminate()
         assert not manager.is_alive()
-        assert _pool_segments() == []
+        assert pool_segments() == []
 
 
 class TestSharedMemoryPublication:
@@ -124,7 +115,7 @@ class TestSharedMemoryPublication:
         assert counters["runner.pool.publish_reattach"] == len(self.CHECKPOINTS) - 1
         assert counters["runner.pool.bytes_shipped"] > 0
 
-    def test_republishing_leaves_only_live_snapshot_segments(self):
+    def test_republishing_leaves_only_live_snapshot_segments(self, pool_segments):
         """Old segments are unlinked at re-publish; none survive shutdown."""
         graph = k_regular_graph(400, 6, seed=13)
         with backend.using("fast"):
@@ -133,30 +124,30 @@ class TestSharedMemoryPublication:
                     graph.remove_node(victim)
                 sharded_full_path_metrics(graph, workers=2)
                 live = get_pool(2)._pubs[id(graph)].segments
-                assert sorted(_pool_segments()) == sorted(
+                assert sorted(pool_segments()) == sorted(
                     f"/dev/shm/{shm.name}" for shm in live
                 )
                 assert len(live) == 2
         shutdown_pools()
-        assert _pool_segments() == []
+        assert pool_segments() == []
 
-    def test_segments_released_when_published_graph_dies(self):
+    def test_segments_released_when_published_graph_dies(self, pool_segments):
         """The weakref finalizer unlinks /dev/shm before the pool closes."""
         graph = k_regular_graph(300, 6, seed=17)
         with backend.using("fast"):
             sharded_full_path_metrics(graph, workers=2)
-        assert _pool_segments() != []
+        assert pool_segments() != []
         del graph
         gc.collect()
-        assert _pool_segments() == []
+        assert pool_segments() == []
 
-    def test_close_unlinks_segments_while_graph_still_alive(self):
+    def test_close_unlinks_segments_while_graph_still_alive(self, pool_segments):
         graph = k_regular_graph(300, 6, seed=19)
         with backend.using("fast"):
             sharded_full_path_metrics(graph, workers=2)
-        assert _pool_segments() != []
+        assert pool_segments() != []
         shutdown_pools()
-        assert _pool_segments() == []
+        assert pool_segments() == []
 
 
 def _register_kamikaze(name: str, kills: str = "once"):
@@ -204,7 +195,11 @@ class TestFailurePaths:
         finally:
             unregister("test-pool-kamikaze")
 
-    def test_repeatedly_killed_worker_raises_pool_error_with_context(self, tmp_path):
+    def test_repeatedly_killed_worker_raises_pool_error_with_context(
+
+        self, pool_segments, tmp_path
+
+    ):
         """Shards killed on both attempts finish in-parent, equal to serial."""
         _register_kamikaze("test-pool-kamikaze-always", kills="always")
         kwargs = dict(params={"marker": str(tmp_path / "never")}, trials=2, seed=3)
@@ -220,7 +215,7 @@ class TestFailurePaths:
         assert collector.snapshot()["counters"]["runner.degraded_serial"] >= 1
         # The broken executor left nothing behind.
         shutdown_pools()
-        assert _pool_segments() == []
+        assert pool_segments() == []
 
     def test_raising_task_surfaces_unit_context_and_cause(self):
         @scenario(name="test-pool-raises", defaults={"bias": 0})
@@ -244,7 +239,7 @@ class TestFailurePaths:
         finally:
             unregister("test-pool-raises")
 
-    def test_killed_idle_worker_does_not_poison_path_campaign(self):
+    def test_killed_idle_worker_does_not_poison_path_campaign(self, pool_segments):
         """Kill a pool worker between checkpoints: respawn, same numbers."""
         graph = k_regular_graph(400, 6, seed=23)
         with backend.using("fast"):
@@ -257,17 +252,18 @@ class TestFailurePaths:
             second = sharded_full_path_metrics(graph, workers=2)
         assert second == serial
         shutdown_pools()
-        assert _pool_segments() == []
+        assert pool_segments() == []
 
 
 class TestCheckpointedTakedownDifferential:
-    def test_gradual_takedown_pooled_checkpoints_bit_identical(self):
-        """GradualTakedown(path_workers=2) == path_workers=1, every checkpoint."""
+    def test_gradual_takedown_pooled_checkpoints_bit_identical(self, monkeypatch):
+        """REPRO_PATH_WORKERS=2 == unset, every checkpoint of a takedown."""
         from repro.adversary.takedown import GradualTakedown
         from repro.core.ddsr import DDSROverlay
         import random
 
         def run(path_workers: int):
+            monkeypatch.setenv("REPRO_PATH_WORKERS", str(path_workers))
             overlay = DDSROverlay.k_regular(150, 8, seed=1)
             strategy = GradualTakedown(
                 fraction=0.2,
@@ -275,13 +271,16 @@ class TestCheckpointedTakedownDifferential:
                 rng=random.Random(4),
                 path_metrics=True,
                 metric_sample=None,
-                path_workers=path_workers,
             )
-            with backend.using("fast"):
-                return strategy.execute_with_checkpoints(overlay)
+            with backend.using("fast"), telemetry.collecting() as collector:
+                results = strategy.execute_with_checkpoints(overlay)
+            return results, collector.snapshot()["counters"]
 
-        pooled = run(2)
-        serial = run(1)
+        pooled, pooled_counters = run(2)
+        serial, serial_counters = run(1)
+        # The env var alone put the exact checkpoints on the pool.
+        assert pooled_counters["runner.pool.publish_attach"] == 1
+        assert "runner.pool.publish_attach" not in serial_counters
         assert len(pooled) == len(serial) >= 3
         for lit, dark in zip(pooled, serial):
             assert lit.path_metrics == dark.path_metrics

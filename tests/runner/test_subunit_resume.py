@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import base64
 import contextlib
-import glob
 import json
 import os
 import signal
@@ -42,18 +41,14 @@ from repro.runner import faults
 from repro.runner import journal as journal_mod
 from repro.runner.executor import run_scenario
 from repro.runner.journal import CampaignJournal
-from repro.runner.pool import SHM_PREFIX, ParentTimeoutError, shutdown_pools
+from repro.runner.pool import ParentTimeoutError, shutdown_pools
 from repro.runner.spec import ScenarioSpec
 
 np = pytest.importorskip("numpy")
 
 
-def _pool_segments():
-    return glob.glob(f"/dev/shm/{SHM_PREFIX}*")
-
-
 @pytest.fixture(autouse=True)
-def _clean_plane(monkeypatch):
+def _clean_plane(pool_segments, monkeypatch):
     """Each test starts with no armed faults, cold pools, and no leaks."""
     monkeypatch.delenv("REPRO_PATH_WORKERS", raising=False)
     monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
@@ -62,7 +57,6 @@ def _clean_plane(monkeypatch):
     yield
     shutdown_pools()
     faults.reset()
-    assert _pool_segments() == []
 
 
 #: A 2-unit campaign whose every unit runs 4 exact path-metric checkpoints
@@ -483,6 +477,8 @@ class TestSigkillSubprocess:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
         env["REPRO_GRAPH_BACKEND"] = "fast"
+        # A SIGKILL leaves the fault plane's counter directory behind.
+        env["TMPDIR"] = str(tmp_path)
         return subprocess.run(
             [
                 sys.executable, "-m", "repro.runner", "run",
@@ -514,6 +510,7 @@ class TestSigkillSubprocess:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
         env["REPRO_GRAPH_BACKEND"] = "fast"
+        env["TMPDIR"] = str(tmp_path)
         inspect = subprocess.run(
             [sys.executable, "-m", "repro.runner", "journal", str(journal)],
             capture_output=True, text=True, env=env, timeout=60,
