@@ -129,8 +129,7 @@ class Collector:
       ``(count, total_s, max_s)`` (``span`` / ``record_span``), e.g.
       per-unit runner wall time;
     * **sections** -- arbitrary JSON-friendly payloads attached wholesale
-      (``section``), e.g. a sim-layer :class:`~repro.sim.metrics.CounterSet`
-      snapshot.
+      (``section``), e.g. a study's own summary table.
     """
 
     enabled = True

@@ -54,9 +54,10 @@ apart:
   including an in-parent hang -- or a journal-lock wait -- caught by the
   parent watchdog)
 * ``5``   a task failed inside a worker
-  (:class:`~repro.runner.pool.PoolTaskError`)
-* ``130`` interrupted (^C); pools are torn down and the journal stays
-  resumable
+  (:class:`~repro.runner.pool.PoolTaskError`); returned at once, because
+  the pool kills its workers still busy with sibling tasks
+* ``130`` interrupted (^C); busy pool workers are killed and the journal
+  stays resumable
 """
 
 from __future__ import annotations

@@ -13,19 +13,22 @@ in-process or on the invocation-wide persistent worker pool
   adding trials only computes the new units;
 * **streaming aggregation** -- per-point Welford accumulators are fed as
   results arrive; memory is O(grid points x metrics), not O(trials).
+
+The executor plans, replays, runs in-parent and finalizes; everything about
+the workers -- their entry points, the failure ladder, and killing busy
+workers when a round exits abnormally -- lives in :mod:`repro.runner.pool`.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.telemetry import current as _telemetry
 from repro.runner.cache import ResultCache
-from repro.runner.registry import get_scenario, resolve_for_worker
+from repro.runner.registry import get_scenario
 from repro.runner.spec import ScenarioSpec, WorkUnit
 from repro.runner.stats import MetricAggregator
 
@@ -36,49 +39,6 @@ logger = logging.getLogger(__name__)
 #: Work units handed to each pool submission; batching amortises pickling and
 #: process round-trips for sweeps with many tiny units.
 DEFAULT_SHARD_SIZE = 8
-
-# ----------------------------------------------------------------------
-# Worker-side entry points (top-level so they pickle under any start method)
-# ----------------------------------------------------------------------
-def run_unit(scenario_name: str, module: str, params: Mapping[str, Any], seed: int) -> Dict[str, float]:
-    """Execute one work unit and return its flat metrics."""
-    sc = resolve_for_worker(scenario_name, module)
-    return sc.call(seed=seed, **params)
-
-
-def _run_shard(
-    scenario_name: str,
-    module: str,
-    shard: Sequence[Tuple[int, Mapping[str, Any], int]],
-    telemetry_on: bool,
-) -> Tuple[List[Tuple[int, Dict[str, float]]], Optional[Dict[str, Any]]]:
-    """Execute a batch of ``(index, params, seed)`` units in one worker call.
-
-    Returns ``(results, telemetry_snapshot)``; the snapshot is ``None``
-    unless the parent enabled telemetry (``telemetry_on``, shipped in the
-    task's context), in which case the shard ran under a
-    fresh worker-local collector (per-unit ``runner.unit`` spans plus
-    whatever the scenario's instrumented subsystems recorded) that the
-    parent merges.  Collection is shard-scoped precisely so merging the
-    returned snapshots can never double-count a long-lived worker.
-    """
-    if not telemetry_on:
-        return [
-            (index, run_unit(scenario_name, module, params, seed))
-            for index, params, seed in shard
-        ], None
-    from repro.obs import telemetry
-
-    collector = telemetry.enable(label="worker-shard")
-    try:
-        results = []
-        for index, params, seed in shard:
-            with collector.span("runner.unit"):
-                results.append((index, run_unit(scenario_name, module, params, seed)))
-    finally:
-        telemetry.disable()
-    return results, collector.snapshot()
-
 
 # ----------------------------------------------------------------------
 # Results
@@ -147,13 +107,6 @@ class RunResult:
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-def _repro_src_path() -> str:
-    """The directory that must be on ``sys.path`` for ``import repro``."""
-    import repro
-
-    return os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-
-
 def _shards(
     pending: List[WorkUnit], shard_size: int
 ) -> List[List[Tuple[int, Mapping[str, Any], int]]]:
@@ -175,7 +128,7 @@ def execute(
     """Run every (grid point x trial) unit of ``spec`` and aggregate.
 
     ``workers=1`` runs in-process; ``workers>1`` shards the cache-miss units
-    across a :class:`~concurrent.futures.ProcessPoolExecutor`.  Pass a
+    across the persistent worker pool (:func:`repro.runner.pool.get_pool`).  Pass a
     :class:`ResultCache` to serve repeats from disk and persist fresh results.
 
     ``journal`` (a path) records every completed unit into an append-only
@@ -194,12 +147,13 @@ def execute(
     Units run in-parent -- every unit with ``workers=1``, and the units of
     shards the pool hands back after they used up their attempts -- go
     through one loop, each unit and its bookkeeping under the parent
-    watchdog (``REPRO_TASK_TIMEOUT``).  ``KeyboardInterrupt`` or that
-    watchdog's :class:`~repro.runner.pool.ParentTimeoutError` mid-campaign
-    tears the worker pools down deterministically (workers SIGKILLed, every
-    ``repro-pool-*`` shared-memory segment unlinked) before re-raising.
-    Every exit path closes the journal, so whatever progress was recorded
-    stays resumable.
+    watchdog (``REPRO_TASK_TIMEOUT``).  The pool owns its workers: any
+    exception that leaves a pool round with shards in flight -- a
+    :class:`~repro.runner.pool.PoolTaskError`, ``KeyboardInterrupt``, the
+    watchdog's :class:`~repro.runner.pool.ParentTimeoutError` -- SIGKILLs
+    that pool's workers and unlinks its ``repro-pool-*`` segments before it
+    propagates, so the failure reaches the caller at once.  Every exit path
+    closes the journal, so whatever progress was recorded stays resumable.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -227,13 +181,7 @@ def execute(
     from repro.core.errors import ConfigError
     from repro.runner import faults
     from repro.runner import journal as journal_mod
-    from repro.runner.pool import (
-        ParentTimeoutError,
-        get_pool,
-        parent_deadline,
-        shutdown_pools,
-        task_context,
-    )
+    from repro.runner.pool import get_pool, parent_deadline, task_context
 
     jrnl = None
     replay: Dict[int, Dict[str, float]] = {}
@@ -353,19 +301,6 @@ def execute(
         ordered = [results[unit.index] for unit in units]
         if jrnl is not None:
             jrnl.finish()
-    except (KeyboardInterrupt, ParentTimeoutError) as error:
-        # Deterministic teardown for ^C and an in-parent hang alike: kill
-        # the pools (unlinking every repro-pool-* shm segment) and leave the
-        # journal resumable.
-        logger.warning(
-            "%s mid-campaign; terminating worker pools%s",
-            "interrupted"
-            if isinstance(error, KeyboardInterrupt)
-            else "in-parent hang timed out",
-            "" if jrnl is None else f" (resume with the journal at {jrnl.path})",
-        )
-        shutdown_pools(terminate=True)
-        raise
     finally:
         # Whatever got us here -- success, ^C, a watchdog timeout, an
         # injected fault -- the journal ends up closed and resumable.
@@ -546,16 +481,9 @@ def sharded_full_path_metrics(
                 tel.merge_snapshot(shard_snapshot)
             merge_shard(pending[task_key], shard_ecc, shard_totals)
 
-        try:
-            returned = pool_mod.get_pool(workers).run_path_shards(
-                working, csr, shards, ctx, on_result
-            )
-        except (KeyboardInterrupt, pool_mod.ParentTimeoutError):
-            logger.warning(
-                "interrupted mid path-metric fan-out; terminating worker pools"
-            )
-            pool_mod.shutdown_pools(terminate=True)
-            raise
+        returned = pool_mod.get_pool(workers).run_path_shards(
+            working, csr, shards, ctx, on_result
+        )
         if returned:
             # Under an outer deadline (an in-parent work unit) this is
             # that deadline, which then bounds these shards itself.

@@ -36,7 +36,11 @@ worker-resident state from per-task inputs:
   same code that runs ``workers=1``, so unit seeds, cache keys and the
   in-order Welford drain are untouched and the campaign stays bit-identical
   to a clean one.  A task raising a real exception surfaces as
-  :class:`PoolTaskError` carrying the failing shard's unit context.
+  :class:`PoolTaskError` carrying the failing shard's unit context.  Any
+  abnormal exit while tasks are in flight -- that error, ^C, the parent
+  deadline -- SIGKILLs the pool's workers and unlinks its segments first
+  (:meth:`WorkerPool.terminate`), so a busy sibling task can never hold the
+  interpreter's exit; the next campaign spins up a fresh pool.
 * **Watchdog** -- :func:`parent_deadline`, one no-progress timer in the
   parent: expiring while it waits on the workers, it kills them (the
   ladder above); anywhere else, it raises :class:`ParentTimeoutError`.
@@ -237,6 +241,13 @@ _MIRRORS: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 _MAX_MIRRORS = MAX_PUBLICATIONS
 
 
+def _repro_src_path() -> str:
+    """The directory that must be on ``sys.path`` for ``import repro``."""
+    import repro
+
+    return os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+
 def _pool_worker_boot(src_path: str) -> None:
     """Pool initializer: make ``repro`` importable and warm the registry.
 
@@ -311,15 +322,50 @@ def _apply_worker_context(ctx: Dict[str, Any]) -> None:
         telemetry.disable()
 
 
+def _collected(ctx: Dict[str, Any], label: str, work: Callable[[Any], Any]):
+    """Run ``work(tel)`` in a worker; returns ``(result, telemetry_snapshot)``.
+
+    When the parent collects telemetry (``ctx["telemetry"]``), ``tel`` is a
+    fresh worker-local collector labelled ``label`` and the snapshot is its
+    collection, for the parent to merge.  Collection is task-scoped, so
+    merging the snapshots never double-counts a long-lived worker.  When the
+    parent runs dark, ``tel`` is the no-op :data:`repro.obs.telemetry.NULL`
+    and the snapshot is ``None``.
+    """
+    from repro.obs import telemetry
+
+    if not ctx["telemetry"]:
+        return work(telemetry.NULL), None
+    collector = telemetry.enable(label=label)
+    try:
+        result = work(collector)
+    finally:
+        telemetry.disable()
+    return result, collector.snapshot()
+
+
 def _pool_run_shard(ctx: Dict[str, Any], scenario_name: str, shard):
-    """Worker task: one batch of work units under the shipped context."""
-    from repro.runner import executor
+    """Worker task: one batch of ``(index, params, seed)`` work units.
+
+    Returns ``([(index, metrics), ...], telemetry_snapshot)``, with one
+    ``runner.unit`` span per unit in the snapshot.  The scenario's home
+    module was imported by :func:`_apply_worker_context`, so the registry
+    resolves it here.
+    """
+    from repro.runner import registry
 
     _apply_worker_context(ctx)
     faults.fault_point("pool.task")
-    return executor._run_shard(
-        scenario_name, ctx["module"], shard, ctx["telemetry"]
-    )
+    sc = registry.get_scenario(scenario_name)
+
+    def run(tel) -> List[Tuple[int, Dict[str, float]]]:
+        results = []
+        for index, params, seed in shard:
+            with tel.span("runner.unit"):
+                results.append((index, sc.call(seed=seed, **params)))
+        return results
+
+    return _collected(ctx, "worker-shard", run)
 
 
 def _attach_segment(meta: Dict[str, Any]):
@@ -405,38 +451,30 @@ def _mirror_of(token: str, arrays: Dict[str, Any], tel):
     while len(_MIRRORS) > _MAX_MIRRORS:
         _, evicted = _MIRRORS.popitem(last=False)
         _close_mirror_segments(evicted)
-    if tel is not None:
-        tel.count("runner.pool.shm_reattach" if stale else "runner.pool.shm_attach")
+    tel.count("runner.pool.shm_reattach" if stale else "runner.pool.shm_attach")
     return csr
 
 
 def _pool_path_shard(ctx: Dict[str, Any], token: str, arrays: Dict[str, Any], sources):
     """Worker task: one source shard's exact ``(ecc, totals)`` accumulators.
 
-    Returns ``(ecc, totals, telemetry_snapshot)``; the snapshot is ``None``
-    with telemetry off, else the shard's worker-local collection (mirror
-    attach counters, the ``runner.path_shard`` accumulate span, the wave
-    engine's own counters) for the parent to merge.
+    Returns ``(ecc, totals, telemetry_snapshot)``; the snapshot holds the
+    mirror attach counters, the ``runner.path_shard`` accumulate span and the
+    wave engine's own counters (see :func:`_collected`).
     """
     from repro.graphs import fast
 
     _apply_worker_context(ctx)
     faults.fault_point("pool.path_task")
-    if not ctx["telemetry"]:
-        csr = _mirror_of(token, arrays, None)
-        ecc, totals = fast.accumulate_path_shard(csr, sources)
-        return ecc, totals, None
-    from repro.obs import telemetry
 
-    collector = telemetry.enable(label="path-shard")
-    try:
-        csr = _mirror_of(token, arrays, collector)
-        collector.count("runner.path_shard.sources", int(len(sources)))
-        with collector.span("runner.path_shard"):
-            ecc, totals = fast.accumulate_path_shard(csr, sources)
-    finally:
-        telemetry.disable()
-    return ecc, totals, collector.snapshot()
+    def run(tel):
+        csr = _mirror_of(token, arrays, tel)
+        tel.count("runner.path_shard.sources", int(len(sources)))
+        with tel.span("runner.path_shard"):
+            return fast.accumulate_path_shard(csr, sources)
+
+    (ecc, totals), snapshot = _collected(ctx, "path-shard", run)
+    return ecc, totals, snapshot
 
 
 # ----------------------------------------------------------------------
@@ -499,9 +537,9 @@ class WorkerPool:
     def terminate(self) -> None:
         """Close *now*: SIGKILL workers, never wait, unlink every segment.
 
-        The interrupt path (``KeyboardInterrupt``/SIGINT mid-campaign):
-        a hung or busy worker must not block the shutdown, and no
-        ``repro-pool-*`` segment may survive in ``/dev/shm``.  After the
+        The abnormal-exit path of :meth:`_run_tasks` (a failed task, ^C, the
+        parent deadline): a hung or busy worker must not block the shutdown,
+        and no ``repro-pool-*`` segment may survive in ``/dev/shm``.  After the
         SIGKILL it joins the executor's management thread, for at most
         :data:`TERMINATE_JOIN_SECONDS`: left running, that thread's
         teardown can close its wakeup pipe while ``concurrent.futures``'
@@ -530,8 +568,6 @@ class WorkerPool:
         if self._closed:
             raise PoolError("worker pool is closed")
         if self._executor is None:
-            from repro.runner.executor import _repro_src_path
-
             self._spinup_started = time.perf_counter()
             self._spinup_pending = True
             self._executor = ProcessPoolExecutor(
@@ -610,22 +646,30 @@ class WorkerPool:
         the workers; ``on_done`` runs in the parent without it, so a stall
         there raises :class:`ParentTimeoutError`.  Each round start, each
         landed result and each merge beat the deadline.
+
+        Tasks are in flight only in here, so this is where every abnormal
+        exit -- a :class:`PoolTaskError`, ^C, the deadline, a failing merge
+        -- stops them: with any task still unfinished, :meth:`terminate`
+        kills the pool before the exception propagates.  Running calls
+        cannot be cancelled, and left alone they would keep the interpreter's
+        exit waiting in the ``atexit`` guard for as long as they run.
         """
         tel = _telemetry()
         remaining = dict(tasks)
-        with parent_deadline("merging pool results") as deadline:
-            for attempt in range(1, MAX_POOL_ATTEMPTS + 1):
-                executor = self._ensure_executor()
-                broken = False
-                futures: Dict[Any, int] = {}
-                try:
-                    for key, args in remaining.items():
-                        futures[executor.submit(fn, *args)] = key
-                except (BrokenProcessPool, RuntimeError):
-                    broken = True
-                pending = set(futures)
-                watchdog_beat()
-                try:
+        futures: Dict[Any, int] = {}
+        try:
+            with parent_deadline("merging pool results") as deadline:
+                for attempt in range(1, MAX_POOL_ATTEMPTS + 1):
+                    executor = self._ensure_executor()
+                    broken = False
+                    futures = {}
+                    try:
+                        for key, args in remaining.items():
+                            futures[executor.submit(fn, *args)] = key
+                    except (BrokenProcessPool, RuntimeError):
+                        broken = True
+                    pending = set(futures)
+                    watchdog_beat()
                     while pending:
                         if deadline is not None:
                             deadline.on_stall = self._watchdog_kill
@@ -660,16 +704,18 @@ class WorkerPool:
                             remaining.pop(key)
                             on_done(key, result)
                             watchdog_beat()
-                except BaseException:
-                    for future in pending:
-                        future.cancel()
-                    raise
-                if broken:
-                    self._recreate_executor()
-                if not remaining:
-                    return []
-                if broken and attempt < MAX_POOL_ATTEMPTS:
-                    tel.count("runner.pool.respawn")
+                    if broken:
+                        self._recreate_executor()
+                    if not remaining:
+                        return []
+                    if broken and attempt < MAX_POOL_ATTEMPTS:
+                        tel.count("runner.pool.respawn")
+        except BaseException:
+            busy = sum(not future.done() for future in futures)
+            if busy:
+                logger.warning("killing the pool's workers: %d task(s) in flight", busy)
+                self.terminate()
+            raise
         logger.warning(
             "%d pool task(s) failed %d attempts; finishing them in-parent",
             len(remaining),
@@ -835,17 +881,10 @@ def get_pool(workers: int) -> WorkerPool:
     return pool
 
 
-def shutdown_pools(*, terminate: bool = False) -> None:
-    """Close every registered pool (idempotent; also the ``atexit`` guard).
-
-    ``terminate=True`` is the interrupt path: workers are SIGKILLed and the
-    shutdown never waits, so a hung worker cannot block a ^C.
-    """
+def shutdown_pools() -> None:
+    """Close every registered pool (idempotent; also the ``atexit`` guard)."""
     for pool in list(_POOLS.values()):
-        if terminate:
-            pool.terminate()
-        else:
-            pool.close()
+        pool.close()
     _POOLS.clear()
 
 

@@ -153,25 +153,6 @@ def get_scenario(name: str) -> Scenario:
         raise ScenarioError(f"unknown scenario {name!r}; known: {known}") from None
 
 
-def resolve_for_worker(name: str, module: str) -> Scenario:
-    """Resolve a scenario inside a pool worker, importing its home module.
-
-    Under the default ``fork`` start method workers inherit the parent's
-    registry; under ``spawn`` they start clean, so the defining module is
-    imported first (``__main__``-defined scenarios then require ``fork``).
-    """
-    _ensure_builtins()
-    if name not in _REGISTRY and module and module != "__main__":
-        try:
-            importlib.import_module(module)
-        except ImportError as error:
-            raise ScenarioError(
-                f"cannot import module {module!r} defining scenario {name!r} "
-                f"in this worker: {error}"
-            ) from error
-    return get_scenario(name)
-
-
 def unregister(name: str) -> None:
     """Remove a scenario registered at runtime (test helper).
 

@@ -85,12 +85,6 @@ class CounterSet:
         """Snapshot of every counter."""
         return dict(self._counters)
 
-    def snapshot_into(self, collector, prefix: str = "sim.") -> None:
-        """Snapshot every counter into an obs collector (shared vocabulary)."""
-        from repro.obs.bridge import counters_into
-
-        counters_into(collector, self._counters, prefix)
-
     def __contains__(self, name: str) -> bool:
         return name in self._counters
 
@@ -131,12 +125,6 @@ class MetricRecorder:
             target.points.extend(series.points)
         for name, value in other.counters.as_dict().items():
             self.counters.increment(prefix + name, value)
-
-    def snapshot_into(self, collector, section: str = "sim") -> None:
-        """Snapshot counters + series summaries into an obs report section."""
-        from repro.obs.bridge import recorder_section
-
-        recorder_section(collector, self, section)
 
 
 def summarize(values: Iterable[float]) -> Mapping[str, float]:

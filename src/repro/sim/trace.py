@@ -96,9 +96,3 @@ class TraceLog:
     def clear(self) -> None:
         """Drop all recorded entries."""
         self._entries.clear()
-
-    def snapshot_into(self, collector, prefix: str = "trace.") -> None:
-        """Snapshot per-category entry counts into an obs collector."""
-        from repro.obs.bridge import trace_into
-
-        trace_into(collector, self._entries, prefix)

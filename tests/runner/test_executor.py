@@ -160,11 +160,21 @@ class TestParallelDeterminism:
 
     def test_run_shard_collects_only_under_the_shipped_flag(self):
         """The shipped telemetry flag decides whether a shard collects."""
-        from repro.runner.executor import _run_shard
+        from repro.graphs import backend
+        from repro.runner.pool import _pool_run_shard, task_context
 
         shard = [(0, {"n": 60, "k": 6, "fraction": 0.5}, 9)]
-        dark, none = _run_shard("ablation-repair-policy", "", shard, False)
-        lit, snapshot = _run_shard("ablation-repair-policy", "", shard, True)
+        previous = backend.use(None)
+        try:
+            ctx = task_context()
+            dark, none = _pool_run_shard(
+                dict(ctx, telemetry=False), "ablation-repair-policy", shard
+            )
+            lit, snapshot = _pool_run_shard(
+                dict(ctx, telemetry=True), "ablation-repair-policy", shard
+            )
+        finally:
+            backend.use(previous)
         assert none is None
         assert snapshot["spans"]["runner.unit"]["count"] == 1
         assert lit == dark

@@ -11,6 +11,8 @@ fault-free run:
 * a task that fails both of its pool attempts -- killed twice, or refused
   a shared-memory attach twice -- finishes through the caller's in-parent
   path, still bit-identical;
+* a task raising while its siblings run kills those busy workers at once
+  and leaks no ``repro-pool-*`` segment; the next campaign spins up anew;
 * an interrupt mid-campaign (the SIGINT path, injected deterministically)
   exits 130, leaves no ``repro-pool-*`` segment in ``/dev/shm``, and the
   journal resumes bit-identically;
@@ -35,7 +37,7 @@ from repro.obs import telemetry
 from repro.runner import faults
 from repro.runner.cache import ResultCache
 from repro.runner.executor import run_scenario
-from repro.runner.pool import shutdown_pools
+from repro.runner.pool import PoolTaskError, get_pool, shutdown_pools
 from repro.runner.spec import ScenarioSpec
 
 np = pytest.importorskip("numpy")
@@ -288,6 +290,56 @@ def _sharded_graph():
     from repro.graphs.generators import k_regular_graph
 
     return k_regular_graph(80, 4, seed=9)
+
+
+class TestAbnormalExitKillsBusyWorkers:
+    """A task that raises while a sibling runs kills that sibling at once.
+
+    ``Executor.shutdown`` never stops a running call, so a busy sibling left
+    alone would hold the interpreter's exit in the pools' ``atexit`` guard.
+    The sibling hangs for a bounded 20 s, so a regression fails an
+    assertion here instead of stalling the suite.
+    """
+
+    def _raise_beside_a_hang(self, site, pooled, serial, pool_segments):
+        # The clean run also spins up the pool the failing run lands on.
+        assert pooled() == serial
+        pids = [p.pid for p in get_pool(2)._executor._processes.values()]
+        assert pids
+        faults.install(f"{site}=raise@1,{site}=hang(20)@2")
+        started = time.monotonic()
+        with pytest.raises(PoolTaskError):
+            pooled()
+        assert time.monotonic() - started < 10
+        faults.reset()
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert pool_segments() == []
+        # A clean rerun in the same process gets a fresh pool.
+        assert pooled() == serial
+
+    def test_unit_fan_out(self, pool_segments):
+        serial = _campaign(workers=1).unit_metrics
+        self._raise_beside_a_hang(
+            "pool.task",
+            lambda: _campaign(workers=2).unit_metrics,
+            serial,
+            pool_segments,
+        )
+
+    def test_path_fan_out(self, pool_segments):
+        from repro.graphs import fast
+        from repro.runner.executor import sharded_full_path_metrics
+
+        graph = _sharded_graph()
+        with backend.using("fast"):
+            self._raise_beside_a_hang(
+                "pool.path_task",
+                lambda: sharded_full_path_metrics(graph, workers=2),
+                fast.full_path_metrics(graph),
+                pool_segments,
+            )
 
 
 class TestCounterDirectory:

@@ -11,6 +11,9 @@ failure injection:
 * a killed worker is respawned exactly once and only unmerged shards are
   retried; shards killed on both attempts finish in-parent, and a raising
   task surfaces with the failing shard's unit context;
+* an exception leaving a round with tasks in flight -- a failing merge,
+  ^C, the parent deadline -- kills the busy workers before it propagates;
+  a clean round, or one that fails with nothing in flight, keeps them;
 * no ``/dev/shm`` segment with the pool prefix survives a close, a kill,
   or the published graph's death.
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 import gc
 import os
 import signal
+import time
 
 import pytest
 
@@ -253,6 +257,86 @@ class TestFailurePaths:
         assert second == serial
         shutdown_pools()
         assert pool_segments() == []
+
+
+def _pids(pool: WorkerPool):
+    return [process.pid for process in pool._executor._processes.values()]
+
+
+def _gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+class TestAbnormalRoundExit:
+    """``_run_tasks`` kills its pool's workers iff it leaves with tasks in flight.
+
+    The tasks are ``time.sleep`` calls: key 0 lands at once and its merge
+    fails, while key 1 keeps a worker busy for a bounded 20 s.
+    """
+
+    def _warm(self) -> WorkerPool:
+        pool = get_pool(2)
+        assert pool._run_tasks(time.sleep, {0: (0,), 1: (0,)}, lambda k, r: None, str) == []
+        return pool
+
+    def _fail_beside_a_sleeper(self, pool: WorkerPool, error: BaseException):
+        def on_done(key, result):
+            raise error
+
+        started = time.monotonic()
+        with pytest.raises(type(error)):
+            pool._run_tasks(time.sleep, {0: (0,), 1: (20,)}, on_done, str)
+        return time.monotonic() - started
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt(), RuntimeError("merge failed")])
+    def test_failing_merge_kills_busy_workers(self, error, pool_segments):
+        pool = self._warm()
+        pids = _pids(pool)
+        assert pids
+        assert self._fail_beside_a_sleeper(pool, error) < 10
+        assert all(_gone(pid) for pid in pids)
+        assert pool_segments() == []
+        # The killed pool is closed; the next round gets a fresh one.
+        assert pool.closed
+        fresh = self._warm()
+        assert fresh is not pool
+        assert not set(_pids(fresh)) & set(pids)
+
+    def test_parent_deadline_in_a_merge_kills_busy_workers(self, monkeypatch):
+        pool = self._warm()
+        pids = _pids(pool)
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "1")
+
+        def stall(key, result):
+            time.sleep(5)
+
+        started = time.monotonic()
+        with pytest.raises(pool_mod.ParentTimeoutError, match="REPRO_TASK_TIMEOUT"):
+            pool._run_tasks(time.sleep, {0: (0,), 1: (20,)}, stall, str)
+        assert time.monotonic() - started < 10
+        assert all(_gone(pid) for pid in pids)
+
+    def test_failure_with_nothing_in_flight_keeps_the_workers(self):
+        pool = self._warm()
+        pids = _pids(pool)
+
+        def on_done(key, result):
+            raise RuntimeError("merge failed")
+
+        with pytest.raises(RuntimeError, match="merge failed"):
+            pool._run_tasks(time.sleep, {0: (0,)}, on_done, str)
+        assert _pids(pool) == pids
+        assert not any(_gone(pid) for pid in pids)
+
+    def test_clean_rounds_reuse_the_same_workers(self):
+        pool = self._warm()
+        pids = _pids(pool)
+        assert self._warm() is pool
+        assert _pids(pool) == pids
 
 
 class TestCheckpointedTakedownDifferential:
