@@ -216,11 +216,6 @@ class SoapAttack:
         self._clone_counter = itertools.count(1)
         self.work_spent = 0.0
         self.time_spent = 0.0
-        #: Memoised clone-ness per node id seen by this attack.  Campaigns
-        #: test clone-ness on every peer of every target (millions of string
-        #: prefix checks at 20k+ nodes); ids never change kind, so one dict
-        #: lookup replaces the ``startswith`` scan after the first sighting.
-        self._clone_cache: Dict[NodeId, bool] = {}
 
     # ------------------------------------------------------------------
     # Per-node containment (Figure 7 steps 2-9)
@@ -228,24 +223,8 @@ class SoapAttack:
     def _new_clone(self) -> str:
         return f"{CLONE_PREFIX}{next(self._clone_counter):06d}"
 
-    def _is_clone(self, node: NodeId) -> bool:
-        cached = self._clone_cache.get(node)
-        if cached is None:
-            cached = is_clone(node)
-            self._clone_cache[node] = cached
-        return cached
-
     def _benign_peers(self, overlay: DDSROverlay, node: NodeId) -> Set[NodeId]:
-        cache = self._clone_cache
-        result = set()
-        for peer in overlay.peers(node):
-            flag = cache.get(peer)
-            if flag is None:
-                flag = is_clone(peer)
-                cache[peer] = flag
-            if not flag:
-                result.add(peer)
-        return result
+        return {peer for peer in overlay.peers(node) if not is_clone(peer)}
 
     def _budget_exhausted(self) -> bool:
         if self.work_budget is not None and self.work_spent >= self.work_budget:
@@ -337,14 +316,9 @@ class SoapAttack:
         # benign view and, when the pruning policy allows it, the degree
         # buckets -- bucket order is irrelevant (ties are repr-sorted), so
         # sharing the iteration with the reference's copy scan is safe.
-        clone_cache = self._clone_cache
         learned: Set[NodeId] = set()
         for peer in overlay.peers(target):
-            flag = clone_cache.get(peer)
-            if flag is None:
-                flag = is_clone(peer)
-                clone_cache[peer] = flag
-            if not flag:
+            if not is_clone(peer):
                 learned.add(peer)
             if inline_prune:
                 peer_count += 1
@@ -487,8 +461,7 @@ class SoapAttack:
         :class:`ReferenceSoapAttack`'s either way.
         """
         with _collector_paused():
-            is_clone_memo = self._is_clone
-            benign_population = [node for node in overlay.nodes() if not is_clone_memo(node)]
+            benign_population = [node for node in overlay.nodes() if not is_clone(node)]
             total_benign = len(benign_population)
             position = {node: index for index, node in enumerate(benign_population)}
             contained_flags = _flag_array(total_benign)
@@ -526,12 +499,12 @@ class SoapAttack:
                     if not known_flags[index]:
                         known_flags[index] = True
                         queue.append(node)
-                elif node not in extra_known and not is_clone_memo(node):
+                elif node not in extra_known and not is_clone(node):
                     extra_known.add(node)
                     queue.append(node)
 
             for compromised in initial_compromised:
-                if compromised not in overlay.graph or is_clone_memo(compromised):
+                if compromised not in overlay.graph or is_clone(compromised):
                     continue
                 # A compromised bot is already under defender control: count it as
                 # contained and learn its peers.
@@ -847,9 +820,6 @@ class ReferenceSoapAttack(SoapAttack):
     consumption included) and benchmarks can quantify the speedup.  Do not
     use it for large campaigns: the FIFO alone is O(n^2).
     """
-
-    def _benign_peers(self, overlay: DDSROverlay, node: NodeId) -> Set[NodeId]:
-        return {peer for peer in overlay.peers(node) if not is_clone(peer)}
 
     @staticmethod
     def _enforce_degree_bound_original(overlay: DDSROverlay, node: NodeId) -> int:

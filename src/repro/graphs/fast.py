@@ -811,9 +811,9 @@ def full_path_metrics(graph: UndirectedGraph, *, shard_runner=None) -> Dict:
 
     ``shard_runner`` (used by
     :func:`repro.runner.executor.sharded_full_path_metrics`) replaces the
-    serial accumulation: it receives ``(working, csr, sources)`` -- the
-    working graph backing ``csr``, so a persistent pool can key its
-    shared-memory publications -- and must return the merged ``(ecc,
+    serial accumulation: ``shard_runner(csr, sources)`` receives the CSR
+    snapshot of the working component and its source set -- the snapshot is
+    the checkpoint's whole identity -- and must return the merged ``(ecc,
     totals)`` accumulators.  Because the accumulators are exact integers,
     any split of the source set merges to the serial result bit for bit.
     """
@@ -834,7 +834,7 @@ def full_path_metrics(graph: UndirectedGraph, *, shard_runner=None) -> Dict:
     if shard_runner is None:
         ecc, totals = accumulate_path_shard(csr, sources)
     else:
-        ecc, totals = shard_runner(working, csr, sources)
+        ecc, totals = shard_runner(csr, sources)
     summary["components"] = component_count
     summary["largest_fraction"] = n_working / n
     summary["diameter"] = float(int(ecc.max())) if n_working else 0.0

@@ -207,6 +207,13 @@ def full_path_metrics(graph: UndirectedGraph) -> Dict:
     backend's one-campaign :func:`repro.graphs.fast.full_path_metrics` must
     reproduce bit for bit; at paper scale and beyond use that one (this is
     O(n * (n + m))).
+
+    One all-pairs sweep (:func:`path_length_accumulators`) feeds all three
+    metrics with the arithmetic of :func:`diameter`,
+    :func:`average_shortest_path_length` and
+    :func:`average_closeness_centrality`: the max eccentricity, the integer
+    distance total over the pair count, and the per-node closeness summed in
+    node order.
     """
     n = graph.number_of_nodes()
     if n == 0:
@@ -219,12 +226,21 @@ def full_path_metrics(graph: UndirectedGraph) -> Dict:
         }
     components = connected_components(graph)
     working = graph if len(components) == 1 else graph.subgraph(components[0])
+    accumulators = list(path_length_accumulators(working).values())
+    count = len(accumulators)
+    pairs = sum(reached for _, _, reached in accumulators)
+    closeness = sum(
+        reached / total * (reached / (count - 1)) if reached else 0.0
+        for _, total, reached in accumulators
+    )
     return {
         "components": len(components),
         "largest_fraction": len(components[0]) / n,
-        "diameter": diameter(working, connected=True),
-        "avg_path_length": average_shortest_path_length(working, connected=True),
-        "avg_closeness": average_closeness_centrality(working),
+        "diameter": float(max(ecc for ecc, _, _ in accumulators)),
+        "avg_path_length": (
+            sum(total for _, total, _ in accumulators) / pairs if pairs else 0.0
+        ),
+        "avg_closeness": closeness / count,
     }
 
 

@@ -185,7 +185,7 @@ def execute(
 
     jrnl = None
     replay: Dict[int, Dict[str, float]] = {}
-    saved_checkpoints: Dict[Tuple[int, int], Dict[str, Any]] = {}
+    saved_checkpoints: Dict[str, Any] = {}
     if journal is not None:
         jrnl = journal_mod.CampaignJournal(journal)
         replay, saved_checkpoints = jrnl.open(
@@ -352,18 +352,20 @@ def sharded_full_path_metrics(
     (numpy); the serial ``workers=1`` call is just
     ``fast.full_path_metrics(graph)``.
 
-    ``workers > 1`` runs on the invocation-wide persistent pool
-    (:func:`repro.runner.pool.get_pool`): the CSR arrays are published via
-    shared memory once per checkpoint snapshot, and pool spin-up
-    is paid once per invocation instead of once per checkpoint.
+    A checkpoint is identified by its CSR snapshot alone (the
+    ``shard_runner(csr, sources)`` contract).  ``workers > 1`` runs on the
+    invocation-wide persistent pool (:func:`repro.runner.pool.get_pool`),
+    which publishes that snapshot object to shared memory once, and pool
+    spin-up is paid once per invocation instead of once per checkpoint.
 
     Inside a journaled campaign's in-parent work unit
     (:func:`repro.runner.journal.active_unit_scope`), every completed shard
-    journals its serialized accumulators under a checkpoint-scoped content
-    hash, and a ``--resume`` re-run replays matching shards from the
-    journal instead of recomputing them (``runner.journal.ckpt_replayed``)
-    -- with ``workers=1`` the whole source set is one span, so the
-    journaled path stays bit-identical to the plain serial call.
+    journals its serialized accumulators under the snapshot's content hash
+    and its source span, and a ``--resume`` re-run replays every shard whose
+    ``(key, span)`` was journaled instead of recomputing it
+    (``runner.journal.ckpt_replayed``) -- with ``workers=1`` the whole
+    source set is one span, so the journaled path stays bit-identical to
+    the plain serial call.
     """
     from repro.graphs import backend, fast
     from repro.runner import config
@@ -384,7 +386,7 @@ def sharded_full_path_metrics(
     if workers == 1 and scope is None:
         return fast.full_path_metrics(graph)
 
-    def fan_out(working, csr, sources):
+    def fan_out(csr, sources):
         import numpy as np
 
         from repro.runner import faults
@@ -403,14 +405,11 @@ def sharded_full_path_metrics(
         if not spans:
             return ecc, totals
 
-        # Sub-unit journaling: anchor this checkpoint to a content hash of
-        # the exact CSR snapshot + source set, and pull whatever spans a
-        # previous (interrupted) run already journaled for it.
-        saved_spans: Dict[Tuple[int, int], Any] = {}
-        if scope is not None:
-            saved_spans = scope.begin_checkpoint(
-                fast.accumulator_state_key(csr, sources)
-            )
+        # Sub-unit journaling: key this checkpoint by a content hash of the
+        # exact CSR snapshot + source set, and pull whatever spans a
+        # previous (interrupted) run already journaled under that key.
+        key = "" if scope is None else fast.accumulator_state_key(csr, sources)
+        saved_spans = {} if scope is None else scope.saved.get(key, {})
 
         pending: List[int] = []
         replayed = 0
@@ -447,8 +446,8 @@ def sharded_full_path_metrics(
             np.add(totals, shard_totals, out=totals)
             if scope is not None:
                 scope.record_shard(
+                    key,
                     spans[index],
-                    len(spans),
                     fast.serialize_accumulators(shard_ecc, shard_totals),
                 )
             pool_mod.watchdog_beat()
@@ -482,7 +481,7 @@ def sharded_full_path_metrics(
             merge_shard(pending[task_key], shard_ecc, shard_totals)
 
         returned = pool_mod.get_pool(workers).run_path_shards(
-            working, csr, shards, ctx, on_result
+            csr, shards, ctx, on_result
         )
         if returned:
             # Under an outer deadline (an in-parent work unit) this is

@@ -13,26 +13,28 @@ campaign appends a ``{"complete": true}`` marker.
 The schema (``repro.runner/journal.v2``) also carries **sub-unit checkpoint
 records**: a long-running unit whose exact path-metric checkpoints run in
 the parent process appends one
-``{"ckpt": unit, "seq": k, "key": ..., "span": [a, b], "state": {...}}``
-record per completed checkpoint *shard* -- the serialized int64
-eccentricity-max / distance-sum accumulators of
-:func:`repro.graphs.fast.accumulate_path_shard`, keyed by a content hash of
-the checkpoint's CSR snapshot and source set plus the shard's source span.
-A header with any other schema tag (the retired unit-records-only v1
-included) is refused with a :class:`~repro.core.errors.ConfigError` naming
-the schema found.
+``{"ckpt": unit, "key": ..., "span": [a, b], "state": {...}}`` record per
+completed checkpoint *shard* -- the serialized int64 eccentricity-max /
+distance-sum accumulators of :func:`repro.graphs.fast.accumulate_path_shard`.
+The ``key`` is a content hash of the checkpoint's CSR snapshot and source
+set (:func:`repro.graphs.fast.accumulator_state_key`), so ``(key, span)``
+alone identifies a shard's state; the unit only says whose it is.  Records
+written with the former per-unit ``seq`` and ``spans`` fields still load
+(those fields are ignored).  A header with any other schema tag (the
+retired unit-records-only v1 included) is refused with a
+:class:`~repro.core.errors.ConfigError` naming the schema found.
 
 ``--resume`` is one locked read: :meth:`CampaignJournal.open` takes the
 writer lock, parses the file once, and refuses a header that "does not
 match this campaign" (different spec, scenario version, or execution
 environment) with a ``ConfigError`` naming the fields.  It returns the
 replay: the recorded units, replayed verbatim (JSON round-trips IEEE doubles
-exactly), and the checkpoint states of the units the journal did not
-finish.  A re-run reaching a checkpoint whose content key matches a
-journaled one reloads the saved accumulators instead of recomputing them
-(integer exactness makes the merge order-free, so the resumed aggregates
-stay **bit-identical** to an uninterrupted run); at most one checkpoint
-shard of work is lost.
+exactly), and the checkpoint states journaled by in-range units the
+journal did not finish, by content key.  A re-run reaching a checkpoint
+shard whose ``(key, span)`` was journaled reloads the saved accumulators
+instead of recomputing them (integer exactness makes the merge order-free,
+so the resumed aggregates stay **bit-identical** to an uninterrupted run);
+at most one checkpoint shard of work is lost.
 
 Crash tolerance on load: a process killed mid-append can leave one
 truncated trailing line; it is dropped (with a warning), a resume cuts it
@@ -86,9 +88,8 @@ STATE_LIMIT = 64 * 1024 * 1024
 #: Unit metrics by unit index, as journaled.
 Units = Dict[int, Dict[str, float]]
 
-#: Sub-unit checkpoint states:
-#: ``{(unit, seq): {"key": str, "spans": {(a, b): state-dict}}}``.
-Checkpoints = Dict[Tuple[int, int], Dict[str, Any]]
+#: Sub-unit checkpoint states by content key: ``{key: {(a, b): state-dict}}``.
+Checkpoints = Dict[str, Dict[Tuple[int, int], Dict[str, str]]]
 
 #: Journals this process holds the writer lock on (resolved paths).  A
 #: second open of one of them fails at once: ``flock`` locks belong to the
@@ -131,21 +132,25 @@ class CampaignJournal:
         self.write_failed = False
 
     # -- reading -------------------------------------------------------
-    def _read(self) -> Tuple[Optional[Dict[str, Any]], Units, Checkpoints, bool, int]:
+    def _read(
+        self,
+    ) -> Tuple[Optional[Dict[str, Any]], Units, Dict[int, Checkpoints], bool, int]:
         """Parse the file: ``(header, units, checkpoints, complete, intact)``.
 
-        Tolerates exactly one torn *trailing* line -- undecodable, or
-        missing its newline (a crash between write and flush) -- and drops
-        it; ``intact`` is the byte length of what precedes it (the whole
-        file when nothing was dropped).  Earlier garbage, or a first record
-        that is not a :data:`JOURNAL_SCHEMA` header, raises ``ConfigError``.
+        ``checkpoints`` holds each journaling unit's states,
+        ``{unit: {key: {span: state}}}``.  Tolerates exactly one torn
+        *trailing* line -- undecodable, or missing its newline (a crash
+        between write and flush) -- and drops it; ``intact`` is the byte
+        length of what precedes it (the whole file when nothing was
+        dropped).  Earlier garbage, or a first record that is not a
+        :data:`JOURNAL_SCHEMA` header, raises ``ConfigError``.
         """
         from repro.core.errors import ConfigError
         from repro.runner import faults
 
         header: Optional[Dict[str, Any]] = None
         units: Units = {}
-        checkpoints: Checkpoints = {}
+        checkpoints: Dict[int, Checkpoints] = {}
         complete = False
         try:
             faults.fault_point("journal.read")
@@ -200,18 +205,15 @@ class CampaignJournal:
         return header, units, checkpoints, complete, intact
 
     def _load_checkpoint_record(
-        self, record: Mapping[str, Any], checkpoints: Checkpoints
+        self, record: Mapping[str, Any], checkpoints: Dict[int, Checkpoints]
     ) -> None:
-        """Fold one ``ckpt`` record into the per-``(unit, seq)`` state map.
+        """Fold one ``ckpt`` record into its unit's ``{key: {span: state}}``.
 
-        A record whose content key disagrees with an earlier one for the
-        same checkpoint replaces it wholesale (the later run's environment
-        won); a structurally broken record is dropped with a warning --
-        checkpoint state is an optimization, never worth failing a resume.
+        A structurally broken record is dropped with a warning -- checkpoint
+        state is an optimization, never worth failing a resume.
         """
         try:
             unit = int(record["ckpt"])
-            seq = int(record["seq"])
             key = str(record["key"])
             a, b = record["span"]
             span = (int(a), int(b))
@@ -226,11 +228,7 @@ class CampaignJournal:
                 error,
             )
             return
-        entry = checkpoints.get((unit, seq))
-        if entry is None or entry["key"] != key:
-            entry = {"key": key, "spans": {}}
-            checkpoints[(unit, seq)] = entry
-        entry["spans"][span] = state
+        checkpoints.setdefault(unit, {}).setdefault(key, {})[span] = state
 
     # -- writing -------------------------------------------------------
     def open(
@@ -241,11 +239,11 @@ class CampaignJournal:
         A fresh open truncates the file and writes ``header`` (empty replay).
         A resumed open reads the journal once, under the lock, cuts a torn
         trailing line, appends below its records and returns
-        ``(units, checkpoints)``: the recorded unit
-        metrics, and the checkpoint states of the units the journal did not
-        finish.  Nothing to resume, an unreadable or mismatched header, or
-        an out-of-range unit record raise
-        :class:`~repro.core.errors.ConfigError`.
+        ``(units, checkpoints)``: the recorded unit metrics, and the
+        checkpoint states journaled by in-range units the journal did not
+        finish, as ``{key: {span: state}}``.  Nothing to resume, an
+        unreadable or mismatched header, or an out-of-range unit record
+        raise :class:`~repro.core.errors.ConfigError`.
         """
         from repro.core.errors import ConfigError
 
@@ -295,23 +293,25 @@ class CampaignJournal:
                 f"journal {self.path} records out-of-range unit(s) "
                 f"{sorted(out_of_range)} for a {total}-unit campaign"
             )
-        for key in list(checkpoints):
-            if not 0 <= key[0] < total:
+        saved: Checkpoints = {}
+        for unit, states in checkpoints.items():
+            if not 0 <= unit < total:
                 # Checkpoint state is an optimization: out-of-range records
                 # are dropped (warned), never fatal like a unit record.
                 logger.warning(
                     "journal %s: dropping checkpoint state for out-of-range "
                     "unit %d",
                     self.path,
-                    key[0],
+                    unit,
                 )
-                del checkpoints[key]
-            elif key[0] in units:
-                del checkpoints[key]
+            elif unit not in units:
+                # A finished unit replays verbatim: its shards are dead weight.
+                for key, spans in states.items():
+                    saved.setdefault(key, {}).update(spans)
         # Appends go right after the last intact record: a torn trailing
         # line left in place would corrupt the first record appended.
         os.truncate(self.path, intact)
-        return units, checkpoints
+        return units, saved
 
     def _lock(self) -> None:
         """Take the exclusive single-writer ``flock``, waiting for a holder."""
@@ -404,17 +404,13 @@ class CampaignJournal:
         self._append({"unit": index, "metrics": dict(metrics)})
 
     def record_checkpoint_shard(
-        self,
-        unit: int,
-        seq: int,
-        key: str,
-        span: Tuple[int, int],
-        spans: int,
-        state: Mapping[str, str],
+        self, unit: int, key: str, span: Tuple[int, int], state: Mapping[str, str]
     ) -> bool:
         """Append one completed checkpoint shard's serialized accumulators.
 
-        ``state`` maps accumulator names to encoded payloads
+        ``key`` is the checkpoint's content hash and ``span`` the shard's
+        source span; ``unit`` is the work unit that computed it.  ``state``
+        maps accumulator names to encoded payloads
         (:func:`repro.graphs.fast.serialize_accumulators`).  Oversized
         states (past :data:`STATE_LIMIT`) are not written: the
         fallback to unit-granularity journaling is logged and counted
@@ -428,12 +424,12 @@ class CampaignJournal:
         if encoded_size > STATE_LIMIT:
             _telemetry().count("runner.journal.ckpt_oversize")
             logger.warning(
-                "journal %s: checkpoint state for unit %d seq %d is %d "
+                "journal %s: checkpoint state for unit %d span %s is %d "
                 "bytes (limit %d); falling back to unit-granularity "
                 "journaling for this checkpoint",
                 self.path,
                 unit,
-                seq,
+                list(span),
                 encoded_size,
                 STATE_LIMIT,
             )
@@ -441,10 +437,8 @@ class CampaignJournal:
         written = self._append(
             {
                 "ckpt": unit,
-                "seq": seq,
                 "key": key,
                 "span": [int(span[0]), int(span[1])],
-                "spans": int(spans),
                 "state": dict(state),
             }
         )
@@ -483,47 +477,25 @@ class UnitCheckpointScope:
         self, journal: CampaignJournal, saved: Checkpoints, unit_index: int
     ) -> None:
         self.journal = journal
+        #: Journaled states by content key: a checkpoint whose snapshot
+        #: hashes to another key finds nothing here and recomputes, so a
+        #: wrong state can never replay.
         self.saved = saved
         self.unit = unit_index
-        #: The checkpoint in flight: its position in the unit (``-1`` before
-        #: the first) and content key.  Checkpoints are numbered in
-        #: execution order within the unit; the re-run reaches them in the
-        #: same deterministic order, which is what lets ``seq`` anchor a
-        #: journaled state to "the k-th checkpoint of unit i".
-        self.seq = -1
-        self.key = ""
         #: Checkpoint shards replayed from the journal instead of computed.
         self.replayed = 0
         #: Fresh checkpoint shards appended to the journal.
         self.recorded = 0
-
-    def begin_checkpoint(self, key: str) -> Dict[Tuple[int, int], Any]:
-        """Enter the next checkpoint; returns its saved spans.
-
-        They map source spans to serialized states journaled for this exact
-        checkpoint (same unit, same sequence position, same content key).
-        A key mismatch -- the journaled state belongs to a different graph
-        snapshot -- yields no spans: the checkpoint simply recomputes, it
-        can never replay the wrong state.
-        """
-        self.seq += 1
-        self.key = key
-        entry = self.saved.get((self.unit, self.seq))
-        if entry is not None and entry["key"] == key:
-            return dict(entry["spans"])
-        return {}
 
     def note_replayed(self, spans: int = 1) -> None:
         self.replayed += spans
         _telemetry().count("runner.journal.ckpt_replayed", spans)
 
     def record_shard(
-        self, span: Tuple[int, int], spans: int, state: Mapping[str, str]
+        self, key: str, span: Tuple[int, int], state: Mapping[str, str]
     ) -> None:
-        """Journal one computed shard of the checkpoint in flight."""
-        if self.journal.record_checkpoint_shard(
-            self.unit, self.seq, self.key, span, spans, state
-        ):
+        """Journal one computed shard of the checkpoint with content ``key``."""
+        if self.journal.record_checkpoint_shard(self.unit, key, span, state):
             self.recorded += 1
 
 
@@ -579,7 +551,7 @@ def inspect(path: Union[str, Path]) -> Dict[str, Any]:
     env_mismatches = sorted(
         key for key in current_env if header.get(key) != current_env[key]
     )
-    checkpoint_shards = sum(len(entry["spans"]) for entry in checkpoints.values())
+    states = [spans for by_key in checkpoints.values() for spans in by_key.values()]
     return {
         "path": str(path),
         "schema": header.get("journal"),
@@ -592,8 +564,8 @@ def inspect(path: Union[str, Path]) -> Dict[str, Any]:
         "units_complete": len(in_range),
         "percent_complete": (100.0 * len(in_range) / total) if total else 0.0,
         "complete": complete,
-        "checkpoints": len(checkpoints),
-        "checkpoint_shards": checkpoint_shards,
+        "checkpoints": len(states),
+        "checkpoint_shards": sum(len(spans) for spans in states),
         "environment": {key: header.get(key) for key in current_env},
         "environment_mismatches": env_mismatches,
         "out_of_range_units": out_of_range,

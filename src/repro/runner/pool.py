@@ -15,12 +15,13 @@ worker-resident state from per-task inputs:
   shared-memory segments never outlive the parent even on a crashed run.
 * **Shared-memory CSR publication** -- :meth:`WorkerPool.publish_csr`
   copies a snapshot's ``indptr`` / ``indices`` arrays into
-  :mod:`multiprocessing.shared_memory` segments.  A publication is reused
-  while it holds the very same CSR snapshot object; a new snapshot of the
-  same graph is re-published into fresh segments and the old ones are
-  unlinked at once.  Workers attach each snapshot once and keep it in an
-  LRU keyed by segment name, so every task ships only its source slice and
-  the segment names.
+  :mod:`multiprocessing.shared_memory` segments.  A pool holds one
+  publication: it is reused while it holds the very same CSR snapshot
+  object, and any other snapshot replaces it -- the old segments are
+  unlinked at once, so ``/dev/shm`` never holds more than one snapshot per
+  pool.  Each worker likewise holds one mirror, attached on the first task
+  that names a new ``indices`` segment (and released at that point), so
+  every task ships only its source slice and the segment names.
 * **Failure ladder** -- every task gets :data:`MAX_POOL_ATTEMPTS`
   attempts.  A killed worker breaks the executor, which costs every task
   whose result has not been merged yet one attempt; the executor is then
@@ -64,8 +65,6 @@ import signal
 import threading
 import time
 import uuid
-import weakref
-from collections import OrderedDict
 from contextlib import contextmanager
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -79,11 +78,6 @@ logger = logging.getLogger(__name__)
 #: Name prefix of every shared-memory segment the pool creates.  Tests (and
 #: humans) can audit ``/dev/shm`` for leaks by this prefix.
 SHM_PREFIX = "repro-pool-"
-
-#: Live shared-memory publications kept per pool (LRU).  Checkpointed
-#: campaigns publish one graph at a time; the cap bounds ``/dev/shm`` usage
-#: when callers interleave several graphs.
-MAX_PUBLICATIONS = 4
 
 #: Attempts each pool task gets before it goes back to the caller to run
 #: in-parent.  A broken executor costs every unmerged task one attempt; a
@@ -230,15 +224,12 @@ def watchdog_beat() -> None:
 # ----------------------------------------------------------------------
 # Worker-side state and entry points (top-level so they pickle)
 # ----------------------------------------------------------------------
-#: Worker-resident CSR mirrors keyed by the name of their ``indices``
-#: segment (unique per published snapshot).  The pcse-style state/rate
-#: split: the mirror (attached segments + the lazily built wave tables on
-#: the ``CSRGraph``) is long-lived worker state, while each task carries
-#: only its source slice and the segment metadata.
-_MIRRORS: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-
-#: Worker-side cap matching :data:`MAX_PUBLICATIONS`.
-_MAX_MIRRORS = MAX_PUBLICATIONS
+#: This worker's CSR mirror of the parent's publication: ``(name of the
+#: indices segment, attached segments, CSRGraph)``, or ``None``.  The mirror
+#: (attached segments + the lazily built wave tables on the ``CSRGraph``) is
+#: long-lived worker state, while each task carries only its source slice
+#: and the segment metadata.
+_mirror: Optional[Tuple[str, List[Any], Any]] = None
 
 
 def _repro_src_path() -> str:
@@ -410,32 +401,33 @@ def _attach_segment(meta: Dict[str, Any]):
     return shm, array
 
 
-def _close_mirror_segments(state: Dict[str, Any]) -> None:
-    for shm in state.get("segments", ()):
+def _close_segments(segments: List[Any]) -> None:
+    for shm in segments:
         try:
             shm.close()
         except Exception:
             pass
-    state["segments"] = []
 
 
-def _mirror_of(token: str, arrays: Dict[str, Any], tel):
-    """This worker's CSR mirror of one published snapshot, attached once.
+def _mirror_of(arrays: Dict[str, Any], tel):
+    """This worker's CSR mirror of the published snapshot, attached once.
 
-    A snapshot newer than the mirror this worker holds for the same
-    publication ``token`` supersedes it: the parent has already unlinked the
-    old segments, so the stale mapping is released here as well.
+    A task naming another ``indices`` segment means the parent published a
+    new snapshot and has already unlinked the old one, so the old mirror is
+    released before the new segments are attached.
     """
+    global _mirror
     from repro.graphs.fast import CSRGraph
 
-    key = arrays["indices"]["name"]
-    state = _MIRRORS.get(key)
-    if state is not None:
-        _MIRRORS.move_to_end(key)
-        return state["csr"]
-    stale = [name for name, old in _MIRRORS.items() if old["token"] == token]
-    for name in stale:
-        _close_mirror_segments(_MIRRORS.pop(name))
+    name = arrays["indices"]["name"]
+    replaced = _mirror is not None
+    if replaced:
+        if _mirror[0] == name:
+            return _mirror[2]
+        # Drop the CSR views first, so closing the mappings can succeed.
+        old_segments = _mirror[1]
+        _mirror = None
+        _close_segments(old_segments)
     segments: List[Any] = []
     try:
         for field in ("indptr", "indices"):
@@ -443,19 +435,16 @@ def _mirror_of(token: str, arrays: Dict[str, Any], tel):
     except BaseException:
         # A half-attached mirror must not leak handles while the parent
         # retries the task.
-        _close_mirror_segments({"segments": [shm for shm, _ in segments]})
+        _close_segments([shm for shm, _ in segments])
         raise
     (indptr_shm, indptr), (indices_shm, indices) = segments
     csr = CSRGraph(list(range(indptr.size - 1)), {}, indptr, indices)
-    _MIRRORS[key] = {"token": token, "segments": [indptr_shm, indices_shm], "csr": csr}
-    while len(_MIRRORS) > _MAX_MIRRORS:
-        _, evicted = _MIRRORS.popitem(last=False)
-        _close_mirror_segments(evicted)
-    tel.count("runner.pool.shm_reattach" if stale else "runner.pool.shm_attach")
+    _mirror = (name, [indptr_shm, indices_shm], csr)
+    tel.count("runner.pool.shm_reattach" if replaced else "runner.pool.shm_attach")
     return csr
 
 
-def _pool_path_shard(ctx: Dict[str, Any], token: str, arrays: Dict[str, Any], sources):
+def _pool_path_shard(ctx: Dict[str, Any], arrays: Dict[str, Any], sources):
     """Worker task: one source shard's exact ``(ecc, totals)`` accumulators.
 
     Returns ``(ecc, totals, telemetry_snapshot)``; the snapshot holds the
@@ -468,7 +457,7 @@ def _pool_path_shard(ctx: Dict[str, Any], token: str, arrays: Dict[str, Any], so
     faults.fault_point("pool.path_task")
 
     def run(tel):
-        csr = _mirror_of(token, arrays, tel)
+        csr = _mirror_of(arrays, tel)
         tel.count("runner.path_shard.sources", int(len(sources)))
         with tel.span("runner.path_shard"):
             return fast.accumulate_path_shard(csr, sources)
@@ -478,30 +467,10 @@ def _pool_path_shard(ctx: Dict[str, Any], token: str, arrays: Dict[str, Any], so
 
 
 # ----------------------------------------------------------------------
-# Parent-side publication bookkeeping
+# Parent side
 # ----------------------------------------------------------------------
-def _unlink_segments(segments: List[Any]) -> None:
-    """Close and unlink shared-memory segments (idempotent, swallow races)."""
-    for shm in segments:
-        try:
-            shm.close()
-        except Exception:
-            pass
-        try:
-            shm.unlink()
-        except Exception:
-            pass
-    segments.clear()
-
-
-class _Publication:
-    """One graph's current CSR snapshot, copied into shared memory."""
-
-    __slots__ = ("token", "generation", "csr", "arrays", "segments", "graph_ref", "finalizer")
-
-
 class WorkerPool:
-    """A persistent :class:`ProcessPoolExecutor` plus CSR publications.
+    """A persistent :class:`ProcessPoolExecutor` plus one CSR publication.
 
     Obtain instances through :func:`get_pool`; direct construction is fine
     for tests.  Usable as a context manager; :meth:`close` is idempotent
@@ -515,7 +484,12 @@ class WorkerPool:
         self._executor: Optional[ProcessPoolExecutor] = None
         self._spinup_started = 0.0
         self._spinup_pending = False
-        self._pubs: "OrderedDict[int, _Publication]" = OrderedDict()
+        #: The published snapshot, its segments' metadata and the segments.
+        self._csr = None
+        self._arrays: Dict[str, Any] = {}
+        self._segments: List[Any] = []
+        #: Snapshots this pool has published (the ``generation`` gauge).
+        self._generation = 0
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------
@@ -560,8 +534,7 @@ class WorkerPool:
             self._executor = None
             if kill and manager is not None:
                 manager.join(TERMINATE_JOIN_SECONDS)
-        for key in list(self._pubs):
-            self._drop_publication(key)
+        self._unpublish()
 
     # -- executor -------------------------------------------------------
     def _ensure_executor(self) -> ProcessPoolExecutor:
@@ -749,7 +722,6 @@ class WorkerPool:
 
     def run_path_shards(
         self,
-        graph,
         csr,
         shards: Sequence[Any],
         ctx: Dict[str, Any],
@@ -763,17 +735,14 @@ class WorkerPool:
         shards by span).  Returns the indices of the shards the caller must
         run in-parent.
         """
-        pub = self.publish_csr(graph, csr)
-        tasks = {
-            i: (ctx, pub.token, pub.arrays, shard) for i, shard in enumerate(shards)
-        }
+        arrays = self.publish_csr(csr)
+        tasks = {i: (ctx, arrays, shard) for i, shard in enumerate(shards)}
 
         def describe(key: int) -> str:
-            shard = shards[key]
             return (
-                f"path-metric shard {key} ({len(shard)} sources) failed in a "
-                f"pool worker (publication {pub.token}, generation "
-                f"{pub.generation})"
+                f"path-metric shard {key} ({len(shards[key])} sources) failed "
+                f"in a pool worker (segment {arrays['indices']['name']}, "
+                f"generation {self._generation})"
             )
 
         return self._run_tasks(
@@ -784,60 +753,45 @@ class WorkerPool:
         )
 
     # -- shared-memory publication --------------------------------------
-    def publish_csr(self, graph, csr) -> _Publication:
-        """Make ``csr`` (a snapshot of ``graph``) available to the workers.
+    def publish_csr(self, csr) -> Dict[str, Any]:
+        """Make the snapshot ``csr`` available to the workers.
 
-        The graph's publication is reused while it holds this very snapshot
+        Returns the ``{indptr, indices}`` segment metadata the workers attach
+        by.  The publication is reused while it holds this very snapshot
         object.  Any other snapshot is copied into fresh shared-memory
-        segments (``publish_attach`` on first sight of the graph,
+        segments (``publish_attach`` for the pool's first publication,
         ``publish_reattach`` after) and the previous segments are unlinked
         at once.
         """
         if self._closed:
             raise PoolError("worker pool is closed")
-        key = id(graph)
-        pub = self._pubs.get(key)
-        if pub is not None and pub.graph_ref() is not graph:
-            # id() reuse after the original graph died: drop the corpse.
-            self._drop_publication(key)
-            pub = None
-        if pub is None:
-            pub = _Publication()
-            pub.token = uuid.uuid4().hex[:12]
-            pub.generation = 0
-            pub.segments = []
-            pub.graph_ref = weakref.ref(graph)
-            # Deterministic /dev/shm release even when the graph dies before
-            # the pool closes (checkpoint subgraphs are short-lived): the
-            # finalizer captures the mutable segment list, never the graph.
-            pub.finalizer = weakref.finalize(graph, _unlink_segments, pub.segments)
-            self._pubs[key] = pub
-            counter = "runner.pool.publish_attach"
-        elif pub.csr is csr:
-            self._pubs.move_to_end(key)
-            return pub
-        else:
-            _unlink_segments(pub.segments)
-            counter = "runner.pool.publish_reattach"
-        pub.csr = None
-        pub.arrays, shipped = _create_segments(csr, pub.segments)
-        pub.csr = csr
-        pub.generation += 1
+        if self._csr is csr:
+            return self._arrays
+        self._unpublish()
+        self._arrays, shipped = _create_segments(csr, self._segments)
+        self._csr = csr
+        self._generation += 1
         tel = _telemetry()
         if tel.enabled:
-            tel.count(counter)
+            tel.count(
+                "runner.pool.publish_attach"
+                if self._generation == 1
+                else "runner.pool.publish_reattach"
+            )
             tel.count("runner.pool.bytes_shipped", shipped)
-            tel.gauge("runner.pool.generation", pub.generation)
-        self._pubs.move_to_end(key)
-        while len(self._pubs) > MAX_PUBLICATIONS:
-            self._drop_publication(next(iter(self._pubs)))
-        return pub
+            tel.gauge("runner.pool.generation", self._generation)
+        return self._arrays
 
-    def _drop_publication(self, key: int) -> None:
-        pub = self._pubs.pop(key, None)
-        if pub is not None:
-            # Runs _unlink_segments at most once; a later graph-death no-ops.
-            pub.finalizer()
+    def _unpublish(self) -> None:
+        """Close and unlink the published segments (swallowing races)."""
+        self._csr = None
+        _close_segments(self._segments)
+        for shm in self._segments:
+            try:
+                shm.unlink()
+            except Exception:
+                pass
+        self._segments.clear()
 
 
 def _create_segments(csr, segments: List[Any]) -> Tuple[Dict[str, Any], int]:

@@ -189,30 +189,48 @@ class TestJournalV2:
         path = tmp_path / "j.jsonl"
         journal = CampaignJournal(path)
         journal.open(_header())
-        assert journal.record_checkpoint_shard(0, 0, "k0", (0, 5), 2, STATE)
-        assert journal.record_checkpoint_shard(0, 0, "k0", (5, 9), 2, STATE)
-        assert journal.record_checkpoint_shard(0, 1, "k1", (0, 9), 1, STATE)
+        assert journal.record_checkpoint_shard(0, "k0", (0, 5), STATE)
+        assert journal.record_checkpoint_shard(0, "k0", (5, 9), STATE)
+        assert journal.record_checkpoint_shard(0, "k1", (0, 9), STATE)
         journal.close()
         _, _, checkpoints, _, _ = CampaignJournal(path)._read()
-        assert sorted(checkpoints) == [(0, 0), (0, 1)]
-        entry = checkpoints[(0, 0)]
-        assert entry["key"] == "k0"
-        assert sorted(entry["spans"]) == [(0, 5), (5, 9)]
-        assert entry["spans"][(0, 5)] == STATE
+        assert checkpoints == {
+            0: {"k0": {(0, 5): STATE, (5, 9): STATE}, "k1": {(0, 9): STATE}}
+        }
+        record = json.loads(path.read_text().splitlines()[1])
+        assert sorted(record) == ["ckpt", "key", "span", "state"]
 
-    def test_conflicting_checkpoint_key_later_record_wins(self, tmp_path):
-        """Re-journaled checkpoints of a re-run (different graph snapshot,
-        new content key) replace the stale state wholesale."""
+    def test_checkpoint_states_are_keyed_by_content(self, tmp_path):
+        """States of different snapshots (content keys) coexist, and an
+        unfinished unit's states replay for whichever unit reaches the same
+        ``(key, span)``."""
         path = tmp_path / "j.jsonl"
         journal = CampaignJournal(path)
         journal.open(_header())
-        journal.record_checkpoint_shard(0, 0, "old", (0, 5), 2, STATE)
-        journal.record_checkpoint_shard(0, 0, "new", (5, 9), 2, STATE)
+        journal.record_checkpoint_shard(0, "old", (0, 5), STATE)
+        journal.record_checkpoint_shard(0, "new", (5, 9), STATE)
+        journal.record_checkpoint_shard(1, "new", (0, 5), STATE)
         journal.close()
-        _, _, checkpoints, _, _ = CampaignJournal(path)._read()
-        entry = checkpoints[(0, 0)]
-        assert entry["key"] == "new"
-        assert sorted(entry["spans"]) == [(5, 9)]
+        _, checkpoints = _resume(path)
+        assert checkpoints == {
+            "old": {(0, 5): STATE},
+            "new": {(0, 5): STATE, (5, 9): STATE},
+        }
+
+    def test_checkpoint_record_with_seq_and_spans_still_resumes(self, tmp_path):
+        """A record in the former format, with its per-unit ``seq`` and the
+        ``spans`` count, loads by its ``(key, span)``."""
+        path = tmp_path / "j.jsonl"
+        journal = CampaignJournal(path)
+        journal.open(_header())
+        journal.close()
+        legacy = {
+            "ckpt": 1, "seq": 3, "key": "k", "span": [0, 5], "spans": 2,
+            "state": STATE,
+        }
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(legacy, sort_keys=True) + "\n")
+        assert _resume(path) == ({}, {"k": {(0, 5): STATE}})
 
     def test_malformed_checkpoint_record_is_dropped(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -221,7 +239,7 @@ class TestJournalV2:
         journal.record_unit(0, {"m": 1.0})
         journal.close()
         with path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps({"ckpt": 0, "seq": 0, "key": "k"}) + "\n")
+            handle.write(json.dumps({"ckpt": 0, "key": "k"}) + "\n")
             handle.write(json.dumps({"unit": 1, "metrics": {"m": 2.0}}) + "\n")
         _, units, checkpoints, _, _ = CampaignJournal(path)._read()
         # The broken ckpt record vanished; everything around it survived.
@@ -235,7 +253,7 @@ class TestJournalV2:
         monkeypatch.setattr(journal_mod, "STATE_LIMIT", encoded_size + slack)
         journal = CampaignJournal(tmp_path / "j.jsonl")
         journal.open(_header())
-        assert journal.record_checkpoint_shard(0, 0, "k", (0, 5), 1, STATE) is written
+        assert journal.record_checkpoint_shard(0, "k", (0, 5), STATE) is written
         journal.close()
 
     def test_oversized_state_is_not_written(self, tmp_path, monkeypatch):
@@ -244,7 +262,7 @@ class TestJournalV2:
         journal = CampaignJournal(path)
         journal.open(_header())
         with telemetry.collecting() as collector:
-            assert not journal.record_checkpoint_shard(0, 0, "k", (0, 5), 1, STATE)
+            assert not journal.record_checkpoint_shard(0, "k", (0, 5), STATE)
         journal.close()
         assert collector.snapshot()["counters"]["runner.journal.ckpt_oversize"] == 1
         _, _, checkpoints, _, _ = CampaignJournal(path)._read()
@@ -284,7 +302,7 @@ class TestJournalV2:
         path = tmp_path / "j.jsonl"
         journal = CampaignJournal(path)
         journal.open(_header(units=3))
-        journal.record_checkpoint_shard(7, 0, "k", (0, 5), 1, STATE)
+        journal.record_checkpoint_shard(7, "k", (0, 5), STATE)
         journal.close()
         assert _resume(path, _header(units=3)) == ({}, {})
 
@@ -294,14 +312,13 @@ class TestJournalV2:
         path = tmp_path / "j.jsonl"
         journal = CampaignJournal(path)
         journal.open(_header(units=3))
-        journal.record_checkpoint_shard(0, 0, "k0", (0, 5), 1, STATE)
+        journal.record_checkpoint_shard(0, "k0", (0, 5), STATE)
         journal.record_unit(0, {"m": 1.0})
-        journal.record_checkpoint_shard(1, 0, "k1", (0, 5), 1, STATE)
+        journal.record_checkpoint_shard(1, "k1", (0, 5), STATE)
         journal.close()
         units, checkpoints = _resume(path, _header(units=3))
         assert units == {0: {"m": 1.0}}
-        assert sorted(checkpoints) == [(1, 0)]
-        assert checkpoints[(1, 0)]["spans"] == {(0, 5): STATE}
+        assert checkpoints == {"k1": {(0, 5): STATE}}
 
 
 class TestInspect:
@@ -310,7 +327,7 @@ class TestInspect:
         journal = CampaignJournal(path)
         journal.open(_header(units=3))
         journal.record_unit(0, {"m": 1.0})
-        journal.record_checkpoint_shard(1, 0, "k", (0, 5), 1, STATE)
+        journal.record_checkpoint_shard(1, "k", (0, 5), STATE)
         journal.record_unit(1, {"m": 2.0})
         journal.record_unit(2, {"m": 3.0})
         journal.finish()

@@ -4,8 +4,9 @@ The persistent pool's hard contracts, each locked by a differential or a
 failure injection:
 
 * consecutive campaigns and checkpoints reuse one executor (a single
-  ``runner.pool_spinup`` span) and one shared-memory publication per graph
-  (attach once, then re-publish each new snapshot in full);
+  ``runner.pool_spinup`` span) and one shared-memory publication per pool
+  (attach once, then re-publish each new snapshot in full); each worker
+  holds one mirror of it;
 * pooled results are bit-identical to serial, including across graph
   mutations between checkpoints;
 * a killed worker is respawned exactly once and only unmerged shards are
@@ -14,8 +15,8 @@ failure injection:
 * an exception leaving a round with tasks in flight -- a failing merge,
   ^C, the parent deadline -- kills the busy workers before it propagates;
   a clean round, or one that fails with nothing in flight, keeps them;
-* no ``/dev/shm`` segment with the pool prefix survives a close, a kill,
-  or the published graph's death.
+* ``/dev/shm`` holds at most one snapshot's segments per pool, released at
+  the next publish, and none survives a close or a kill.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class TestPoolLifecycle:
         pool = WorkerPool(2)
         pool.close()
         with pytest.raises(PoolError, match="closed"):
-            pool.publish_csr(k_regular_graph(20, 4, seed=0), object())
+            pool.publish_csr(object())
 
     def test_one_spinup_span_across_campaigns_and_checkpoints(self):
         """Two unit campaigns and two path campaigns: one executor spin-up."""
@@ -127,7 +128,7 @@ class TestSharedMemoryPublication:
                 for victim in victims:
                     graph.remove_node(victim)
                 sharded_full_path_metrics(graph, workers=2)
-                live = get_pool(2)._pubs[id(graph)].segments
+                live = get_pool(2)._segments
                 assert sorted(pool_segments()) == sorted(
                     f"/dev/shm/{shm.name}" for shm in live
                 )
@@ -135,15 +136,76 @@ class TestSharedMemoryPublication:
         shutdown_pools()
         assert pool_segments() == []
 
-    def test_segments_released_when_published_graph_dies(self, pool_segments):
-        """The weakref finalizer unlinks /dev/shm before the pool closes."""
-        graph = k_regular_graph(300, 6, seed=17)
+    def test_segments_released_at_next_publish_never_more_than_one(
+        self, pool_segments
+    ):
+        """A dead graph's segments live until the next publish or the close:
+        never more than one publication's worth at any time."""
         with backend.using("fast"):
-            sharded_full_path_metrics(graph, workers=2)
-        assert pool_segments() != []
-        del graph
-        gc.collect()
+            for seed in (17, 18, 19):
+                graph = k_regular_graph(300, 6, seed=seed)
+                sharded_full_path_metrics(graph, workers=2)
+                del graph
+                gc.collect()
+                assert len(pool_segments()) == 2
+        shutdown_pools()
         assert pool_segments() == []
+
+    def test_publishing_a_new_snapshot_replaces_the_old(self, pool_segments):
+        """B after A leaves only B's two segments; republishing B ships
+        nothing; ``publish_attach`` counts the pool's first publication."""
+        first = fast.build_csr(k_regular_graph(200, 6, seed=1))
+        second = fast.build_csr(k_regular_graph(200, 6, seed=2))
+        pool = WorkerPool(2)
+        with telemetry.collecting() as collector:
+            arrays = pool.publish_csr(first)
+            names_a = {f"/dev/shm/{meta['name']}" for meta in arrays.values()}
+            assert sorted(pool_segments()) == sorted(names_a)
+            arrays = pool.publish_csr(second)
+            names_b = {f"/dev/shm/{meta['name']}" for meta in arrays.values()}
+            assert not names_a & names_b
+            assert sorted(pool_segments()) == sorted(names_b)
+            shipped = collector.snapshot()["counters"]["runner.pool.bytes_shipped"]
+            assert pool.publish_csr(second) is arrays
+        counters = collector.snapshot()["counters"]
+        assert counters["runner.pool.bytes_shipped"] == shipped
+        assert counters["runner.pool.publish_attach"] == 1
+        assert counters["runner.pool.publish_reattach"] == 1
+        pool.close()
+        assert pool_segments() == []
+
+    def test_worker_mirror_holds_one_snapshot(self, pool_segments, monkeypatch):
+        """``_mirror_of`` keeps one mirror and releases it for a new segment."""
+        from multiprocessing import resource_tracker
+
+        # The mirror attaches in this process, which also created (and
+        # tracks) the segments: keep the tracker's registration intact.
+        monkeypatch.setattr(resource_tracker, "unregister", lambda *args: None)
+        monkeypatch.setattr(pool_mod, "_mirror", None)
+        pool = WorkerPool(2)
+        first = fast.build_csr(k_regular_graph(200, 6, seed=1))
+        second = fast.build_csr(k_regular_graph(200, 6, seed=2))
+        with telemetry.collecting() as collector:
+            arrays = pool.publish_csr(first)
+            mirror = pool_mod._mirror_of(arrays, collector)
+            assert pool_mod._mirror_of(arrays, collector) is mirror
+            assert mirror.indices.tolist() == first.indices.tolist()
+            old_segments = pool_mod._mirror[1]
+            del mirror
+            arrays = pool.publish_csr(second)
+            mirror = pool_mod._mirror_of(arrays, collector)
+        assert mirror.indices.tolist() == second.indices.tolist()
+        assert pool_mod._mirror[0] == arrays["indices"]["name"]
+        assert all(shm.buf is None for shm in old_segments)
+        counters = collector.snapshot()["counters"]
+        assert counters["runner.pool.shm_attach"] == 1
+        assert counters["runner.pool.shm_reattach"] == 1
+        del mirror
+        _, segments, _ = pool_mod._mirror
+        pool_mod._mirror = None
+        pool_mod._close_segments(segments)
+        assert all(shm.buf is None for shm in segments)
+        pool.close()
 
     def test_close_unlinks_segments_while_graph_still_alive(self, pool_segments):
         graph = k_regular_graph(300, 6, seed=19)

@@ -103,6 +103,31 @@ class TestMidUnitResume:
         counters = collector.snapshot()["counters"]
         assert counters["runner.journal.ckpt_replayed"] == resumed.checkpoints_replayed
 
+    def test_journal_with_seq_and_spans_records_resumes(self, tmp_path):
+        """Checkpoint records in the former format -- with the per-unit
+        ``seq`` position and the ``spans`` count -- replay by content key."""
+        path = tmp_path / "j.jsonl"
+        with backend.using("fast"):
+            clean = _run()
+            faults.install("executor.checkpoint=raise@3")
+            with pytest.raises(faults.InjectedFault):
+                _run(journal=path)
+            faults.install("")
+            lines = path.read_text().splitlines()
+            seq = 0
+            for index, line in enumerate(lines):
+                record = json.loads(line)
+                if "ckpt" in record:
+                    # workers=1: one span per checkpoint, numbered in order.
+                    record.update(seq=seq, spans=1)
+                    seq += 1
+                    lines[index] = json.dumps(record, sort_keys=True)
+            assert seq == 2
+            path.write_text("\n".join(lines) + "\n")
+            resumed = _run(journal=path, resume=True)
+        assert resumed.unit_metrics == clean.unit_metrics
+        assert resumed.checkpoints_replayed == 2
+
     def test_python_backend_resumes_at_unit_granularity(self, tmp_path):
         """The reference engine has no sharded accumulators to journal: an
         interrupted campaign journals whole units only, and the resume
@@ -196,8 +221,9 @@ class TestMidUnitResume:
             _, _, checkpoints, _, _ = CampaignJournal(path)._read()
             spans = {
                 span
-                for entry in checkpoints.values()
-                for span in entry["spans"]
+                for by_key in checkpoints.values()
+                for saved in by_key.values()
+                for span in saved
             }
             assert len(spans) > 1, "pool fan-out should journal per-shard spans"
             resumed = _run(journal=path, resume=True)
