@@ -20,7 +20,9 @@ one of:
 Every configuration must leave every node's adjacency in the same
 iteration order, the same ``overlay.stats``, ``mutation_stamp``, rng state
 and ``forgotten`` as the first one; all of that is asserted before any
-timing is printed::
+timing is printed.  ``adj_mb`` is what the adjacency sets take after the
+campaign (``sys.getsizeof`` summed over them, in MB): a set whose table
+repair grew and nobody rebuilt shows up there::
 
     PYTHONPATH=src python benchmarks/ab_ddsr_removal.py
     PYTHONPATH=src python benchmarks/ab_ddsr_removal.py --sizes 2000:5,20000:8 --rounds 1
@@ -45,7 +47,10 @@ CONFIGS = ("python", "compiled")
 
 
 def campaign(config, n, k, seed, fraction, batches):
-    """One deletion campaign under ``config``; return ``(seconds, fingerprint)``."""
+    """One deletion campaign under ``config``.
+
+    Returns ``(seconds, adjacency bytes, fingerprint)``.
+    """
     overlay = DDSROverlay.k_regular(n, k, seed=derive_seed(seed, "wiring"))
     schedule = DeletionSchedule.random(
         overlay.nodes(), fraction, seed=derive_seed(seed, "victims")
@@ -63,6 +68,7 @@ def campaign(config, n, k, seed, fraction, batches):
             seconds += time.perf_counter() - started
     finally:
         _wavekernel.load_ddsr = load_ddsr
+    adjacency_bytes = sum(map(sys.getsizeof, overlay.graph._adjacency.values()))
     fingerprint = (
         [(node, list(peers)) for node, peers in overlay.graph._adjacency.items()],
         overlay.stats.as_dict(),
@@ -70,7 +76,7 @@ def campaign(config, n, k, seed, fraction, batches):
         overlay.rng.getstate(),
         list(overlay.forgotten),
     )
-    return seconds, fingerprint
+    return seconds, adjacency_bytes, fingerprint
 
 
 def main(argv=None) -> int:
@@ -99,15 +105,17 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     samples = {(size, config): [] for size in sizes for config in configs}
+    adjacency_mb = {}
     repair_edges = {}
     for n, k in sizes:
         expected = None
         for _ in range(args.rounds):
             for config in configs:
-                seconds, fingerprint = campaign(
+                seconds, adjacency_bytes, fingerprint = campaign(
                     config, n, k, args.seed, args.fraction, args.batches
                 )
                 samples[(n, k), config].append(seconds)
+                adjacency_mb[(n, k), config] = adjacency_bytes / 1e6
                 if expected is None:
                     expected = fingerprint
                     repair_edges[n, k] = fingerprint[1]["repair_edges_added"]
@@ -119,10 +127,10 @@ def main(argv=None) -> int:
     print(f"rounds={args.rounds} seed={args.seed} fraction={args.fraction} "
           f"batches={args.batches}; all configurations identical (adjacency order, "
           "overlay.stats, mutation_stamp, rng state, forgotten); medians over rounds")
-    print(f"{'n:k':<9} {'config':<9} {'remove_s':>9} {'repair_edges':>12}")
+    print(f"{'n:k':<9} {'config':<9} {'remove_s':>9} {'repair_edges':>12} {'adj_mb':>8}")
     for (size, config), runs in samples.items():
         print(f"{'%d:%d' % size:<9} {config:<9} {statistics.median(runs):9.3f} "
-              f"{repair_edges[size]:12d}")
+              f"{repair_edges[size]:12d} {adjacency_mb[size, config]:8.2f}")
     return 0
 
 

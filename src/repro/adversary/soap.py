@@ -131,6 +131,22 @@ def is_clone(node: NodeId) -> bool:
     return isinstance(node, str) and node.startswith(CLONE_PREFIX)
 
 
+def attack_order(known: Iterable[NodeId], rng: random.Random) -> List[NodeId]:
+    """The order in which an attacker works through the targets it knows.
+
+    ``sorted(known, key=str)`` makes the order independent of set order
+    (hence of ``PYTHONHASHSEED``); the seeded shuffle makes it independent
+    of how nodes are named.  Walking the sorted list itself would attack
+    SuperOnion's ``so-<host>-<serial>`` bots one host at a time, and churn
+    newcomers (``churn-join-*``) after every original bot.  Every call
+    draws from ``rng``: pass a stream of its own, never one the rest of the
+    simulation draws from.
+    """
+    order = sorted(known, key=str)
+    rng.shuffle(order)
+    return order
+
+
 @dataclass
 class SoapNodeResult:
     """Outcome of containing a single target bot."""

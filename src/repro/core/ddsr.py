@@ -290,6 +290,16 @@ class DDSROverlay:
         the same iteration order), ``overlay.stats``, ``mutation_stamp``,
         ``forgotten`` and rng state.  With telemetry on, the gauge
         ``ddsr.engine`` (``compiled``/``python``) names the path.
+
+        A batch with ``repair=True`` ends by compacting
+        (:meth:`UndirectedGraph.compact`) the set of every survivor that
+        lost a peer to a removal in it: clique repair grows those sets'
+        hash tables, which pruning never shrinks (under the other policies
+        the rebuild only sizes the table anew).  Both engines compact the
+        same nodes, once each, so they still agree on iteration order.
+        That order moves, and no row depends on it: the adjacency-order
+        differential (``tests/core/test_adjacency_order.py``) scrambles
+        every set after every batch.
         """
         removed = None
         if repair and isinstance(nodes, (list, tuple)):
@@ -300,10 +310,13 @@ class DDSROverlay:
         if removed is not None:
             return removed
         count = 0
+        touched: List[NodeId] = []
         for node in nodes:
             if node in self.graph:
-                self.remove_node(node, repair=repair)
+                touched += self.remove_node(node, repair=repair)
                 count += 1
+        if repair:
+            self.graph.compact(touched)
         return count
 
     def remove_fraction(
@@ -622,7 +635,9 @@ def _remove_compiled(overlay: DDSROverlay, batch: Sequence[NodeId]) -> Optional[
     buffers are freed and the ops are applied here in order, so every
     adjacency set sees the mutations the Python loop makes, in the same
     order; ``mutation_stamp``, ``overlay.stats``, ``forgotten`` and the rng
-    state are settled in bulk afterwards.
+    state are settled in bulk afterwards.  The peers a ``(v, ~i)`` op pops
+    with ``v`` are the list ``remove_node`` returns in the Python loop, so
+    the batch ends by compacting the same survivors' sets.
     """
     config = overlay.config
     if (
@@ -699,6 +714,7 @@ def _remove_compiled(overlay: DDSROverlay, batch: Sequence[NodeId]) -> Optional[
     del buffers, key, ops
     adjacency = graph._adjacency
     gone: List[NodeId] = []
+    touched: List[NodeId] = []
     for chunk in chunks:
         # A memoryview makes one int at a time; a list of a chunk's ints
         # would sit between the set tables growing now and fragment them.
@@ -706,8 +722,10 @@ def _remove_compiled(overlay: DDSROverlay, batch: Sequence[NodeId]) -> Optional[
         for a, b in zip(flat, flat):
             if b < 0:
                 label = labels[a]
-                for peer in adjacency.pop(label):
+                peers = adjacency.pop(label)
+                for peer in peers:
                     adjacency[peer].discard(label)
+                touched += peers
                 gone.append(batch[~b])
             elif a < 0:
                 u, w = labels[~a], labels[b]
@@ -717,6 +735,7 @@ def _remove_compiled(overlay: DDSROverlay, batch: Sequence[NodeId]) -> Optional[
                 u, w = labels[a], labels[b]
                 adjacency[u].add(w)
                 adjacency[w].add(u)
+    graph.compact(touched)
     overlay.rng.setstate((version, tuple(state.tolist()), gauss_next))
     removed, repairs, edges, prunes = map(int, io[_IO_REMOVED:])
     graph._mutations += removed + edges + prunes

@@ -28,9 +28,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.adversary.soap import SoapAttack, is_clone
+from repro.adversary.soap import SoapAttack, attack_order, is_clone
 from repro.core.ddsr import DDSRConfig, DDSROverlay
 from repro.graphs.metrics import shortest_path_lengths_from
+from repro.sim.rng import derive_seed
 
 
 def virtual_node_id(host_index: int, serial: int) -> str:
@@ -129,6 +130,7 @@ class SuperOnionNetwork:
         self.hosts_count = hosts
         self.virtual_per_host = virtual_per_host
         self.peers_per_virtual = peers_per_virtual
+        self.seed = seed
         self.rng = random.Random(seed)
         self.config = config or DDSRConfig(d_min=1, d_max=max(6, peers_per_virtual * 3))
         self.overlay = DDSROverlay(config=self.config, rng=self.rng)
@@ -242,7 +244,10 @@ class SuperOnionNetwork:
         bots it knows about, then every host runs its probe-and-recover cycle.
         The result records how host-level survival evolves -- the paper's
         claim is that the physical hosts remain in the botnet indefinitely as
-        long as one virtual bot per host stays clean.
+        long as one virtual bot per host stays clean.  The attacker walks its
+        targets in :func:`~repro.adversary.soap.attack_order`, shuffled by a
+        stream derived from the network seed, so ``self.rng`` draws exactly
+        what it would without the attacker's ordering.
         """
         soaped_total = 0
         replaced_total = 0
@@ -252,13 +257,12 @@ class SuperOnionNetwork:
         start = self.rng.choice(self.virtual_nodes())
         known: Set[str] = {start}
         known.update(peer for peer in self.overlay.peers(start) if not is_clone(peer))
+        order_rng = random.Random(derive_seed(self.seed, "attack-order"))
 
         for round_index in range(1, rounds + 1):
             # --- attacker phase -------------------------------------------------
             attacked = 0
-            # Sorted: set order of strings follows PYTHONHASHSEED, and the
-            # targets picked (hence every clone and rng draw) must not.
-            for target in sorted(known, key=str):
+            for target in attack_order(known, order_rng):
                 if attacked >= targets_per_round:
                     break
                 if target not in self.overlay.graph:

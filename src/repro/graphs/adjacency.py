@@ -129,6 +129,23 @@ class UndirectedGraph:
         self._mutations += 1
         return neighbors
 
+    def compact(self, nodes: Iterable[NodeId]) -> None:
+        """Rebuild the neighbour set of every node of ``nodes`` still present.
+
+        A set's hash table grows with its peak size and never shrinks, so a
+        set that briefly held many peers (a DDSR clique repair) keeps that
+        table after pruning.  ``set(peers)`` sizes a new table for the
+        current peers.  Membership and ``mutation_stamp`` do not change;
+        iteration order may, as a function of the old set alone, so graphs
+        that went through the same mutations still agree after it.
+        Repeats and absent nodes are skipped.
+        """
+        adjacency = self._adjacency
+        for node in dict.fromkeys(nodes):
+            peers = adjacency.get(node)
+            if peers is not None:
+                adjacency[node] = set(peers)
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

@@ -76,8 +76,18 @@ from repro.runner import config, faults
 logger = logging.getLogger(__name__)
 
 #: Name prefix of every shared-memory segment the pool creates.  Tests (and
-#: humans) can audit ``/dev/shm`` for leaks by this prefix.
+#: humans) can audit ``/dev/shm`` for leaks by this prefix; the creating
+#: process's pid follows it (:func:`segment_prefix`), so an audit can tell
+#: its own segments from another campaign's on the same machine.  A name
+#: ends in 12 hex digits: with a pid of at most 7 digits it stays within 31
+#: characters, the POSIX limit on macOS.
 SHM_PREFIX = "repro-pool-"
+
+
+def segment_prefix() -> str:
+    """``repro-pool-<pid>-``: the prefix of this process's segments."""
+    return f"{SHM_PREFIX}{os.getpid()}-"
+
 
 #: Attempts each pool task gets before it goes back to the caller to run
 #: in-parent.  A broken executor costs every unmerged task one attempt; a
@@ -810,7 +820,7 @@ def _create_segments(csr, segments: List[Any]) -> Tuple[Dict[str, Any], int]:
         shm = shared_memory.SharedMemory(
             create=True,
             size=max(1, int(data.nbytes)),
-            name=SHM_PREFIX + uuid.uuid4().hex[:16],
+            name=segment_prefix() + uuid.uuid4().hex[:12],
         )
         segments.append(shm)
         view = np.ndarray(data.shape, dtype=data.dtype, buffer=shm.buf)

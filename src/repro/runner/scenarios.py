@@ -235,7 +235,7 @@ def hsdir_interception(*, seed: int, relays: int) -> Dict[str, float]:
 @scenario(
     name="superonion-vs-soap",
     description="SuperOnion hosts vs a basic overlay of equal size under SOAP",
-    version="2",
+    version="3",
     defaults={
         "hosts": 5,
         "virtual_per_host": 3,
@@ -640,7 +640,7 @@ def soap_admission_grid(
     name="soap-under-churn",
     description="SOAP campaign against an overlay with live join/leave churn",
     composed=True,
-    version="2",
+    version="3",
     defaults={
         "n": 120,
         "k": 8,
@@ -668,7 +668,7 @@ def soap_under_churn(
     a sweep.  Reuses :class:`repro.workloads.churn.ChurnModel` for the event
     stream and the standard SOAP attacker.
     """
-    from repro.adversary.soap import SoapAttack, is_clone
+    from repro.adversary.soap import SoapAttack, attack_order, is_clone
     from repro.core.ddsr import DDSROverlay
     from repro.workloads.churn import ChurnKind, ChurnModel
 
@@ -714,7 +714,7 @@ def soap_under_churn(
                 leaves += 1
         # --- attack phase: contain what the attacker currently knows -----
         attacked_this_hour = 0
-        for target in sorted(known, key=str):
+        for target in attack_order(known, streams.stream("attack-order")):
             if attacked_this_hour >= targets_per_hour:
                 break
             if target not in overlay.graph:
@@ -753,6 +753,7 @@ def soap_under_churn(
     name="takedown-superonion",
     description="SuperOnion recovery under combined host seizures and SOAP",
     composed=True,
+    version="2",
     defaults={
         "hosts": 6,
         "virtual_per_host": 3,
@@ -780,7 +781,7 @@ def takedown_superonion(
     probe-and-recover cycle -- measuring whether virtualization still keeps
     physical hosts alive when clones and seizures land together.
     """
-    from repro.adversary.soap import SoapAttack, is_clone
+    from repro.adversary.soap import SoapAttack, attack_order, is_clone
     from repro.defenses.superonion import SuperOnionNetwork
 
     streams = RandomStreams(seed)
@@ -807,7 +808,7 @@ def takedown_superonion(
                 seized += 1
         # --- SOAP phase ----------------------------------------------------
         attacked = 0
-        for target in sorted(known, key=str):
+        for target in attack_order(known, streams.stream("attack-order")):
             if attacked >= targets_per_round:
                 break
             if target not in network.overlay.graph:

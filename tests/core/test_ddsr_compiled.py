@@ -346,3 +346,71 @@ def test_int_repr_order_in_c(compiled, labels, policy):
     )
     assert fingerprint[2]["repair_edges_added"] == len(values) * (len(values) - 1) // 2
     assert fingerprint[2]["prune_operations"] > len(values) // 3
+
+
+# ----------------------------------------------------------------------
+# Memory: no set keeps the table repair grew it to
+# ----------------------------------------------------------------------
+
+
+def _loose_sets(overlay, nodes):
+    """``(bytes, bytes rebuilt)`` summed over the sets of ``nodes`` still present."""
+    import sys
+
+    adjacency = overlay.graph._adjacency
+    sets = [adjacency[node] for node in set(nodes) if node in adjacency]
+    return sum(map(sys.getsizeof, sets)), sum(sys.getsizeof(set(s)) for s in sets)
+
+
+def _campaign_sets(engine, touched=None, compacting=True):
+    """A 2k/5 campaign in 6 batches, one ``_loose_sets`` reading per batch.
+
+    Each reading covers the survivors that lost a peer to a removal in
+    that batch: the lists ``remove_node`` returned (the Python loop calls
+    it), or ``touched[i]`` for batch ``i`` when given.  Returns the overlay,
+    the node lists and the readings.
+    """
+    overlay = _overlay(2000, 5, 0)
+    lost = []
+    remove_node = overlay.remove_node
+
+    def spying(node, **kwargs):
+        neighbors = remove_node(node, **kwargs)
+        lost[-1].extend(neighbors)
+        return neighbors
+
+    overlay.remove_node = spying
+    readings = []
+    with _engine(engine), pytest.MonkeyPatch.context() as patch:
+        if not compacting:
+            patch.setattr(UndirectedGraph, "compact", lambda self, nodes: None)
+        for index, batch in enumerate(_batches(overlay, 0.1, 6, 0)):
+            _measured(overlay)
+            lost.append([])
+            overlay.remove_nodes(batch)
+            if touched is not None:
+                lost[-1] = touched[index]
+            readings.append(_loose_sets(overlay, lost[-1]))
+    return overlay, lost, readings
+
+
+def test_repair_leaves_no_inflated_sets(compiled):
+    """Memory regression test with no RSS in it.
+
+    Clique repair grows a survivor's set past 20 peers, and pruning never
+    shrinks the table back.  After every batch, on both engines, the sets of
+    the survivors that lost a peer to a removal must take exactly the bytes
+    of the same sets rebuilt.  Only those sets: at k=5 the generator's
+    5-peer sets, filled one insert at a time, already hold twice the slots
+    ``set(s)`` sizes, and repair never touched them.
+    """
+    python, touched, readings = _campaign_sets("python")
+    assert len(readings) == 6 and all(touched)
+    assert all(held == rebuilt for held, rebuilt in readings)
+    compiled, _, readings = _campaign_sets("compiled", touched)
+    assert _fingerprint(compiled, []) == _fingerprint(python, [])
+    assert all(held == rebuilt for held, rebuilt in readings)
+    # Without the compaction the later batches leave inflated sets.
+    _, _, readings = _campaign_sets("python", compacting=False)
+    held, rebuilt = map(sum, zip(*readings))
+    assert held > rebuilt

@@ -1,5 +1,6 @@
 """Tests for the SuperOnionBot construction."""
 
+import math
 import random
 
 import pytest
@@ -115,3 +116,87 @@ def test_superonion_vs_soap_rows_do_not_depend_on_the_hash_seed():
         assert done.returncode == 0, done.stderr
         rows.append(done.stdout)
     assert rows[0] == rows[1]
+
+
+#: Figure 8's construction (n=5 hosts, m=3 virtual bots, i=2 peers), as in
+#: ``benchmarks/bench_superonion.py``, over a fixed seed set.
+FIG8 = dict(hosts=5, virtual_per_host=3, peers_per_virtual=2, rounds=8, targets_per_round=3)
+FIG8_SEEDS = range(60)
+
+
+#: Fig. 8's claim as a fraction of seeds: 54 of ``FIG8_SEEDS`` keep at least
+#: one host when the attacker walks :func:`repro.adversary.soap.attack_order`
+#: (the same shuffle drawn from another stream kept 53).
+FIG8_SURVIVING = 0.9
+
+
+def _fig8_survival(seeds=FIG8_SEEDS):
+    from repro.analysis.experiments import run_superonion_vs_soap
+
+    return [
+        run_superonion_vs_soap(seed=seed, **FIG8)[0].host_survival_fraction
+        for seed in seeds
+    ]
+
+
+@pytest.fixture(scope="module")
+def fig8_natural():
+    """Host survival per seed of ``FIG8_SEEDS`` with the shipped node ids."""
+    return _fig8_survival()
+
+
+def test_fig8_hosts_survive_on_most_seeds(fig8_natural):
+    """The paper's Figure 8 claim, as a fraction of seeds.
+
+    The bound is ``FIG8_SURVIVING`` less two binomial standard deviations
+    over the 60 seeds (54 - 4.6, so 49 seeds), which leaves room for a
+    change that only reorders rng draws.  The host-major walk that
+    ``attack_order`` replaced kept hosts on 42 of these seeds (mean
+    survival 0.38 against 0.67), well below it.
+    """
+    seeds = len(fig8_natural)
+    allowance = 2 * math.sqrt(seeds * FIG8_SURVIVING * (1 - FIG8_SURVIVING))
+    bound = math.floor(seeds * FIG8_SURVIVING - allowance)
+    assert bound == 49
+    assert sum(fraction > 0 for fraction in fig8_natural) >= bound
+
+
+def test_fig8_survival_does_not_depend_on_node_names(monkeypatch, fig8_natural):
+    """Renaming differential: ids that do not sort host-major.
+
+    Every virtual bot gets a hash tag in front of its host field, so the
+    string order of ids no longer groups a host's bots.  Mean host survival
+    over the seed set must stay within two standard errors of the
+    difference of the means; the host-major walk the shuffle replaced missed
+    that bound by a factor of three (0.38 against 0.69).
+    """
+    import hashlib
+    import statistics
+
+    from repro.defenses import superonion
+
+    def scrambled_id(host_index, serial):
+        tag = hashlib.sha256(f"{host_index}/{serial}".encode()).hexdigest()[:8]
+        return f"so-{tag}-{host_index:04d}-{serial:04d}"
+
+    monkeypatch.setattr(superonion, "virtual_node_id", scrambled_id)
+    network = SuperOnionNetwork(hosts=5, virtual_per_host=3, seed=0)
+    ids = network.virtual_nodes()
+    assert sorted(ids) != sorted(ids, key=lambda node: node.split("-")[2])
+    renamed = _fig8_survival()
+    spread = 2 * math.sqrt(
+        (statistics.pvariance(fig8_natural) + statistics.pvariance(renamed)) / len(renamed)
+    )
+    assert abs(statistics.mean(fig8_natural) - statistics.mean(renamed)) <= spread
+
+
+def test_attack_order_is_a_shuffle_of_the_sorted_targets():
+    from repro.adversary.soap import attack_order
+
+    known = {"so-0001-0000", "so-0000-0001", "so-0000-0000", "so-0002-0003"}
+    order = attack_order(known, random.Random(5))
+    assert sorted(order) == sorted(known)
+    # The order depends on the stream alone, not on the set's own order.
+    assert attack_order(set(reversed(sorted(known))), random.Random(5)) == order
+    orders = {tuple(attack_order(known, random.Random(seed))) for seed in range(20)}
+    assert len(orders) > 1

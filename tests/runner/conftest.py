@@ -7,23 +7,23 @@ import glob
 
 import pytest
 
-from repro.runner.pool import SHM_PREFIX
+from repro.runner.pool import segment_prefix
 
 
 def _segment_names():
-    return set(glob.glob(f"/dev/shm/{SHM_PREFIX}*"))
+    return set(glob.glob(f"/dev/shm/{segment_prefix()}*"))
 
 
 @pytest.fixture
 def pool_segments():
-    """``/dev/shm`` pool segments that appeared since the test began.
+    """This process's ``/dev/shm`` pool segments that appeared since the test began.
 
-    Yields a callable listing them (sorted).  The names present when the
-    fixture is entered are snapshotted and never count, so another
-    process's pooled run on the same machine cannot fail the audit; at exit
-    no new name may remain.  Request it from a fixture that shuts the pools
-    down after its ``yield``: fixtures tear down in reverse order, so the
-    audit runs after the shutdown.
+    Yields a callable listing them (sorted).  Only names carrying this
+    process's pid (``repro-pool-<pid>-*``) count, so another process's
+    pooled run on the same machine cannot fail the audit, whenever it
+    creates its segments; at exit no new name may remain.  Request it from
+    a fixture that shuts the pools down after its ``yield``: fixtures tear
+    down in reverse order, so the audit runs after the shutdown.
     """
     before = _segment_names()
 

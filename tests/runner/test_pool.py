@@ -215,6 +215,30 @@ class TestSharedMemoryPublication:
         shutdown_pools()
         assert pool_segments() == []
 
+    def test_segment_names_carry_the_pid_within_31_characters(self):
+        pool = WorkerPool(2)
+        arrays = pool.publish_csr(fast.build_csr(k_regular_graph(50, 4, seed=3)))
+        names = [meta["name"] for meta in arrays.values()]
+        pool.close()
+        prefix = pool_mod.segment_prefix()
+        assert prefix == f"repro-pool-{os.getpid()}-"
+        assert all(name.startswith(prefix) for name in names)
+        # The widest Linux pid (pid_max is at most 2**22) still fits.
+        assert all(len(f"repro-pool-{2**22}-" + name[len(prefix):]) <= 31 for name in names)
+
+    def test_another_process_segments_do_not_count(self, pool_segments):
+        """A segment another campaign creates mid-test is not this test's leak."""
+        from multiprocessing import shared_memory
+
+        foreign = shared_memory.SharedMemory(
+            create=True, size=8, name=f"repro-pool-{os.getpid() + 1}-" + "a" * 12
+        )
+        try:
+            assert pool_segments() == []
+        finally:
+            foreign.close()
+            foreign.unlink()
+
 
 def _register_kamikaze(name: str, kills: str = "once"):
     """A scenario whose pool worker SIGKILLs itself (``once`` or ``always``).
