@@ -320,37 +320,30 @@ def _pr3_diameter(graph, sample_size, rng):
     return float(best)
 
 
-def run_full_closeness_benchmark(
-    n=FULL_CLOSENESS_N, *, sample_size=None, repeats=2, emit=print
-) -> dict:
+def run_full_closeness_benchmark(n=FULL_CLOSENESS_N, *, repeats=2, emit=print) -> dict:
     """Exact full-population closeness: PR 3 wave path vs the adaptive engine."""
     from repro.graphs import fast
     from repro.graphs.generators import k_regular_graph
 
     graph = k_regular_graph(n, K, seed=4000 + n)
     fast.csr_of(graph)  # shared warm mirror: the wave engines are what differ
-    rng_seed = 11
 
     adaptive_seconds = float("inf")
     legacy_seconds = float("inf")
     adaptive = legacy = None
     for _ in range(repeats):
         started = time.perf_counter()
-        adaptive = fast.average_closeness_centrality(
-            graph, sample_size=sample_size, rng=random.Random(rng_seed)
-        )
+        adaptive = fast.average_closeness_centrality(graph)
         adaptive_seconds = min(adaptive_seconds, time.perf_counter() - started)
         started = time.perf_counter()
-        legacy = _pr3_closeness(
-            graph, sample_size=sample_size, rng=random.Random(rng_seed)
-        )
+        legacy = _pr3_closeness(graph)
         legacy_seconds = min(legacy_seconds, time.perf_counter() - started)
         assert adaptive == legacy, (adaptive, legacy)
     speedup = legacy_seconds / adaptive_seconds if adaptive_seconds else float("inf")
     row = {
         "n": n,
         "k": K,
-        "sources": n if sample_size is None else sample_size,
+        "sources": n,
         "closeness": adaptive,
         "pr3_seconds": round(legacy_seconds, 6),
         "adaptive_seconds": round(adaptive_seconds, 6),
@@ -363,8 +356,7 @@ def run_full_closeness_benchmark(
     started = time.perf_counter()
     combined = fast.full_path_metrics(graph)
     combined_seconds = time.perf_counter() - started
-    if sample_size is None:
-        assert combined["avg_closeness"] == adaptive, (combined, adaptive)
+    assert combined["avg_closeness"] == adaptive, (combined, adaptive)
     row["full_path_campaign"] = {
         "diameter": combined["diameter"],
         "avg_path_length": combined["avg_path_length"],
@@ -705,7 +697,7 @@ def main(argv=None) -> int:
         "--multiword-sources",
         type=int,
         default=128,
-        help="sampled sources for the multi-word smoke (>64 forces 2+ words)",
+        help="sources per wave of the multi-word smoke (>64 forces 2+ words)",
     )
     parser.add_argument(
         "--ring-n",
@@ -755,17 +747,15 @@ def main(argv=None) -> int:
     if args.soap_n:
         entry["soap_campaign"] = run_soap_benchmark(args.soap_n, repeats=1)
     if args.multiword_n:
-        # Forces >64 sources through one multi-word wave and cross-checks the
-        # PR 3 path bit for bit (speedups at smoke sizes are noise; identity
-        # is the CI contract).
+        # Runs exact closeness on multi-word waves of --multiword-sources
+        # sources (at least 128) and cross-checks the PR 3 path bit for bit
+        # (speedups at smoke sizes are noise; identity is the CI contract).
         from repro.graphs import fast
 
         auto_width, width = fast._wave_width, max(128, args.multiword_sources)
         fast._wave_width = lambda csr, total_sources: width
         try:
-            entry["multiword_smoke"] = run_full_closeness_benchmark(
-                args.multiword_n, sample_size=args.multiword_sources
-            )
+            entry["multiword_smoke"] = run_full_closeness_benchmark(args.multiword_n)
         finally:
             fast._wave_width = auto_width
     if args.ring_n:

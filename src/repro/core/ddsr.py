@@ -625,8 +625,9 @@ def _remove_compiled(overlay: DDSROverlay, batch: Sequence[NodeId]) -> Optional[
     repair or pruning policy it does not model, an rng that is not an exact
     ``random.Random``, no numpy >= 2.0, no library, no CSR mirror cached
     for the graph's current state, labels it cannot rank, rows over
-    :data:`_KERNEL_ROW_BYTES`, or a row overflow reported by C (which its
-    degree bound rules out).
+    :data:`_KERNEL_ROW_BYTES`, or a -1 from C: a row overflow (which its
+    degree bound rules out) or an asymmetric snapshot, where a peer's row
+    lacks the node that lists it (the Python loop then raises).
 
     C starts from the CSR mirror the last measurement left on the graph
     (``fast.cached_csr``; building one here would cost more than a small

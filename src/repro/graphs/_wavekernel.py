@@ -4,12 +4,12 @@ The four C sources, ``wavekernel.c``, ``pairing.c``, ``soap.c`` and
 ``ddsr.c``, compile into one shared library with four entry points:
 
 * :func:`load` binds ``repro_wave_accumulate``: every multi-source BFS of
-  :mod:`repro.graphs.fast` runs its waves through it when this module can
-  build and load the library -- the exact path metrics
-  (:func:`~repro.graphs.fast.accumulate_path_shard`) and the sampled
-  diameter, shortest-path-length and closeness estimators and
-  :func:`~repro.graphs.fast.bfs_distances_batch` -- and through the plain
-  dense numpy wave otherwise; both return identical integers.
+  :mod:`repro.graphs.fast` -- the per-node path accumulators of
+  :func:`~repro.graphs.fast.accumulate_path_shard`, behind the exact path
+  metrics and the sampled diameter and shortest-path-length estimators --
+  runs its waves through it when this module can build and load the
+  library, and through the plain dense numpy wave otherwise; both return
+  identical integers.
 * :func:`load_pairing` binds ``repro_pair_stubs``:
   :func:`repro.graphs.generators.k_regular_graph` runs its pairing-model
   attempts through it, on a replay of ``random.Random``'s draws, and
@@ -170,11 +170,10 @@ def _load() -> Optional[ctypes.CDLL]:
             return None
     kernel = library.repro_wave_accumulate
     kernel.restype = None
-    # (n, indptr, indices, sources, batch, mode, then nine buffers and the
-    # four nullable per-source outputs)
+    # (n, indptr, indices, sources, batch, mode, then nine buffers)
     kernel.argtypes = (
         [ctypes.c_int64] + [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 2
-        + [ctypes.c_void_p] * 13
+        + [ctypes.c_void_p] * 9
     )
     pairing = library.repro_pair_stubs
     pairing.restype = ctypes.c_int64

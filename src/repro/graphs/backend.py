@@ -147,25 +147,6 @@ def shortest_path_lengths_from(graph: UndirectedGraph, source: NodeId) -> Dict[N
     return _impl().shortest_path_lengths_from(graph, source)
 
 
-def shortest_path_lengths_from_many(
-    graph: UndirectedGraph, sources
-) -> List[Dict[NodeId, int]]:
-    """Batched BFS distances: one dict per source, in source order.
-
-    The fast path advances all sources together as bit-packed multi-source
-    BFS waves (one kernel invocation per level for up to 64 sources) instead
-    of launching one BFS per source; the reference path is the equivalent
-    loop.  Both return exactly what per-source
-    :func:`shortest_path_lengths_from` calls would.
-    """
-    sources = list(sources)
-    if resolve_for() == "fast":
-        from repro.graphs import fast
-
-        return fast.shortest_path_lengths_from_many(graph, sources)
-    return [metrics.shortest_path_lengths_from(graph, source) for source in sources]
-
-
 def closeness_centrality(graph: UndirectedGraph, node: NodeId) -> float:
     """Normalised closeness centrality of ``node`` (active backend)."""
     return _impl().closeness_centrality(graph, node)

@@ -81,16 +81,20 @@ static void sort_by_repr(const struct overlay *o, int32_t *nodes, int64_t count)
     }
 }
 
-static void unlink_peer(struct overlay *o, int32_t node, int32_t peer)
+/* Drops peer from node's row; 0 when the row does not hold it, which only
+ * an asymmetric snapshot can cause (the caller then gives up with -1). */
+static int unlink_peer(struct overlay *o, int32_t node, int32_t peer)
 {
     int32_t *row = row_of(o, node);
-    int32_t last = --o->degree[node];
-    for (int32_t j = 0; j < last; j++) {
+    const int32_t count = o->degree[node];
+    for (int32_t j = 0; j < count; j++) {
         if (row[j] == peer) {
-            row[j] = row[last];
-            return;
+            row[j] = row[count - 1];
+            o->degree[node] = count - 1;
+            return 1;
         }
     }
+    return 0;
 }
 
 static int linked(const struct overlay *o, int32_t node, int32_t peer)
@@ -133,7 +137,8 @@ static int32_t prune_victim(const struct overlay *o, int32_t node, int highest,
  * and slot[] from the CSR snapshot (indptr, indices).  scratch[] holds
  * the survivors (width), a tie (2 * width) and spilled[] (width rows of
  * 2 * width).  Returns the number of op pairs written, or -1 when a row
- * would overflow or ops[] cannot hold one removal.
+ * would overflow, ops[] cannot hold one removal or a row lacks a peer that
+ * lists it (an asymmetric snapshot).
  */
 int64_t repro_ddsr_remove(int64_t *io, uint32_t *state, const int64_t *key,
                           int32_t *rows, int32_t *degree, int32_t *slot,
@@ -172,7 +177,8 @@ int64_t repro_ddsr_remove(int64_t *io, uint32_t *state, const int64_t *key,
         const int32_t *row = row_of(&o, victim);
         for (int64_t j = 0; j < count; j++) {
             survivors[j] = row[j];
-            unlink_peer(&o, row[j], victim);
+            if (!unlink_peer(&o, row[j], victim))
+                return -1;
         }
         degree[victim] = -1;
         ops[2 * n_ops] = victim;
@@ -207,8 +213,8 @@ int64_t repro_ddsr_remove(int64_t *io, uint32_t *state, const int64_t *key,
             int32_t u = survivors[i];
             while (degree[u] > d_max) {
                 int32_t w = prune_victim(&o, u, highest, state, tie);
-                unlink_peer(&o, u, w);
-                unlink_peer(&o, w, u);
+                if (!unlink_peer(&o, u, w) || !unlink_peer(&o, w, u))
+                    return -1;
                 ops[2 * n_ops] = ~u;
                 ops[2 * n_ops + 1] = w;
                 n_ops++;

@@ -15,16 +15,17 @@ vectorized kernels over it:
   :mod:`repro.graphs._wavekernel`), which picks a dense or a sparse step per
   level; without a C compiler a plain dense numpy wave
   (:func:`_dense_wave`) returns the same integers.  Both engines share one
-  wave width (:func:`_wave_width`) and fold each level either per source --
-  the sampled diameter / average-shortest-path / closeness estimators and
-  :func:`bfs_distances_batch` -- or per node,
-* exact full-population path metrics: per wave level the per-node row
+  wave width (:func:`_wave_width`) and fold each level per node,
+* path metrics from those per-node folds: per wave level the per-node row
   popcounts fold into an eccentricity *max* and a level-weighted distance
   *sum* (:func:`accumulate_path_shard`), so one campaign yields the exact
   diameter, per-node/average shortest path length *and* closeness
   (:func:`full_path_metrics`, :func:`path_length_accumulators`); the int64
   accumulators merge exactly across any source split, which is what the
-  runner's source-sharded parallel campaigns exploit,
+  runner's source-sharded parallel campaigns exploit.  The sampled
+  diameter and average-shortest-path estimators read the same
+  accumulators for their sampled sources; sampled closeness sums
+  single-source :func:`closeness_centrality` values,
 * connected components via min-label propagation with pointer jumping
   (Shiloach--Vishkin style, O(m log n) total work),
 * masked component summaries for the Figure 6 simultaneous-deletion sweeps
@@ -50,7 +51,6 @@ stamp; on a stamp mismatch :func:`csr_of` rebuilds it from scratch with
 from __future__ import annotations
 
 import random
-import sys
 import time
 from itertools import chain
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
@@ -234,23 +234,12 @@ def _wave_width(csr: CSRGraph, total_sources: int) -> int:
 
 
 def _run_waves(
-    csr: CSRGraph,
-    sources: np.ndarray,
-    *,
-    ecc: Optional[np.ndarray] = None,
-    totals: Optional[np.ndarray] = None,
-    stats: Optional[np.ndarray] = None,
-    depths: Optional[np.ndarray] = None,
+    csr: CSRGraph, sources: np.ndarray, ecc: np.ndarray, totals: np.ndarray
 ) -> None:
     """Run the BFS waves of ``sources`` (a non-empty index array) in chunks.
 
-    Without ``stats`` every level folds into the per-node ``(n,)`` int64
-    accumulators ``ecc`` (max depth) and ``totals`` (depth sum).  With
-    ``stats`` -- a ``(3, sources.size)`` int64 block, zeroed by the caller --
-    every (source ``j``, node) pair first reached at depth ``d`` adds 1 to
-    ``stats[0, j]`` (nodes reached), ``d`` to ``stats[1, j]`` (distance sum)
-    and sets ``stats[2, j] = d`` (eccentricity); a ``(sources.size, n)``
-    int32 ``depths`` matrix additionally receives ``d`` at ``[j, node]``.
+    Every level folds into the per-node ``(n,)`` int64 accumulators ``ecc``
+    (max depth) and ``totals`` (depth sum).
 
     The waves run on the compiled kernel (:mod:`repro.graphs._wavekernel`)
     when it builds and loads, else on :func:`_dense_wave`; both produce the
@@ -270,26 +259,15 @@ def _run_waves(
         tel.gauge("wave.kernel", "numpy" if kernel is None else "compiled")
     chunk_size = _wave_width(csr, sources.size)
     if kernel is not None:
-        _compiled_waves(kernel, csr, sources, chunk_size, ecc, totals, stats, depths)
+        _compiled_waves(kernel, csr, sources, chunk_size, ecc, totals)
         return
     for offset in range(0, sources.size, chunk_size):
         chunk = sources[offset:offset + chunk_size]
-        batch = chunk.size
         for depth, (rows, words) in enumerate(_dense_wave(csr, chunk), start=1):
-            if stats is None:
-                totals[rows] += depth * _row_popcounts(words)
-                # ``rows`` is duplicate-free per level, so a fancy-indexed max
-                # is safe; depths vary across chunks, hence max, not assign.
-                ecc[rows] = np.maximum(ecc[rows], depth)
-                continue
-            counts = _frontier_bit_counts(words, batch)
-            block = stats[:, offset:offset + batch]
-            block[0] += counts
-            block[1] += depth * counts
-            block[2][counts > 0] = depth
-            if depths is not None:
-                row_pos, source_bit = np.nonzero(_frontier_bits(words, batch))
-                depths[offset + source_bit, rows[row_pos]] = depth
+            totals[rows] += depth * _row_popcounts(words)
+            # ``rows`` is duplicate-free per level, so a fancy-indexed max is
+            # safe; depths vary across chunks, hence max, not assign.
+            ecc[rows] = np.maximum(ecc[rows], depth)
 
 
 def _compiled_waves(
@@ -297,10 +275,8 @@ def _compiled_waves(
     csr: CSRGraph,
     sources: np.ndarray,
     chunk_size: int,
-    ecc: Optional[np.ndarray],
-    totals: Optional[np.ndarray],
-    stats: Optional[np.ndarray],
-    depths: Optional[np.ndarray],
+    ecc: np.ndarray,
+    totals: np.ndarray,
 ) -> None:
     """:func:`_run_waves` on the C kernel, one kernel call per wave chunk.
 
@@ -315,14 +291,6 @@ def _compiled_waves(
     # The kernel trusts these shapes for every pointer it walks.
     if indptr.size != n + 1 or int(indptr[-1]) != indices.size:
         raise ValueError("CSR arrays do not match the node count")
-    for array, dtype, shape in (
-        (stats, np.int64, (3, sources.size)),
-        (depths, np.int32, (sources.size, n)),
-    ):
-        if array is not None and not (
-            array.dtype == dtype and array.shape == shape and array.flags.c_contiguous
-        ):
-            raise ValueError("per-source output buffer has the wrong layout")
     words = -(-min(chunk_size, sources.size) // BFS_BATCH)
     visited, frontier, scratch = np.empty((3, n * words), dtype=np.uint64)
     active, fresh = np.empty((2, n), dtype=np.int64)
@@ -330,21 +298,15 @@ def _compiled_waves(
     tallies = np.empty(4, dtype=np.int64)
     mode = _KERNEL_MODES[WAVE_STEP_MODE]
     pointers = [
-        None if array is None else array.ctypes.data
+        array.ctypes.data
         for array in (visited, frontier, scratch, active, fresh, touched, ecc, totals, tallies)
     ]
-    outputs = [None] * 4
     tel = _telemetry()
     for offset in range(0, sources.size, chunk_size):
         chunk = np.ascontiguousarray(sources[offset:offset + chunk_size])
-        if stats is not None:
-            # Row views starting at this chunk's first source: the kernel
-            # writes ``chunk.size`` entries (and depth rows) from there.
-            outputs = [stats[row, offset:].ctypes.data for row in range(3)]
-            outputs.append(None if depths is None else depths[offset].ctypes.data)
         kernel(
             n, indptr.ctypes.data, indices.ctypes.data, chunk.ctypes.data,
-            chunk.size, mode, *pointers, *outputs,
+            chunk.size, mode, *pointers,
         )
         if tel.enabled:
             # The kernel counts with the compiler's popcount builtin (the
@@ -423,46 +385,6 @@ def _dense_wave(csr: CSRGraph, sources: np.ndarray):
         yield rows, np.ascontiguousarray(reached[:, rows].T)
 
 
-def _le_bytes(words: np.ndarray) -> np.ndarray:
-    """Packed words as a little-endian ``(rows, 8 * word_count)`` byte view.
-
-    Byte ``b`` of a row covers source bits ``8b .. 8b+7``; big-endian hosts
-    byteswap first (a copy, but those hosts are rare and correctness beats
-    zero-copy there).
-    """
-    if sys.byteorder == "big":  # pragma: no cover - exercised on s390x etc.
-        words = words.byteswap()
-    words = np.ascontiguousarray(words)
-    return words.view(np.uint8).reshape(words.shape[0], 8 * words.shape[1])
-
-
-def _frontier_bits(words: np.ndarray, batch: int) -> np.ndarray:
-    """``(rows, batch)`` 0/1 matrix of a packed level's per-source bits."""
-    return np.unpackbits(_le_bytes(words), axis=1, bitorder="little")[:, :batch]
-
-
-#: ``(256, 8)`` lookup: row ``b`` holds the bits of byte value ``b``; used to
-#: turn per-byte histograms into per-source popcounts without unpacking.
-_BYTE_BITS = np.unpackbits(
-    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
-).astype(np.int64)
-
-
-def _frontier_bit_counts(words: np.ndarray, batch: int) -> np.ndarray:
-    """Per-source popcount of a packed level: ``(batch,)`` int64 counts.
-
-    One byte-value histogram per (transposed, contiguous) byte column folded
-    through the :data:`_BYTE_BITS` table -- ~4x cheaper than unpacking every
-    row to bits when many rows are live.
-    """
-    byte_columns = np.ascontiguousarray(_le_bytes(words).T)
-    counts = np.empty(BFS_BATCH * words.shape[1], dtype=np.int64)
-    for column in range(byte_columns.shape[0]):
-        histogram = np.bincount(byte_columns[column], minlength=256)
-        counts[8 * column:8 * (column + 1)] = histogram @ _BYTE_BITS
-    return counts[:batch]
-
-
 def _row_popcounts(words: np.ndarray) -> np.ndarray:
     """Per-row popcount of a packed level via ``np.bitwise_count``."""
     return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
@@ -478,60 +400,12 @@ def configure_popcount() -> str:
     return "native"
 
 
-def _source_stats(
-    csr: CSRGraph, sources: np.ndarray, depths: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """``(3, B)`` int64 per-source ``[reached, distance sum, eccentricity]``.
-
-    ``reached`` counts the other nodes each source reaches, so every sampled
-    estimator (eccentricity, distance sums, reachable counts) reads its
-    answer off this block without materialising distances; see
-    :func:`_run_waves` for ``depths``.
-    """
-    stats = np.zeros((3, sources.size), dtype=np.int64)
-    if sources.size:
-        _run_waves(csr, sources, stats=stats, depths=depths)
-    return stats
-
-
 def _batched_source_indices(csr: CSRGraph, nodes: Sequence[NodeId]) -> np.ndarray:
     index_of = csr.index_of
     return np.fromiter(
         (index_of[node] for node in nodes), dtype=np.int64, count=len(nodes)
     )
 
-
-def bfs_distances_batch(csr: CSRGraph, sources: np.ndarray) -> np.ndarray:
-    """BFS distances (``-1`` unreachable) from many sources: a ``(B, n)`` matrix.
-
-    The waves write each (source, node) depth straight into the matrix.  Use
-    the count-based estimators when only aggregates are needed; this is the
-    kernel behind :func:`shortest_path_lengths_from_many`.
-    """
-    sources = np.asarray(sources, dtype=np.int64)
-    distances = np.full((sources.size, csr.n), -1, dtype=np.int32)
-    _source_stats(csr, sources, depths=distances)
-    distances[np.arange(sources.size), sources] = 0
-    return distances
-
-
-def shortest_path_lengths_from_many(
-    graph: UndirectedGraph, sources: Sequence[NodeId]
-) -> List[Dict[NodeId, int]]:
-    """Batched :func:`shortest_path_lengths_from`: one distance dict per source."""
-    csr = csr_of(graph)
-    for source in sources:
-        if source not in csr.index_of:
-            raise GraphError(f"source {source!r} not in graph")
-    if not sources:
-        return []
-    distances = bfs_distances_batch(csr, _batched_source_indices(csr, sources))
-    nodes = csr.nodes
-    result = []
-    for row in distances:
-        reached = np.flatnonzero(row >= 0)
-        result.append({nodes[int(i)]: int(row[i]) for i in reached})
-    return result
 
 def _component_labels(
     n: int, indptr: np.ndarray, indices: np.ndarray
@@ -612,19 +486,17 @@ def average_closeness_centrality(
 ) -> float:
     """Mean closeness centrality over all nodes (or a deterministic sample).
 
-    All sources run as bit-packed multi-word BFS waves; the per-source
-    closeness values are assembled from each source's reached count and
-    distance sum with exactly the reference's integer-then-float arithmetic
-    (and summed in the same source order), so the result stays
-    bit-identical.
+    A sample sums single-source :func:`closeness_centrality` values in
+    source order, with the reference's integer-then-float arithmetic, so the
+    result stays bit-identical.
 
     The full-population case (``sample_size=None`` or covering every node)
-    additionally exploits distance symmetry: when *every* node is a source,
-    ``sum_u d(u, v)`` over all sources equals node ``v``'s own distance sum,
-    so the per-source counts collapse to per-node row popcounts
-    accumulated as the waves advance -- same integers, same node order, same
-    float arithmetic, at a fraction of the counting cost.  This is what makes
-    *exact* 100k-node closeness practical rather than merely sampled.
+    exploits distance symmetry: when *every* node is a source, ``sum_u d(u,
+    v)`` over all sources equals node ``v``'s own distance sum, so the
+    per-node row popcounts the waves accumulate are every node's distance
+    sum -- same integers, same node order, same float arithmetic.  This is
+    what makes *exact* 100k-node closeness practical rather than merely
+    sampled.
     """
     nodes = _select_nodes(graph, sample_size, rng)
     if not nodes:
@@ -632,30 +504,18 @@ def average_closeness_centrality(
     n = graph.number_of_nodes()
     if n <= 1:
         return 0.0
-    csr = csr_of(graph)
     if len(nodes) == n:
-        return _full_population_closeness(csr, n)
-    reachable, totals, _ecc = _source_stats(csr, _batched_source_indices(csr, nodes))
-    # Per-source floats in source order, with the reference's exact
-    # integer-then-float arithmetic on the exact int64 counts.
-    values: List[float] = []
-    for reached, total in zip(reachable.tolist(), totals.tolist()):
-        if reached == 0:
-            values.append(0.0)
-        else:
-            closeness = reached / total
-            values.append(closeness * (reached / (n - 1)))
-    return sum(values) / len(values)
+        return _full_population_closeness(csr_of(graph), n)
+    return sum([closeness_centrality(graph, node) for node in nodes]) / len(nodes)
 
 
 def _full_population_closeness(csr: CSRGraph, n: int) -> float:
     """Exact mean closeness with every node as a BFS source.
 
-    Instead of extracting per-*source* column counts each level, the
-    full-population campaign of :func:`accumulate_path_shard` folds per-*node*
-    row popcounts into distance sums: by symmetry of shortest-path distance,
-    the ``totals`` a node collects across every wave is exactly its own
-    distance sum once all sources have run.  The final per-node float
+    The full-population campaign of :func:`accumulate_path_shard` folds
+    per-node row popcounts into distance sums: by symmetry of shortest-path
+    distance, the ``totals`` a node collects across every wave is exactly its
+    own distance sum once all sources have run.  The final per-node float
     expressions and their summation order mirror the reference
     implementation bit for bit.
     """
@@ -706,19 +566,23 @@ def accumulate_path_shard(
       transposed per-node *max* over wave levels);
     * ``totals[v]`` -- ``sum_u d(u, v)`` (the level-weighted popcount sum).
 
-    When the shards of a campaign together cover every node, distance
-    symmetry makes the merged ``ecc`` the exact per-node eccentricity and
-    ``totals`` the exact per-node distance sum.  Both accumulators are exact
-    integers, so merging shard results (elementwise ``max`` for ``ecc``,
-    ``+`` for ``totals``) is bit-identical no matter how the source set was
-    split -- which is what lets the runner fan a 100k-source campaign across
-    process-pool workers for free.
+    By distance symmetry ``ecc.max()`` is the largest eccentricity among the
+    sources and ``totals.sum()`` the sum of their distance sums, which is
+    what the sampled :func:`diameter` and
+    :func:`average_shortest_path_length` read.  When the shards of a
+    campaign together cover every node, distance symmetry makes the merged
+    ``ecc`` the exact per-node eccentricity and ``totals`` the exact
+    per-node distance sum.  Both accumulators are exact integers, so merging
+    shard results (elementwise ``max`` for ``ecc``, ``+`` for ``totals``) is
+    bit-identical no matter how the source set was split -- which is what
+    lets the runner fan a 100k-source campaign across process-pool workers
+    for free.
     """
     sources = np.asarray(sources, dtype=np.int64)
     ecc = np.zeros(csr.n, dtype=np.int64)
     totals = np.zeros(csr.n, dtype=np.int64)
     if sources.size:
-        _run_waves(csr, sources, ecc=ecc, totals=totals)
+        _run_waves(csr, sources, ecc, totals)
     return ecc, totals
 
 
@@ -1002,8 +866,8 @@ def diameter(
             return float("inf")
     csr = csr_of(working)
     nodes = _select_nodes(working, sample_size, rng)
-    ecc = _source_stats(csr, _batched_source_indices(csr, nodes))[2]
-    return float(int(ecc.max())) if ecc.size else 0.0
+    ecc, _totals = accumulate_path_shard(csr, _batched_source_indices(csr, nodes))
+    return float(int(ecc.max()))
 
 
 def average_shortest_path_length(
@@ -1018,9 +882,9 @@ def average_shortest_path_length(
         return 0.0
     working = graph if connected else _working_component(graph)[0]
     csr = csr_of(working)
-    nodes = _select_nodes(working, sample_size, rng)
-    reached, totals, _ecc = _source_stats(csr, _batched_source_indices(csr, nodes))
-    pairs = int(reached.sum())
+    sources = _batched_source_indices(csr, _select_nodes(working, sample_size, rng))
+    _ecc, totals = accumulate_path_shard(csr, sources)
+    pairs = int(_reached_counts(csr)[sources].sum())
     if pairs == 0:
         return 0.0
     return int(totals.sum()) / pairs

@@ -1,24 +1,18 @@
 /*
  * Compiled multi-source BFS wave kernel behind every multi-source BFS of
- * repro.graphs.fast: the exact path metrics (accumulate_path_shard) and the
- * sampled estimators (diameter, average shortest path length, closeness,
- * bfs_distances_batch).
+ * repro.graphs.fast: the per-node path accumulators of accumulate_path_shard,
+ * which the exact path metrics and the sampled diameter and average shortest
+ * path length estimators read.
  *
  * One call runs one wave: up to 64 * words BFS sources advance together over
  * a CSR graph, each node carrying `words` bit-packed uint64 frontier words
  * (source j owns bit j % 64 of word j / 64).  Every level fuses the
  * neighbour gather, the OR, the `& ~visited` mask, the popcount and the
- * accumulator update into one pass over the rows it touches.  Without the
- * per-source buffers the accumulators are per node:
+ * accumulator update into one pass over the rows it touches.  The
+ * accumulators are per node:
  *
  *   ecc[v]    = max(ecc[v], d)        for every row v first reached at d,
  *   totals[v] += d * popcount(new bits of v at level d).
- *
- * With them (src_reached non-NULL) every new (node v, source j) bit at
- * level d goes to source j instead, and ecc/totals are not touched:
- *
- *   src_reached[j] += 1,  src_totals[j] += d,  src_ecc[j] = d,
- *   depths[j * n + v] = d                      (when depths is non-NULL).
  *
  * Two level kinds give identical results (Then et al., "The More the
  * Merrier", VLDB 2014; Beamer et al., "Direction-Optimizing BFS", SC 2012):
@@ -30,17 +24,16 @@
  *             the first and last levels of every wave).
  *
  * A dense row ORs its neighbours' words into a local accumulator that stays
- * in registers and stores it once.  The two wave functions are compiled
- * twice, a POPCNT clone and the portable default, and the library's loader
+ * in registers and stores it once.  The wave function is compiled twice, a
+ * POPCNT clone and the portable default, and the library's loader
  * (glibc ifunc) picks one per CPU; see WAVE_CLONES.  The compiler flags stay
  * portable, and both clones compute the same integers.
  *
  * The kernel allocates nothing: the caller passes every buffer, so one set
  * serves all the waves of a campaign and concurrent calls on distinct
  * buffers are independent.  Sizes: visited/frontier/next hold n * words
- * uint64, active/fresh hold n int64, touched holds n bytes, ecc/totals hold
- * n int64, src_reached/src_totals/src_ecc hold batch int64 and depths holds
- * batch * n int32.
+ * uint64, active/fresh hold n int64, touched holds n bytes and ecc/totals
+ * hold n int64.
  */
 #include <stdint.h>
 #include <string.h>
@@ -65,9 +58,7 @@
 
 #if defined(__GNUC__)
 #define POPCOUNT64(x) ((int64_t)__builtin_popcountll(x))
-#define CTZ64(x) ((int64_t)__builtin_ctzll(x))
 #define ALWAYS_INLINE static inline __attribute__((always_inline))
-#define NOINLINE static __attribute__((noinline))
 #else
 static int64_t popcount64(uint64_t x)
 {
@@ -77,12 +68,10 @@ static int64_t popcount64(uint64_t x)
     return (int64_t)((x * UINT64_C(0x0101010101010101)) >> 56);
 }
 #define POPCOUNT64(x) popcount64(x)
-#define CTZ64(x) popcount64(((x) & (0 - (x))) - 1)
 #define ALWAYS_INLINE static inline
-#define NOINLINE static
 #endif
 
-/* Run-time ISA dispatch of the two wave functions.  On x86-64 glibc (whose
+/* Run-time ISA dispatch of the wave function.  On x86-64 glibc (whose
  * ifunc resolver picks a clone once, when the library loads) and with a
  * compiler that knows target_clones, CPUs with POPCNT run a clone in which
  * POPCOUNT64 is one instruction, and every other CPU the default clone:
@@ -99,12 +88,6 @@ static int64_t popcount64(uint64_t x)
 #define WAVE_CLONES
 #endif
 
-/* The per-source outputs of one wave (see the top of this file). */
-typedef struct {
-    int64_t *reached, *totals, *ecc;
-    int32_t *depths;
-} source_out;
-
 /* Masks the gathered words of row v by ~visited, folds the new bits into
  * visited and returns their popcount (0 when the row gained nothing). */
 ALWAYS_INLINE int64_t settle_row(uint64_t *nv, uint64_t *vv, int64_t words)
@@ -117,25 +100,6 @@ ALWAYS_INLINE int64_t settle_row(uint64_t *nv, uint64_t *vv, int64_t words)
         count += POPCOUNT64(x);
     }
     return count;
-}
-
-/* Credits each new bit of row v at `depth` (nv, as settle_row left it) to
- * its source's outputs. */
-ALWAYS_INLINE void credit_sources(
-    const uint64_t *nv, int64_t words, const source_out *out, int64_t n, int64_t v,
-    int64_t depth)
-{
-    for (int64_t w = 0; w < words; w++) {
-        for (uint64_t x = nv[w]; x; x &= x - 1) {
-            const int64_t j = 64 * w + CTZ64(x);
-            out->reached[j] += 1;
-            out->totals[j] += depth;
-            out->ecc[j] = depth;
-            if (out->depths) {
-                out->depths[j * n + v] = (int32_t)depth;
-            }
-        }
-    }
 }
 
 /* The dense step of row v: ORs the frontier words of its neighbours
@@ -181,8 +145,7 @@ ALWAYS_INLINE void run_wave(
     const int64_t *sources, int64_t batch, int64_t mode, int64_t words,
     uint64_t *visited, uint64_t *frontier, uint64_t *next,
     int64_t *active, int64_t *fresh, uint8_t *touched,
-    int64_t *ecc, int64_t *totals, int64_t *tallies,
-    const int per_source, const source_out *out)
+    int64_t *ecc, int64_t *totals, int64_t *tallies)
 {
     const int64_t m = indptr[n];
     const uint64_t last = (batch % 64) ? ((UINT64_C(1) << (batch % 64)) - 1) : ~UINT64_C(0);
@@ -249,13 +212,9 @@ ALWAYS_INLINE void run_wave(
                 const int64_t count = settle_row(next + v * words, visited + v * words, words);
                 if (count) {
                     fresh[n_fresh++] = v;
-                    if (per_source) {
-                        credit_sources(next + v * words, words, out, n, v, depth);
-                    } else {
-                        totals[v] += depth * count;
-                        if (ecc[v] < depth) {
-                            ecc[v] = depth;
-                        }
+                    totals[v] += depth * count;
+                    if (ecc[v] < depth) {
+                        ecc[v] = depth;
                     }
                     newly += count;
                 }
@@ -271,13 +230,9 @@ ALWAYS_INLINE void run_wave(
                     nv, vv, frontier, indices + indptr[v], indices + indptr[v + 1], words);
                 if (count) {
                     fresh[n_fresh++] = v;
-                    if (per_source) {
-                        credit_sources(nv, words, out, n, v, depth);
-                    } else {
-                        totals[v] += depth * count;
-                        if (ecc[v] < depth) {
-                            ecc[v] = depth;
-                        }
+                    totals[v] += depth * count;
+                    if (ecc[v] < depth) {
+                        ecc[v] = depth;
                     }
                     newly += count;
                 }
@@ -304,12 +259,11 @@ ALWAYS_INLINE void run_wave(
     }
 }
 
-/* The per-node and the per-source waves, each with one instantiation per
- * word count: constant word counts let the compiler unroll the per-row
- * loops, and the constant per_source flag drops the per-bit loop from the
- * per-node waves.  They stay two separate functions because inlining both
- * into one changes the per-node loop's code. */
-NOINLINE WAVE_CLONES void per_node_waves(
+/* Runs one wave of `batch` sources (0 < batch; every source in [0, n)),
+ * folds its levels into ecc/totals and writes its tallies.  One
+ * instantiation per word count: constant word counts let the compiler
+ * unroll the per-row loops. */
+WAVE_CLONES void repro_wave_accumulate(
     int64_t n, const int64_t *indptr, const int32_t *indices,
     const int64_t *sources, int64_t batch, int64_t mode,
     uint64_t *visited, uint64_t *frontier, uint64_t *next,
@@ -319,54 +273,12 @@ NOINLINE WAVE_CLONES void per_node_waves(
     const int64_t words = (batch + 63) / 64;
     if (words == 2) {
         run_wave(n, indptr, indices, sources, batch, mode, 2, visited, frontier,
-                 next, active, fresh, touched, ecc, totals, tallies, 0, NULL);
+                 next, active, fresh, touched, ecc, totals, tallies);
     } else if (words == 1) {
         run_wave(n, indptr, indices, sources, batch, mode, 1, visited, frontier,
-                 next, active, fresh, touched, ecc, totals, tallies, 0, NULL);
+                 next, active, fresh, touched, ecc, totals, tallies);
     } else {
         run_wave(n, indptr, indices, sources, batch, mode, words, visited, frontier,
-                 next, active, fresh, touched, ecc, totals, tallies, 0, NULL);
-    }
-}
-
-NOINLINE WAVE_CLONES void per_source_waves(
-    int64_t n, const int64_t *indptr, const int32_t *indices,
-    const int64_t *sources, int64_t batch, int64_t mode,
-    uint64_t *visited, uint64_t *frontier, uint64_t *next,
-    int64_t *active, int64_t *fresh, uint8_t *touched,
-    int64_t *tallies, const source_out *out)
-{
-    const int64_t words = (batch + 63) / 64;
-    if (words == 2) {
-        run_wave(n, indptr, indices, sources, batch, mode, 2, visited, frontier,
-                 next, active, fresh, touched, NULL, NULL, tallies, 1, out);
-    } else if (words == 1) {
-        run_wave(n, indptr, indices, sources, batch, mode, 1, visited, frontier,
-                 next, active, fresh, touched, NULL, NULL, tallies, 1, out);
-    } else {
-        run_wave(n, indptr, indices, sources, batch, mode, words, visited, frontier,
-                 next, active, fresh, touched, NULL, NULL, tallies, 1, out);
-    }
-}
-
-/* Runs one wave of `batch` sources (0 < batch; every source in [0, n)) and
- * writes its tallies.  Its levels fold into ecc/totals, or, when src_reached
- * is non-NULL, into src_reached/src_totals/src_ecc and the optional depths
- * matrix. */
-void repro_wave_accumulate(
-    int64_t n, const int64_t *indptr, const int32_t *indices,
-    const int64_t *sources, int64_t batch, int64_t mode,
-    uint64_t *visited, uint64_t *frontier, uint64_t *next,
-    int64_t *active, int64_t *fresh, uint8_t *touched,
-    int64_t *ecc, int64_t *totals, int64_t *tallies,
-    int64_t *src_reached, int64_t *src_totals, int64_t *src_ecc, int32_t *depths)
-{
-    if (src_reached) {
-        const source_out out = {src_reached, src_totals, src_ecc, depths};
-        per_source_waves(n, indptr, indices, sources, batch, mode, visited, frontier,
-                         next, active, fresh, touched, tallies, &out);
-    } else {
-        per_node_waves(n, indptr, indices, sources, batch, mode, visited, frontier,
-                       next, active, fresh, touched, ecc, totals, tallies);
+                 next, active, fresh, touched, ecc, totals, tallies);
     }
 }

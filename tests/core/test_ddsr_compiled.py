@@ -414,3 +414,52 @@ def test_repair_leaves_no_inflated_sets(compiled):
     _, _, readings = _campaign_sets("python", compacting=False)
     held, rebuilt = map(sum, zip(*readings))
     assert held > rebuilt
+
+
+#: Removes 150 victims from a 400/6 overlay whose adjacency lost one side of
+#: 200 edges, with a CSR mirror of that adjacency cached, on the shipped
+#: dispatch or with the library forced away (``python``); prints the
+#: exception's name, or ``ok``.
+_ASYMMETRIC = """
+import random, sys
+from repro.core.ddsr import DDSRConfig, DDSROverlay
+from repro.graphs import _wavekernel, fast
+if sys.argv[1] == "python":
+    _wavekernel.load_ddsr = lambda: None
+overlay = DDSROverlay.k_regular(400, 6, config=DDSRConfig(d_min=5, d_max=15), seed=0)
+adjacency = overlay.graph._adjacency
+rng = random.Random(1)
+edges = sorted((u, v) for u in adjacency for v in adjacency[u] if u < v)
+for u, v in rng.sample(edges, 200):
+    adjacency[u].discard(v)
+fast.csr_of(overlay.graph)
+try:
+    overlay.remove_nodes(rng.sample(sorted(adjacency), 150))
+except Exception as exc:
+    print(type(exc).__name__)
+else:
+    print("ok")
+"""
+
+
+def test_asymmetric_adjacency_fails_like_python(compiled):
+    """A CSR snapshot where a peer's row lacks the node that lists it makes
+    ``ddsr.c`` give up (-1), so the Python loop runs and raises, as it does
+    without the library; the compiled loop must never take the process down
+    with a signal."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    outcomes = []
+    for engine in ("python", "shipped"):
+        done = subprocess.run(
+            [sys.executable, "-c", _ASYMMETRIC, engine],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, (engine, done.returncode, done.stderr)
+        outcomes.append(done.stdout.strip())
+    assert outcomes == ["KeyError", "KeyError"]

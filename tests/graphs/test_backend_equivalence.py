@@ -258,50 +258,6 @@ def test_string_node_ids_supported():
 
 
 # ----------------------------------------------------------------------
-# Batched multi-source BFS
-# ----------------------------------------------------------------------
-def test_batched_bfs_matches_per_source(zoo_graph):
-    """The packed wave reproduces per-source BFS distances exactly."""
-    nodes = zoo_graph.nodes()
-    if not nodes:
-        assert fast.shortest_path_lengths_from_many(zoo_graph, []) == []
-        return
-    sources = nodes[:: max(1, len(nodes) // 10)]
-    batched = fast.shortest_path_lengths_from_many(zoo_graph, sources)
-    for source, distances in zip(sources, batched):
-        assert distances == metrics.shortest_path_lengths_from(zoo_graph, source)
-
-
-def test_batched_bfs_dispatcher_identical_across_backends(zoo_graph):
-    sources = zoo_graph.nodes()[:7]
-    with backend.using("python"):
-        reference = backend.shortest_path_lengths_from_many(zoo_graph, sources)
-    with backend.using("fast"):
-        assert backend.shortest_path_lengths_from_many(zoo_graph, sources) == reference
-
-
-def test_batched_bfs_chunks_past_wave_width():
-    """More sources than one 64-bit wave: chunking must not change results."""
-    graph = k_regular_graph(150, 6, seed=71)
-    sources = graph.nodes()  # 150 sources -> 3 waves
-    batched = fast.shortest_path_lengths_from_many(graph, sources)
-    for source in (sources[0], sources[63], sources[64], sources[129], sources[149]):
-        index = sources.index(source)
-        assert batched[index] == metrics.shortest_path_lengths_from(graph, source)
-    # The estimators run the same chunked waves over every node.
-    assert fast.diameter(graph) == metrics.diameter(graph)
-    assert fast.average_shortest_path_length(graph) == (
-        metrics.average_shortest_path_length(graph)
-    )
-
-
-def test_batched_bfs_rejects_unknown_source():
-    graph = ring_graph(6)
-    with pytest.raises(Exception):
-        fast.shortest_path_lengths_from_many(graph, [0, "ghost"])
-
-
-# ----------------------------------------------------------------------
 # CSR cache under mutation
 # ----------------------------------------------------------------------
 def _assert_all_metrics_match(graph):

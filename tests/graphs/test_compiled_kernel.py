@@ -5,8 +5,8 @@ kernel in ``wavekernel.c`` when :mod:`repro.graphs._wavekernel` can build
 and load it, and on the plain dense numpy wave otherwise.  Here the two
 engines and the pure-Python BFS reference must produce the same per-node
 ``(ecc, totals)`` integers of :func:`~repro.graphs.fast.accumulate_path_shard`
-on every topology, source set, wave width and shard split; the per-source
-outputs of the sampled callers are pinned in ``test_sampled_waves.py``.  The
+on every topology, source set, wave width and shard split; the sampled
+callers that read them are pinned in ``test_sampled_waves.py``.  The
 kernel's POPCNT clone and its portable code must agree as well.  The build
 itself must never break a run: no compiler, a corrupt cached artifact, or
 two processes building at once all end in correct results.
@@ -31,7 +31,7 @@ from repro.graphs.adjacency import UndirectedGraph
 from repro.graphs.generators import k_regular_graph, ring_graph
 from repro.obs import telemetry
 
-from tests.graphs.test_wave_engine import STEP_ZOO
+from tests.graphs.test_wave_engine import STEP_ZOO, assert_same, reference
 
 SRC = Path(fast.__file__).resolve().parents[2]
 
@@ -88,7 +88,7 @@ def kernel(tmp_path_factory):
 def portable_kernel(tmp_path_factory):
     """The compiled kernel built with its ISA dispatch compiled out.
 
-    ``-DREPRO_WAVE_NO_CLONES`` leaves only the portable wave functions, the
+    ``-DREPRO_WAVE_NO_CLONES`` leaves only the portable wave function, the
     code every CPU without POPCNT (or every non-x86-64 or non-glibc build)
     runs.  Skips when no C compiler exists.
     """
@@ -102,7 +102,7 @@ def portable_kernel(tmp_path_factory):
     if built is None:
         pytest.skip("no working C compiler")
     (artifact,) = (cache_home / "repro").glob("wavekernel-*.so")
-    assert b"per_node_waves.popcnt" not in artifact.read_bytes()
+    assert b"repro_wave_accumulate.popcnt" not in artifact.read_bytes()
     return built
 
 
@@ -111,24 +111,6 @@ def accumulate(engine, csr, sources):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_wavekernel, "load", lambda: engine)
         return fast.accumulate_path_shard(csr, np.asarray(sources, dtype=np.int64))
-
-
-def reference(graph, csr, sources):
-    """Per-node ``max``/``sum`` of BFS distances from ``sources`` (pure Python)."""
-    ecc = np.zeros(csr.n, dtype=np.int64)
-    totals = np.zeros(csr.n, dtype=np.int64)
-    for source in sources:
-        lengths = metrics.shortest_path_lengths_from(graph, csr.nodes[int(source)])
-        for node, distance in lengths.items():
-            index = csr.index_of[node]
-            ecc[index] = max(ecc[index], distance)
-            totals[index] += distance
-    return ecc, totals
-
-
-def assert_same(left, right, label=""):
-    assert np.array_equal(left[0], right[0]), label
-    assert np.array_equal(left[1], right[1]), label
 
 
 def source_sets(n):
@@ -157,25 +139,16 @@ def test_zoo_all_engines_agree(kernel, zoo_graph):
         assert_same(accumulate(None, csr, sources), expected, name)
 
 
-def distances(engine, csr, sources):
-    """``bfs_distances_batch`` pinned to ``engine`` (``None`` = numpy)."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_wavekernel, "load", lambda: engine)
-        return fast.bfs_distances_batch(csr, np.asarray(sources, dtype=np.int64))
-
-
 @pytest.mark.parametrize("mode", ["dense", "sparse"])
 def test_zoo_forced_step_modes(kernel, zoo_graph, mode, monkeypatch):
-    """Both level kinds of the kernel are exact on their own, per node and
-    per source."""
+    """Both level kinds of the kernel are exact on their own, on every
+    source and on a sample with duplicates."""
     csr = fast.csr_of(zoo_graph)
-    sources = np.arange(csr.n, dtype=np.int64)
-    expected = accumulate(None, csr, sources)
-    sampled = source_sets(csr.n)["duplicates"]
-    expected_depths = distances(None, csr, sampled)
+    source_lists = (np.arange(csr.n), source_sets(csr.n)["duplicates"])
+    expected = [accumulate(None, csr, sources) for sources in source_lists]
     monkeypatch.setattr(fast, "WAVE_STEP_MODE", mode)
-    assert_same(accumulate(kernel, csr, sources), expected)
-    assert np.array_equal(distances(kernel, csr, sampled), expected_depths)
+    for sources, numpy_result in zip(source_lists, expected):
+        assert_same(accumulate(kernel, csr, sources), numpy_result)
 
 
 @pytest.mark.parametrize("mode", ["dense", "sparse"])
@@ -183,23 +156,14 @@ def test_zoo_portable_clone_matches_dispatched(
     kernel, portable_kernel, zoo_graph, mode, monkeypatch
 ):
     """The clone the loader's CPU dispatch picks and the portable code compute
-    the same per-node and per-source integers on both level kinds."""
+    the same integers on both level kinds, on every source and on a sample
+    with duplicates."""
     csr = fast.csr_of(zoo_graph)
-    sources = np.arange(csr.n, dtype=np.int64)
-    sampled = np.asarray(source_sets(csr.n)["duplicates"], dtype=np.int64)
     monkeypatch.setattr(fast, "WAVE_STEP_MODE", mode)
-    outputs = []
-    for engine in (kernel, portable_kernel):
-        stats = np.zeros((3, sampled.size), dtype=np.int64)
-        depths = np.full((sampled.size, csr.n), -1, dtype=np.int32)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_wavekernel, "load", lambda engine=engine: engine)
-            fast._run_waves(csr, sampled, stats=stats, depths=depths)
-        outputs.append((accumulate(engine, csr, sources), stats, depths))
-    (dispatched, stats, depths), (portable, portable_stats, portable_depths) = outputs
-    assert_same(portable, dispatched)
-    assert np.array_equal(portable_stats, stats)
-    assert np.array_equal(portable_depths, depths)
+    for sources in (np.arange(csr.n), source_sets(csr.n)["duplicates"]):
+        assert_same(
+            accumulate(portable_kernel, csr, sources), accumulate(kernel, csr, sources)
+        )
 
 
 @pytest.mark.parametrize("width", [64, 100, 128, 4096])
@@ -230,22 +194,6 @@ def test_out_of_range_source_rejected(kernel):
         for sources in ([3, 10], [-1, 2]):
             with pytest.raises(IndexError):
                 accumulate(engine, csr, sources)
-
-
-def test_misshapen_per_source_buffers_rejected(kernel, monkeypatch):
-    """The kernel writes through these pointers, so their layout is checked."""
-    csr = fast.csr_of(ring_graph(10))
-    sources = np.arange(4, dtype=np.int64)
-    monkeypatch.setattr(_wavekernel, "load", lambda: kernel)
-    for stats, depths in (
-        (np.zeros((3, 3), dtype=np.int64), None),
-        (np.zeros((3, 4), dtype=np.int32), None),
-        (np.zeros((4, 3), dtype=np.int64).T, None),
-        (np.zeros((3, 4), dtype=np.int64), np.zeros((4, 9), dtype=np.int32)),
-        (np.zeros((3, 4), dtype=np.int64), np.zeros((4, 10), dtype=np.int64)),
-    ):
-        with pytest.raises(ValueError):
-            fast._run_waves(csr, sources, stats=stats, depths=depths)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

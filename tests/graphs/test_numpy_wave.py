@@ -22,7 +22,7 @@ from repro.graphs import _wavekernel, fast, metrics
 from repro.graphs.generators import k_regular_graph, ring_graph
 from repro.obs import telemetry
 
-from tests.graphs.test_wave_engine import STEP_ZOO
+from tests.graphs.test_wave_engine import STEP_ZOO, assert_waves_match_reference
 
 
 @pytest.fixture
@@ -73,17 +73,6 @@ def test_row_popcounts_match_python_bit_counts(pattern):
     ]
 
 
-def test_frontier_bit_counts_match_python_bit_counts():
-    """Per-source counts: bit ``s`` of every row, summed down the rows."""
-    words = LEVELS["random"]
-    batch = 64 * words.shape[1] - 7
-    expected = [
-        sum((int(row[s // 64]) >> (s % 64)) & 1 for row in words)
-        for s in range(batch)
-    ]
-    assert fast._frontier_bit_counts(words, batch).tolist() == expected
-
-
 def test_configure_popcount_reports_the_native_kernel():
     """Machine fingerprints still read the popcount kernel's name."""
     assert fast.configure_popcount() == "native"
@@ -113,9 +102,7 @@ def test_numpy_wave_matrix_bit_identical(numpy_wave, wave_width, name, graph, wi
 def test_numpy_multiword_wave_identical(numpy_wave, wave_width):
     graph = k_regular_graph(300, 6, seed=31)
     with wave_width(512):
-        batched = fast.shortest_path_lengths_from_many(graph, graph.nodes())
-    for source, distances in zip(graph.nodes(), batched):
-        assert distances == metrics.shortest_path_lengths_from(graph, source)
+        assert_waves_match_reference(graph)
 
 
 def test_numpy_full_population_goldens(numpy_wave):

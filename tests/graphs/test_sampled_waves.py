@@ -1,13 +1,14 @@
-"""Every sampled multi-source BFS caller: compiled == numpy == reference.
+"""Every sampled estimator: compiled == numpy == reference.
 
-The sampled diameter, average shortest path length and closeness
-estimators and :func:`repro.graphs.fast.shortest_path_lengths_from_many`
-read their answers off the per-source outputs of one wave engine
-(:func:`repro.graphs.fast._source_stats`): the compiled kernel when
+The sampled diameter and average shortest path length read their answers
+off the per-node accumulators of
+:func:`repro.graphs.fast.accumulate_path_shard` for the sampled sources,
+run on one wave engine: the compiled kernel when
 :mod:`repro.graphs._wavekernel` loads it, else the plain dense numpy wave.
-Both engines must return exactly what the pure-Python reference in
-:mod:`repro.graphs.metrics` returns, on the step zoo below and at source
-counts on both sides of every frontier-word and wave-chunk boundary.
+Sampled closeness sums single-source closeness values.  All of them must
+return exactly what the pure-Python reference in :mod:`repro.graphs.metrics`
+returns, on the step zoo below and at source counts on both sides of every
+frontier-word and wave-chunk boundary.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.graphs.adjacency import UndirectedGraph
 from repro.graphs.generators import k_regular_graph, ring_graph
 from repro.obs import telemetry
 
-from tests.graphs.test_wave_engine import SAMPLED_GOLDEN_2500
+from tests.graphs.test_wave_engine import SAMPLED_GOLDEN_2500, assert_same, reference
 
 #: Sources per call: one word, either side of the one/two-word boundary,
 #: one full default wave and either side of the wave-chunk boundary.
@@ -77,7 +78,8 @@ def _duplicated_sources(graph: UndirectedGraph, batch: int):
 def _reference(name: str, batch: int):
     """Pure-Python answers for one (graph, batch) pair, computed once."""
     graph = ZOO[name]
-    sources = _duplicated_sources(graph, batch)
+    csr = fast.csr_of(graph)
+    sources = fast._batched_source_indices(csr, _duplicated_sources(graph, batch))
     return {
         "diameter": metrics.diameter(graph, sample_size=batch, rng=random.Random(1)),
         "aspl": metrics.average_shortest_path_length(
@@ -87,7 +89,7 @@ def _reference(name: str, batch: int):
             graph, sample_size=batch, rng=random.Random(3)
         ),
         "sources": sources,
-        "distances": [metrics.shortest_path_lengths_from(graph, s) for s in sources],
+        "accumulators": reference(graph, csr, sources),
     }
 
 
@@ -102,29 +104,32 @@ def test_sampled_callers_match_reference(engine, name, batch):
     assert fast.average_shortest_path_length(
         graph, sample_size=batch, rng=random.Random(2)
     ) == expected["aspl"]
+    # The per-node accumulators themselves, duplicate sources included.
+    assert_same(
+        fast.accumulate_path_shard(fast.csr_of(graph), expected["sources"]),
+        expected["accumulators"],
+    )
+
+
+@pytest.mark.parametrize("batch", BATCH_SIZES)
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_sampled_closeness_matches_reference(name, batch):
+    """Sampled closeness runs no wave, so one engine-free run covers it."""
     assert fast.average_closeness_centrality(
-        graph, sample_size=batch, rng=random.Random(3)
-    ) == expected["closeness"]
-    sources = expected["sources"]
-    assert fast.shortest_path_lengths_from_many(graph, sources) == expected["distances"]
-    # The per-source block itself: reached (self excluded), distance sum
-    # and eccentricity of every source, duplicates included.
-    csr = fast.csr_of(graph)
-    stats = fast._source_stats(csr, fast._batched_source_indices(csr, sources))
-    assert stats.tolist() == [
-        [len(lengths) - 1 for lengths in expected["distances"]],
-        [sum(lengths.values()) for lengths in expected["distances"]],
-        [max(lengths.values()) for lengths in expected["distances"]],
-    ]
+        ZOO[name], sample_size=batch, rng=random.Random(3)
+    ) == _reference(name, batch)["closeness"]
 
 
 def test_empty_source_set(engine):
     graph = ZOO["ring"]
     csr = fast.csr_of(graph)
-    assert fast._source_stats(csr, np.empty(0, dtype=np.int64)).shape == (3, 0)
-    assert fast.bfs_distances_batch(csr, []).shape == (0, csr.n)
-    assert fast.shortest_path_lengths_from_many(graph, []) == []
+    ecc, totals = fast.accumulate_path_shard(csr, np.empty(0, dtype=np.int64))
+    assert ecc.shape == totals.shape == (csr.n,)
+    assert not ecc.any() and not totals.any()
     assert fast.diameter(graph, sample_size=0) == metrics.diameter(graph, sample_size=0)
+    assert fast.average_shortest_path_length(graph, sample_size=0) == (
+        metrics.average_shortest_path_length(graph, sample_size=0)
+    )
 
 
 def test_sampled_golden_2500(engine):

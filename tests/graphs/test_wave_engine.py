@@ -7,7 +7,9 @@ on the compiled kernel when it loads, else on the plain dense numpy wave
 forced step modes against the fallback, and the wave-width rule.  Every
 configuration must return results identical to the pure-Python reference
 in :mod:`repro.graphs.metrics` -- width and step mode tune wall-clock time,
-never values.
+never values.  The waves' per-node ``(ecc, totals)`` accumulators
+(:func:`repro.graphs.fast.accumulate_path_shard`) are checked against
+:func:`reference`, the same fold over pure-Python BFS distances.
 Both engines are pinned against each other and the reference for every
 sampled caller in ``test_sampled_waves.py``.
 
@@ -40,6 +42,32 @@ FULL_POPULATION_GOLDEN_800 = 0.24697170483624897
 #: under both backends.
 SAMPLED_GOLDEN_2500 = 0.2712470362069424
 FULL_POPULATION_GOLDEN_2500 = 0.27123199657863245
+
+
+def reference(graph, csr, sources):
+    """Per-node ``max``/``sum`` of BFS distances from ``sources`` (pure Python)."""
+    ecc = np.zeros(csr.n, dtype=np.int64)
+    totals = np.zeros(csr.n, dtype=np.int64)
+    for source in sources:
+        lengths = metrics.shortest_path_lengths_from(graph, csr.nodes[int(source)])
+        for node, distance in lengths.items():
+            index = csr.index_of[node]
+            ecc[index] = max(ecc[index], distance)
+            totals[index] += distance
+    return ecc, totals
+
+
+def assert_same(left, right, label=""):
+    assert np.array_equal(left[0], right[0]), label
+    assert np.array_equal(left[1], right[1]), label
+
+
+def assert_waves_match_reference(graph, sources=None):
+    """``accumulate_path_shard`` over ``sources`` (node ids; default every
+    node) equals :func:`reference`."""
+    csr = fast.csr_of(graph)
+    indices = fast._batched_source_indices(csr, graph.nodes() if sources is None else sources)
+    assert_same(fast.accumulate_path_shard(csr, indices), reference(graph, csr, indices))
 
 
 def _path_graph(n: int) -> UndirectedGraph:
@@ -93,11 +121,8 @@ def _pin_wave_engine(monkeypatch, mode):
 def test_multiword_wave_matches_per_source_reference(wave_width):
     """300 sources in one 5-word wave reproduce per-source BFS exactly."""
     graph = k_regular_graph(300, 6, seed=31)
-    sources = graph.nodes()
     with wave_width(512):
-        batched = fast.shortest_path_lengths_from_many(graph, sources)
-    for source, distances in zip(sources, batched):
-        assert distances == metrics.shortest_path_lengths_from(graph, source)
+        assert_waves_match_reference(graph)
 
 
 def test_multiword_wave_width_is_actually_used():
@@ -151,9 +176,7 @@ def test_multiword_wave_after_mutations(wave_width):
     graph = k_regular_graph(220, 6, seed=34)
     _mutate_between_reads(graph, random.Random(35), 12)
     with wave_width(256):
-        batched = fast.shortest_path_lengths_from_many(graph, graph.nodes())
-    for source, distances in zip(graph.nodes(), batched):
-        assert distances == metrics.shortest_path_lengths_from(graph, source)
+        assert_waves_match_reference(graph)
 
 
 # ----------------------------------------------------------------------
@@ -163,10 +186,7 @@ def test_multiword_wave_after_mutations(wave_width):
 def test_forced_step_modes_identical(step_graph, mode, monkeypatch):
     """Every sampled caller, on each kernel step mode and on numpy."""
     _pin_wave_engine(monkeypatch, mode)
-    sources = step_graph.nodes()[::3]
-    batched = fast.shortest_path_lengths_from_many(step_graph, sources)
-    for source, distances in zip(sources, batched):
-        assert distances == metrics.shortest_path_lengths_from(step_graph, source)
+    assert_waves_match_reference(step_graph, step_graph.nodes()[::3])
     assert fast.diameter(step_graph, sample_size=12, rng=random.Random(1)) == (
         metrics.diameter(step_graph, sample_size=12, rng=random.Random(1))
     )
@@ -186,12 +206,8 @@ def test_forced_step_modes_identical_multiword(
 ):
     """Forced step modes and >64-source waves compose."""
     _pin_wave_engine(monkeypatch, mode)
-    sources = step_graph.nodes()
-    stride = max(1, len(sources) // 8)
     with wave_width(192):
-        batched = fast.shortest_path_lengths_from_many(step_graph, sources)
-    for source, distances in zip(sources[::stride], batched[::stride]):
-        assert distances == metrics.shortest_path_lengths_from(step_graph, source)
+        assert_waves_match_reference(step_graph)
 
 
 def test_adaptive_ring_uses_sparse_steps(monkeypatch):
@@ -239,9 +255,9 @@ def test_wave_width_stays_within_the_buffer_budget(n, words):
 @pytest.mark.parametrize("width", [64, 192, 512])
 def test_wave_width_fixture_sets_the_words_per_wave(wave_width, width):
     """The substituted width reaches the engine: one wave of width/64 words."""
-    graph = k_regular_graph(600, 6, seed=44)
+    csr = fast.csr_of(k_regular_graph(600, 6, seed=44))
     with wave_width(width), telemetry.collecting() as collector:
-        fast.shortest_path_lengths_from_many(graph, graph.nodes()[:width])
+        fast.accumulate_path_shard(csr, np.arange(width))
     counters = collector.snapshot()["counters"]
     assert counters["wave.count"] == 1
     assert {name for name in counters if name.startswith("wave.words.")} == {
@@ -251,11 +267,11 @@ def test_wave_width_fixture_sets_the_words_per_wave(wave_width, width):
 
 def test_wave_width_changes_results_not_one_bit(wave_width):
     graph = k_regular_graph(500, 8, seed=43)
-    baseline = fast.average_closeness_centrality(
+    baseline = fast.average_shortest_path_length(
         graph, sample_size=100, rng=random.Random(9)
     )
     with wave_width(64):
-        assert fast.average_closeness_centrality(
+        assert fast.average_shortest_path_length(
             graph, sample_size=100, rng=random.Random(9)
         ) == baseline
 
@@ -450,14 +466,6 @@ def test_full_path_metrics_empty_and_singleton():
 def test_row_popcounts_matches_bit_matrix():
     rng = np.random.default_rng(0)
     words = rng.integers(0, 2 ** 63, size=(97, 3), dtype=np.uint64)
-    expected = fast._frontier_bits(words, 192).sum(axis=1, dtype=np.int64)
+    # A row's bit count does not depend on the order of its bytes.
+    expected = np.unpackbits(words.view(np.uint8), axis=1).sum(axis=1, dtype=np.int64)
     assert np.array_equal(fast._row_popcounts(words), expected)
-
-
-def test_frontier_bit_counts_matches_unpacked_columns():
-    rng = np.random.default_rng(1)
-    words = rng.integers(0, 2 ** 63, size=(131, 2), dtype=np.uint64)
-    bits = fast._frontier_bits(words, 100)
-    assert np.array_equal(
-        fast._frontier_bit_counts(words, 100), bits.sum(axis=0, dtype=np.int64)
-    )
