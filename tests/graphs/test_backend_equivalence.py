@@ -35,6 +35,9 @@ from repro.graphs.partition import (
     partition_after_fraction,
     simultaneous_deletion_survivors,
 )
+from repro.obs import telemetry
+
+from tests.graphs.test_wave_engine import assert_waves_match_reference
 
 SAMPLE_SIZES = (None, 5)
 
@@ -254,6 +257,28 @@ def test_string_node_ids_supported():
     assert fast.connected_components(graph) == metrics.connected_components(graph)
     assert fast.shortest_path_lengths_from(graph, "a") == metrics.shortest_path_lengths_from(
         graph, "a"
+    )
+
+
+# ----------------------------------------------------------------------
+# Per-node multi-source waves
+# ----------------------------------------------------------------------
+def test_per_node_waves_match_reference(zoo_graph):
+    """The packed waves' per-node accumulators equal the pure-Python fold."""
+    nodes = zoo_graph.nodes()
+    assert_waves_match_reference(zoo_graph, nodes[:: max(1, len(nodes) // 10)])
+
+
+def test_per_node_waves_chunk_past_wave_width(wave_width):
+    """More sources than one 64-bit wave: chunking must not change results."""
+    graph = k_regular_graph(150, 6, seed=71)
+    with wave_width(64), telemetry.collecting() as collector:
+        assert_waves_match_reference(graph)  # 150 sources -> 3 waves
+    assert collector.snapshot()["counters"]["wave.count"] == 3
+    # The estimators run the same chunked waves over every node.
+    assert fast.diameter(graph) == metrics.diameter(graph)
+    assert fast.average_shortest_path_length(graph) == (
+        metrics.average_shortest_path_length(graph)
     )
 
 
