@@ -21,7 +21,6 @@ from repro.analysis.reporting import format_series
 #: Reduced-scale parameters used by the benchmark run.
 N_NODES = 600
 CHECKPOINTS = 6
-CLOSENESS_SAMPLE = 40
 DEGREES = (5, 10, 15)
 
 
@@ -43,11 +42,11 @@ def test_fig4ab_closeness_with_and_without_pruning(benchmark):
     def run():
         with_pruning = run_fig4_centrality(
             n=N_NODES, degrees=DEGREES, checkpoints=CHECKPOINTS,
-            closeness_sample=CLOSENESS_SAMPLE, pruning=True, seed=4,
+            pruning=True, seed=4,
         )
         without_pruning = run_fig4_centrality(
             n=N_NODES, degrees=DEGREES, checkpoints=CHECKPOINTS,
-            closeness_sample=CLOSENESS_SAMPLE, pruning=False, seed=4,
+            pruning=False, seed=4,
         )
         return with_pruning, without_pruning
 
@@ -66,11 +65,11 @@ def test_fig4cd_degree_centrality_with_and_without_pruning(benchmark):
     def run():
         with_pruning = run_fig4_centrality(
             n=N_NODES, degrees=DEGREES, checkpoints=CHECKPOINTS,
-            closeness_sample=8, pruning=True, seed=5,
+            pruning=True, seed=5,
         )
         without_pruning = run_fig4_centrality(
             n=N_NODES, degrees=DEGREES, checkpoints=CHECKPOINTS,
-            closeness_sample=8, pruning=False, seed=5,
+            pruning=False, seed=5,
         )
         return with_pruning, without_pruning
 

@@ -29,7 +29,6 @@ from repro.analysis.reporting import render_result_rows
 SMALL_N = 600
 LARGE_N = 1200
 CHECKPOINTS = 10
-DIAMETER_SAMPLE = 24
 
 
 def _check_shapes(row):
@@ -52,7 +51,6 @@ def test_fig5_both_columns_via_runner(benchmark):
             sizes=(SMALL_N, LARGE_N),
             k=10,
             checkpoints=CHECKPOINTS,
-            diameter_sample=DIAMETER_SAMPLE,
             max_fraction=0.95,
             seed=50,
         ),
@@ -72,12 +70,12 @@ def test_fig5_parallel_matches_serial(benchmark):
     """The sharded executor reproduces the serial sweep bit-for-bit."""
     serial = run_fig5_resilience_sweep(
         sizes=(SMALL_N, LARGE_N), k=10, checkpoints=CHECKPOINTS,
-        diameter_sample=DIAMETER_SAMPLE, max_fraction=0.95, seed=50, workers=1,
+        max_fraction=0.95, seed=50, workers=1,
     )
     parallel = benchmark.pedantic(
         lambda: run_fig5_resilience_sweep(
             sizes=(SMALL_N, LARGE_N), k=10, checkpoints=CHECKPOINTS,
-            diameter_sample=DIAMETER_SAMPLE, max_fraction=0.95, seed=50, workers=2,
+            max_fraction=0.95, seed=50, workers=2,
         ),
         rounds=1,
         iterations=1,

@@ -5,12 +5,14 @@ trajectory of ``BENCH_graph_kernels.json`` at the repository root (the
 pytest run checks the floors and goldens below and writes nothing, so the
 recorded entries stay as they were measured):
 
-* ``kernels`` -- connected components + sampled diameter on k-regular graphs
-  at n in {1k, 5k, 20k, 100k}, python reference vs CSR backend (the PR-2
-  workload, re-measured every PR to grow the trajectory);
-* ``batched_bfs`` -- the sampled-diameter estimator run as one BFS kernel
-  per source (the pre-batching fast path) vs the bit-packed multi-source
-  wave that now backs diameter/ASPL/closeness;
+* ``kernels`` -- connected components + the largest eccentricity among
+  ``KERNEL_SOURCES`` fixed sources on k-regular graphs at n in {1k, 5k,
+  20k, 100k}: pure-Python BFS per source vs one
+  ``fast.accumulate_path_shard`` over the same sources (the PR-2 workload,
+  re-measured every PR to grow the trajectory);
+* ``batched_bfs`` -- the same source subset as one one-source wave per
+  source (what ``fast.eccentricity`` runs) vs one bit-packed multi-source
+  wave that backs diameter/ASPL/closeness;
 * ``soap`` -- a full SOAP containment campaign plus benign-subgraph summary,
   original implementation (``ReferenceSoapAttack``, pure-Python metrics) vs
   the vectorized campaign over the CSR backend;
@@ -18,15 +20,16 @@ recorded entries stay as they were measured):
   nodes: the PR 3 single-word dense-only wave (kept verbatim below as the
   baseline) vs the adaptive multi-word frontier engine, bit-identical and
   pinned to a golden;
-* ``sparse_frontier`` (PR 4) -- sampled diameter on a 100k-node ring, the
-  dense-only wave vs the engine's sparse-frontier dispatch (the pathological
-  high-diameter topology of the partition-threshold study);
+* ``sparse_frontier`` -- the largest eccentricity among 32 fixed
+  sources of a 100k-node ring, the dense-only wave vs the engine's
+  sparse-frontier dispatch (the pathological high-diameter topology of the
+  partition-threshold study);
 * ``full_path_metrics`` (PR 5) -- exact full-population diameter + ASPL +
   closeness in *one* wave campaign (``fast.full_path_metrics``: per-node
   eccentricity max and distance sums accumulated as the waves advance) vs a
-  naive per-source full sweep (one ``bfs_distances`` kernel launch per node,
-  the pre-accumulator way to get exact values), bit-identical and pinned to
-  a golden.
+  naive per-source full sweep (one one-source wave per node, the
+  pre-accumulator way to get exact values), bit-identical and pinned to a
+  golden.
 
 The fast timings are measured *cold*: the CSR cache is dropped before each
 repetition, so the reported numbers include the UndirectedGraph -> CSR
@@ -58,7 +61,7 @@ from pathlib import Path
 
 SIZES = (1_000, 5_000, 20_000, 100_000)
 K = 10
-DIAMETER_SAMPLE = 32
+KERNEL_SOURCES = 32
 #: Repetitions per (size, backend); the minimum is reported.
 REPEATS = {1_000: 3, 5_000: 3, 20_000: 2, 100_000: 1}
 
@@ -82,14 +85,14 @@ FULL_PATH_SPEEDUP_FLOOR = 4.0
 
 FULL_CLOSENESS_N = 100_000
 SPARSE_FRONTIER_N = 100_000
-SPARSE_FRONTIER_SAMPLE = 32
+SPARSE_FRONTIER_SOURCES = 32
 #: The exact-path-metric pair runs at 20k: the naive per-source baseline is
 #: O(n * (n + m)) kernel launches, which at 100k would take a quarter hour
 #: for the privilege of losing by three orders of magnitude.
 FULL_PATH_N = 20_000
 
 #: Exact (every-node-a-source) mean closeness of
-#: ``k_regular_graph(100_000, 10, seed=104000)`` -- the 100k full-sample
+#: ``k_regular_graph(100_000, 10, seed=104000)`` -- the 100k exact
 #: golden, identical from the PR 3 wave and the adaptive engine.
 FULL_CLOSENESS_GOLDEN_100K = 0.18551634688146879
 
@@ -117,19 +120,37 @@ FULL_PATH_GOLDEN_100K = {
 PR_LABEL = "PR 5"
 
 
-def _workload(module, graph, *, connected_components=True, diameter=True):
-    """The benchmarked kernel pair, via one backend module."""
-    results = {}
-    if connected_components:
-        results["components"] = module.number_connected_components(graph)
-    if diameter:
-        results["diameter"] = module.diameter(
-            graph, sample_size=DIAMETER_SAMPLE, rng=random.Random(0)
-        )
-    return results
+def _sources(graph, count):
+    """``count`` fixed benchmark sources, drawn with ``random.Random(0)``."""
+    return random.Random(0).sample(graph.nodes(), count)
 
 
-def _time_backend(module, graph, repeats: int, *, drop_csr_cache: bool = False):
+def _python_workload(graph, sources):
+    """The benchmarked kernel pair on the pure-Python reference."""
+    from repro.graphs import metrics
+
+    return {
+        "components": metrics.number_connected_components(graph),
+        "max_eccentricity": max(metrics.eccentricity(graph, node) for node in sources),
+    }
+
+
+def _fast_workload(graph, sources):
+    """The benchmarked kernel pair on the CSR backend: one wave campaign."""
+    import numpy as np
+
+    from repro.graphs import fast
+
+    csr = fast.csr_of(graph)
+    indices = np.array([csr.index_of[node] for node in sources], dtype=np.int64)
+    ecc, _totals = fast.accumulate_path_shard(csr, indices)
+    return {
+        "components": fast.number_connected_components(graph),
+        "max_eccentricity": int(ecc.max()),
+    }
+
+
+def _time_backend(workload, graph, sources, repeats: int, *, drop_csr_cache: bool = False):
     """``(best_seconds, workload_result)`` over ``repeats`` repetitions."""
     best = float("inf")
     result = None
@@ -137,22 +158,26 @@ def _time_backend(module, graph, repeats: int, *, drop_csr_cache: bool = False):
         if drop_csr_cache and hasattr(graph, "_csr_cache"):
             delattr(graph, "_csr_cache")
         started = time.perf_counter()
-        result = _workload(module, graph)
+        result = workload(graph, sources)
         best = min(best, time.perf_counter() - started)
     return best, result
 
 
 def run_kernel_benchmark(sizes=SIZES, *, emit=print) -> list:
     """Measure both backends at every size and return the report rows."""
-    from repro.graphs import fast, metrics
     from repro.graphs.generators import k_regular_graph
 
     rows = []
     for n in sizes:
         repeats = REPEATS.get(n, 1)
         graph = k_regular_graph(n, K, seed=1000 + n)
-        python_seconds, python_result = _time_backend(metrics, graph, repeats)
-        fast_seconds, fast_result = _time_backend(fast, graph, repeats, drop_csr_cache=True)
+        sources = _sources(graph, KERNEL_SOURCES)
+        python_seconds, python_result = _time_backend(
+            _python_workload, graph, sources, repeats
+        )
+        fast_seconds, fast_result = _time_backend(
+            _fast_workload, graph, sources, repeats, drop_csr_cache=True
+        )
         # Sanity: both backends agree on the benchmarked graph.
         assert python_result == fast_result
         speedup = python_seconds / fast_seconds if fast_seconds else float("inf")
@@ -161,7 +186,7 @@ def run_kernel_benchmark(sizes=SIZES, *, emit=print) -> list:
                 "n": n,
                 "k": K,
                 "edges": graph.number_of_edges(),
-                "diameter_sample": DIAMETER_SAMPLE,
+                "sources": KERNEL_SOURCES,
                 "repeats": repeats,
                 "python_seconds": round(python_seconds, 6),
                 "fast_seconds": round(fast_seconds, 6),
@@ -175,40 +200,28 @@ def run_kernel_benchmark(sizes=SIZES, *, emit=print) -> list:
     return rows
 
 
-def _per_source_diameter(csr, node_indices) -> float:
-    """The pre-batching fast path: one BFS kernel launch per sampled source."""
-    from repro.graphs import fast
-
-    best = 0
-    for index in node_indices:
-        distances = fast.bfs_distances(csr, index)
-        best = max(best, int(distances.max()))
-    return float(best)
-
-
 def run_batched_bfs_benchmark(sizes=BATCHED_SIZES, *, emit=print) -> list:
-    """Per-source BFS loop vs the bit-packed multi-source wave (same sources)."""
+    """One-source waves, one per source, vs one multi-source wave (same sources)."""
+    import numpy as np
+
     from repro.graphs import fast
     from repro.graphs.generators import k_regular_graph
-    from repro.graphs.metrics import _select_nodes
 
     rows = []
     for n in sizes:
         graph = k_regular_graph(n, K, seed=2000 + n)
         csr = fast.csr_of(graph)
-        nodes = _select_nodes(graph, DIAMETER_SAMPLE, random.Random(0))
-        indices = [csr.index_of[node] for node in nodes]
+        nodes = _sources(graph, KERNEL_SOURCES)
+        indices = np.array([csr.index_of[node] for node in nodes], dtype=np.int64)
 
         per_source_seconds = float("inf")
         batched_seconds = float("inf")
         for _ in range(2):
             started = time.perf_counter()
-            per_source = _per_source_diameter(csr, indices)
+            per_source = max(fast.eccentricity(graph, node) for node in nodes)
             per_source_seconds = min(per_source_seconds, time.perf_counter() - started)
             started = time.perf_counter()
-            batched = fast.diameter(
-                graph, sample_size=DIAMETER_SAMPLE, rng=random.Random(0), connected=True
-            )
+            batched = int(fast.accumulate_path_shard(csr, indices)[0].max())
             batched_seconds = min(batched_seconds, time.perf_counter() - started)
             assert batched == per_source
         speedup = per_source_seconds / batched_seconds if batched_seconds else float("inf")
@@ -260,14 +273,13 @@ def _pr3_wave(csr, sources):
         yield frontier
 
 
-def _pr3_closeness(graph, sample_size=None, rng=None):
-    """The PR 3 estimator end to end: 64-source waves + unpackbits counts."""
+def _single_word_closeness(graph):
+    """The baseline's exact closeness end to end: 64-source waves + unpackbits counts."""
     import numpy as np
 
     from repro.graphs import fast
-    from repro.graphs.metrics import _select_nodes
 
-    nodes = _select_nodes(graph, sample_size, rng)
+    nodes = graph.nodes()
     n = graph.number_of_nodes()
     csr = fast.csr_of(graph)
     indices = np.fromiter(
@@ -301,14 +313,13 @@ def _pr3_closeness(graph, sample_size=None, rng=None):
     return sum(values) / len(values)
 
 
-def _pr3_diameter(graph, sample_size, rng):
-    """The PR 3 sampled diameter: dense-only 64-source waves."""
+def _dense_only_max_eccentricity(graph, nodes):
+    """The baseline wave's largest eccentricity among ``nodes``: dense-only
+    64-source waves."""
     import numpy as np
 
     from repro.graphs import fast
-    from repro.graphs.metrics import _select_nodes
 
-    nodes = _select_nodes(graph, sample_size, rng)
     csr = fast.csr_of(graph)
     indices = np.fromiter(
         (csr.index_of[node] for node in nodes), dtype=np.int64, count=len(nodes)
@@ -317,7 +328,7 @@ def _pr3_diameter(graph, sample_size, rng):
     for offset in range(0, indices.size, 64):
         chunk = indices[offset:offset + 64]
         best = max(best, sum(1 for _ in _pr3_wave(csr, chunk)))
-    return float(best)
+    return best
 
 
 def run_full_closeness_benchmark(n=FULL_CLOSENESS_N, *, repeats=2, emit=print) -> dict:
@@ -336,7 +347,7 @@ def run_full_closeness_benchmark(n=FULL_CLOSENESS_N, *, repeats=2, emit=print) -
         adaptive = fast.average_closeness_centrality(graph)
         adaptive_seconds = min(adaptive_seconds, time.perf_counter() - started)
         started = time.perf_counter()
-        legacy = _pr3_closeness(graph)
+        legacy = _single_word_closeness(graph)
         legacy_seconds = min(legacy_seconds, time.perf_counter() - started)
         assert adaptive == legacy, (adaptive, legacy)
     speedup = legacy_seconds / adaptive_seconds if adaptive_seconds else float("inf")
@@ -373,28 +384,31 @@ def run_full_closeness_benchmark(n=FULL_CLOSENESS_N, *, repeats=2, emit=print) -
 
 
 def run_sparse_frontier_benchmark(
-    n=SPARSE_FRONTIER_N, *, sample_size=SPARSE_FRONTIER_SAMPLE, emit=print
+    n=SPARSE_FRONTIER_N, *, sources=SPARSE_FRONTIER_SOURCES, emit=print
 ) -> dict:
-    """Ring-graph sampled diameter: dense-only wave vs sparse-frontier dispatch."""
+    """Ring-graph eccentricities of fixed sources: dense-only wave vs
+    sparse-frontier dispatch."""
+    import numpy as np
+
     from repro.graphs import fast
     from repro.graphs.generators import ring_graph
 
     graph = ring_graph(n)
-    fast.csr_of(graph)
+    csr = fast.csr_of(graph)
+    nodes = _sources(graph, sources)
+    indices = np.array([csr.index_of[node] for node in nodes], dtype=np.int64)
     started = time.perf_counter()
-    adaptive = fast.diameter(
-        graph, sample_size=sample_size, rng=random.Random(0), connected=True
-    )
+    adaptive = int(fast.accumulate_path_shard(csr, indices)[0].max())
     adaptive_seconds = time.perf_counter() - started
     started = time.perf_counter()
-    dense_only = _pr3_diameter(graph, sample_size, random.Random(0))
+    dense_only = _dense_only_max_eccentricity(graph, nodes)
     dense_seconds = time.perf_counter() - started
     assert adaptive == dense_only, (adaptive, dense_only)
     speedup = dense_seconds / adaptive_seconds if adaptive_seconds else float("inf")
     row = {
         "n": n,
         "topology": "ring",
-        "diameter_sample": sample_size,
+        "sources": sources,
         "diameter": adaptive,
         "dense_only_seconds": round(dense_seconds, 6),
         "adaptive_seconds": round(adaptive_seconds, 6),
@@ -408,13 +422,16 @@ def run_sparse_frontier_benchmark(
 
 
 def _naive_full_path_metrics(graph):
-    """Exact path metrics the pre-accumulator way: one BFS kernel per source.
+    """Exact path metrics the pre-accumulator way: one BFS per source.
 
-    Per-node distance vectors are materialised source by source
-    (``fast.bfs_distances``) and folded into the same exact integers the
-    one-campaign accumulator path produces, with identical final float
+    Per-node distance vectors are materialised source by source (one
+    one-source wave each: ``ecc`` of a one-source shard is the distance
+    vector, unreached nodes read 0) and folded into the same exact integers
+    the one-campaign accumulator path produces, with identical final float
     arithmetic -- the two must agree bit for bit.
     """
+    import numpy as np
+
     from repro.graphs import fast
 
     n = graph.number_of_nodes()
@@ -425,12 +442,13 @@ def _naive_full_path_metrics(graph):
     total = 0
     values = []
     for index in range(n_working):
-        distances = fast.bfs_distances(csr, index)
-        reached_mask = distances >= 0
-        distance_sum = int(distances[reached_mask].sum())
+        distances, _totals = fast.accumulate_path_shard(
+            csr, np.array([index], dtype=np.int64)
+        )
+        distance_sum = int(distances.sum())
         best = max(best, int(distances.max()))
         total += distance_sum
-        reached = int(reached_mask.sum()) - 1
+        reached = int(np.count_nonzero(distances))
         if reached == 0:
             values.append(0.0)
         else:
@@ -569,8 +587,8 @@ def run_benchmark(sizes=SIZES, *, emit=print) -> dict:
     """All six workloads; returns this PR's trajectory entry."""
     return {
         "pr": PR_LABEL,
-        "workload": "connected_components + sampled diameter "
-        f"(sample={DIAMETER_SAMPLE}) on k-regular graphs (k={K}); "
+        "workload": "connected_components + largest eccentricity of "
+        f"{KERNEL_SOURCES} fixed sources on k-regular graphs (k={K}); "
         "batched multi-source BFS; SOAP campaign; full-population closeness "
         "(adaptive multi-word frontier engine vs PR 3 wave); ring-graph "
         "sparse-frontier diameter; exact full-population path metrics "
@@ -639,7 +657,7 @@ def test_graph_kernel_speedup(benchmark):
         f"(floor {FULL_CLOSENESS_SPEEDUP_FLOOR}x)"
     )
     # Both engines asserted bit-identical inside the workload; pin the value
-    # too so the 100k-node full-sample closeness has a golden on record.
+    # too so the 100k-node exact closeness has a golden on record.
     assert full["closeness"] == FULL_CLOSENESS_GOLDEN_100K, full["closeness"]
     # The combined campaign's exact 100k diameter/ASPL/closeness goldens
     # (closeness doubles as a cross-engine identity check at scale).

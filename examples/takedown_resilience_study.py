@@ -51,10 +51,8 @@ def main() -> None:
 
     if args.paper_scale:
         fig4_n, fig5_sizes, fig6_sizes = 5000, (5000, 15000), tuple(range(1000, 8001, 1000))
-        closeness_sample = 48
     else:
         fig4_n, fig5_sizes, fig6_sizes = 600, (600, 1200), (200, 400, 600, 800)
-        closeness_sample = 40
 
     cache = None if args.fresh else ResultCache(args.cache_dir)
 
@@ -64,12 +62,7 @@ def main() -> None:
     fig4 = sweep_scenario(
         "fig4-centrality",
         {"degree": [5, 10, 15], "pruning": [False, True]},
-        params={
-            "n": fig4_n,
-            "max_fraction": 0.3,
-            "checkpoints": 6,
-            "closeness_sample": closeness_sample,
-        },
+        params={"n": fig4_n, "max_fraction": 0.3, "checkpoints": 6},
         seed=1,
         workers=args.workers,
         cache=cache,
@@ -82,7 +75,7 @@ def main() -> None:
     print("=" * 72)
     fig5_rows = run_fig5_resilience_sweep(
         sizes=fig5_sizes, k=10, max_fraction=0.95, checkpoints=10,
-        diameter_sample=24, seed=2, workers=args.workers, cache=cache,
+        seed=2, workers=args.workers, cache=cache,
     )
     print(render_result_rows(fig5_rows))
     for row in fig5_rows:

@@ -153,15 +153,10 @@ class GradualTakedown:
     Figure 4/5 curves are produced.
 
     ``path_metrics=True`` additionally records the largest component's
-    diameter, average shortest path length and average closeness at every
-    checkpoint (``metric_sample`` sources for the path estimators, exact
-    full-population closeness) -- affordable even at 100k-node scale now
-    that the checkpoints ride the adaptive multi-word frontier engine.
-    ``metric_sample=None`` upgrades every checkpoint to **exact**
-    full-population path metrics: diameter, ASPL and closeness all come from
-    one wave campaign per checkpoint
-    (:func:`repro.graphs.backend.full_path_metrics`), no sampling anywhere.
-    ``REPRO_PATH_WORKERS=N`` then shards each exact campaign's sources
+    exact diameter, average shortest path length and average closeness at
+    every checkpoint: all three come from one full-population wave campaign
+    per checkpoint (:meth:`~repro.core.ddsr.DDSROverlay.path_metric_summary`).
+    ``REPRO_PATH_WORKERS=N`` shards each exact campaign's sources
     across the invocation-wide persistent worker pool
     (:mod:`repro.runner.pool`) -- consecutive checkpoints reuse the same
     pool, and the merged int64 accumulators keep every checkpoint
@@ -172,8 +167,6 @@ class GradualTakedown:
     checkpoints: int = 10
     rng: random.Random = field(default_factory=lambda: random.Random(0))
     path_metrics: bool = False
-    metric_sample: Optional[int] = 32
-    metric_rng: Optional[random.Random] = None
 
     def _checkpoint(self, overlay: DDSROverlay, removed: List[NodeId]) -> TakedownResult:
         if not self.path_metrics:
@@ -181,9 +174,7 @@ class GradualTakedown:
         # One component scan serves both the summary fields and the path
         # metrics (path_metric_summary reports the same component counts
         # _summarize would recompute).
-        summary = overlay.path_metric_summary(
-            sample_size=self.metric_sample, rng=self.metric_rng
-        )
+        summary = overlay.path_metric_summary()
         return TakedownResult(
             strategy="gradual",
             victims=removed,

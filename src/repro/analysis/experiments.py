@@ -105,7 +105,6 @@ def run_fig4_centrality(
     checkpoints: int = 6,
     pruning: bool = True,
     seed: int = 0,
-    closeness_sample: Optional[int] = 48,
 ) -> List[Fig4Result]:
     """Reproduce Figure 4 (a--d): centralities under incremental deletions.
 
@@ -115,12 +114,10 @@ def run_fig4_centrality(
     evenly spaced points.  ``pruning`` switches between the 4a/4c and 4b/4d
     variants.  The paper uses ``n=5000`` and 30 % deletions.
 
-    ``closeness_sample=None`` computes the *exact* full-population closeness
-    the figure actually plots: on the fast backend the multi-word frontier
-    engine's symmetric per-node accumulation makes that affordable well past
-    the paper's 5000 nodes (it is the default of the ``resilience-at-scale``
-    runner scenario at 100k), while the sampled default keeps the pure-Python
-    reference backend quick for small-n sweeps.
+    Closeness is exact (every node a BFS source).  The fast backend's
+    symmetric per-node wave accumulation keeps that affordable well past the
+    paper's 5000 nodes; the pure-Python reference pays O(n * (n + m)) per
+    checkpoint.
     """
     results: List[Fig4Result] = []
     for degree in degrees:
@@ -134,15 +131,10 @@ def run_fig4_centrality(
         total = len(schedule)
         batch = max(1, total // checkpoints)
         result = Fig4Result(n=n, degree=degree, pruning=pruning)
-        metric_rng = random.Random(seed + 1)
 
         def record(deleted: int) -> None:
             result.deletions.append(deleted)
-            result.closeness.append(
-                average_closeness_centrality(
-                    overlay.graph, sample_size=closeness_sample, rng=metric_rng
-                )
-            )
+            result.closeness.append(average_closeness_centrality(overlay.graph))
             result.degree_centrality.append(average_degree_centrality(overlay.graph))
             result.max_degree.append(overlay.max_degree())
 
@@ -197,13 +189,13 @@ def run_fig5_resilience(
     max_fraction: float = 0.95,
     checkpoints: int = 12,
     seed: int = 0,
-    diameter_sample: Optional[int] = 24,
 ) -> Fig5Result:
     """Reproduce Figure 5: DDSR vs normal graph under incremental deletions.
 
     Both overlays start from the *same* k-regular wiring and see the *same*
     victim schedule.  The paper uses ``n=5000`` (left column) and ``n=15000``
-    (right column) with ``k=10``.
+    (right column) with ``k=10``.  Diameters are exact, over the largest
+    component of each overlay.
     """
     ddsr = DDSROverlay.k_regular(n, k, seed=seed)
     normal = NormalOverlay.matching(ddsr)
@@ -211,7 +203,6 @@ def run_fig5_resilience(
     total = len(schedule)
     batch = max(1, total // checkpoints)
     result = Fig5Result(n=n, k=k)
-    metric_rng = random.Random(seed + 2)
 
     def record(deleted: int) -> None:
         result.deletions.append(deleted)
@@ -224,20 +215,10 @@ def run_fig5_resilience(
         # The component counts were just computed, so the diameter calls can
         # skip their own component scan when the graph is still connected.
         result.ddsr_diameter.append(
-            diameter(
-                ddsr.graph,
-                sample_size=diameter_sample,
-                rng=metric_rng,
-                connected=ddsr_components == 1,
-            )
+            diameter(ddsr.graph, connected=ddsr_components == 1)
         )
         result.normal_diameter.append(
-            diameter(
-                normal.graph,
-                sample_size=diameter_sample,
-                rng=metric_rng,
-                connected=normal_components == 1,
-            )
+            diameter(normal.graph, connected=normal_components == 1)
         )
 
     record(0)
@@ -255,7 +236,6 @@ def run_fig5_resilience_sweep(
     k: int = 10,
     max_fraction: float = 0.95,
     checkpoints: int = 12,
-    diameter_sample: int = 24,
     trials: int = 1,
     seed: int = 0,
     workers: int = 1,
@@ -278,7 +258,6 @@ def run_fig5_resilience_sweep(
             "k": k,
             "max_fraction": max_fraction,
             "checkpoints": checkpoints,
-            "diameter_sample": diameter_sample,
         },
         grid={"n": [int(size) for size in sizes]},
         trials=trials,

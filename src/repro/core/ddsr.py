@@ -511,19 +511,12 @@ class DDSROverlay:
         components, largest = component_summary(self.graph)
         return components, largest / n
 
-    def path_metric_summary(
-        self,
-        *,
-        sample_size: "Optional[int]" = None,
-        rng: "Optional[random.Random]" = None,
-        closeness_sample: "Optional[int]" = None,
-    ) -> "dict":
-        """Path metrics of the overlay's largest component, in one extraction.
+    def path_metric_summary(self) -> "dict":
+        """Exact path metrics of the overlay's largest component.
 
         Returns ``{components, largest_fraction, diameter, avg_path_length,
-        avg_closeness}``.  With ``sample_size=None`` (and the default
-        ``closeness_sample=None``) every metric is **exact**: diameter, ASPL
-        and closeness all come from one full-population wave campaign
+        avg_closeness}``.  Every metric is exact: diameter, ASPL and
+        closeness all come from one full-population wave campaign
         (:func:`repro.graphs.backend.full_path_metrics` -- per-node
         eccentricity max and distance sums accumulated as the waves advance),
         affordable even at 100k nodes on the fast backend, where it runs
@@ -532,11 +525,6 @@ class DDSROverlay:
         in-parent unit) or sharded across the worker pool
         (``REPRO_PATH_WORKERS=N``), bit-identical every way.  A *python*
         backend runs the serial reference instead, with identical values.
-
-        With a ``sample_size`` the component is extracted once and both path
-        estimators run with ``connected=True`` on sampled sources;
-        ``closeness_sample`` then still defaults to the full population.
-        All values are identical across graph backends.
         """
         from repro.graphs import backend
 
@@ -550,29 +538,11 @@ class DDSROverlay:
                 "avg_path_length": 0.0,
                 "avg_closeness": 0.0,
             }
-        if sample_size is None and closeness_sample is None:
-            if backend.resolve_for() == "fast":
-                from repro.runner.executor import sharded_full_path_metrics
+        if backend.resolve_for() == "fast":
+            from repro.runner.executor import sharded_full_path_metrics
 
-                return sharded_full_path_metrics(graph)
-            return backend.full_path_metrics(graph)
-        components, largest = backend.component_summary(graph)
-        working = (
-            graph if components == 1 else backend.largest_component_subgraph(graph)
-        )
-        return {
-            "components": components,
-            "largest_fraction": largest / n,
-            "diameter": backend.diameter(
-                working, sample_size=sample_size, rng=rng, connected=True
-            ),
-            "avg_path_length": backend.average_shortest_path_length(
-                working, sample_size=sample_size, rng=rng, connected=True
-            ),
-            "avg_closeness": backend.average_closeness_centrality(
-                working, sample_size=closeness_sample, rng=rng
-            ),
-        }
+            return sharded_full_path_metrics(graph)
+        return backend.full_path_metrics(graph)
 
     def snapshot(self) -> UndirectedGraph:
         """A deep copy of the current overlay graph (for offline analysis)."""

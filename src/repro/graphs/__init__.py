@@ -16,8 +16,8 @@ to node deletions.  This package provides:
   (which builds the compiled kernels; without one, Python twins give the
   same results).
 * :mod:`~repro.graphs.metrics` -- our own BFS-based implementations of every
-  metric the paper reports (cross-checked against ``networkx`` in the tests),
-  including sampled estimators that make 5000--15000-node sweeps tractable.
+  metric the paper reports (cross-checked against ``networkx`` in the tests);
+  every path metric is exact.
 * :mod:`~repro.graphs.fast` -- vectorized CSR (numpy) twins of every metric
   kernel, differential-tested to return results identical to ``metrics``.
 * :mod:`~repro.graphs.backend` -- backend selection (``python`` / ``fast`` /

@@ -5,11 +5,10 @@ The four C sources, ``wavekernel.c``, ``pairing.c``, ``soap.c`` and
 
 * :func:`load` binds ``repro_wave_accumulate``: every multi-source BFS of
   :mod:`repro.graphs.fast` -- the per-node path accumulators of
-  :func:`~repro.graphs.fast.accumulate_path_shard`, behind the exact path
-  metrics and the sampled diameter and shortest-path-length estimators --
-  runs its waves through it when this module can build and load the
-  library, and through the plain dense numpy wave otherwise; both return
-  identical integers.
+  :func:`~repro.graphs.fast.accumulate_path_shard`, behind every path
+  metric and single-source distance of the fast backend -- runs its waves
+  through it when this module can build and load the library, and through
+  the plain dense numpy wave otherwise; both return identical integers.
 * :func:`load_pairing` binds ``repro_pair_stubs``:
   :func:`repro.graphs.generators.k_regular_graph` runs its pairing-model
   attempts through it, on a replay of ``random.Random``'s draws, and

@@ -247,9 +247,9 @@ class UndirectedGraph:
         """The induced subgraph on ``nodes``.
 
         Node insertion order follows *this* graph's order, not the iteration
-        order of ``nodes``: the sampled metric estimators draw sources from
-        ``nodes()``, so the subgraph must be canonical for a given membership
-        set no matter how the caller assembled it (e.g. both graph backends
+        order of ``nodes``: the float sums of the path metrics run in
+        ``nodes()`` order, so the subgraph must be canonical for a given
+        membership set no matter how the caller assembled it (e.g. both graph backends
         computing the same largest component by different algorithms).
         """
         keep = set(nodes)

@@ -30,7 +30,6 @@ oracle switch the differential tests flip.
 from __future__ import annotations
 
 import os
-import random
 from contextlib import contextmanager
 from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
@@ -152,16 +151,9 @@ def closeness_centrality(graph: UndirectedGraph, node: NodeId) -> float:
     return _impl().closeness_centrality(graph, node)
 
 
-def average_closeness_centrality(
-    graph: UndirectedGraph,
-    *,
-    sample_size: Optional[int] = None,
-    rng: Optional[random.Random] = None,
-) -> float:
+def average_closeness_centrality(graph: UndirectedGraph) -> float:
     """Mean closeness centrality (active backend)."""
-    return _impl().average_closeness_centrality(
-        graph, sample_size=sample_size, rng=rng
-    )
+    return _impl().average_closeness_centrality(graph)
 
 
 def degree_centrality(graph: UndirectedGraph, node: NodeId) -> float:
@@ -231,37 +223,27 @@ def eccentricity(graph: UndirectedGraph, node: NodeId) -> int:
 def diameter(
     graph: UndirectedGraph,
     *,
-    sample_size: Optional[int] = None,
-    rng: Optional[random.Random] = None,
     largest_component_only: bool = True,
     connected: Optional[bool] = None,
 ) -> float:
-    """Graph diameter, optionally sampled (active backend).
+    """Graph diameter (active backend).
 
     Pass ``connected=True`` when the caller has just established the graph is
     connected (e.g. from :func:`component_summary`) to skip the redundant
     component scan on both backends.
     """
     return _impl().diameter(
-        graph,
-        sample_size=sample_size,
-        rng=rng,
-        largest_component_only=largest_component_only,
-        connected=connected,
+        graph, largest_component_only=largest_component_only, connected=connected
     )
 
 
 def average_shortest_path_length(
     graph: UndirectedGraph,
     *,
-    sample_size: Optional[int] = None,
-    rng: Optional[random.Random] = None,
     connected: Optional[bool] = None,
 ) -> float:
-    """Mean pairwise distance, optionally sampled (active backend)."""
-    return _impl().average_shortest_path_length(
-        graph, sample_size=sample_size, rng=rng, connected=connected
-    )
+    """Mean pairwise distance inside the largest component (active backend)."""
+    return _impl().average_shortest_path_length(graph, connected=connected)
 
 
 def full_path_metrics(graph: UndirectedGraph) -> Dict:

@@ -7,7 +7,6 @@ compressed-sparse-row (CSR) mirror of :class:`~repro.graphs.adjacency.
 UndirectedGraph` -- two numpy arrays, ``indptr`` and ``indices`` -- plus
 vectorized kernels over it:
 
-* frontier-based BFS (distances, eccentricity, closeness),
 * multi-source BFS waves: each node carries ``W`` bit-packed ``uint64``
   frontier words, so one wave advances up to ``64 * W`` sources together
   (:func:`_run_waves`).  Every wave runs on one compiled C kernel
@@ -22,10 +21,8 @@ vectorized kernels over it:
   diameter, per-node/average shortest path length *and* closeness
   (:func:`full_path_metrics`, :func:`path_length_accumulators`); the int64
   accumulators merge exactly across any source split, which is what the
-  runner's source-sharded parallel campaigns exploit.  The sampled
-  diameter and average-shortest-path estimators read the same
-  accumulators for their sampled sources; sampled closeness sums
-  single-source :func:`closeness_centrality` values,
+  runner's source-sharded parallel campaigns exploit.  Single-source
+  distances, eccentricity and closeness are one-source waves,
 * connected components via min-label propagation with pointer jumping
   (Shiloach--Vishkin style, O(m log n) total work),
 * masked component summaries for the Figure 6 simultaneous-deletion sweeps
@@ -35,8 +32,7 @@ Every public function takes the same arguments as its ``metrics`` twin and is
 required -- and tested, in ``tests/graphs/test_backend_equivalence.py`` -- to
 return **identical** results: exact for integer metrics, bit-identical for
 float ones (the float expressions deliberately mirror the reference
-implementation's evaluation order, and sampled estimators consume a shared
-``random.Random`` in exactly the same way).
+implementation's evaluation order).
 
 The module needs numpy >= 2.0: per-node row popcounts use
 ``np.bitwise_count``.  :func:`repro.graphs.backend.fast_available` checks
@@ -50,7 +46,6 @@ stamp; on a stamp mismatch :func:`csr_of` rebuilds it from scratch with
 
 from __future__ import annotations
 
-import random
 import time
 from itertools import chain
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
@@ -58,7 +53,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.graphs.adjacency import GraphError, UndirectedGraph
-from repro.graphs.metrics import _select_nodes
 from repro.obs.telemetry import current as _telemetry
 
 NodeId = Hashable
@@ -186,42 +180,6 @@ def csr_of(graph: UndirectedGraph) -> CSRGraph:
         tel.count("csr.cache.build")
         tel.record_span("csr.sync", time.perf_counter() - started)
     return csr
-
-
-# ----------------------------------------------------------------------
-# Core kernels
-# ----------------------------------------------------------------------
-def _gather_neighbors(csr: CSRGraph, frontier: np.ndarray) -> np.ndarray:
-    """Concatenation of every frontier node's neighbour list (with duplicates)."""
-    starts = csr.indptr[frontier]
-    counts = csr.indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int32)
-    exclusive = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=exclusive[1:])
-    positions = np.repeat(starts - exclusive, counts) + np.arange(total, dtype=np.int64)
-    return csr.indices[positions]
-
-
-def bfs_distances(csr: CSRGraph, source_index: int) -> np.ndarray:
-    """BFS distances (``-1`` for unreachable) from one node index."""
-    distances = np.full(csr.n, -1, dtype=np.int64)
-    distances[source_index] = 0
-    frontier = np.array([source_index], dtype=np.int64)
-    mask = np.zeros(csr.n, dtype=bool)
-    depth = 0
-    while frontier.size:
-        candidates = _gather_neighbors(csr, frontier)
-        if candidates.size == 0:
-            break
-        mask[:] = False
-        mask[candidates] = True
-        mask &= distances < 0
-        frontier = np.flatnonzero(mask)
-        depth += 1
-        distances[frontier] = depth
-    return distances
 
 
 # ----------------------------------------------------------------------
@@ -400,13 +358,6 @@ def configure_popcount() -> str:
     return "native"
 
 
-def _batched_source_indices(csr: CSRGraph, nodes: Sequence[NodeId]) -> np.ndarray:
-    index_of = csr.index_of
-    return np.fromiter(
-        (index_of[node] for node in nodes), dtype=np.int64, count=len(nodes)
-    )
-
-
 def _component_labels(
     n: int, indptr: np.ndarray, indices: np.ndarray
 ) -> np.ndarray:
@@ -449,15 +400,32 @@ def component_labels(graph: UndirectedGraph) -> np.ndarray:
 # ----------------------------------------------------------------------
 # metrics.py twins
 # ----------------------------------------------------------------------
+def _distances_from(
+    graph: UndirectedGraph, source: NodeId
+) -> Tuple[List[NodeId], int, np.ndarray]:
+    """``(nodes, index, distances)``: BFS distances from ``source``, by index.
+
+    A one-source :func:`accumulate_path_shard`: with a single source,
+    ``ecc[v]`` is ``d(source, v)``, so the reached set is ``distances > 0``
+    plus ``index`` itself (unreached nodes read 0 too).
+    """
+    csr = csr_of(graph)
+    index = csr.index_of.get(source)
+    if index is None:
+        raise GraphError(f"source {source!r} not in graph")
+    distances, _totals = accumulate_path_shard(csr, np.array([index], dtype=np.int64))
+    return csr.nodes, index, distances
+
+
 def shortest_path_lengths_from(graph: UndirectedGraph, source: NodeId) -> Dict[NodeId, int]:
     """BFS distances from ``source`` to every reachable node (including itself)."""
-    csr = csr_of(graph)
-    if source not in csr.index_of:
-        raise GraphError(f"source {source!r} not in graph")
-    distances = bfs_distances(csr, csr.index_of[source])
-    reached = np.flatnonzero(distances >= 0)
-    nodes = csr.nodes
-    return {nodes[int(i)]: int(distances[i]) for i in reached}
+    nodes, index, distances = _distances_from(graph, source)
+    reached = distances > 0
+    reached[index] = True
+    return {
+        nodes[i]: distance
+        for i, distance in zip(np.flatnonzero(reached).tolist(), distances[reached].tolist())
+    }
 
 
 def closeness_centrality(graph: UndirectedGraph, node: NodeId) -> float:
@@ -465,48 +433,28 @@ def closeness_centrality(graph: UndirectedGraph, node: NodeId) -> float:
     n = graph.number_of_nodes()
     if n <= 1:
         return 0.0
-    csr = csr_of(graph)
-    if node not in csr.index_of:
-        raise GraphError(f"source {node!r} not in graph")
-    distances = bfs_distances(csr, csr.index_of[node])
-    reached = distances >= 0
-    reachable = int(reached.sum()) - 1
+    _nodes, _index, distances = _distances_from(graph, node)
+    reachable = int(np.count_nonzero(distances))
     if reachable == 0:
         return 0.0
-    total = int(distances[reached].sum())
+    total = int(distances.sum())
     closeness = reachable / total
     return closeness * (reachable / (n - 1))
 
 
-def average_closeness_centrality(
-    graph: UndirectedGraph,
-    *,
-    sample_size: Optional[int] = None,
-    rng: Optional[random.Random] = None,
-) -> float:
-    """Mean closeness centrality over all nodes (or a deterministic sample).
+def average_closeness_centrality(graph: UndirectedGraph) -> float:
+    """Mean closeness centrality over all nodes.
 
-    A sample sums single-source :func:`closeness_centrality` values in
-    source order, with the reference's integer-then-float arithmetic, so the
-    result stays bit-identical.
-
-    The full-population case (``sample_size=None`` or covering every node)
-    exploits distance symmetry: when *every* node is a source, ``sum_u d(u,
+    Exploits distance symmetry: with *every* node a source, ``sum_u d(u,
     v)`` over all sources equals node ``v``'s own distance sum, so the
     per-node row popcounts the waves accumulate are every node's distance
-    sum -- same integers, same node order, same float arithmetic.  This is
-    what makes *exact* 100k-node closeness practical rather than merely
-    sampled.
+    sum -- same integers, same node order, same float arithmetic as the
+    reference.  This is what makes exact 100k-node closeness practical.
     """
-    nodes = _select_nodes(graph, sample_size, rng)
-    if not nodes:
-        return 0.0
     n = graph.number_of_nodes()
     if n <= 1:
         return 0.0
-    if len(nodes) == n:
-        return _full_population_closeness(csr_of(graph), n)
-    return sum([closeness_centrality(graph, node) for node in nodes]) / len(nodes)
+    return _full_population_closeness(csr_of(graph), n)
 
 
 def _full_population_closeness(csr: CSRGraph, n: int) -> float:
@@ -567,12 +515,10 @@ def accumulate_path_shard(
     * ``totals[v]`` -- ``sum_u d(u, v)`` (the level-weighted popcount sum).
 
     By distance symmetry ``ecc.max()`` is the largest eccentricity among the
-    sources and ``totals.sum()`` the sum of their distance sums, which is
-    what the sampled :func:`diameter` and
-    :func:`average_shortest_path_length` read.  When the shards of a
-    campaign together cover every node, distance symmetry makes the merged
-    ``ecc`` the exact per-node eccentricity and ``totals`` the exact
-    per-node distance sum.  Both accumulators are exact integers, so merging
+    sources and ``totals.sum()`` the sum of their distance sums.  When the
+    shards of a campaign together cover every node, distance symmetry makes
+    the merged ``ecc`` the exact per-node eccentricity and ``totals`` the
+    exact per-node distance sum.  Both accumulators are exact integers, so merging
     shard results (elementwise ``max`` for ``ecc``, ``+`` for ``totals``) is
     bit-identical no matter how the source set was split -- which is what
     lets the runner fan a 100k-source campaign across process-pool workers
@@ -661,10 +607,8 @@ def full_path_metrics(graph: UndirectedGraph, *, shard_runner=None) -> Dict:
 
     Returns ``{components, largest_fraction, diameter, avg_path_length,
     avg_closeness}`` with every path metric *exact* (every node of the
-    largest component a BFS source) -- the full-population counterpart of
-    :meth:`repro.core.ddsr.DDSROverlay.path_metric_summary`'s sampled
-    estimators, bit-identical to the pure-Python reference
-    (:func:`repro.graphs.metrics.full_path_metrics`).
+    largest component a BFS source), bit-identical to the pure-Python
+    reference (:func:`repro.graphs.metrics.full_path_metrics`).
 
     One wave campaign feeds all three metrics through the per-node
     accumulators of :func:`accumulate_path_shard`: the diameter is the max
@@ -810,11 +754,7 @@ def largest_component_fraction(graph: UndirectedGraph) -> float:
 
 def eccentricity(graph: UndirectedGraph, node: NodeId) -> int:
     """Largest BFS distance from ``node`` within its component."""
-    csr = csr_of(graph)
-    if node not in csr.index_of:
-        raise GraphError(f"source {node!r} not in graph")
-    distances = bfs_distances(csr, csr.index_of[node])
-    return int(distances.max()) if distances.size else 0
+    return int(_distances_from(graph, node)[2].max())
 
 
 def largest_component_subgraph(graph: UndirectedGraph) -> UndirectedGraph:
@@ -829,8 +769,8 @@ def _working_component(graph: UndirectedGraph) -> Tuple[UndirectedGraph, int]:
 
     Mirrors the reference implementations exactly: the subgraph is built with
     the same ``UndirectedGraph.subgraph(set)`` call on an equal component set
-    (largest, ties broken by discovery order), so node insertion order -- and
-    therefore sampled-source selection -- is identical.
+    (largest, ties broken by discovery order), so node insertion order is
+    identical.
     """
     csr = csr_of(graph)
     labels = _component_labels(csr.n, csr.indptr, csr.indices)
@@ -850,8 +790,6 @@ def _working_component(graph: UndirectedGraph) -> Tuple[UndirectedGraph, int]:
 def diameter(
     graph: UndirectedGraph,
     *,
-    sample_size: Optional[int] = None,
-    rng: Optional[random.Random] = None,
     largest_component_only: bool = True,
     connected: Optional[bool] = None,
 ) -> float:
@@ -865,26 +803,22 @@ def diameter(
         if component_count > 1 and not largest_component_only:
             return float("inf")
     csr = csr_of(working)
-    nodes = _select_nodes(working, sample_size, rng)
-    ecc, _totals = accumulate_path_shard(csr, _batched_source_indices(csr, nodes))
+    ecc, _totals = accumulate_path_shard(csr, np.arange(csr.n, dtype=np.int64))
     return float(int(ecc.max()))
 
 
 def average_shortest_path_length(
     graph: UndirectedGraph,
     *,
-    sample_size: Optional[int] = None,
-    rng: Optional[random.Random] = None,
     connected: Optional[bool] = None,
 ) -> float:
-    """Mean pairwise distance inside the largest component (sampled sources)."""
+    """Mean pairwise distance inside the largest component."""
     if graph.number_of_nodes() <= 1:
         return 0.0
     working = graph if connected else _working_component(graph)[0]
     csr = csr_of(working)
-    sources = _batched_source_indices(csr, _select_nodes(working, sample_size, rng))
-    _ecc, totals = accumulate_path_shard(csr, sources)
-    pairs = int(_reached_counts(csr)[sources].sum())
+    _ecc, totals = accumulate_path_shard(csr, np.arange(csr.n, dtype=np.int64))
+    pairs = int(_reached_counts(csr).sum())
     if pairs == 0:
         return 0.0
     return int(totals.sum()) / pairs

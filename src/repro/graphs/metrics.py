@@ -7,18 +7,17 @@ directly on :class:`~repro.graphs.adjacency.UndirectedGraph` (the structure the
 live overlay mutates), and are cross-checked against ``networkx`` in the
 test-suite.
 
-Exact closeness centrality and diameter require all-pairs BFS, which is
-O(n * (n + m)) and becomes expensive at the paper's 5000--15000-node scale in
-pure Python.  Each function therefore accepts a ``sample_size``/``rng`` pair:
-when given, a deterministic sample of source nodes is used, producing an
-unbiased estimate of the average that preserves the *shape* of every curve.
+Every path metric here is exact: closeness, diameter and average shortest
+path length run one BFS from every node, O(n * (n + m)) in pure Python.  At
+the paper's 5000--15000-node scale and beyond use the fast backend
+(:mod:`repro.graphs.fast`), which returns the same values from one
+multi-source wave campaign.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Hashable, List, Optional, Set
 
 from repro.graphs.adjacency import GraphError, UndirectedGraph
 
@@ -62,14 +61,9 @@ def closeness_centrality(graph: UndirectedGraph, node: NodeId) -> float:
     return closeness * (reachable / (n - 1))
 
 
-def average_closeness_centrality(
-    graph: UndirectedGraph,
-    *,
-    sample_size: Optional[int] = None,
-    rng: Optional[random.Random] = None,
-) -> float:
-    """Mean closeness centrality over all nodes (or a deterministic sample)."""
-    nodes = _select_nodes(graph, sample_size, rng)
+def average_closeness_centrality(graph: UndirectedGraph) -> float:
+    """Mean closeness centrality over all nodes."""
+    nodes = graph.nodes()
     if not nodes:
         return 0.0
     return sum(closeness_centrality(graph, node) for node in nodes) / len(nodes)
@@ -129,8 +123,6 @@ def eccentricity(graph: UndirectedGraph, node: NodeId) -> int:
 def diameter(
     graph: UndirectedGraph,
     *,
-    sample_size: Optional[int] = None,
-    rng: Optional[random.Random] = None,
     largest_component_only: bool = True,
     connected: Optional[bool] = None,
 ) -> float:
@@ -142,9 +134,6 @@ def diameter(
     "normal" curve is cut off when it partitions.  Set
     ``largest_component_only=False`` to get ``float('inf')`` on partitioned
     graphs instead.
-
-    With ``sample_size`` the result is a lower-bound estimate obtained from a
-    deterministic sample of BFS sources (sufficient to reproduce the trends).
 
     ``connected=True`` asserts the caller already knows the graph has a
     single component (the DDSR sweeps compute the component count right
@@ -160,9 +149,8 @@ def diameter(
         if len(components) > 1 and not largest_component_only:
             return float("inf")
         working = graph if len(components) == 1 else graph.subgraph(components[0])
-    nodes = _select_nodes(working, sample_size, rng)
     best = 0
-    for node in nodes:
+    for node in working.nodes():
         best = max(best, eccentricity(working, node))
     return float(best)
 
@@ -170,11 +158,9 @@ def diameter(
 def average_shortest_path_length(
     graph: UndirectedGraph,
     *,
-    sample_size: Optional[int] = None,
-    rng: Optional[random.Random] = None,
     connected: Optional[bool] = None,
 ) -> float:
-    """Mean pairwise distance inside the largest component (sampled sources).
+    """Mean pairwise distance inside the largest component.
 
     ``connected=True`` skips the component scan when the caller has already
     established connectivity (see :func:`diameter`).
@@ -186,10 +172,9 @@ def average_shortest_path_length(
     else:
         components = connected_components(graph)
         working = graph if len(components) == 1 else graph.subgraph(components[0])
-    nodes = _select_nodes(working, sample_size, rng)
     total = 0
     pairs = 0
-    for node in nodes:
+    for node in working.nodes():
         distances = shortest_path_lengths_from(working, node)
         total += sum(distances.values())
         pairs += len(distances) - 1
@@ -202,8 +187,8 @@ def full_path_metrics(graph: UndirectedGraph) -> Dict:
     """Exact diameter, ASPL and closeness of the largest component.
 
     Returns ``{components, largest_fraction, diameter, avg_path_length,
-    avg_closeness}`` with *every node of the largest component* as a BFS
-    source -- no sampling.  This is the readable reference the fast
+    avg_closeness}`` with every node of the largest component as a BFS
+    source.  This is the readable reference the fast
     backend's one-campaign :func:`repro.graphs.fast.full_path_metrics` must
     reproduce bit for bit; at paper scale and beyond use that one (this is
     O(n * (n + m))).
@@ -269,17 +254,3 @@ def degree_histogram(graph: UndirectedGraph) -> Dict[int, int]:
         histogram[degree_value] = histogram.get(degree_value, 0) + 1
     return histogram
 
-
-def _select_nodes(
-    graph: UndirectedGraph,
-    sample_size: Optional[int],
-    rng: Optional[random.Random],
-) -> Sequence[NodeId]:
-    """All nodes, or a deterministic sample of them when requested."""
-    nodes = graph.nodes()
-    if sample_size is None or sample_size >= len(nodes):
-        return nodes
-    if sample_size <= 0:
-        return []
-    chooser = rng if rng is not None else random.Random(0)
-    return chooser.sample(nodes, sample_size)

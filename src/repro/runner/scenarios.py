@@ -50,13 +50,13 @@ def fig3_walkthrough(*, seed: int, n: int, k: int, deletions: int) -> Dict[str, 
 @scenario(
     name="fig4-centrality",
     description="Figure 4: centrality under incremental deletions (one degree curve)",
+    version="2",
     defaults={
         "n": 300,
         "degree": 10,
         "pruning": True,
         "max_fraction": 0.3,
         "checkpoints": 4,
-        "closeness_sample": 32,
     },
 )
 def fig4_centrality(
@@ -67,7 +67,6 @@ def fig4_centrality(
     pruning: bool,
     max_fraction: float,
     checkpoints: int,
-    closeness_sample: int,
 ) -> Dict[str, float]:
     from repro.analysis.experiments import run_fig4_centrality
 
@@ -78,7 +77,6 @@ def fig4_centrality(
         checkpoints=checkpoints,
         pruning=pruning,
         seed=seed,
-        closeness_sample=closeness_sample,
     )[0]
     return {
         "initial_closeness": curve.closeness[0],
@@ -111,22 +109,11 @@ def fig5_summary(result) -> Dict[str, float]:
 @scenario(
     name="fig5-resilience",
     description="Figure 5: DDSR vs normal graph under incremental deletions",
-    defaults={
-        "n": 300,
-        "k": 10,
-        "max_fraction": 0.95,
-        "checkpoints": 10,
-        "diameter_sample": 24,
-    },
+    version="2",
+    defaults={"n": 300, "k": 10, "max_fraction": 0.95, "checkpoints": 10},
 )
 def fig5_resilience(
-    *,
-    seed: int,
-    n: int,
-    k: int,
-    max_fraction: float,
-    checkpoints: int,
-    diameter_sample: int,
+    *, seed: int, n: int, k: int, max_fraction: float, checkpoints: int
 ) -> Dict[str, float]:
     from repro.analysis.experiments import run_fig5_resilience
 
@@ -136,7 +123,6 @@ def fig5_resilience(
         max_fraction=max_fraction,
         checkpoints=checkpoints,
         seed=seed,
-        diameter_sample=diameter_sample,
     )
     return fig5_summary(result)
 
@@ -369,33 +355,43 @@ def resilience_at_scale(
     components of the intermediate checkpoints are used (for
     ``stayed_connected_until_fraction``): the path metrics and degree
     centrality are returned for the initial and the final overlay.  Every path
-    metric defaults to the *exact full population* (``metric_sample=None``):
-    diameter, ASPL and closeness all come from one full-population wave
-    campaign per checkpoint, so the 100k-node resilience curves report exact
-    values where the paper (and PR 3/4) sampled diameter and path length.
-    ``REPRO_PATH_WORKERS=N`` source-shards each campaign across a process
-    pool, bit-identically to serial; the overlay's exact campaigns read it
-    themselves (an environment knob, not a parameter: performance settings
-    must not perturb unit seeds or cache identity);
-    ``metric_sample=<int>`` restores the PR 4 sampled estimators.
+    metric is exact: diameter, ASPL and closeness all come from one
+    full-population wave campaign per checkpoint, so the 100k-node
+    resilience curves report exact values where the paper sampled diameter
+    and path length.  ``REPRO_PATH_WORKERS=N`` source-shards each campaign
+    across a process pool, bit-identically to serial; the overlay's exact
+    campaigns read it themselves (an environment knob, not a parameter:
+    performance settings must not perturb unit seeds or cache identity).
+
+    ``metric_sample`` and ``closeness_sample`` accept only ``None`` and
+    change nothing: they stay in ``defaults`` so that the pinned benchmark
+    rows and the cache keys of this scenario keep their bytes, until a
+    benchmark re-pin drops them (ROADMAP item 2).
     """
     from repro.core.ddsr import DDSROverlay
+    from repro.core.errors import ConfigError
     from repro.graphs import backend
     from repro.workloads.deletion import DeletionSchedule
+
+    for name, value in (
+        ("metric_sample", metric_sample),
+        ("closeness_sample", closeness_sample),
+    ):
+        if value is not None:
+            raise ConfigError(
+                f"resilience-at-scale: {name}={value!r} is refused; path metrics "
+                f"are exact only and {name} accepts only null (the key goes with "
+                f"the benchmark-goldens re-pin, ROADMAP item 2)"
+            )
 
     overlay = DDSROverlay.k_regular(n, k, seed=derive_seed(seed, "wiring"))
     schedule = DeletionSchedule.random(
         overlay.nodes(), max_fraction, seed=derive_seed(seed, "victims")
     )
-    metric_rng = random.Random(derive_seed(seed, "metrics"))
     batch = max(1, len(schedule) // checkpoints) if len(schedule) else 1
 
     def measure() -> Dict[str, float]:
-        summary = overlay.path_metric_summary(
-            sample_size=metric_sample,
-            rng=metric_rng,
-            closeness_sample=closeness_sample,
-        )
+        summary = overlay.path_metric_summary()
         return {
             "components": float(summary["components"]),
             "largest_fraction": summary["largest_fraction"],

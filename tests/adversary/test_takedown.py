@@ -127,8 +127,8 @@ class TestGradualPathMetrics:
         )
         assert result.path_metrics is None
 
-    def test_exact_path_metrics_when_sample_is_none(self):
-        """metric_sample=None records exact full-population metrics."""
+    def test_path_metrics_are_exact(self):
+        """Every checkpoint records exact full-population metrics."""
         from repro.graphs import backend
 
         target = overlay()
@@ -137,7 +137,6 @@ class TestGradualPathMetrics:
             checkpoints=2,
             rng=random.Random(4),
             path_metrics=True,
-            metric_sample=None,
         )
         results = strategy.execute_with_checkpoints(target)
         final = results[-1]
@@ -159,7 +158,6 @@ class TestGradualPathMetrics:
                 checkpoints=2,
                 rng=random.Random(4),
                 path_metrics=True,
-                metric_sample=None,
             )
             return [
                 checkpoint.path_metrics
@@ -178,8 +176,6 @@ class TestGradualPathMetrics:
             checkpoints=3,
             rng=random.Random(2),
             path_metrics=True,
-            metric_sample=8,
-            metric_rng=random.Random(11),
         )
         results = strategy.execute_with_checkpoints(target)
         assert results

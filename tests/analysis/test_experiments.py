@@ -25,29 +25,29 @@ class TestFig3:
 
 class TestFig4:
     def test_one_curve_per_degree(self):
-        results = run_fig4_centrality(n=150, degrees=(5, 10), checkpoints=3, closeness_sample=20)
+        results = run_fig4_centrality(n=150, degrees=(5, 10), checkpoints=3)
         assert [r.degree for r in results] == [5, 10]
         assert all(len(r.deletions) == len(r.closeness) == len(r.degree_centrality) for r in results)
 
     def test_pruning_bounds_max_degree(self):
         with_pruning = run_fig4_centrality(
-            n=150, degrees=(10,), checkpoints=3, pruning=True, closeness_sample=20
+            n=150, degrees=(10,), checkpoints=3, pruning=True
         )[0]
         without = run_fig4_centrality(
-            n=150, degrees=(10,), checkpoints=3, pruning=False, closeness_sample=20
+            n=150, degrees=(10,), checkpoints=3, pruning=False
         )[0]
         assert max(with_pruning.max_degree) <= 15
         assert max(without.max_degree) > 15
 
     def test_closeness_remains_stable_under_deletions(self):
-        result = run_fig4_centrality(n=200, degrees=(10,), checkpoints=4, closeness_sample=30)[0]
+        result = run_fig4_centrality(n=200, degrees=(10,), checkpoints=4)[0]
         assert result.closeness[-1] > 0.3
         assert result.label().startswith("deg = 10")
 
 
 class TestFig5:
     def test_ddsr_vs_normal_divergence(self):
-        result = run_fig5_resilience(n=200, k=10, checkpoints=8, diameter_sample=16, max_fraction=0.9)
+        result = run_fig5_resilience(n=200, k=10, checkpoints=8, max_fraction=0.9)
         # DDSR stays in one component far longer than the normal graph.
         assert result.ddsr_stays_connected_until() > 0.5
         assert max(result.normal_components) > max(result.ddsr_components)
@@ -55,7 +55,7 @@ class TestFig5:
         assert result.normal_partitions_at() is not None
 
     def test_series_lengths_match(self):
-        result = run_fig5_resilience(n=120, k=10, checkpoints=4, diameter_sample=10)
+        result = run_fig5_resilience(n=120, k=10, checkpoints=4)
         n_points = len(result.deletions)
         assert (
             len(result.ddsr_components)

@@ -60,7 +60,7 @@ class TestPrimitives:
 
 class TestFigureExports:
     def test_export_fig4(self, tmp_path):
-        results = run_fig4_centrality(n=80, degrees=(4,), checkpoints=2, closeness_sample=10)
+        results = run_fig4_centrality(n=80, degrees=(4,), checkpoints=2)
         written = export_fig4(results, tmp_path)
         assert any(path.suffix == ".csv" for path in written)
         assert (tmp_path / "fig4.json").exists()
@@ -68,7 +68,7 @@ class TestFigureExports:
         assert loaded[0]["degree"] == 4
 
     def test_export_fig5(self, tmp_path):
-        result = run_fig5_resilience(n=80, k=6, checkpoints=2, diameter_sample=8)
+        result = run_fig5_resilience(n=80, k=6, checkpoints=2)
         written = export_fig5(result, tmp_path)
         csv_path = next(path for path in written if path.suffix == ".csv")
         with csv_path.open() as handle:

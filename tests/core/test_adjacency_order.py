@@ -41,13 +41,12 @@ from tests.core.test_ddsr_compiled import _engine
 DDSR_CASES = [
     (
         "fig4-centrality",
-        {"n": 120, "degree": 6, "pruning": True, "max_fraction": 0.3,
-         "checkpoints": 3, "closeness_sample": 16},
+        {"n": 120, "degree": 6, "pruning": True, "max_fraction": 0.3, "checkpoints": 3},
         2024,
     ),
     (
         "fig5-resilience",
-        {"n": 120, "k": 10, "max_fraction": 0.9, "checkpoints": 6, "diameter_sample": 12},
+        {"n": 120, "k": 10, "max_fraction": 0.9, "checkpoints": 6},
         77,
     ),
     ("resilience-at-scale", {"n": 300, "k": 8, "max_fraction": 0.3, "checkpoints": 4}, 5),

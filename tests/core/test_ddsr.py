@@ -191,23 +191,18 @@ class TestMassRemoval:
 
 class TestPathMetricSummary:
     def test_summary_matches_backend_metrics(self):
-        import random
-
+        """The one-campaign summary equals the separate exact estimators."""
         from repro.graphs import backend
 
         overlay = DDSROverlay.k_regular(120, 8, seed=4)
-        summary = overlay.path_metric_summary(sample_size=10, rng=random.Random(3))
+        summary = overlay.path_metric_summary()
         components, largest = backend.component_summary(overlay.graph)
         assert summary["components"] == components
         assert summary["largest_fraction"] == largest / overlay.graph.number_of_nodes()
-        # Same extraction + same rng stream reproduces the summary exactly.
-        rng = random.Random(3)
         working = backend.largest_component_subgraph(overlay.graph)
-        assert summary["diameter"] == backend.diameter(
-            working, sample_size=10, rng=rng, connected=True
-        )
+        assert summary["diameter"] == backend.diameter(working, connected=True)
         assert summary["avg_path_length"] == backend.average_shortest_path_length(
-            working, sample_size=10, rng=rng, connected=True
+            working, connected=True
         )
         assert summary["avg_closeness"] == backend.average_closeness_centrality(working)
 
@@ -220,13 +215,9 @@ class TestPathMetricSummary:
         overlay = DDSROverlay.k_regular(150, 8, seed=5)
         overlay.remove_fraction(0.3, rng=random.Random(6))
         with backend.using("python"):
-            reference = overlay.path_metric_summary(
-                sample_size=12, rng=random.Random(9)
-            )
+            reference = overlay.path_metric_summary()
         with backend.using("fast"):
-            assert overlay.path_metric_summary(
-                sample_size=12, rng=random.Random(9)
-            ) == reference
+            assert overlay.path_metric_summary() == reference
 
     def test_empty_overlay_summary(self):
         overlay = DDSROverlay.k_regular(10, 4, seed=1)
@@ -236,7 +227,7 @@ class TestPathMetricSummary:
         assert summary["components"] == 0 and summary["avg_closeness"] == 0.0
 
     def test_exact_summary_matches_full_path_metrics(self):
-        """sample_size=None routes through the one-campaign exact kernel."""
+        """The summary is the one-campaign exact kernel's, on both backends."""
         pytest.importorskip("numpy")
         import random
 
@@ -250,23 +241,3 @@ class TestPathMetricSummary:
             assert overlay.path_metric_summary() == summary
         with backend.using("fast"):
             assert overlay.path_metric_summary() == summary
-
-    def test_exact_summary_agrees_with_sampled_estimator_limits(self):
-        """Exact values equal the sampled estimators run at full population."""
-        import random
-
-        from repro.graphs import backend
-
-        overlay = DDSROverlay.k_regular(120, 8, seed=9)
-        exact = overlay.path_metric_summary()
-        n = overlay.graph.number_of_nodes()
-        # A sample covering every node is the full population by contract.
-        sampled = overlay.path_metric_summary(
-            sample_size=n, rng=random.Random(1)
-        )
-        assert sampled["diameter"] == exact["diameter"]
-        assert sampled["avg_path_length"] == exact["avg_path_length"]
-        assert sampled["avg_closeness"] == exact["avg_closeness"]
-        assert exact["components"] == 1
-        working = backend.largest_component_subgraph(overlay.graph)
-        assert exact["avg_closeness"] == backend.average_closeness_centrality(working)

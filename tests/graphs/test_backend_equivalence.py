@@ -5,9 +5,9 @@ Every fast kernel is run against the pure-Python implementation in
 Erdos--Renyi, Barabasi--Albert, ring, partitioned variants, and empty /
 singleton edge cases).  Integer metrics must match exactly; float metrics are
 checked with ``math.isclose`` (in practice they are bit-identical, because the
-fast kernels mirror the reference's arithmetic).  Sampled estimators are fed
-the *same* rng seed on both sides and must agree exactly, which pins down not
-just the math but the rng consumption pattern.
+fast kernels mirror the reference's arithmetic).  The waves behind every
+path metric are also checked on source subsets, through
+:func:`repro.graphs.fast.accumulate_path_shard`.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from repro.graphs.partition import (
 from repro.obs import telemetry
 
 from tests.graphs.test_wave_engine import assert_waves_match_reference
-
-SAMPLE_SIZES = (None, 5)
 
 
 def _partitioned_k_regular(n: int, k: int, removed_fraction: float, seed: int) -> UndirectedGraph:
@@ -157,14 +155,9 @@ def test_closeness_centrality_identical(zoo_graph):
         )
 
 
-@pytest.mark.parametrize("sample_size", SAMPLE_SIZES)
-def test_average_closeness_identical(zoo_graph, sample_size):
-    reference = metrics.average_closeness_centrality(
-        zoo_graph, sample_size=sample_size, rng=random.Random(7)
-    )
-    vectorized = fast.average_closeness_centrality(
-        zoo_graph, sample_size=sample_size, rng=random.Random(7)
-    )
+def test_average_closeness_identical(zoo_graph):
+    reference = metrics.average_closeness_centrality(zoo_graph)
+    vectorized = fast.average_closeness_centrality(zoo_graph)
     assert math.isclose(vectorized, reference, rel_tol=1e-12, abs_tol=0.0)
 
 
@@ -182,11 +175,16 @@ def test_degree_metrics_identical(zoo_graph):
         )
 
 
-@pytest.mark.parametrize("sample_size", SAMPLE_SIZES)
-def test_diameter_identical(zoo_graph, sample_size):
-    reference = metrics.diameter(zoo_graph, sample_size=sample_size, rng=random.Random(21))
-    vectorized = fast.diameter(zoo_graph, sample_size=sample_size, rng=random.Random(21))
-    assert vectorized == reference
+def test_diameter_identical(zoo_graph):
+    assert fast.diameter(zoo_graph) == metrics.diameter(zoo_graph)
+
+
+def test_five_source_waves_match_reference(zoo_graph):
+    """A five-source shard folds what pure-Python BFS from those five gives."""
+    nodes = zoo_graph.nodes()
+    assert_waves_match_reference(
+        zoo_graph, random.Random(21).sample(nodes, min(5, len(nodes)))
+    )
 
 
 def test_diameter_infinite_on_partitioned(zoo_graph):
@@ -195,27 +193,21 @@ def test_diameter_infinite_on_partitioned(zoo_graph):
     assert vectorized == reference
 
 
-@pytest.mark.parametrize("sample_size", SAMPLE_SIZES)
-def test_average_shortest_path_identical(zoo_graph, sample_size):
-    reference = metrics.average_shortest_path_length(
-        zoo_graph, sample_size=sample_size, rng=random.Random(23)
-    )
-    vectorized = fast.average_shortest_path_length(
-        zoo_graph, sample_size=sample_size, rng=random.Random(23)
-    )
+def test_average_shortest_path_identical(zoo_graph):
+    reference = metrics.average_shortest_path_length(zoo_graph)
+    vectorized = fast.average_shortest_path_length(zoo_graph)
     assert math.isclose(vectorized, reference, rel_tol=1e-12, abs_tol=0.0)
 
 
 def test_connected_flag_does_not_change_connected_results():
     graph = k_regular_graph(64, 6, seed=31)
-    for fn in (metrics.diameter, fast.diameter):
-        assert fn(graph, sample_size=8, rng=random.Random(1), connected=True) == fn(
-            graph, sample_size=8, rng=random.Random(1)
-        )
-    for fn in (metrics.average_shortest_path_length, fast.average_shortest_path_length):
-        assert fn(graph, sample_size=8, rng=random.Random(1), connected=True) == fn(
-            graph, sample_size=8, rng=random.Random(1)
-        )
+    for fn in (
+        metrics.diameter,
+        fast.diameter,
+        metrics.average_shortest_path_length,
+        fast.average_shortest_path_length,
+    ):
+        assert fn(graph, connected=True) == fn(graph)
 
 
 def test_partition_summary_after_removal_identical(zoo_graph):
@@ -293,9 +285,7 @@ def _assert_all_metrics_match(graph):
         )
     )
     assert fast.degree_histogram(graph) == metrics.degree_histogram(graph)
-    assert fast.diameter(graph, sample_size=6, rng=random.Random(1)) == (
-        metrics.diameter(graph, sample_size=6, rng=random.Random(1))
-    )
+    assert fast.diameter(graph) == metrics.diameter(graph)
     assert fast.average_degree_centrality(graph) == metrics.average_degree_centrality(graph)
     with backend.using("python"):
         top_degree = backend.top_degree_nodes(graph)
@@ -686,9 +676,9 @@ def test_backend_dispatchers_cover_every_metric():
         assert backend.shortest_path_lengths_from(graph, 0) == (
             metrics.shortest_path_lengths_from(graph, 0)
         )
-        assert backend.average_closeness_centrality(
-            graph, sample_size=4, rng=random.Random(3)
-        ) == metrics.average_closeness_centrality(graph, sample_size=4, rng=random.Random(3))
+        assert backend.average_closeness_centrality(graph) == (
+            metrics.average_closeness_centrality(graph)
+        )
         assert backend.component_summary(graph) == fast.component_summary(graph)
         assert backend.full_path_metrics(graph) == metrics.full_path_metrics(graph)
         assert backend.path_length_accumulators(graph) == (

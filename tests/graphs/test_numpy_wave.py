@@ -4,9 +4,9 @@ Every multi-source BFS wave runs on the compiled kernel whenever a C
 compiler builds it, so on such machines the numpy wave
 (:func:`repro.graphs.fast._dense_wave`, the no-compiler fallback) would go
 untested.  These tests pin the loader to "no kernel" and assert that the
-numpy wave -- the full matrix of topologies and estimators, multi-word
-waves, the full-population goldens and a ring's sparse frontier -- matches
-the reference exactly.
+numpy wave -- the full matrix of topologies and exact metrics, source
+subsets, multi-word waves, the full-population goldens and a ring's sparse
+frontier -- matches the reference exactly.
 """
 
 from __future__ import annotations
@@ -85,16 +85,13 @@ def test_numpy_wave_matrix_bit_identical(numpy_wave, wave_width, name, graph, wi
     """The full wave-engine matrix on the numpy wave: exact parity, on
     one-word waves and on the default multi-word width."""
     with nullcontext() if width == "auto" else wave_width(width):
-        assert fast.diameter(graph, sample_size=12, rng=random.Random(1)) == (
-            metrics.diameter(graph, sample_size=12, rng=random.Random(1))
-        )
+        assert_waves_match_reference(graph, random.Random(1).sample(graph.nodes(), 12))
+        assert fast.diameter(graph) == metrics.diameter(graph)
         assert fast.average_closeness_centrality(graph) == (
             metrics.average_closeness_centrality(graph)
         )
-        assert fast.average_shortest_path_length(
-            graph, sample_size=9, rng=random.Random(2)
-        ) == metrics.average_shortest_path_length(
-            graph, sample_size=9, rng=random.Random(2)
+        assert fast.average_shortest_path_length(graph) == (
+            metrics.average_shortest_path_length(graph)
         )
         assert fast.full_path_metrics(graph) == metrics.full_path_metrics(graph)
 
@@ -118,6 +115,5 @@ def test_numpy_full_population_goldens(numpy_wave):
 
 def test_numpy_ring_sparse_frontier_identical(numpy_wave):
     graph = ring_graph(240)
-    assert fast.diameter(graph, sample_size=8, rng=random.Random(3)) == (
-        metrics.diameter(graph, sample_size=8, rng=random.Random(3))
-    )
+    assert_waves_match_reference(graph, random.Random(3).sample(graph.nodes(), 8))
+    assert fast.eccentricity(graph, 0) == metrics.eccentricity(graph, 0)

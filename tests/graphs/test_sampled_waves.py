@@ -1,14 +1,14 @@
-"""Every sampled estimator: compiled == numpy == reference.
+"""Waves over source subsets: compiled == numpy == reference.
 
-The sampled diameter and average shortest path length read their answers
-off the per-node accumulators of
-:func:`repro.graphs.fast.accumulate_path_shard` for the sampled sources,
-run on one wave engine: the compiled kernel when
-:mod:`repro.graphs._wavekernel` loads it, else the plain dense numpy wave.
-Sampled closeness sums single-source closeness values.  All of them must
-return exactly what the pure-Python reference in :mod:`repro.graphs.metrics`
-returns, on the step zoo below and at source counts on both sides of every
-frontier-word and wave-chunk boundary.
+:func:`repro.graphs.fast.accumulate_path_shard` over a subset of the nodes
+-- what one shard of a sharded campaign and every single-source metric run
+-- must fold exactly the per-node ``(ecc, totals)`` that pure-Python BFS
+from those sources gives, on either wave engine (the compiled kernel when
+:mod:`repro.graphs._wavekernel` loads it, else the plain dense numpy wave),
+on the zoo below and at source counts on both sides of every frontier-word
+and wave-chunk boundary.  Duplicate sources count once per occurrence.
+The single-source metrics, which run one-source waves, are pinned on both
+engines here too.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ np = pytest.importorskip("numpy")
 
 from repro.graphs import _wavekernel, fast, metrics
 from repro.graphs.adjacency import UndirectedGraph
-from repro.graphs.generators import k_regular_graph, ring_graph
+from repro.graphs.generators import ring_graph
 from repro.obs import telemetry
 
-from tests.graphs.test_wave_engine import SAMPLED_GOLDEN_2500, assert_same, reference
+from tests.graphs.test_wave_engine import assert_same, reference, source_indices
 
 #: Sources per call: one word, either side of the one/two-word boundary,
 #: one full default wave and either side of the wave-chunk boundary.
@@ -41,7 +41,7 @@ def _ring(n: int, offset: int = 0):
 
 
 #: Every largest component holds more than ``max(BATCH_SIZES)`` nodes, so
-#: each batch size is a true sample there.
+#: each batch size is a proper subset there.
 ZOO = {
     "ring": ring_graph(180),
     "path": UndirectedGraph(edges=_path(150)),
@@ -75,49 +75,40 @@ def _duplicated_sources(graph: UndirectedGraph, batch: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _reference(name: str, batch: int):
-    """Pure-Python answers for one (graph, batch) pair, computed once."""
+def _reference(name: str, batch: int, duplicated: bool):
+    """Source indices and pure-Python accumulators, computed once."""
     graph = ZOO[name]
     csr = fast.csr_of(graph)
-    sources = fast._batched_source_indices(csr, _duplicated_sources(graph, batch))
-    return {
-        "diameter": metrics.diameter(graph, sample_size=batch, rng=random.Random(1)),
-        "aspl": metrics.average_shortest_path_length(
-            graph, sample_size=batch, rng=random.Random(2)
-        ),
-        "closeness": metrics.average_closeness_centrality(
-            graph, sample_size=batch, rng=random.Random(3)
-        ),
-        "sources": sources,
-        "accumulators": reference(graph, csr, sources),
-    }
+    if duplicated:
+        nodes = _duplicated_sources(graph, batch)
+    else:
+        nodes = random.Random(batch).sample(graph.nodes(), batch)
+    sources = source_indices(csr, nodes)
+    return sources, reference(graph, csr, sources)
 
 
+@pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated"])
 @pytest.mark.parametrize("batch", BATCH_SIZES)
 @pytest.mark.parametrize("name", sorted(ZOO))
-def test_sampled_callers_match_reference(engine, name, batch):
+def test_source_subsets_match_reference(engine, name, batch, duplicated):
+    sources, expected = _reference(name, batch, duplicated)
+    assert_same(fast.accumulate_path_shard(fast.csr_of(ZOO[name]), sources), expected)
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_single_source_metrics_match_reference(engine, name):
+    """Single-source distances, eccentricity and closeness are one-source
+    waves; isolated sources included (the zoo's last nodes)."""
     graph = ZOO[name]
-    expected = _reference(name, batch)
-    assert fast.diameter(graph, sample_size=batch, rng=random.Random(1)) == (
-        expected["diameter"]
-    )
-    assert fast.average_shortest_path_length(
-        graph, sample_size=batch, rng=random.Random(2)
-    ) == expected["aspl"]
-    # The per-node accumulators themselves, duplicate sources included.
-    assert_same(
-        fast.accumulate_path_shard(fast.csr_of(graph), expected["sources"]),
-        expected["accumulators"],
-    )
-
-
-@pytest.mark.parametrize("batch", BATCH_SIZES)
-@pytest.mark.parametrize("name", sorted(ZOO))
-def test_sampled_closeness_matches_reference(name, batch):
-    """Sampled closeness runs no wave, so one engine-free run covers it."""
-    assert fast.average_closeness_centrality(
-        ZOO[name], sample_size=batch, rng=random.Random(3)
-    ) == _reference(name, batch)["closeness"]
+    nodes = graph.nodes()
+    for node in nodes[::7] + nodes[-3:]:
+        assert fast.shortest_path_lengths_from(graph, node) == (
+            metrics.shortest_path_lengths_from(graph, node)
+        )
+        assert fast.eccentricity(graph, node) == metrics.eccentricity(graph, node)
+        assert fast.closeness_centrality(graph, node) == (
+            metrics.closeness_centrality(graph, node)
+        )
 
 
 def test_empty_source_set(engine):
@@ -126,23 +117,12 @@ def test_empty_source_set(engine):
     ecc, totals = fast.accumulate_path_shard(csr, np.empty(0, dtype=np.int64))
     assert ecc.shape == totals.shape == (csr.n,)
     assert not ecc.any() and not totals.any()
-    assert fast.diameter(graph, sample_size=0) == metrics.diameter(graph, sample_size=0)
-    assert fast.average_shortest_path_length(graph, sample_size=0) == (
-        metrics.average_shortest_path_length(graph, sample_size=0)
-    )
 
 
-def test_sampled_golden_2500(engine):
-    graph = k_regular_graph(2500, 10, seed=77)
-    assert fast.average_closeness_centrality(
-        graph, sample_size=96, rng=random.Random(5)
-    ) == SAMPLED_GOLDEN_2500
-
-
-def test_sampled_callers_name_their_engine(engine):
-    graph = ZOO["ring"]
+def test_source_subsets_name_their_engine(engine):
+    csr = fast.csr_of(ZOO["ring"])
     with telemetry.collecting() as collector:
-        fast.diameter(graph, sample_size=8, rng=random.Random(0))
+        fast.accumulate_path_shard(csr, np.arange(8, dtype=np.int64))
     snapshot = collector.snapshot()
     assert snapshot["gauges"]["wave.kernel"] == engine
     assert snapshot["counters"]["wave.levels"] == sum(

@@ -9,11 +9,12 @@ configuration must return results identical to the pure-Python reference
 in :mod:`repro.graphs.metrics` -- width and step mode tune wall-clock time,
 never values.  The waves' per-node ``(ecc, totals)`` accumulators
 (:func:`repro.graphs.fast.accumulate_path_shard`) are checked against
-:func:`reference`, the same fold over pure-Python BFS distances.
-Both engines are pinned against each other and the reference for every
-sampled caller in ``test_sampled_waves.py``.
+:func:`reference`, the same fold over pure-Python BFS distances.  Both
+engines are pinned against each other and the reference on source subsets
+either side of every frontier-word and wave-chunk boundary in
+``test_sampled_waves.py``.
 
-The 100k-node full-sample closeness golden lives in
+The 100k-node full-population closeness golden lives in
 ``benchmarks/bench_graph_kernels.py`` (the benchmark builds that graph
 anyway); here the same contracts are pinned at tier-1-friendly sizes.
 """
@@ -37,10 +38,8 @@ from repro.obs import telemetry
 #: ``k_regular_graph(800, 6, seed=11)`` -- pinned under both backends.
 FULL_POPULATION_GOLDEN_800 = 0.24697170483624897
 
-#: Sampled (96 sources) and full-population mean closeness on
-#: ``k_regular_graph(2500, 10, seed=77)`` -- pinned through the dispatcher
-#: under both backends.
-SAMPLED_GOLDEN_2500 = 0.2712470362069424
+#: Full-population mean closeness on ``k_regular_graph(2500, 10, seed=77)``
+#: -- pinned through the dispatcher under both backends.
 FULL_POPULATION_GOLDEN_2500 = 0.27123199657863245
 
 
@@ -62,11 +61,16 @@ def assert_same(left, right, label=""):
     assert np.array_equal(left[1], right[1]), label
 
 
+def source_indices(csr, nodes):
+    """CSR indices of ``nodes`` (node ids, duplicates kept), in order."""
+    return np.array([csr.index_of[node] for node in nodes], dtype=np.int64)
+
+
 def assert_waves_match_reference(graph, sources=None):
     """``accumulate_path_shard`` over ``sources`` (node ids; default every
     node) equals :func:`reference`."""
     csr = fast.csr_of(graph)
-    indices = fast._batched_source_indices(csr, graph.nodes() if sources is None else sources)
+    indices = source_indices(csr, graph.nodes() if sources is None else sources)
     assert_same(fast.accumulate_path_shard(csr, indices), reference(graph, csr, indices))
 
 
@@ -138,25 +142,13 @@ def test_multiword_wave_width_is_actually_used():
 
 @pytest.mark.parametrize("forced", [64, 100, 128, 512])
 def test_forced_wave_widths_identical(forced, wave_width):
-    """Any forced wave width returns the same estimator values."""
+    """Any forced wave width returns the same accumulators and metrics."""
     graph = k_regular_graph(300, 8, seed=33)
-    expected_diameter = metrics.diameter(graph, sample_size=40, rng=random.Random(3))
-    expected_closeness = metrics.average_closeness_centrality(
-        graph, sample_size=40, rng=random.Random(4)
-    )
-    expected_aspl = metrics.average_shortest_path_length(
-        graph, sample_size=40, rng=random.Random(5)
-    )
+    sources = random.Random(3).sample(graph.nodes(), 40)
+    expected = metrics.full_path_metrics(graph)
     with wave_width(forced):
-        assert fast.diameter(graph, sample_size=40, rng=random.Random(3)) == (
-            expected_diameter
-        )
-        assert fast.average_closeness_centrality(
-            graph, sample_size=40, rng=random.Random(4)
-        ) == expected_closeness
-        assert fast.average_shortest_path_length(
-            graph, sample_size=40, rng=random.Random(5)
-        ) == expected_aspl
+        assert_waves_match_reference(graph, sources)
+        assert fast.full_path_metrics(graph) == expected
 
 
 def _mutate_between_reads(graph, rng, steps):
@@ -184,19 +176,25 @@ def test_multiword_wave_after_mutations(wave_width):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mode", ["dense", "sparse", "adaptive", "numpy"])
 def test_forced_step_modes_identical(step_graph, mode, monkeypatch):
-    """Every sampled caller, on each kernel step mode and on numpy."""
+    """Source subsets and every exact caller, on each kernel step mode and
+    on numpy."""
     _pin_wave_engine(monkeypatch, mode)
-    assert_waves_match_reference(step_graph, step_graph.nodes()[::3])
-    assert fast.diameter(step_graph, sample_size=12, rng=random.Random(1)) == (
-        metrics.diameter(step_graph, sample_size=12, rng=random.Random(1))
-    )
+    nodes = step_graph.nodes()
+    assert_waves_match_reference(step_graph, nodes[::3])
+    assert_waves_match_reference(step_graph, random.Random(1).sample(nodes, 12))
+    assert fast.diameter(step_graph) == metrics.diameter(step_graph)
     assert fast.average_closeness_centrality(step_graph) == (
         metrics.average_closeness_centrality(step_graph)
     )
-    assert fast.average_shortest_path_length(
-        step_graph, sample_size=9, rng=random.Random(2)
-    ) == metrics.average_shortest_path_length(
-        step_graph, sample_size=9, rng=random.Random(2)
+    assert fast.average_shortest_path_length(step_graph) == (
+        metrics.average_shortest_path_length(step_graph)
+    )
+    source = nodes[len(nodes) // 2]
+    assert fast.shortest_path_lengths_from(step_graph, source) == (
+        metrics.shortest_path_lengths_from(step_graph, source)
+    )
+    assert fast.closeness_centrality(step_graph, source) == (
+        metrics.closeness_centrality(step_graph, source)
     )
 
 
@@ -213,8 +211,9 @@ def test_forced_step_modes_identical_multiword(
 def test_adaptive_ring_uses_sparse_steps(monkeypatch):
     """On a ring the kernel's adaptive dispatch takes sparse steps only."""
     _pin_wave_engine(monkeypatch, "adaptive")
+    csr = fast.csr_of(ring_graph(400))
     with telemetry.collecting() as collector:
-        fast.diameter(ring_graph(400), sample_size=4, rng=random.Random(0), connected=True)
+        fast.accumulate_path_shard(csr, np.arange(4, dtype=np.int64))
     counters = collector.snapshot()["counters"]
     assert counters["wave.dispatch.sparse"] > 50
     assert counters.get("wave.dispatch.dense", 0) == 0
@@ -267,13 +266,11 @@ def test_wave_width_fixture_sets_the_words_per_wave(wave_width, width):
 
 def test_wave_width_changes_results_not_one_bit(wave_width):
     graph = k_regular_graph(500, 8, seed=43)
-    baseline = fast.average_shortest_path_length(
-        graph, sample_size=100, rng=random.Random(9)
-    )
+    csr = fast.csr_of(graph)
+    sources = source_indices(csr, random.Random(9).sample(graph.nodes(), 100))
+    baseline = fast.accumulate_path_shard(csr, sources)
     with wave_width(64):
-        assert fast.average_shortest_path_length(
-            graph, sample_size=100, rng=random.Random(9)
-        ) == baseline
+        assert_same(fast.accumulate_path_shard(csr, sources), baseline)
 
 
 # ----------------------------------------------------------------------
@@ -290,14 +287,7 @@ def test_full_population_closeness_golden_both_backends():
 def test_autosized_graph_goldens_both_backends():
     """The dispatcher itself must hit the same goldens on both backends."""
     graph = k_regular_graph(2500, 10, seed=77)
-    with backend.using("python"):
-        assert backend.average_closeness_centrality(
-            graph, sample_size=96, rng=random.Random(5)
-        ) == SAMPLED_GOLDEN_2500
     with backend.using("fast"):
-        assert backend.average_closeness_centrality(
-            graph, sample_size=96, rng=random.Random(5)
-        ) == SAMPLED_GOLDEN_2500
         assert backend.average_closeness_centrality(graph) == (
             FULL_POPULATION_GOLDEN_2500
         )
@@ -307,20 +297,18 @@ def test_autosized_graph_goldens_both_backends():
         )
 
 
-def test_full_population_matches_sampled_formula_on_disconnected():
+def test_full_population_matches_single_source_formula_on_disconnected():
     """The symmetric path agrees with the reference on non-trivial components."""
     graph = _partitioned(300, 6, seed=51)
     assert metrics.number_connected_components(graph) >= 1
     assert fast.average_closeness_centrality(graph) == (
         metrics.average_closeness_centrality(graph)
     )
-    # sample_size >= n is the same full-population code path by contract.
-    n = graph.number_of_nodes()
-    assert fast.average_closeness_centrality(
-        graph, sample_size=n + 50, rng=random.Random(1)
-    ) == metrics.average_closeness_centrality(
-        graph, sample_size=n + 50, rng=random.Random(1)
-    )
+    # The reference's own definition: single-source values summed in node order.
+    nodes = graph.nodes()
+    assert fast.average_closeness_centrality(graph) == sum(
+        fast.closeness_centrality(graph, node) for node in nodes
+    ) / len(nodes)
 
 
 def test_full_population_closeness_after_mutations():

@@ -7,8 +7,7 @@ Each case pins the *exact* metric outputs of a Figure 4/5/6 runner scenario
 * refactors cannot silently drift the paper numbers (the values below were
   produced by the reviewed implementation and are asserted bit-for-bit);
 * the fast CSR backend stays interchangeable with the pure-Python reference
-  at the full-scenario level, not just kernel by kernel -- including shared
-  rng consumption across checkpoints.
+  at the full-scenario level, not just kernel by kernel.
 
 All arithmetic on both paths is integer BFS work followed by float division
 in a fixed order, so exact equality is portable across platforms.  If a
@@ -35,20 +34,20 @@ GOLDENS = [
             "pruning": True,
             "max_fraction": 0.3,
             "checkpoints": 3,
-            "closeness_sample": 16,
         },
         2024,
         {
-            "initial_closeness": 0.3497140217914879,
-            "final_closeness": 0.5132850011796675,
-            "closeness_drop": -0.16357097938817955,
+            # Exact closeness (every node a BFS source) at every checkpoint.
+            "initial_closeness": 0.3479131289907229,
+            "final_closeness": 0.5115859756541351,
+            "closeness_drop": -0.1636728466634122,
             "final_degree_centrality": 0.16609294320137694,
             "max_degree_observed": 15.0,
         },
     ),
     (
         "fig5-resilience",
-        {"n": 120, "k": 10, "max_fraction": 0.9, "checkpoints": 6, "diameter_sample": 12},
+        {"n": 120, "k": 10, "max_fraction": 0.9, "checkpoints": 6},
         77,
         {
             "ddsr_stays_connected_until": 0.9,
@@ -68,33 +67,8 @@ GOLDENS = [
         {"fraction": 0.55, "nodes_to_partition": 82.0},
     ),
     (
-        "resilience-at-scale",
-        {"n": 400, "k": 10, "max_fraction": 0.5, "checkpoints": 4, "metric_sample": 16},
-        5,
-        {
-            "n": 400.0,
-            "deleted": 200.0,
-            "survivors": 200.0,
-            "stayed_connected_until_fraction": 0.5,
-            "final_components": 1.0,
-            "final_largest_fraction": 1.0,
-            "initial_diameter": 4.0,
-            "final_diameter": 3.0,
-            "initial_avg_path_length": 2.843828320802005,
-            "final_avg_path_length": 2.227701005025126,
-            # Exact full-population closeness (closeness_sample=None): the
-            # multi-word wave engine made every-node-a-source affordable.
-            "initial_avg_closeness": 0.3521321221062865,
-            "final_avg_closeness": 0.44903600009225864,
-            "final_degree_centrality": 0.07512562814070352,
-            "repair_edges_added": 17216.0,
-            "max_degree": 15.0,
-        },
-    ),
-    (
-        # The same sweep under the PR 5 exact defaults (metric_sample=None):
-        # diameter and ASPL are exact full-population values from the
-        # one-campaign accumulator path, no sampling anywhere.
+        # Diameter, ASPL and closeness are exact full-population values from
+        # the one-campaign accumulator path.
         "resilience-at-scale",
         {"n": 400, "k": 10, "max_fraction": 0.5, "checkpoints": 4},
         5,

@@ -44,21 +44,15 @@ class TestWaveCampaignDifferential:
         assert backend_gauge == ("native" if _wavekernel.load() is None else "builtin")
 
     def test_closeness_campaign_identical_and_csr_cache_observed(self):
-        import random
-
         from repro.graphs import fast
 
         graph = k_regular_graph(300, 6, seed=9)
         with backend.using("fast"):
-            dark = fast.average_closeness_centrality(
-                graph, sample_size=64, rng=random.Random(3)
-            )
+            dark = fast.average_closeness_centrality(graph)
             with telemetry.collecting() as collector:
                 fresh = k_regular_graph(300, 6, seed=9)
                 fast.csr_of(fresh)  # first sight of this graph: a build
-                lit = fast.average_closeness_centrality(
-                    graph, sample_size=64, rng=random.Random(3)
-                )
+                lit = fast.average_closeness_centrality(graph)
         assert lit == dark
         counters = collector.snapshot()["counters"]
         assert counters["csr.cache.build"] == 1

@@ -209,6 +209,28 @@ class TestExitCodes:
         assert var in err
         assert "unit 1/1 done" not in err
 
+    @pytest.mark.parametrize("name", ["metric_sample", "closeness_sample"])
+    def test_non_null_sample_param_is_3(self, name, capsys):
+        """The sampled estimators are gone: resilience-at-scale keeps the two
+        keys at null only and refuses any other value before any work."""
+        code = main(
+            ["run", "resilience-at-scale", "--no-cache", "--quiet",
+             "--set", "n=60", "--set", "k=4", "--set", f"{name}=16"]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{name}=16 is refused" in err
+        assert "ROADMAP item 2" in err
+
+    def test_null_sample_params_are_accepted(self, capsys):
+        code = main(
+            ["run", "resilience-at-scale", "--no-cache", "--quiet",
+             "--set", "n=60", "--set", "k=4", "--set", "checkpoints=2",
+             "--set", "metric_sample=null", "--set", "closeness_sample=null"]
+        )
+        assert code == 0
+        capsys.readouterr()
+
     def test_pool_failure_is_4(self, capsys, monkeypatch):
         # An in-parent hang past the deadline is a ParentTimeoutError, the
         # PoolError the pool's own failure ladder cannot absorb.

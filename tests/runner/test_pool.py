@@ -440,7 +440,6 @@ class TestCheckpointedTakedownDifferential:
                 checkpoints=3,
                 rng=random.Random(4),
                 path_metrics=True,
-                metric_sample=None,
             )
             with backend.using("fast"), telemetry.collecting() as collector:
                 results = strategy.execute_with_checkpoints(overlay)

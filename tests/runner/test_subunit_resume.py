@@ -61,7 +61,7 @@ def _clean_plane(pool_segments, monkeypatch):
 
 #: A 2-unit campaign whose every unit runs 4 exact path-metric checkpoints
 #: (initial + 3): enough sub-unit structure for mid-unit interruption.
-PARAMS = {"n": 300, "checkpoints": 3, "metric_sample": None, "closeness_sample": None}
+PARAMS = {"n": 300, "checkpoints": 3}
 
 #: Backend policy override -- the satellite matrix.  ``auto`` is ``fast``
 #: wherever these tests run (numpy >= 2.0 imports), so ``fast`` stands for it.
