@@ -4,7 +4,7 @@ Times one full-population accumulation (every node a source) per engine
 configuration, interleaving the configurations round by round so drift on
 a shared machine hits them all alike, and asserts every configuration
 returns the same ``(ecc, totals)`` integers before any timing is printed.
-A configuration is ``engine:width:mode``:
+A configuration is ``engine:width:mode[:threads]``:
 
 * ``engine`` -- ``numpy`` (the plain dense fallback wave), ``compiled``
   (the kernel built from the working tree's ``wavekernel.c``) or
@@ -13,13 +13,21 @@ A configuration is ``engine:width:mode``:
 * ``width``  -- sources per wave: ``auto`` (``fast._wave_width``'s rule)
   or an integer, substituted for ``fast._wave_width``;
 * ``mode``   -- the compiled kernel's ``adaptive``, ``dense`` or ``sparse``
-  (``fast.WAVE_STEP_MODE``); the numpy wave has one mode, ``dense``.
+  (``fast.WAVE_STEP_MODE``); the numpy wave has one mode, ``dense``;
+* ``threads`` -- wave threads (``fast.WAVE_THREADS``): ``auto`` (one per
+  usable CPU, the default for the kernels) or an integer; the numpy wave
+  runs on one thread, ``1``.
 
 This is the A/B behind ``fast.WAVE_WORDS`` and the compiled kernel's sparse
 step::
 
     PYTHONPATH=src python benchmarks/ab_wave_kernel.py --graph kregular --n 20000 --k 8
     PYTHONPATH=src python benchmarks/ab_wave_kernel.py --graph ring --n 5000 --rounds 3
+
+the A/B of the wave threads (one thread against one per usable CPU)::
+
+    PYTHONPATH=src python benchmarks/ab_wave_kernel.py --n 20000 --k 8 --rounds 11 \
+        --configs compiled:auto:adaptive:1,compiled:auto:adaptive:auto
 
 and, with ``--against``, the before/after A/B of a kernel edit (the
 configurations then default to the two kernels at the default width)::
@@ -38,6 +46,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -67,6 +76,26 @@ def build_against(source: Path, cache_home: str):
         else:
             os.environ["XDG_CACHE_HOME"] = saved_home
     return None if library is None else library.repro_wave_accumulate
+
+
+def parse_config(item: str, engines) -> Optional[Tuple[str, str, str, str]]:
+    """``engine:width:mode[:threads]`` as a 4-tuple, ``None`` when invalid;
+    ``threads`` defaults to ``1`` for the numpy wave, ``auto`` otherwise."""
+    fields = tuple(item.split(":"))
+    if len(fields) == 3:
+        fields += ("1" if fields[0] == "numpy" else "auto",)
+    if len(fields) != 4:
+        return None
+    engine, width, mode, threads = fields
+    numpy = engine == "numpy"
+    allowed = ("dense",) if numpy else tuple(fast._KERNEL_MODES)
+    width_ok = width == "auto" or (width.isdigit() and int(width) > 0)
+    threads_ok = threads == "1" if numpy else (
+        threads == "auto" or (threads.isdigit() and int(threads) > 0)
+    )
+    if engine not in engines or mode not in allowed or not width_ok or not threads_ok:
+        return None
+    return fields
 
 
 def main(argv=None) -> int:
@@ -104,22 +133,22 @@ def run(args, engines, configs) -> int:
         graph = k_regular_graph(args.n, args.k, seed=0)
     csr = fast.csr_of(graph)
     sources = np.arange(args.sources or csr.n, dtype=np.int64)
-    configs = [tuple(item.split(":")) for item in configs.split(",")]
-    for engine, width, mode in configs:
-        allowed = ("dense",) if engine == "numpy" else tuple(fast._KERNEL_MODES)
-        width_ok = width == "auto" or (width.isdigit() and int(width) > 0)
-        if engine not in engines or mode not in allowed or not width_ok:
-            print(f"error: unknown configuration {engine}:{width}:{mode}", file=sys.stderr)
+    items = configs.split(",")
+    configs = [parse_config(item, engines) for item in items]
+    for item, config in zip(items, configs):
+        if config is None:
+            print(f"error: unknown configuration {item}", file=sys.stderr)
             return 2
     auto_width = fast._wave_width
     times = {config: [] for config in configs}
     expected = None
     for _ in range(args.rounds):
         for config in configs:
-            engine, width, mode = config
+            engine, width, mode, threads = config
             chosen = engines[engine]
             _wavekernel.load = lambda chosen=chosen: chosen
             fast.WAVE_STEP_MODE = mode
+            fast.WAVE_THREADS = None if threads == "auto" else int(threads)
             fast._wave_width = auto_width if width == "auto" else (
                 lambda csr, total_sources, width=int(width): width
             )
@@ -133,9 +162,9 @@ def run(args, engines, configs) -> int:
                 return 1
     print(f"{args.graph} n={csr.n} m={csr.indices.size // 2} sources={sources.size} "
           f"rounds={args.rounds}")
-    print(f"{'config':<26} {'min_s':>7} {'median_s':>9}")
+    print(f"{'config':<31} {'min_s':>7} {'median_s':>9}")
     for config, samples in times.items():
-        print(f"{':'.join(config):<26} {min(samples):7.3f} {statistics.median(samples):9.3f}")
+        print(f"{':'.join(config):<31} {min(samples):7.3f} {statistics.median(samples):9.3f}")
     return 0
 
 

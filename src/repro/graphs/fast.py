@@ -12,9 +12,11 @@ vectorized kernels over it:
   (:func:`_run_waves`).  Every wave runs on one compiled C kernel
   (``wavekernel.c``, built on first use and loaded through ``ctypes`` by
   :mod:`repro.graphs._wavekernel`), which picks a dense or a sparse step per
-  level; without a C compiler a plain dense numpy wave
-  (:func:`_dense_wave`) returns the same integers.  Both engines share one
-  wave width (:func:`_wave_width`) and fold each level per node,
+  level; a campaign's waves spread over one thread per usable CPU
+  (:func:`_compiled_waves`, :data:`WAVE_THREADS`).  Without a C compiler a
+  plain dense numpy wave (:func:`_dense_wave`) returns the same integers on
+  one thread.  Both engines share one wave width (:func:`_wave_width`) and
+  fold each level per node,
 * path metrics from those per-node folds: per wave level the per-node row
   popcounts fold into an eccentricity *max* and a level-weighted distance
   *sum* (:func:`accumulate_path_shard`), so one campaign yields the exact
@@ -46,6 +48,8 @@ stamp; on a stamp mismatch :func:`csr_of` rebuilds it from scratch with
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from itertools import chain
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
@@ -85,6 +89,13 @@ WAVE_STEP_MODE = "adaptive"
 
 #: :data:`WAVE_STEP_MODE` as the kernel's ``mode`` argument.
 _KERNEL_MODES = {"adaptive": 0, "dense": 1, "sparse": 2}
+
+#: Threads that run one campaign's waves on the compiled kernel (the calling
+#: thread is one of them): ``None`` means one per CPU the process may use,
+#: never more than the campaign has wave chunks.  Process-pool workers set 1,
+#: since the pool already runs one of them per core.  Every count returns
+#: identical results; the numpy fallback always runs on one thread.
+WAVE_THREADS: Optional[int] = None
 
 
 class CSRGraph:
@@ -219,6 +230,8 @@ def _run_waves(
     if kernel is not None:
         _compiled_waves(kernel, csr, sources, chunk_size, ecc, totals)
         return
+    if tel.enabled:
+        tel.gauge("wave.threads", 1)
     for offset in range(0, sources.size, chunk_size):
         chunk = sources[offset:offset + chunk_size]
         for depth, (rows, words) in enumerate(_dense_wave(csr, chunk), start=1):
@@ -238,10 +251,26 @@ def _compiled_waves(
 ) -> None:
     """:func:`_run_waves` on the C kernel, one kernel call per wave chunk.
 
-    Interrupts and deadlines are served between waves.  Every buffer is
-    allocated here once and reused by all chunks; each wave's tallies
-    (levels, levels per step kind, newly reached rows) feed the same
-    ``wave.*`` counters the numpy fallback emits.
+    The chunks (the :func:`_wave_width` split) go to ``T = min(WAVE_THREADS
+    or the CPUs the process may use, chunk count)`` threads, the calling
+    thread among them; each claims its next chunk from one shared counter.
+    ``ctypes`` releases the GIL for the kernel call and the kernel keeps no
+    global state, so the threads run in parallel, each on its own
+    :class:`_WaveLane`: kernel buffers plus int64 accumulators (the
+    caller's ``ecc``/``totals`` serve the first lane).  After the join the
+    caller folds the other lanes in with elementwise ``max``/``+``; the
+    accumulators are exact integers, so every ``T`` returns the serial
+    result bit for bit.  Each lane holds ``3 * n * words`` uint64 plus
+    about ``4.1 * n`` int64 (about 1.6 MB at 20k nodes and two words).
+
+    An exception on any thread -- a failing kernel call, or an interrupt or
+    deadline (``SIGALRM``) raised on the calling thread between its own
+    chunks -- raises a stop flag that every thread checks between chunks;
+    the caller joins every helper and re-raises the first exception, so no
+    helper outlives the call.  Each lane sums its waves' tallies (levels,
+    levels per step kind, newly reached rows) and the caller emits them
+    after the join as the same ``wave.*`` counters the numpy fallback
+    emits, plus the ``wave.threads`` gauge.
     """
     n = csr.n
     indptr = np.ascontiguousarray(csr.indptr, dtype=np.int64)
@@ -249,41 +278,120 @@ def _compiled_waves(
     # The kernel trusts these shapes for every pointer it walks.
     if indptr.size != n + 1 or int(indptr[-1]) != indices.size:
         raise ValueError("CSR arrays do not match the node count")
+    offsets = range(0, sources.size, chunk_size)
+    wanted = _usable_cpus() if WAVE_THREADS is None else WAVE_THREADS
+    threads = max(1, min(wanted, len(offsets)))
     words = -(-min(chunk_size, sources.size) // BFS_BATCH)
-    visited, frontier, scratch = np.empty((3, n * words), dtype=np.uint64)
-    active, fresh = np.empty((2, n), dtype=np.int64)
-    touched = np.empty(n, dtype=np.uint8)
-    tallies = np.empty(4, dtype=np.int64)
-    mode = _KERNEL_MODES[WAVE_STEP_MODE]
-    pointers = [
-        array.ctypes.data
-        for array in (visited, frontier, scratch, active, fresh, touched, ecc, totals, tallies)
+    lanes = [_WaveLane(n, words, ecc, totals)] + [
+        _WaveLane(n, words, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+        for _ in range(threads - 1)
     ]
+    mode = _KERNEL_MODES[WAVE_STEP_MODE]
     tel = _telemetry()
-    for offset in range(0, sources.size, chunk_size):
-        chunk = np.ascontiguousarray(sources[offset:offset + chunk_size])
-        kernel(
-            n, indptr.ctypes.data, indices.ctypes.data, chunk.ctypes.data,
-            chunk.size, mode, *pointers,
-        )
-        if tel.enabled:
-            # The kernel counts with the compiler's popcount builtin (the
-            # POPCNT instruction where the CPU has it, else the portable
-            # libgcc routine; same counts), not with np.bitwise_count.
-            tel.gauge("wave.popcount_backend", "builtin")
-            levels, dense, sparse, rows = tallies.tolist()
-            for name, value in (
-                ("wave.count", 1),
-                ("wave.sources", chunk.size),
-                (f"wave.words.{-(-chunk.size // BFS_BATCH)}", 1),
-                ("wave.levels", levels),
-                ("wave.dispatch.dense", dense),
-                ("wave.dispatch.sparse", sparse),
-                ("wave.frontier_rows", rows),
-                ("wave.node_levels", n * levels),
-            ):
-                if value:
-                    tel.count(name, int(value))
+    rec = tel.enabled
+    pending = iter(offsets)
+    claim = threading.Lock()
+    stop = threading.Event()
+    errors: List[BaseException] = []
+
+    def drain(lane: _WaveLane) -> None:
+        while not stop.is_set():
+            with claim:
+                offset = next(pending, None)
+            if offset is None:
+                return
+            chunk = np.ascontiguousarray(sources[offset:offset + chunk_size])
+            kernel(
+                n, indptr.ctypes.data, indices.ctypes.data, chunk.ctypes.data,
+                chunk.size, mode, *lane.pointers,
+            )
+            if rec:
+                lane.tally(n, chunk.size)
+
+    def helper(lane: _WaveLane) -> None:
+        try:
+            drain(lane)
+        except BaseException as exc:
+            stop.set()
+            errors.append(exc)
+
+    started: List[threading.Thread] = []
+    try:
+        for number, lane in enumerate(lanes[1:], start=1):
+            thread = threading.Thread(target=helper, args=(lane,), name=f"repro-wave-{number}")
+            thread.start()
+            started.append(thread)
+        drain(lanes[0])
+    except BaseException as exc:
+        stop.set()
+        errors.append(exc)
+    for thread in started:
+        while thread.is_alive():
+            try:
+                thread.join()
+            except BaseException as exc:  # ^C or the deadline during the join
+                stop.set()
+                errors.append(exc)
+    if rec:
+        # The kernel counts with the compiler's popcount builtin (the POPCNT
+        # instruction where the CPU has it, else the portable libgcc
+        # routine; same counts), not with np.bitwise_count.
+        tel.gauge("wave.popcount_backend", "builtin")
+        tel.gauge("wave.threads", threads)
+        counts: Dict[str, int] = {}
+        for lane in lanes:
+            for name, value in lane.counts.items():
+                counts[name] = counts.get(name, 0) + value
+        for name, value in counts.items():
+            if value:
+                tel.count(name, value)
+    if errors:
+        raise errors[0]
+    for lane in lanes[1:]:
+        np.maximum(ecc, lane.ecc, out=ecc)
+        totals += lane.totals
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+class _WaveLane:
+    """One wave thread's kernel buffers, accumulators and summed tallies."""
+
+    __slots__ = ("ecc", "totals", "tallies", "buffers", "pointers", "counts")
+
+    def __init__(self, n: int, words: int, ecc: np.ndarray, totals: np.ndarray) -> None:
+        visited, frontier, scratch = np.empty((3, n * words), dtype=np.uint64)
+        active, fresh = np.empty((2, n), dtype=np.int64)
+        touched = np.empty(n, dtype=np.uint8)
+        self.ecc = ecc
+        self.totals = totals
+        self.tallies = np.empty(4, dtype=np.int64)
+        # Held so the kernel's raw pointers stay valid for the lane's life.
+        self.buffers = (visited, frontier, scratch, active, fresh, touched, ecc, totals, self.tallies)
+        self.pointers = [array.ctypes.data for array in self.buffers]
+        self.counts: Dict[str, int] = {}
+
+    def tally(self, n: int, sources: int) -> None:
+        """Add the last wave's kernel tallies to this lane's ``wave.*`` sums."""
+        levels, dense, sparse, rows = self.tallies.tolist()
+        counts = self.counts
+        for name, value in (
+            ("wave.count", 1),
+            ("wave.sources", sources),
+            (f"wave.words.{-(-sources // BFS_BATCH)}", 1),
+            ("wave.levels", levels),
+            ("wave.dispatch.dense", dense),
+            ("wave.dispatch.sparse", sparse),
+            ("wave.frontier_rows", rows),
+            ("wave.node_levels", n * levels),
+        ):
+            counts[name] = counts.get(name, 0) + value
 
 
 def _dense_wave(csr: CSRGraph, sources: np.ndarray):
@@ -507,8 +615,9 @@ def accumulate_path_shard(
     """Per-node path accumulators from one shard of BFS sources.
 
     Runs the multi-word waves for ``sources`` (index array) through
-    :func:`_run_waves` and folds each level's per-node row popcounts into
-    two ``(csr.n,)`` int64 accumulators:
+    :func:`_run_waves` -- on the compiled kernel, spread over one thread per
+    usable CPU (:func:`_compiled_waves`) -- and folds each level's per-node
+    row popcounts into two ``(csr.n,)`` int64 accumulators:
 
     * ``ecc[v]``    -- ``max_u d(u, v)`` over the shard's sources ``u`` (the
       transposed per-node *max* over wave levels);
@@ -521,8 +630,8 @@ def accumulate_path_shard(
     exact per-node distance sum.  Both accumulators are exact integers, so merging
     shard results (elementwise ``max`` for ``ecc``, ``+`` for ``totals``) is
     bit-identical no matter how the source set was split -- which is what
-    lets the runner fan a 100k-source campaign across process-pool workers
-    for free.
+    lets the wave threads of one call, and the runner's process-pool shards
+    of one campaign, merge for free.
     """
     sources = np.asarray(sources, dtype=np.int64)
     ecc = np.zeros(csr.n, dtype=np.int64)

@@ -1,8 +1,7 @@
 /*
  * Compiled multi-source BFS wave kernel behind every multi-source BFS of
  * repro.graphs.fast: the per-node path accumulators of accumulate_path_shard,
- * which the exact path metrics and the sampled diameter and average shortest
- * path length estimators read.
+ * which the exact path metrics and the single-source distances read.
  *
  * One call runs one wave: up to 64 * words BFS sources advance together over
  * a CSR graph, each node carrying `words` bit-packed uint64 frontier words
@@ -29,11 +28,15 @@
  * (glibc ifunc) picks one per CPU; see WAVE_CLONES.  The compiler flags stay
  * portable, and both clones compute the same integers.
  *
- * The kernel allocates nothing: the caller passes every buffer, so one set
- * serves all the waves of a campaign and concurrent calls on distinct
- * buffers are independent.  Sizes: visited/frontier/next hold n * words
- * uint64, active/fresh hold n int64, touched holds n bytes and ecc/totals
- * hold n int64.
+ * The kernel allocates nothing and keeps no global state: the caller passes
+ * every buffer, so one set serves all the waves of a campaign.  Concurrent
+ * calls are independent as long as each has its own visited, frontier,
+ * next, active, fresh, touched, ecc, totals and tallies; they may share the
+ * read-only CSR arrays and sources.  fast._compiled_waves relies on this to
+ * run a campaign's waves on several threads (ctypes releases the GIL for
+ * the call), one buffer set per thread.  Sizes: visited/frontier/next hold
+ * n * words uint64, active/fresh hold n int64, touched holds n bytes and
+ * ecc/totals hold n int64.
  */
 #include <stdint.h>
 #include <string.h>

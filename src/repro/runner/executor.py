@@ -335,9 +335,13 @@ def sharded_full_path_metrics(
     """Exact full-population path metrics with sources sharded across workers.
 
     The one place that picks how an exact fast-backend campaign runs:
-    serial, journaled or pooled.  ``workers=None`` (the default) reads
+    in-process, journaled or pooled.  ``workers=None`` (the default) reads
     ``REPRO_PATH_WORKERS`` (:mod:`repro.runner.config`, default 1), the only
-    way to ask for sharding outside a direct call.
+    way to ask for sharding outside a direct call.  ``workers=1`` means no
+    process pool, not one core: the in-process campaign already runs its
+    waves on one thread per usable CPU
+    (:func:`repro.graphs.fast.accumulate_path_shard`), while each pool
+    worker runs its shard on one thread.
 
     The wave chunks of a full-population campaign are independent, so the
     source set of :func:`repro.graphs.fast.full_path_metrics` splits cleanly

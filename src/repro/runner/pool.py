@@ -255,7 +255,9 @@ def _pool_worker_boot(src_path: str) -> None:
     Deliberately minimal -- everything policy-like (graph backend,
     telemetry, scenario home module) arrives *per task* via
     :func:`_apply_worker_context`, because a persistent pool outlives any
-    single campaign's policies.
+    single campaign's policies.  The one exception is the wave thread
+    count: the pool already keeps every core busy with one worker each, so
+    each worker runs its waves on one thread (``fast.WAVE_THREADS = 1``).
     """
     import sys
 
@@ -264,6 +266,12 @@ def _pool_worker_boot(src_path: str) -> None:
     from repro.runner import registry
 
     registry._ensure_builtins()
+    try:
+        from repro.graphs import fast
+    except ImportError:  # no numpy: every wave runs on the reference backend
+        pass
+    else:
+        fast.WAVE_THREADS = 1
 
 
 def task_context(module: str = "") -> Dict[str, Any]:

@@ -358,10 +358,12 @@ def resilience_at_scale(
     metric is exact: diameter, ASPL and closeness all come from one
     full-population wave campaign per checkpoint, so the 100k-node
     resilience curves report exact values where the paper sampled diameter
-    and path length.  ``REPRO_PATH_WORKERS=N`` source-shards each campaign
-    across a process pool, bit-identically to serial; the overlay's exact
-    campaigns read it themselves (an environment knob, not a parameter:
-    performance settings must not perturb unit seeds or cache identity).
+    and path length.  Each campaign's waves run on one thread per usable
+    CPU of the campaign process; ``REPRO_PATH_WORKERS=N`` instead
+    source-shards each campaign across a process pool (one wave thread per
+    worker), bit-identically to serial; the overlay's exact campaigns read
+    it themselves (an environment knob, not a parameter: performance
+    settings must not perturb unit seeds or cache identity).
 
     ``metric_sample`` and ``closeness_sample`` accept only ``None`` and
     change nothing: they stay in ``defaults`` so that the pinned benchmark

@@ -12,7 +12,10 @@ never values.  The waves' per-node ``(ecc, totals)`` accumulators
 :func:`reference`, the same fold over pure-Python BFS distances.  Both
 engines are pinned against each other and the reference on source subsets
 either side of every frontier-word and wave-chunk boundary in
-``test_sampled_waves.py``.
+``test_sampled_waves.py``.  The waves of one campaign spread over
+:data:`repro.graphs.fast.WAVE_THREADS` threads; every thread count must
+return the reference accumulators and the same ``wave.*`` counters, and a
+failing chunk or an interrupt must stop and join every helper thread.
 
 The 100k-node full-population closeness golden lives in
 ``benchmarks/bench_graph_kernels.py`` (the benchmark builds that graph
@@ -23,12 +26,15 @@ from __future__ import annotations
 
 import math
 import random
+import threading
+import time
 from types import SimpleNamespace
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.core.ddsr import DDSROverlay
 from repro.graphs import _wavekernel, backend, fast, metrics
 from repro.graphs.adjacency import UndirectedGraph
 from repro.graphs.generators import k_regular_graph, ring_graph
@@ -217,6 +223,153 @@ def test_adaptive_ring_uses_sparse_steps(monkeypatch):
     counters = collector.snapshot()["counters"]
     assert counters["wave.dispatch.sparse"] > 50
     assert counters.get("wave.dispatch.dense", 0) == 0
+
+
+# ----------------------------------------------------------------------
+# Wave threads
+# ----------------------------------------------------------------------
+#: Thread counts under test: ``None`` is the CPU-count rule, and 8 is more
+#: than any graph below has wave chunks at 64 sources per wave.
+THREAD_COUNTS = (1, 2, 3, 8, None)
+
+
+def _ddsr_after_deletions():
+    """A k-regular DDSR overlay after three repaired deletion batches."""
+    overlay = DDSROverlay.k_regular(500, 6, seed=71)
+    rng = random.Random(72)
+    for _ in range(3):
+        fast.csr_of(overlay.graph)  # a cached mirror selects the compiled deletion
+        overlay.remove_nodes(rng.sample(overlay.nodes(), 50))
+    return overlay.graph
+
+
+def _thread_cases():
+    """``(name, graph, sources)``; ``sources`` ``None`` means every node."""
+    kregular = k_regular_graph(2000, 8, seed=73)
+    return [(name, graph, None) for name, graph in STEP_ZOO] + [
+        ("k-regular-2k", kregular, random.Random(74).sample(kregular.nodes(), 256)),
+        ("ddsr-deleted", _ddsr_after_deletions(), None),
+    ]
+
+
+THREAD_CASES = _thread_cases()
+
+
+@pytest.mark.parametrize("case", THREAD_CASES, ids=[name for name, _, _ in THREAD_CASES])
+def test_wave_threads_equal_the_reference(case, monkeypatch, wave_width):
+    """Every thread count: reference accumulators, identical ``wave.*``
+    counters, and ``min(threads, chunks)`` threads reported."""
+    _name, graph, sources = case
+    _pin_wave_engine(monkeypatch, "adaptive")
+    csr = fast.csr_of(graph)
+    indices = source_indices(csr, graph.nodes() if sources is None else sources)
+    expected = reference(graph, csr, indices)
+    chunks = -(-indices.size // 64)
+    assert chunks >= 2
+    counters = {}
+    with wave_width(64):
+        for threads in THREAD_COUNTS:
+            monkeypatch.setattr(fast, "WAVE_THREADS", threads)
+            with telemetry.collecting() as collector:
+                result = fast.accumulate_path_shard(csr, indices)
+            assert_same(result, expected, f"{threads} threads")
+            snapshot = collector.snapshot()
+            wanted = fast._usable_cpus() if threads is None else threads
+            assert snapshot["gauges"]["wave.threads"] == min(wanted, chunks)
+            counters[threads] = snapshot["counters"]
+    assert counters[1]["wave.count"] == chunks
+    for threads in THREAD_COUNTS:
+        assert counters[threads] == counters[1], f"{threads} threads"
+
+
+def _fan_out_graph():
+    """600 nodes: ten wave chunks at 64 sources per wave."""
+    return fast.csr_of(k_regular_graph(600, 6, seed=75))
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("failing_call", [1, 4])
+def test_a_failing_chunk_stops_and_joins_every_wave_thread(
+    threads, failing_call, monkeypatch, wave_width
+):
+    """The k-th kernel call raises: the error reaches the caller, the other
+    threads stop at their next chunk, and none outlives the call."""
+    _pin_wave_engine(monkeypatch, "adaptive")
+    kernel = _wavekernel.load()
+    claim = threading.Lock()
+    calls = []
+
+    def failing(*arguments):
+        with claim:
+            calls.append(None)
+            call = len(calls)
+        if call == failing_call:
+            raise RuntimeError("chunk failed")
+        if call > failing_call:
+            time.sleep(0.05)  # the failing thread raises the stop flag meanwhile
+        return kernel(*arguments)
+
+    monkeypatch.setattr(_wavekernel, "load", lambda: failing)
+    monkeypatch.setattr(fast, "WAVE_THREADS", threads)
+    csr = _fan_out_graph()
+    before = threading.active_count()
+    with wave_width(64), pytest.raises(RuntimeError, match="chunk failed"):
+        fast.accumulate_path_shard(csr, np.arange(csr.n, dtype=np.int64))
+    assert threading.active_count() == before
+    # Every other thread finishes at most the one chunk it had claimed.
+    assert len(calls) <= failing_call + threads - 1 < 10
+
+
+def test_an_interrupt_on_the_calling_thread_stops_every_wave_thread(
+    monkeypatch, wave_width
+):
+    """``KeyboardInterrupt`` (like the ``SIGALRM`` deadline) is raised on
+    the calling thread between its chunks: it propagates, and every helper
+    is joined first."""
+    _pin_wave_engine(monkeypatch, "adaptive")
+    kernel = _wavekernel.load()
+    caller = threading.current_thread()
+    caller_started = threading.Event()
+    helper_calls = []
+
+    def interrupted(*arguments):
+        if threading.current_thread() is caller:
+            caller_started.set()
+            kernel(*arguments)
+            raise KeyboardInterrupt
+        # Helpers wait for the caller's first chunk, so it surely gets one,
+        # and then long enough for its interrupt to raise the stop flag.
+        caller_started.wait(10)
+        time.sleep(0.05)
+        helper_calls.append(None)
+        return kernel(*arguments)
+
+    monkeypatch.setattr(_wavekernel, "load", lambda: interrupted)
+    monkeypatch.setattr(fast, "WAVE_THREADS", 3)
+    csr = _fan_out_graph()
+    before = threading.active_count()
+    with wave_width(64), pytest.raises(KeyboardInterrupt):
+        fast.accumulate_path_shard(csr, np.arange(csr.n, dtype=np.int64))
+    assert threading.active_count() == before
+    assert len(helper_calls) <= 2  # one chunk each, then the stop flag
+
+
+def test_a_pooled_shard_runs_its_waves_on_one_thread(monkeypatch):
+    """Pool workers already fill the cores: each runs one wave thread, and
+    pooled still equals serial."""
+    from repro.runner.executor import sharded_full_path_metrics
+    from repro.runner.pool import shutdown_pools
+
+    monkeypatch.setattr(fast, "WAVE_THREADS", 2)
+    graph = k_regular_graph(600, 6, seed=76)
+    shutdown_pools()  # workers forked from this process, booted afresh
+    try:
+        with backend.using("fast"), telemetry.collecting() as collector:
+            pooled = sharded_full_path_metrics(graph, workers=2)
+    finally:
+        shutdown_pools()
+    assert collector.snapshot()["gauges"]["wave.threads"] == 1
+    assert pooled == fast.full_path_metrics(graph)
 
 
 # ----------------------------------------------------------------------

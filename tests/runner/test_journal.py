@@ -510,6 +510,9 @@ class TestSingleWriterLock:
         return holder
 
     def _second_run(self, tmp_path, path, **env):
+        # SIGINT back to its default in the child: a test run started with
+        # SIGINT ignored (a background job of a non-interactive shell) would
+        # pass the ignored disposition on, and the ^C below would be lost.
         return subprocess.Popen(
             [
                 sys.executable, "-m", "repro.runner", "run", "fig3-walkthrough",
@@ -520,6 +523,7 @@ class TestSingleWriterLock:
             stderr=subprocess.PIPE,
             text=True,
             env=self._env(**env),
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
         )
 
     @staticmethod
