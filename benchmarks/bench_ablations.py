@@ -12,7 +12,7 @@ design decisions quantitatively:
 
 The repair-policy and pruning-policy ablations run through the
 :mod:`repro.runner` subsystem (registered ``ablation-*`` scenarios swept via
-:func:`repro.analysis.sweep.sweep_scenario`), so the same grid can be
+:func:`repro.runner.executor.run_scenario`), so the same grid can be
 re-executed from the CLI -- e.g.::
 
     python -m repro.runner sweep ablation-repair-policy \
@@ -26,22 +26,22 @@ import random
 from conftest import emit
 
 from repro.analysis.reporting import render_result_rows
-from repro.analysis.sweep import sweep_scenario
 from repro.baselines.kademlia import KademliaOverlay
 from repro.core.ddsr import DDSROverlay
 from repro.graphs.metrics import number_connected_components
+from repro.runner.executor import run_scenario
 
 
 def test_ablation_repair_policy(benchmark):
     """Clique repair keeps the overlay whole; weaker policies fragment sooner."""
 
     def run():
-        return sweep_scenario(
+        return run_scenario(
             "ablation-repair-policy",
-            {"policy": ["clique", "ring", "single-edge", "none"]},
             params={"n": 300, "k": 10, "fraction": 0.7},
+            grid={"policy": ["clique", "ring", "single-edge", "none"]},
             seed=100,
-        ).rows
+        ).rows()
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     emit("Ablation — repair policy under 70% gradual deletions", render_result_rows(rows))
@@ -55,12 +55,12 @@ def test_ablation_pruning_policy(benchmark):
     """Dropping the highest-degree peer preserves reachability best."""
 
     def run():
-        return sweep_scenario(
+        return run_scenario(
             "ablation-pruning-policy",
-            {"policy": ["highest-degree", "random", "lowest-degree"]},
             params={"n": 300, "k": 10, "fraction": 0.5},
+            grid={"policy": ["highest-degree", "random", "lowest-degree"]},
             seed=101,
-        ).rows
+        ).rows()
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     emit("Ablation — pruning victim selection under 50% deletions", render_result_rows(rows))

@@ -23,12 +23,24 @@ from __future__ import annotations
 
 from conftest import emit
 
-from repro.analysis.experiments import run_fig5_resilience_sweep
 from repro.analysis.reporting import render_result_rows
+from repro.runner.executor import run_scenario
 
 SMALL_N = 600
 LARGE_N = 1200
 CHECKPOINTS = 10
+
+
+def _sweep(workers=1):
+    """Both columns as one ``fig5-resilience`` grid over ``n``: one
+    aggregate row per size (see :func:`repro.runner.scenarios.fig5_summary`)."""
+    return run_scenario(
+        "fig5-resilience",
+        params={"k": 10, "max_fraction": 0.95, "checkpoints": CHECKPOINTS},
+        grid={"n": [SMALL_N, LARGE_N]},
+        seed=50,
+        workers=workers,
+    ).rows()
 
 
 def _check_shapes(row):
@@ -46,17 +58,7 @@ def _check_shapes(row):
 
 def test_fig5_both_columns_via_runner(benchmark):
     """Figures 5a-5f: both network-size columns as one runner sweep."""
-    rows = benchmark.pedantic(
-        lambda: run_fig5_resilience_sweep(
-            sizes=(SMALL_N, LARGE_N),
-            k=10,
-            checkpoints=CHECKPOINTS,
-            max_fraction=0.95,
-            seed=50,
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     emit(
         f"Figure 5 — DDSR vs normal graph (n={SMALL_N} and n={LARGE_N}, k=10)",
         render_result_rows(rows),
@@ -68,16 +70,6 @@ def test_fig5_both_columns_via_runner(benchmark):
 
 def test_fig5_parallel_matches_serial(benchmark):
     """The sharded executor reproduces the serial sweep bit-for-bit."""
-    serial = run_fig5_resilience_sweep(
-        sizes=(SMALL_N, LARGE_N), k=10, checkpoints=CHECKPOINTS,
-        max_fraction=0.95, seed=50, workers=1,
-    )
-    parallel = benchmark.pedantic(
-        lambda: run_fig5_resilience_sweep(
-            sizes=(SMALL_N, LARGE_N), k=10, checkpoints=CHECKPOINTS,
-            max_fraction=0.95, seed=50, workers=2,
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    serial = _sweep(workers=1)
+    parallel = benchmark.pedantic(lambda: _sweep(workers=2), rounds=1, iterations=1)
     assert parallel == serial

@@ -28,13 +28,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.analysis import (  # noqa: E402
-    render_result_rows,
-    run_fig5_resilience_sweep,
-    run_fig6_partition_threshold,
-    sweep_scenario,
-)
-from repro.runner import ResultCache  # noqa: E402
+from repro.analysis import render_result_rows, run_fig6_partition_threshold  # noqa: E402
+from repro.runner import ResultCache, run_scenario  # noqa: E402
 
 
 def main() -> None:
@@ -59,24 +54,28 @@ def main() -> None:
     print("=" * 72)
     print(f"Figure 4 — centrality under 30% deletions (n={fig4_n})")
     print("=" * 72)
-    fig4 = sweep_scenario(
+    fig4_rows = run_scenario(
         "fig4-centrality",
-        {"degree": [5, 10, 15], "pruning": [False, True]},
         params={"n": fig4_n, "max_fraction": 0.3, "checkpoints": 6},
+        grid={"degree": [5, 10, 15], "pruning": [False, True]},
         seed=1,
         workers=args.workers,
         cache=cache,
-    )
-    print(render_result_rows(fig4.rows))
+    ).rows()
+    print(render_result_rows(fig4_rows))
 
     print()
     print("=" * 72)
     print(f"Figure 5 — DDSR vs normal graph under deletions (n={fig5_sizes}, k=10)")
     print("=" * 72)
-    fig5_rows = run_fig5_resilience_sweep(
-        sizes=fig5_sizes, k=10, max_fraction=0.95, checkpoints=10,
-        seed=2, workers=args.workers, cache=cache,
-    )
+    fig5_rows = run_scenario(
+        "fig5-resilience",
+        params={"k": 10, "max_fraction": 0.95, "checkpoints": 10},
+        grid={"n": list(fig5_sizes)},
+        seed=2,
+        workers=args.workers,
+        cache=cache,
+    ).rows()
     print(render_result_rows(fig5_rows))
     for row in fig5_rows:
         partition = row["normal_partition_fraction"]

@@ -8,8 +8,10 @@
 * :mod:`~repro.analysis.table1` -- the Table I comparison (crypto, signing,
   replay) augmented with empirical message-distinguishability measurements.
 * :mod:`~repro.analysis.reporting` -- plain-text tables and series formatting
-  used by the benchmarks and EXPERIMENTS.md.
-* :mod:`~repro.analysis.sweep` -- a small parameter-sweep helper.
+  used by the benchmarks and the README's "Reproducing the paper" section.
+
+Parameter sweeps over a registered scenario run through
+:func:`repro.runner.executor.run_scenario`.
 """
 
 from repro.analysis.experiments import (
@@ -23,7 +25,6 @@ from repro.analysis.experiments import (
     run_fig3_walkthrough,
     run_fig4_centrality,
     run_fig5_resilience,
-    run_fig5_resilience_sweep,
     run_fig6_partition_threshold,
     run_hsdir_interception,
     run_pow_tradeoff,
@@ -39,7 +40,6 @@ from repro.analysis.export import (
     write_series_csv,
 )
 from repro.analysis.reporting import format_series, format_table, render_result_rows
-from repro.analysis.sweep import SweepResult, parameter_sweep, sweep_scenario
 from repro.analysis.table1 import build_table1
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "run_fig3_walkthrough",
     "run_fig4_centrality",
     "run_fig5_resilience",
-    "run_fig5_resilience_sweep",
     "run_fig6_partition_threshold",
     "run_soap_campaign",
     "run_hsdir_interception",
@@ -63,9 +62,6 @@ __all__ = [
     "format_table",
     "format_series",
     "render_result_rows",
-    "parameter_sweep",
-    "sweep_scenario",
-    "SweepResult",
     "write_json",
     "write_series_csv",
     "write_rows_csv",

@@ -5,7 +5,7 @@ default parameters are sized to finish in seconds on a laptop; pass the
 paper's parameters (``n=5000`` or ``15000``, ``fractions`` up to 0.95, etc.)
 to reproduce the original scale.  Shapes -- which curve wins, where knees and
 crossovers sit, the ~40 % partition threshold -- are preserved at the smaller
-defaults; see EXPERIMENTS.md for measured-vs-paper comparisons.
+defaults; the README's "Reproducing the paper" section says how to run them.
 """
 
 from __future__ import annotations
@@ -228,44 +228,6 @@ def run_fig5_resilience(
         normal.remove_nodes(victims)
         record(deleted)
     return result
-
-
-def run_fig5_resilience_sweep(
-    *,
-    sizes: Sequence[int] = (600, 1200),
-    k: int = 10,
-    max_fraction: float = 0.95,
-    checkpoints: int = 12,
-    trials: int = 1,
-    seed: int = 0,
-    workers: int = 1,
-    cache=None,
-) -> List[Dict[str, float]]:
-    """Both Figure 5 "columns" (and more) through the :mod:`repro.runner`.
-
-    Executes the registered ``fig5-resilience`` scenario over a grid of
-    network sizes -- sharded across ``workers`` processes, optionally served
-    from a :class:`repro.runner.cache.ResultCache` -- and returns one
-    aggregate row per size (scalar summary metrics; see
-    :func:`repro.runner.scenarios.fig5_summary`).  Results are bit-identical
-    for any worker count.
-    """
-    from repro.runner.executor import run_scenario
-
-    result = run_scenario(
-        "fig5-resilience",
-        params={
-            "k": k,
-            "max_fraction": max_fraction,
-            "checkpoints": checkpoints,
-        },
-        grid={"n": [int(size) for size in sizes]},
-        trials=trials,
-        seed=seed,
-        workers=workers,
-        cache=cache,
-    )
-    return result.rows()
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The benchmarks regenerate the paper's tables and figure series as text; these
 helpers keep the rendering consistent (aligned columns, fixed float formats)
-so EXPERIMENTS.md and the bench output read the same way.
+so the README's "Reproducing the paper" section and the bench output read
+the same way.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Parameter-grid expansion and canonicalisation.
 
-Kept dependency-free so both the runner and :mod:`repro.analysis.sweep` can
-import it without pulling the whole orchestration stack (or creating an
-import cycle through :mod:`repro.analysis`).
+Kept dependency-free so the spec, registry and CLI modules can import it
+without pulling the whole orchestration stack.
 """
 
 from __future__ import annotations

@@ -17,9 +17,10 @@ either side of every frontier-word and wave-chunk boundary in
 return the reference accumulators and the same ``wave.*`` counters, and a
 failing chunk or an interrupt must stop and join every helper thread.
 
-The 100k-node full-population closeness golden lives in
-``benchmarks/bench_graph_kernels.py`` (the benchmark builds that graph
-anyway); here the same contracts are pinned at tier-1-friendly sizes.
+The full-population goldens here are pinned at tier-1-friendly sizes (800
+and 2500 nodes; ``test_numpy_wave.py`` pins the 800 ones on the numpy
+wave).  At scale, every perfbench run checks the exact 20k-node
+``resilience-at-scale`` rows against ``perfbench/goldens.json``.
 """
 
 from __future__ import annotations

@@ -1,9 +1,16 @@
-"""Tests for the sharded executor: determinism, caching, aggregation."""
+"""Tests for the sharded executor: determinism, caching, aggregation, and
+the parameter grids it expands."""
 
 import pytest
 
 from repro.runner.cache import ResultCache
 from repro.runner.executor import execute, run_scenario
+from repro.runner.grid import (
+    canonical_params,
+    expand_grid,
+    parse_grid_axis,
+    parse_grid_value,
+)
 from repro.runner.registry import scenario, unregister
 from repro.runner.spec import ScenarioSpec
 
@@ -32,6 +39,23 @@ class TestSerialExecution:
         assert row["policy"] == "clique"
         assert row["trials"] == 2
         assert "components_mean" in row and "components_ci95" in row
+
+    def test_two_axis_grid_rows_follow_the_cartesian_product(self):
+        grid = {"policy": ["clique", "none"], "fraction": [0.3, 0.5]}
+        result = run_scenario(
+            "ablation-repair-policy", grid=grid, params={"n": 60, "k": 6}, seed=9
+        )
+        rows = result.rows()
+        assert [{name: row[name] for name in grid} for row in rows] == expand_grid(grid)
+
+    def test_single_trial_rows_use_plain_metric_names(self):
+        result = run_scenario(
+            "ablation-repair-policy", grid={"policy": ["clique"]}, **FAST
+        )
+        row = result.rows()[0]
+        assert row["trials"] == 1
+        assert row["components"] == result.scalar("components", policy="clique")
+        assert not any(key.endswith(("_mean", "_std", "_ci95")) for key in row)
 
     def test_scalar_lookup(self):
         result = run_scenario(
@@ -478,3 +502,54 @@ class TestValidation:
             assert result.unit_metrics[0] != result.unit_metrics[1]
         finally:
             unregister("test-exec-inline")
+
+
+class TestGrid:
+    def test_expand_grid_is_the_cartesian_product_in_insertion_order(self):
+        assert expand_grid({"a": [1, 2], "b": ["x", "y"]}) == [
+            {"a": 1, "b": "x"},
+            {"a": 1, "b": "y"},
+            {"a": 2, "b": "x"},
+            {"a": 2, "b": "y"},
+        ]
+
+    def test_empty_grid_is_one_point_of_base_parameters(self):
+        assert expand_grid({}) == [{}]
+
+    @pytest.mark.parametrize(
+        "grid, error",
+        [({"a": "xy"}, TypeError), ({"a": 3}, TypeError), ({"a": []}, ValueError)],
+        ids=["string-axis", "scalar-axis", "empty-axis"],
+    )
+    def test_expand_grid_rejects_malformed_axes(self, grid, error):
+        with pytest.raises(error, match="'a'"):
+            expand_grid(grid)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("3", 3),
+            ("0.5", 0.5),
+            ("True", True),
+            ("false", False),
+            ("null", None),
+            ("none", "none"),
+            (" clique ", "clique"),
+        ],
+    )
+    def test_parse_grid_value(self, text, value):
+        parsed = parse_grid_value(text)
+        assert parsed == value and type(parsed) is type(value)
+
+    def test_parse_grid_axis_skips_empty_items(self):
+        assert parse_grid_axis(" fraction = 0.3,,0.5, ") == ("fraction", [0.3, 0.5])
+
+    @pytest.mark.parametrize("text", ["fraction", "=0.3,0.5", "fraction=,"])
+    def test_parse_grid_axis_rejects_malformed_text(self, text):
+        with pytest.raises(ValueError):
+            parse_grid_axis(text)
+
+    def test_canonical_params_ignore_key_order(self):
+        assert canonical_params({"n": 60, "policy": "ring"}) == canonical_params(
+            {"policy": "ring", "n": 60}
+        ) == '{"n":60,"policy":"ring"}'
