@@ -6,26 +6,33 @@ through ``DDSROverlay.remove_nodes`` in ``--batches`` batches (clique
 repair, highest-degree pruning, the scenario's wiring and victim seeds) --
 under each configuration, interleaving the configurations round by round
 so drift on a shared machine hits them all alike.  Between batches the
-graph's CSR mirror is built (``fast.csr_of``, untimed), as each
-checkpoint's measurement builds it in the scenario.  A configuration is
-one of:
+graph's CSR is fetched (``fast.csr_of``, untimed), as each checkpoint's
+measurement does in the scenario: a build on a set graph, the graph itself
+on a packed one.  A configuration is one of:
 
 * ``python`` -- the compiled loop turned off (``_wavekernel.load_ddsr``
   returns ``None``), so every removal runs the Python loop (the
   no-compiler fallback and the oracle);
-* ``compiled`` -- the shipped code: each batch decided in ``ddsr.c`` on a
-  replay of the overlay's rng, its op list applied in Python (needs a C
-  compiler and numpy >= 2.0).
+* ``compiled`` -- the overlay materialized on adjacency sets right after
+  construction, then each batch decided in ``ddsr.c`` on a replay of the
+  overlay's rng, its op list applied in Python (needs a C compiler and
+  numpy >= 2.0);
+* ``packed`` -- the shipped code: the overlay stays packed (its CSR is its
+  only copy) and each batch's ``ddsr.c`` rows become the next CSR; no
+  adjacency set is built.
 
-Every configuration must leave every node's adjacency in the same
-iteration order, the same ``overlay.stats``, ``mutation_stamp``, rng state
-and ``forgotten`` as the first one; all of that is asserted before any
-timing is printed.  ``adj_mb`` is what the adjacency sets take after the
-campaign (``sys.getsizeof`` summed over them, in MB): a set whose table
-repair grew and nobody rebuilt shows up there::
+``python`` and ``compiled`` must leave every node's adjacency in the same
+iteration order; every configuration must leave the same neighbour sets,
+node order, ``overlay.stats``, ``mutation_stamp``, rng state and
+``forgotten`` as ``python`` (a ``packed`` node's peers follow C's order).
+All of that is asserted before any timing is printed.  ``adj_mb`` is what
+the graph takes after the campaign, in MB: the adjacency sets
+(``sys.getsizeof`` summed over them; a set whose table repair grew and
+nobody rebuilt shows up there), or a packed graph's CSR arrays::
 
     PYTHONPATH=src python benchmarks/ab_ddsr_removal.py
-    PYTHONPATH=src python benchmarks/ab_ddsr_removal.py --sizes 2000:5,20000:8 --rounds 1
+    PYTHONPATH=src python benchmarks/ab_ddsr_removal.py --sizes 2000:5,20000:8 \
+        --configs python,compiled,packed --rounds 1
 """
 
 from __future__ import annotations
@@ -42,16 +49,20 @@ from repro.sim.rng import derive_seed
 from repro.workloads.deletion import DeletionSchedule
 
 DEFAULT_SIZES = "2000:5,20000:8,100000:10"
-DEFAULT_CONFIGS = "python,compiled"
-CONFIGS = ("python", "compiled")
+DEFAULT_CONFIGS = "python,compiled,packed"
+CONFIGS = ("python", "compiled", "packed")
 
 
 def campaign(config, n, k, seed, fraction, batches):
     """One deletion campaign under ``config``.
 
-    Returns ``(seconds, adjacency bytes, fingerprint)``.
+    Returns ``(seconds, graph bytes, fingerprint)``; the fingerprint's first
+    entry holds each node's peers in iteration order, the rest neighbour
+    sets and the other state.
     """
     overlay = DDSROverlay.k_regular(n, k, seed=derive_seed(seed, "wiring"))
+    if config != "packed":
+        overlay.graph._adjacency
     schedule = DeletionSchedule.random(
         overlay.nodes(), fraction, seed=derive_seed(seed, "victims")
     )
@@ -68,15 +79,23 @@ def campaign(config, n, k, seed, fraction, batches):
             seconds += time.perf_counter() - started
     finally:
         _wavekernel.load_ddsr = load_ddsr
-    adjacency_bytes = sum(map(sys.getsizeof, overlay.graph._adjacency.values()))
+    csr = overlay.graph._packed
+    if config == "packed" and csr is None:
+        raise AssertionError("the packed overlay materialized during its removals")
+    if csr is not None:
+        graph_bytes = csr.indptr.nbytes + csr.indices.nbytes
+    else:
+        graph_bytes = sum(map(sys.getsizeof, overlay.graph._adjacency.values()))
+    adjacency = overlay.graph._adjacency
     fingerprint = (
-        [(node, list(peers)) for node, peers in overlay.graph._adjacency.items()],
+        [(node, list(peers)) for node, peers in adjacency.items()],
+        [(node, sorted(peers)) for node, peers in adjacency.items()],
         overlay.stats.as_dict(),
         overlay.graph.mutation_stamp,
         overlay.rng.getstate(),
         list(overlay.forgotten),
     )
-    return seconds, adjacency_bytes, fingerprint
+    return seconds, graph_bytes, fingerprint
 
 
 def main(argv=None) -> int:
@@ -100,7 +119,7 @@ def main(argv=None) -> int:
     if not fast_available():
         print("error: the CSR mirror needs numpy >= 2.0", file=sys.stderr)
         return 1
-    if "compiled" in configs and _wavekernel.load_ddsr() is None:
+    if {"compiled", "packed"} & set(configs) and _wavekernel.load_ddsr() is None:
         print("error: the compiled deletion loop did not build (no C compiler?)",
               file=sys.stderr)
         return 1
@@ -108,25 +127,31 @@ def main(argv=None) -> int:
     adjacency_mb = {}
     repair_edges = {}
     for n, k in sizes:
-        expected = None
+        expected = expected_order = None
         for _ in range(args.rounds):
             for config in configs:
-                seconds, adjacency_bytes, fingerprint = campaign(
+                seconds, graph_bytes, fingerprint = campaign(
                     config, n, k, args.seed, args.fraction, args.batches
                 )
                 samples[(n, k), config].append(seconds)
-                adjacency_mb[(n, k), config] = adjacency_bytes / 1e6
+                adjacency_mb[(n, k), config] = graph_bytes / 1e6
+                order, rest = fingerprint[0], fingerprint[1:]
+                del fingerprint
                 if expected is None:
-                    expected = fingerprint
-                    repair_edges[n, k] = fingerprint[1]["repair_edges_added"]
-                elif fingerprint != expected:
+                    expected = rest
+                    repair_edges[n, k] = rest[1]["repair_edges_added"]
+                # A packed node's peers follow C's order: sets only.
+                if config != "packed" and expected_order is None:
+                    expected_order = order
+                if rest != expected or (config != "packed" and order != expected_order):
                     print(f"error: {config} disagrees at n={n} k={k}", file=sys.stderr)
                     return 1
-                del fingerprint
+                del order, rest
 
     print(f"rounds={args.rounds} seed={args.seed} fraction={args.fraction} "
-          f"batches={args.batches}; all configurations identical (adjacency order, "
-          "overlay.stats, mutation_stamp, rng state, forgotten); medians over rounds")
+          f"batches={args.batches}; all configurations identical (neighbour sets, "
+          "overlay.stats, mutation_stamp, rng state, forgotten; adjacency order "
+          "except packed); medians over rounds")
     print(f"{'n:k':<9} {'config':<9} {'remove_s':>9} {'repair_edges':>12} {'adj_mb':>8}")
     for (size, config), runs in samples.items():
         print(f"{'%d:%d' % size:<9} {config:<9} {statistics.median(runs):9.3f} "

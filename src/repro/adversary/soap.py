@@ -691,6 +691,10 @@ class _CompiledContainment:
         degree-driven pruning policy, an exact ``random.Random`` and the
         attack's own ``contain_node`` and clone counter.
         """
+        # Imported here so that importing this module stays free of the
+        # loader's subprocess/ctypes machinery.
+        from repro.graphs import _wavekernel
+
         counter = _PLAIN_COUNT.fullmatch(repr(attack._clone_counter))
         if (
             len(population) != len(overlay.graph)
@@ -699,7 +703,7 @@ class _CompiledContainment:
             or attack.time_budget is not None
             or overlay.config.pruning_policy
             not in (PruningPolicy.HIGHEST_DEGREE, PruningPolicy.LOWEST_DEGREE)
-            or type(overlay.rng) is not random.Random
+            or not _wavekernel.MTState.replays(overlay.rng)
             or type(attack).contain_node is not SoapAttack.contain_node
             or type(attack._clone_counter) is not itertools.count
             or counter is None
@@ -708,10 +712,6 @@ class _CompiledContainment:
         ranks = _repr_ranks(population)
         if ranks is None:
             return None
-        # Imported here so that importing this module stays free of the
-        # loader's subprocess/ctypes machinery.
-        from repro.graphs import _wavekernel
-
         kernel = _wavekernel.load_soap()
         if kernel is None:
             return None
@@ -719,6 +719,8 @@ class _CompiledContainment:
 
     def __init__(self, kernel, attack, overlay, population, position, ranks, counter) -> None:
         import ctypes
+
+        from repro.graphs import _wavekernel
 
         self._kernel = kernel
         self._attack = attack
@@ -744,8 +746,7 @@ class _CompiledContainment:
         io[_IO_D_MAX] = config.d_max
         io[_IO_CAPACITY] = capacity
         io[_IO_COUNTER] = counter
-        self._version, words, self._gauss_next = overlay.rng.getstate()
-        self._state = (ctypes.c_uint32 * len(words))(*words)
+        self._state = _wavekernel.MTState(overlay.rng)
         self._work = (ctypes.c_int64 * (2 * capacity))()
         self._ops = (ctypes.c_int64 * (2 * _KERNEL_CLONES + capacity))()
         prefix = CLONE_PREFIX.encode("ascii")
@@ -753,7 +754,7 @@ class _CompiledContainment:
         self._name_bytes = memoryview(self._names)
         self._arguments = (
             *map(ctypes.addressof,
-                 (io, self._state, rank, degree, self._work, self._ops, self._names)),
+                 (io, self._state.words, rank, degree, self._work, self._ops, self._names)),
             prefix,
             len(prefix),
         )
@@ -762,7 +763,7 @@ class _CompiledContainment:
 
     def close(self) -> None:
         """Hand the rng state and the clone counter back to Python."""
-        self._overlay.rng.setstate((self._version, tuple(self._state), self._gauss_next))
+        self._state.commit()
         self._attack._clone_counter = itertools.count(self._io[_IO_COUNTER])
 
     def contain(self, target: NodeId) -> SoapNodeResult:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set
 
 from repro.core.errors import OverlayError
@@ -281,32 +282,46 @@ class DDSROverlay:
         (:func:`_remove_compiled`) when that call can replay the Python
         loop exactly -- ``repair=True``, clique repair, highest- or
         lowest-degree pruning, an exact ``random.Random``, only plain
-        ``int``/``str`` labels -- and a measurement left a CSR mirror of
-        the current graph (``fast.cached_csr``), as every checkpoint of the
-        takedown sweeps does.  C makes every removal, repair and tie-break
-        decision on a replay of ``self.rng``; Python applies the returned
-        op list to the adjacency sets.  Anything else runs the Python loop
-        below, which is also the oracle: both leave the same adjacency (in
-        the same iteration order), ``overlay.stats``, ``mutation_stamp``,
+        ``int``/``str`` labels -- and the graph has a CSR: it is packed
+        (``UndirectedGraph.packed``, as the compiled pairing model builds
+        it), or a measurement left a CSR mirror of its current state
+        (``fast.cached_csr``).  C makes every removal, repair and
+        tie-break decision on a replay of ``self.rng``.
+
+        * On a **packed** graph, C's post-batch rows become the graph's
+          next CSR and no adjacency set is ever built: the graph stays
+          packed.  Survivors keep their order, but each node's peers
+          follow C's row order, so iteration order differs from the other
+          engines (no row depends on it; see below).
+        * On a **set** graph, Python applies the returned op list to the
+          adjacency sets, which then match the Python loop's in iteration
+          order too.
+
+        Anything else runs the Python loop below (materializing a packed
+        graph first), which is also the oracle: every engine leaves the
+        same neighbour sets, ``overlay.stats``, ``mutation_stamp``,
         ``forgotten`` and rng state.  With telemetry on, the gauge
-        ``ddsr.engine`` (``compiled``/``python``) names the path.
+        ``ddsr.engine`` (``packed``/``compiled``/``python``) names the
+        path.
 
         A batch with ``repair=True`` ends by compacting
         (:meth:`UndirectedGraph.compact`) the set of every survivor that
         lost a peer to a removal in it: clique repair grows those sets'
         hash tables, which pruning never shrinks (under the other policies
-        the rebuild only sizes the table anew).  Both engines compact the
-        same nodes, once each, so they still agree on iteration order.
+        the rebuild only sizes the table anew).  Both set engines compact
+        the same nodes, once each, so they still agree on iteration order.
         That order moves, and no row depends on it: the adjacency-order
         differential (``tests/core/test_adjacency_order.py``) scrambles
         every set after every batch.
         """
         removed = None
+        packed = self.graph._packed is not None
         if repair and isinstance(nodes, (list, tuple)):
             removed = _remove_compiled(self, nodes)
         tel = _telemetry()
         if tel.enabled:
-            tel.gauge("ddsr.engine", "python" if removed is None else "compiled")
+            engine = "packed" if packed else "compiled"
+            tel.gauge("ddsr.engine", "python" if removed is None else engine)
         if removed is not None:
             return removed
         count = 0
@@ -599,23 +614,30 @@ def _remove_compiled(overlay: DDSROverlay, batch: Sequence[NodeId]) -> Optional[
     degree bound rules out) or an asymmetric snapshot, where a peer's row
     lacks the node that lists it (the Python loop then raises).
 
-    C starts from the CSR mirror the last measurement left on the graph
-    (``fast.cached_csr``; building one here would cost more than a small
-    batch saves) and the rng's Mersenne Twister state, and decides the
-    whole batch first, as op pairs (see ``ddsr.c``).  Then its
-    buffers are freed and the ops are applied here in order, so every
-    adjacency set sees the mutations the Python loop makes, in the same
-    order; ``mutation_stamp``, ``overlay.stats``, ``forgotten`` and the rng
-    state are settled in bulk afterwards.  The peers a ``(v, ~i)`` op pops
-    with ``v`` are the list ``remove_node`` returns in the Python loop, so
-    the batch ends by compacting the same survivors' sets.
+    C starts from the graph's CSR -- a packed graph's own, or the mirror
+    the last measurement left on a set graph (``fast.cached_csr``;
+    building one here would cost more than a small batch saves) -- and the
+    rng's Mersenne Twister state (:class:`~repro.graphs._wavekernel.MTState`),
+    and decides the whole batch first, as op pairs (see ``ddsr.c``).
+
+    * **Packed graph.**  C's post-batch rows become the next snapshot
+      (:func:`_next_csr`): survivors keep their label order, peers C's
+      order.  No set is built; only the removal ops are read.
+    * **Set graph.**  C's buffers are freed and the ops are applied in
+      order (:func:`_apply_ops`), so every adjacency set sees the
+      mutations the Python loop makes, in the same order.  The peers a
+      ``(v, ~i)`` op pops with ``v`` are the list ``remove_node`` returns
+      in the Python loop, so the batch ends by compacting the same
+      survivors' sets.
+
+    Either way ``mutation_stamp``, ``overlay.stats``, ``forgotten`` and the
+    rng state are settled in bulk afterwards.
     """
     config = overlay.config
     if (
         config.repair_policy is not RepairPolicy.CLIQUE
         or config.pruning_policy
         not in (PruningPolicy.HIGHEST_DEGREE, PruningPolicy.LOWEST_DEGREE)
-        or type(overlay.rng) is not random.Random
     ):
         return None
     from repro.graphs.backend import fast_available
@@ -629,6 +651,9 @@ def _remove_compiled(overlay: DDSROverlay, batch: Sequence[NodeId]) -> Optional[
     from repro.graphs import _wavekernel
     from repro.graphs.fast import cached_csr
 
+    if not _wavekernel.MTState.replays(overlay.rng):
+        return None
+
     graph = overlay.graph
     csr = cached_csr(graph)
     if csr is None:
@@ -636,6 +661,8 @@ def _remove_compiled(overlay: DDSROverlay, batch: Sequence[NodeId]) -> Optional[
     kernel = _wavekernel.load_ddsr()
     if kernel is None:
         return None
+    if not batch:
+        return 0
     labels = csr.nodes
     key = _repr_keys(labels)
     if key is None:
@@ -657,15 +684,16 @@ def _remove_compiled(overlay: DDSROverlay, batch: Sequence[NodeId]) -> Optional[
     io[_IO_HIGHEST] = config.pruning_policy is PruningPolicy.HIGHEST_DEGREE
     io[_IO_VICTIMS] = len(batch)
     io[_IO_OPS] = room
-    version, words, gauss_next = overlay.rng.getstate()
-    state = np.array(words, dtype=np.uint32)
+    state = _wavekernel.MTState(overlay.rng)
     ops = np.empty(2 * room, dtype=np.int32)
+    rows = np.empty(n * width, dtype=np.int32)
+    degree = np.empty(n, dtype=np.int32)
     buffers = (
         io,
-        state,
+        np.frombuffer(state.words, dtype=np.uint32),
         key,
-        np.empty(n * width, dtype=np.int32),
-        np.empty(n, dtype=np.int32),
+        rows,
+        degree,
         np.empty(n, dtype=np.int32),
         victims,
         ops,
@@ -674,15 +702,70 @@ def _remove_compiled(overlay: DDSROverlay, batch: Sequence[NodeId]) -> Optional[
         np.ascontiguousarray(csr.indices, dtype=np.int32),
     )
     arguments = [buffer.ctypes.data for buffer in buffers]
+    packed = graph._packed is not None
     chunks = []
     while io[_IO_NEXT] < len(batch):
         count = kernel(*arguments)
         if count < 0:
             return None
-        chunks.append(ops[:2 * count].copy())
-    # C's buffers go before the adjacency sets grow, so the sets can reuse
-    # their memory instead of stacking above it.
+        if packed:
+            # Only the removals matter here: (v, ~i) pairs, in order.
+            slots = ops[1:2 * count:2]
+            chunks.append(~slots[slots < 0])
+        else:
+            chunks.append(ops[:2 * count].copy())
+    # C's other buffers go first: the next snapshot, or the adjacency sets
+    # growing, can then reuse their memory instead of stacking above it.
     del buffers, key, ops
+    if packed:
+        gone = [batch[slot] for chunk in chunks for slot in chunk.tolist()]
+        graph._packed = _next_csr(labels, rows, degree, width)
+    else:
+        del rows, degree
+        gone = _apply_ops(graph, labels, batch, chunks)
+    state.commit()
+    removed, repairs, edges, prunes = map(int, io[_IO_REMOVED:])
+    graph._mutations += removed + edges + prunes
+    stats = overlay.stats
+    stats.nodes_removed += removed
+    stats.repairs_performed += repairs
+    stats.repair_edges_added += edges
+    stats.prune_operations += prunes
+    stats.prune_edges_removed += prunes
+    if config.forgetting_enabled:
+        overlay.forgotten.update(gone)
+        stats.addresses_forgotten += removed + prunes
+    return removed
+
+
+def _next_csr(labels: List[NodeId], rows, degree, width: int):
+    """The CSR snapshot of ``ddsr.c``'s rows after a batch.
+
+    Row ``i`` of ``rows`` (``width`` slots) holds the ``degree[i]`` peers
+    of ``labels[i]`` in C's order, ``degree[i] == -1`` once removed.  The
+    survivors keep their label order and their peers C's order, renumbered
+    to the survivors' new indices.
+    """
+    import numpy as np
+
+    from repro.graphs.fast import CSRGraph
+
+    alive = degree >= 0
+    in_row = np.arange(width, dtype=np.int32) < degree[:, None]
+    renumber = np.cumsum(alive, dtype=np.int32) - 1
+    indices = renumber[rows.reshape(-1, width)[in_row]]
+    indptr = np.zeros(int(np.count_nonzero(alive)) + 1, dtype=np.int64)
+    np.cumsum(degree[alive], out=indptr[1:])
+    return CSRGraph(list(compress(labels, alive.tolist())), None, indptr, indices)
+
+
+def _apply_ops(graph: UndirectedGraph, labels, batch, chunks) -> List[NodeId]:
+    """Apply ``ddsr.c``'s op pairs to the adjacency sets, in order.
+
+    Every set sees the mutations the Python loop makes, in the same order;
+    the batch ends by compacting the sets of the survivors that lost a
+    peer to a removal.  Returns the removed victims, in removal order.
+    """
     adjacency = graph._adjacency
     gone: List[NodeId] = []
     touched: List[NodeId] = []
@@ -707,16 +790,4 @@ def _remove_compiled(overlay: DDSROverlay, batch: Sequence[NodeId]) -> Optional[
                 adjacency[u].add(w)
                 adjacency[w].add(u)
     graph.compact(touched)
-    overlay.rng.setstate((version, tuple(state.tolist()), gauss_next))
-    removed, repairs, edges, prunes = map(int, io[_IO_REMOVED:])
-    graph._mutations += removed + edges + prunes
-    stats = overlay.stats
-    stats.nodes_removed += removed
-    stats.repairs_performed += repairs
-    stats.repair_edges_added += edges
-    stats.prune_operations += prunes
-    stats.prune_edges_removed += prunes
-    if config.forgetting_enabled:
-        overlay.forgotten.update(gone)
-        stats.addresses_forgotten += removed + prunes
-    return removed
+    return gone

@@ -23,10 +23,16 @@ The four C sources, ``wavekernel.c``, ``pairing.c``, ``soap.c`` and
   :meth:`repro.core.ddsr.DDSROverlay.remove_nodes` decides a batch's
   removals, clique repairs and prunes through it, on the same replay of
   ``random.Random``, and runs the Python deletion loop otherwise -- both
-  make the same mutations in the same order and leave the rng in the same
-  state.
+  make the same mutations in the same order (on a packed graph, C's rows
+  become its next CSR: the same neighbour sets) and leave the rng in the
+  same state.
 
 Either way the choice never reaches a cache key.
+
+The last three replay ``random.Random`` through :class:`MTState`: the
+rng's Mersenne Twister words in a ``uint32`` buffer C advances, written back
+with :meth:`MTState.commit`; :meth:`MTState.replays` is the guard that the
+rng is exactly a ``random.Random`` (a subclass may override its draws).
 
 * **Lazy.** Nothing happens at import; the first :func:`load`,
   :func:`load_pairing`, :func:`load_soap` or :func:`load_ddsr` call builds
@@ -55,6 +61,7 @@ import ctypes
 import hashlib
 import os
 import platform
+import random
 import shlex
 import subprocess
 import tempfile
@@ -82,6 +89,33 @@ _TRAILER_MAGIC = b"repro-wavekernel"
 _COMPILE_TIMEOUT = 120
 
 _state: Dict[str, object] = {}
+
+
+class MTState:
+    """``rng``'s MT19937 state as the 625 ``uint32`` words the C replays take.
+
+    ``words`` holds ``rng.getstate()``'s 624 state words and its position;
+    C advances them in place, and :meth:`commit` hands them back to ``rng``
+    with ``setstate``, so ``rng`` ends bit-identical to having drawn in
+    Python.  A caller that gives up before committing leaves ``rng`` as it
+    was.
+    """
+
+    __slots__ = ("words", "_rng", "_version", "_gauss_next")
+
+    def __init__(self, rng: random.Random) -> None:
+        self._rng = rng
+        self._version, words, self._gauss_next = rng.getstate()
+        self.words = (ctypes.c_uint32 * len(words))(*words)
+
+    @staticmethod
+    def replays(rng) -> bool:
+        """Whether C can replay ``rng``: exactly a ``random.Random``."""
+        return type(rng) is random.Random
+
+    def commit(self) -> None:
+        """Write the words C advanced back into the rng."""
+        self._rng.setstate((self._version, tuple(self.words), self._gauss_next))
 
 
 def cache_dir() -> Path:

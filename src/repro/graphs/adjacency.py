@@ -9,7 +9,11 @@ layer uses ``.onion`` address strings, the experiment harness uses integers.
 
 from __future__ import annotations
 
+from itertools import islice, repeat
+from operator import sub
 from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Set, Tuple
+
+from repro.obs.telemetry import current as _telemetry
 
 NodeId = Hashable
 
@@ -18,11 +22,42 @@ class GraphError(ValueError):
     """Raised for invalid graph operations (missing nodes, self-loops...)."""
 
 
+class _Materialized:
+    """``UndirectedGraph._adjacency`` of a packed graph: built on first read.
+
+    A non-data descriptor, so once :meth:`UndirectedGraph._materialize`
+    stores the dict in the instance, every later read is a plain attribute
+    lookup and this class is out of the way.
+    """
+
+    def __get__(self, graph, owner=None):
+        if graph is None:
+            return self
+        return graph._materialize()
+
+
 class UndirectedGraph:
     """A simple undirected graph backed by adjacency sets.
 
     Self-loops are rejected; parallel edges collapse into a single edge.
+
+    A graph may also start *packed* (:meth:`packed`): its only copy is a
+    CSR snapshot of the fast backend (``repro.graphs.fast.CSRGraph``:
+    labels, ``indptr``, ``indices``).  ``number_of_nodes``, ``len``,
+    ``nodes``, ``number_of_edges``, ``max_degree``, iteration and
+    ``mutation_stamp`` read it, and ``fast.csr_of`` hands it out with no
+    build.  The first use of anything else -- ``_adjacency``,
+    ``neighbors``, ``add_edge``, ``subgraph``, ``in``, ... -- materializes
+    the adjacency sets (:meth:`_materialize`), exactly as
+    :meth:`from_neighbor_rows` builds them from the CSR rows, and drops the
+    CSR; from then on the graph is an ordinary set graph.  While packed,
+    :meth:`repro.core.ddsr.DDSROverlay.remove_nodes` swaps in the next
+    snapshot (the only mutation a packed graph takes).
     """
+
+    #: The CSR snapshot while the graph is packed, else ``None``.
+    _packed = None
+    _adjacency = _Materialized()
 
     def __init__(self, nodes: Iterable[NodeId] = (), edges: Iterable[Tuple[NodeId, NodeId]] = ()) -> None:
         self._adjacency: Dict[NodeId, Set[NodeId]] = {}
@@ -53,6 +88,42 @@ class UndirectedGraph:
         degrees = sum(map(len, graph._adjacency.values()))
         graph._mutations = len(graph._adjacency) + degrees // 2
         return graph
+
+    @classmethod
+    def packed(cls, csr, stamp: int) -> "UndirectedGraph":
+        """A packed graph whose only copy is the CSR snapshot ``csr``.
+
+        ``csr.nodes[i]`` has the neighbours ``csr.nodes[j]`` for the ``j``
+        of ``csr.indices[csr.indptr[i]:csr.indptr[i + 1]]``; the rows must
+        be symmetric and free of self-loops and repeats.  ``stamp`` is the
+        graph's ``mutation_stamp``.  The snapshot is never written to.
+        """
+        graph = cls.__new__(cls)
+        graph._packed = csr
+        graph._mutations = stamp
+        return graph
+
+    def _materialize(self) -> Dict[NodeId, Set[NodeId]]:
+        """Build a packed graph's adjacency sets and drop its CSR.
+
+        ``dict(zip(labels, map(set, rows)))`` over the CSR rows mapped to
+        their label objects, as :meth:`from_neighbor_rows` does: the sets
+        are filled in row order and hold the very label objects.  Nothing
+        else is allocated on the way (the rows are read through
+        memoryviews), and no CSR cache is seeded.  Counted as
+        ``graph.materialize`` with telemetry on.
+        """
+        csr = self._packed
+        labels = csr.nodes
+        bounds = memoryview(csr.indptr)
+        flat = map(labels.__getitem__, memoryview(csr.indices))
+        rows = map(islice, repeat(flat), map(sub, bounds[1:], bounds[:-1]))
+        adjacency = self.__dict__["_adjacency"] = dict(zip(labels, map(set, rows)))
+        del self._packed
+        tel = _telemetry()
+        if tel.enabled:
+            tel.count("graph.materialize")
+        return adjacency
 
     @property
     def mutation_stamp(self) -> int:
@@ -153,7 +224,7 @@ class UndirectedGraph:
         return node in self._adjacency
 
     def __len__(self) -> int:
-        return len(self._adjacency)
+        return self.number_of_nodes()
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         """Whether the undirected edge ``(u, v)`` is present."""
@@ -161,7 +232,8 @@ class UndirectedGraph:
 
     def nodes(self) -> List[NodeId]:
         """All node identifiers (in insertion order)."""
-        return list(self._adjacency)
+        packed = self._packed
+        return list(self._adjacency if packed is None else packed.nodes)
 
     def edges(self) -> List[Tuple[NodeId, NodeId]]:
         """Every edge exactly once."""
@@ -178,10 +250,14 @@ class UndirectedGraph:
 
     def number_of_nodes(self) -> int:
         """Count of nodes."""
-        return len(self._adjacency)
+        packed = self._packed
+        return len(self._adjacency if packed is None else packed.nodes)
 
     def number_of_edges(self) -> int:
         """Count of undirected edges."""
+        packed = self._packed
+        if packed is not None:
+            return int(packed.indptr[-1]) // 2
         return sum(len(neighbors) for neighbors in self._adjacency.values()) // 2
 
     def neighbors(self, node: NodeId) -> Set[NodeId]:
@@ -202,6 +278,9 @@ class UndirectedGraph:
 
     def max_degree(self) -> int:
         """Largest degree in the graph (0 for an empty graph)."""
+        packed = self._packed
+        if packed is not None:
+            return int(packed.degrees().max()) if packed.n else 0
         if not self._adjacency:
             return 0
         return max(len(neighbors) for neighbors in self._adjacency.values())
@@ -264,7 +343,8 @@ class UndirectedGraph:
         return sub
 
     def __iter__(self) -> Iterator[NodeId]:
-        return iter(self._adjacency)
+        packed = self._packed
+        return iter(self._adjacency if packed is None else packed.nodes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -42,8 +42,12 @@ for it, so an older numpy leaves every dispatch on the reference path.
 
 The CSR mirror is cached on the graph object, keyed on the graph's mutation
 stamp; on a stamp mismatch :func:`csr_of` rebuilds it from scratch with
-:func:`build_csr`.  Every snapshot is therefore compact: index ``i`` is the
-``i``-th entry of ``graph.nodes()``, and no kernel needs a liveness mask.
+:func:`build_csr`.  A *packed* graph (``UndirectedGraph.packed``: what the
+compiled pairing model builds, and what ``DDSROverlay.remove_nodes`` keeps
+packed) has no adjacency sets at all: its CSR is its only copy, and
+:func:`csr_of` returns it with no build.  Every snapshot is compact: index
+``i`` is the ``i``-th entry of ``graph.nodes()``, and no kernel needs a
+liveness mask.
 """
 
 from __future__ import annotations
@@ -97,28 +101,44 @@ _KERNEL_MODES = {"adaptive": 0, "dense": 1, "sparse": 2}
 #: identical results; the numpy fallback always runs on one thread.
 WAVE_THREADS: Optional[int] = None
 
+#: Bytes the wave lanes of one campaign may take together (one lane per
+#: thread, about ``(24 * words + 33) * n`` bytes each: 81 B per node at two
+#: words); more threads than fit run as fewer.
+WAVE_LANE_BUDGET = 512 << 20
+
+#: The cgroup v2 CPU quota file read (never written) by :func:`_cpu_quota`.
+CPU_MAX_PATH = "/sys/fs/cgroup/cpu.max"
+
 
 class CSRGraph:
     """Immutable CSR snapshot of an :class:`UndirectedGraph`.
 
     ``nodes`` preserves the graph's insertion order (``graph.nodes()``), so
     index ``i`` everywhere below refers to ``nodes[i]``.  Each undirected edge
-    appears twice in ``indices`` (once per direction).
+    appears twice in ``indices`` (once per direction).  ``index_of`` (label
+    -> index) is built on first use when the constructor gets ``None``.
     """
 
-    __slots__ = ("nodes", "index_of", "indptr", "indices")
+    __slots__ = ("nodes", "_index_of", "indptr", "indices")
 
     def __init__(
         self,
         nodes: List[NodeId],
-        index_of: Dict[NodeId, int],
+        index_of: Optional[Dict[NodeId, int]],
         indptr: np.ndarray,
         indices: np.ndarray,
     ) -> None:
         self.nodes = nodes
-        self.index_of = index_of
+        self._index_of = index_of
         self.indptr = indptr
         self.indices = indices
+
+    @property
+    def index_of(self) -> Dict[NodeId, int]:
+        """Label -> index."""
+        if self._index_of is None:
+            self._index_of = dict(zip(self.nodes, range(len(self.nodes))))
+        return self._index_of
 
     @property
     def n(self) -> int:
@@ -168,7 +188,12 @@ def build_csr(graph: UndirectedGraph) -> CSRGraph:
 
 
 def cached_csr(graph: UndirectedGraph) -> Optional[CSRGraph]:
-    """The CSR mirror cached for ``graph``'s current state, or ``None``."""
+    """The CSR mirror cached for ``graph``'s current state, or ``None``.
+
+    A packed graph's CSR is its only copy, so it is always there.
+    """
+    if graph._packed is not None:
+        return graph._packed
     cached = getattr(graph, _CSR_CACHE_ATTR, None)
     if cached is not None and cached[0] == graph.mutation_stamp:
         return cached[1]
@@ -176,7 +201,13 @@ def cached_csr(graph: UndirectedGraph) -> Optional[CSRGraph]:
 
 
 def csr_of(graph: UndirectedGraph) -> CSRGraph:
-    """The cached CSR mirror of ``graph``, rebuilt after any mutation."""
+    """The cached CSR mirror of ``graph``, rebuilt after any mutation.
+
+    A packed graph (``UndirectedGraph.packed``) returns its own CSR: no
+    build, no cache entry, counted as a ``csr.cache.hit``.  A set graph
+    gets :func:`build_csr` once per ``mutation_stamp``, timed as the
+    ``csr.sync`` span.
+    """
     cached = cached_csr(graph)
     tel = _telemetry()
     if cached is not None:
@@ -251,9 +282,11 @@ def _compiled_waves(
 ) -> None:
     """:func:`_run_waves` on the C kernel, one kernel call per wave chunk.
 
-    The chunks (the :func:`_wave_width` split) go to ``T = min(WAVE_THREADS
-    or the CPUs the process may use, chunk count)`` threads, the calling
-    thread among them; each claims its next chunk from one shared counter.
+    The chunks (the :func:`_wave_width` split) go to ``T`` threads
+    (:func:`_wave_threads`: :data:`WAVE_THREADS` or the CPUs the process
+    may use under its CPU quota, at most one per chunk and within
+    :data:`WAVE_LANE_BUDGET`), the calling thread among them; each claims
+    its next chunk from one shared counter.
     ``ctypes`` releases the GIL for the kernel call and the kernel keeps no
     global state, so the threads run in parallel, each on its own
     :class:`_WaveLane`: kernel buffers plus int64 accumulators (the
@@ -279,9 +312,8 @@ def _compiled_waves(
     if indptr.size != n + 1 or int(indptr[-1]) != indices.size:
         raise ValueError("CSR arrays do not match the node count")
     offsets = range(0, sources.size, chunk_size)
-    wanted = _usable_cpus() if WAVE_THREADS is None else WAVE_THREADS
-    threads = max(1, min(wanted, len(offsets)))
     words = -(-min(chunk_size, sources.size) // BFS_BATCH)
+    threads, cap = _wave_threads(n, words, len(offsets))
     lanes = [_WaveLane(n, words, ecc, totals)] + [
         _WaveLane(n, words, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
         for _ in range(threads - 1)
@@ -338,6 +370,7 @@ def _compiled_waves(
         # routine; same counts), not with np.bitwise_count.
         tel.gauge("wave.popcount_backend", "builtin")
         tel.gauge("wave.threads", threads)
+        tel.gauge("wave.threads_cap", cap)
         counts: Dict[str, int] = {}
         for lane in lanes:
             for name, value in lane.counts.items():
@@ -352,12 +385,53 @@ def _compiled_waves(
         totals += lane.totals
 
 
+def _wave_threads(n: int, words: int, chunks: int) -> Tuple[int, str]:
+    """``(threads, cap)``: how many threads run a campaign's waves, and why.
+
+    The smallest of: :data:`WAVE_THREADS` when set (``"fixed"``), else the
+    CPUs the process may use (``"cpus"``) or the cgroup CPU quota when that
+    is lower (``"quota"``); the wave chunks (``"chunks"``); and the lanes
+    :data:`WAVE_LANE_BUDGET` holds (``"memory"``).  Never below 1.  The
+    cap that decided goes to the ``wave.threads_cap`` gauge.
+    """
+    if WAVE_THREADS is not None:
+        wanted, cap = WAVE_THREADS, "fixed"
+    else:
+        wanted, cap = _usable_cpus(), "cpus"
+        quota = _cpu_quota()
+        if quota is not None and quota < wanted:
+            wanted, cap = quota, "quota"
+    lanes = WAVE_LANE_BUDGET // max(1, (24 * words + 33) * n)
+    for limit, name in ((chunks, "chunks"), (lanes, "memory")):
+        if limit < wanted:
+            wanted, cap = limit, name
+    return max(1, wanted), cap
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask, else the CPU count."""
     try:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
         return os.cpu_count() or 1
+
+
+def _cpu_quota() -> Optional[int]:
+    """CPUs the cgroup v2 quota allows (``cpu.max``, rounded up), or ``None``.
+
+    ``None`` when the file is missing or unreadable, or reads ``max`` (no
+    quota).  A container limited by a quota rather than a cpuset sees every
+    host CPU in its affinity mask; this is what it may actually use.
+    """
+    try:
+        with open(CPU_MAX_PATH, encoding="ascii") as handle:
+            fields = handle.read().split()
+        quota, period = int(fields[0]), int(fields[1])
+    except (OSError, ValueError, IndexError):
+        return None
+    if period <= 0 or quota <= 0:
+        return None
+    return max(1, -(-quota // period))
 
 
 class _WaveLane:
@@ -891,9 +965,33 @@ def _working_component(graph: UndirectedGraph) -> Tuple[UndirectedGraph, int]:
     # stable size sort.
     winner = unique[int(np.argmax(counts))]
     in_winner = labels == winner
+    if graph._packed is not None:
+        return _packed_subgraph(csr, in_winner), len(unique)
     nodes = csr.nodes
     members = {nodes[int(i)] for i in np.flatnonzero(in_winner)}
     return graph.subgraph(members), len(unique)
+
+
+def _packed_subgraph(csr: CSRGraph, keep: np.ndarray) -> UndirectedGraph:
+    """The packed subgraph induced on the indices where ``keep`` is set.
+
+    :meth:`UndirectedGraph.subgraph` of the packed graph without its sets:
+    the nodes keep this snapshot's order, which is what the path metrics'
+    float sums follow, and each row keeps its peers' order (no metric
+    depends on that).  The stamp is what ``subgraph`` leaves: nodes plus
+    edges.
+    """
+    kept = keep[csr.indices] & np.repeat(keep, np.diff(csr.indptr))
+    remap = np.cumsum(keep, dtype=np.int32) - 1
+    indices = remap[csr.indices[kept]]
+    # Kept entries before each row's start: kept peers per row by difference.
+    before = np.concatenate(([0], np.cumsum(kept)))
+    counts = (before[csr.indptr[1:]] - before[csr.indptr[:-1]])[keep]
+    indptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    nodes = [csr.nodes[i] for i in np.flatnonzero(keep).tolist()]
+    sub = CSRGraph(nodes, None, indptr, indices)
+    return UndirectedGraph.packed(sub, len(nodes) + indices.size // 2)
 
 
 def diameter(

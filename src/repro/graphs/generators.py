@@ -63,8 +63,11 @@ def k_regular_graph(
     final state back with ``rng.setstate``, so both paths build the same
     graph (adjacency sets filled in the same order, same
     ``mutation_stamp``) and leave ``rng`` in the same state, after failed
-    attempts and before the networkx fallback too.  With telemetry on, the
-    gauge ``generators.pairing`` names the path (``compiled``/``python``).
+    attempts and before the networkx fallback too.  With numpy >= 2.0 the
+    compiled path returns the graph packed (:meth:`UndirectedGraph.packed`):
+    C's rows are its CSR, and those same sets are built only when a caller
+    first uses the set API.  With telemetry on, the gauge
+    ``generators.pairing`` names the path (``compiled``/``python``).
 
     Parameters mirror the paper's setup: ``k_regular_graph(5000, 10)`` builds
     the 10-regular, 5000-node overlay of Figure 5.
@@ -143,12 +146,14 @@ COMPILED_STUB_LIMIT = 2**31
 
 def _pairing_kernel(n: int, k: int, rng: random.Random):
     """The compiled pairing model if it can replay ``rng`` here, else ``None``."""
-    if type(rng) is not random.Random or n * k >= COMPILED_STUB_LIMIT:
+    if n * k >= COMPILED_STUB_LIMIT:
         return None
     # Imported here so that importing this module stays free of the
     # loader's subprocess/ctypes machinery (process set-up time).
     from repro.graphs import _wavekernel
 
+    if not _wavekernel.MTState.replays(rng):
+        return None
     return _wavekernel.load_pairing()
 
 
@@ -159,24 +164,41 @@ def _compiled_pairing_model(
 
     ``None`` when every attempt got stuck; ``rng`` ends where the Python
     attempts would leave it either way.
+
+    With numpy >= 2.0 the graph comes back packed
+    (:meth:`UndirectedGraph.packed`): C's rows, ``k`` per node, are its
+    CSR ``indices`` as they are, and no adjacency set exists until a
+    caller uses the set API.  Without numpy the sets are built here, with
+    the same :meth:`UndirectedGraph.from_neighbor_rows` the packed graph
+    materializes through.
     """
     import ctypes
 
-    version, words, gauss_next = rng.getstate()
-    state = (ctypes.c_uint32 * len(words))(*words)
+    from repro.graphs import _wavekernel
+    from repro.graphs.backend import fast_available
+
+    state = _wavekernel.MTState(rng)
     size = n * k
     rows = (ctypes.c_int32 * size)()
     paired = kernel(
-        n, k, attempts, state,
+        n, k, attempts, state.words,
         (ctypes.c_int32 * size)(), (ctypes.c_int32 * size)(), rows,
         (ctypes.c_int32 * n)(),
     )
-    rng.setstate((version, tuple(state), gauss_next))
+    state.commit()
     if not paired:
         return None
     # The rows hold node numbers; map each to its node key object, so the
     # adjacency sets share the keys instead of holding a copy of each int.
     nodes = list(range(n))
+    if fast_available():
+        import numpy as np
+
+        from repro.graphs.fast import CSRGraph
+
+        indptr = np.arange(0, size + 1, k, dtype=np.int64)
+        indices = np.frombuffer(rows, dtype=np.int32)
+        return UndirectedGraph.packed(CSRGraph(nodes, None, indptr, indices), n + size // 2)
     neighbors = map(nodes.__getitem__, memoryview(rows).cast("B").cast("i"))
     return UndirectedGraph.from_neighbor_rows(nodes, zip(*[neighbors] * k))
 

@@ -365,6 +365,14 @@ def resilience_at_scale(
     it themselves (an environment knob, not a parameter: performance
     settings must not perturb unit seeds or cache identity).
 
+    With numpy >= 2.0 and the compiled library the overlay stays packed
+    (``UndirectedGraph.packed``) from generation to the last row: its CSR
+    is its only copy, each checkpoint measures it with no CSR build, and
+    each batch's ``ddsr.c`` rows become the next CSR.  Nothing here reads
+    the adjacency-set API, so no set is ever built (telemetry counts no
+    ``graph.materialize``).  The rows equal those of the same campaign on
+    sets.
+
     ``metric_sample`` and ``closeness_sample`` accept only ``None`` and
     change nothing: they stay in ``defaults`` so that the pinned benchmark
     rows and the cache keys of this scenario keep their bytes, until a

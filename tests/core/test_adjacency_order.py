@@ -3,17 +3,21 @@
 Every DDSR-family scenario row must be byte-identical whatever order the
 adjacency sets iterate in after a deletion batch.  That is what lets
 :meth:`DDSROverlay.remove_nodes` compact the sets repair inflated
-(:meth:`UndirectedGraph.compact`), which moves their order.  Each case runs
-a scenario three ways, on both removal engines:
+(:meth:`UndirectedGraph.compact`), which moves their order, and what lets
+a packed overlay (``UndirectedGraph.packed``) take C's row order for its
+peers.  Each case runs a scenario four ways, on both removal engines:
 
 * ``uncompacted`` -- the compaction turned off (the sets keep their
   repair-time tables and order);
-* ``natural`` -- the shipped code;
+* ``natural`` -- the shipped code (a k-regular overlay stays packed through
+  its removals when the compiled engines run);
+* ``materialized`` -- every overlay's graph touched right after
+  construction, so it lives on adjacency sets throughout;
 * ``scrambled`` -- after every ``remove_nodes`` batch, every adjacency set
   is rebuilt in a new iteration order (shuffled insertion into a table of a
   random size), and the scramble counts how many sets' order it changed.
 
-The rows of all three must be equal, and the scramble must have changed the
+The rows of all four must be equal, and the scramble must have changed the
 order of most sets, so the differential cannot pass vacuously.
 
 SOAP is the exception on record: its rows do depend on the adjacency order
@@ -119,6 +123,14 @@ def _row(name, params, seed, *, engine, mode):
                 return removed
 
             patch.setattr(DDSROverlay, "remove_nodes", scrambling)
+        elif mode == "materialized":
+            init = DDSROverlay.__init__
+
+            def materializing(self, *args, **kwargs):
+                init(self, *args, **kwargs)
+                self.graph._adjacency
+
+            patch.setattr(DDSROverlay, "__init__", materializing)
         with telemetry.collecting() as collector:
             row = get_scenario(name).call(seed=seed, **params)
     gauge = collector.snapshot()["gauges"].get("ddsr.engine")
@@ -132,14 +144,18 @@ def test_ddsr_rows_do_not_depend_on_adjacency_order(name, params, seed, engine):
         pytest.skip("no numpy >= 2.0 or no working C compiler")
     uncompacted, _, _ = _row(name, params, seed, engine=engine, mode="uncompacted")
     natural, _, gauge = _row(name, params, seed, engine=engine, mode="natural")
+    materialized, _, set_gauge = _row(name, params, seed, engine=engine, mode="materialized")
     scrambled, scrambler, _ = _row(name, params, seed, engine=engine, mode="scrambled")
     assert natural == uncompacted
+    assert materialized == natural
     assert scrambled == natural
     assert scrambler.sets > 0
     assert scrambler.changed > scrambler.sets / 2, (scrambler.changed, scrambler.sets)
     if name == "resilience-at-scale":
-        # Its checkpoints leave a CSR mirror, so the compiled loop ran.
-        assert gauge == engine
+        # Packed, the overlay removes through C's rows; on sets, its
+        # checkpoints leave a CSR mirror, so the compiled loop runs.
+        assert gauge == ("packed" if engine == "compiled" else "python")
+        assert set_gauge == engine
 
 
 @pytest.mark.parametrize(

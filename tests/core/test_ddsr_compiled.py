@@ -9,6 +9,13 @@ every node's adjacency in iteration order, ``overlay.stats``,
 ``mutation_stamp``, ``overlay.rng``'s state, ``forgotten`` in iteration
 order and the returned counts.  The ``ddsr.engine`` gauge proves which
 engine ran.
+
+Those overlays are materialized right after construction (``_overlay``),
+so the compiled loop runs on the adjacency sets.  A k-regular overlay
+left packed keeps its graph as a CSR and removes through C's rows
+(``ddsr.engine`` = ``packed``), whose peer order is C's: the ``packed``
+tests compare it with the Python loop on neighbour *sets*, node order and
+everything else above, and check the graph never materialized.
 """
 
 from __future__ import annotations
@@ -45,14 +52,19 @@ def _engine(name):
         yield
 
 
-def _overlay(n, k, seed, policy=HIGHEST, d_max=None, relabel=None, **config):
-    """A k-regular overlay, its labels optionally mapped through ``relabel``."""
+def _overlay(n, k, seed, policy=HIGHEST, d_max=None, relabel=None, packed=False, **config):
+    """A k-regular overlay, its labels optionally mapped through ``relabel``.
+
+    Materialized (on adjacency sets) unless ``packed``.
+    """
     config = DDSRConfig(
         d_min=min(5, k), d_max=d_max or max(15, k), pruning_policy=policy, **config
     )
     overlay = DDSROverlay.k_regular(n, k, config=config, seed=seed)
+    if packed:
+        return overlay
+    adjacency = overlay.graph._adjacency
     if relabel is not None:
-        adjacency = overlay.graph._adjacency
         overlay.graph = UndirectedGraph.from_neighbor_rows(
             [relabel(node) for node in adjacency],
             [[relabel(peer) for peer in peers] for peers in adjacency.values()],
@@ -75,6 +87,15 @@ def _fingerprint(overlay, removed):
         overlay.graph.mutation_stamp,
         overlay.rng.getstate(),
         list(overlay.forgotten),
+    )
+
+
+def _set_fingerprint(overlay, removed):
+    """:func:`_fingerprint` with neighbour sets in place of iteration order."""
+    return (
+        removed,
+        [(node, sorted(peers)) for node, peers in overlay.graph._adjacency.items()],
+        *_fingerprint(overlay, removed)[2:],
     )
 
 
@@ -120,6 +141,68 @@ def test_removals_identical(compiled, n, k, seed, policy):
     )
     assert fingerprint[2]["repair_edges_added"] > 0
     assert fingerprint[2]["prune_operations"] > 0
+
+
+PACKED_CASES = {
+    "60-6-highest": (dict(n=60, k=6, seed=0), 0.3, 3),
+    "300-8-lowest": (dict(n=300, k=8, seed=7, policy=LOWEST), 0.3, 3),
+    "500-10-highest": (dict(n=500, k=10, seed=42), 0.5, 4),
+    "tight-highest": (dict(n=400, k=6, seed=3, d_max=6), 0.4, 4),
+    "tight-lowest": (dict(n=400, k=6, seed=3, policy=LOWEST, d_max=6), 0.4, 4),
+    "no-forgetting": (dict(n=200, k=8, seed=4, forgetting_enabled=False), 0.3, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PACKED_CASES))
+def test_packed_removals_match_python(compiled, case):
+    """A packed overlay's removals leave what the Python loop leaves, as sets.
+
+    The graph stays packed through every batch (no materialization, no CSR
+    build), and only peer order may differ from the Python loop's.
+    """
+    params, fraction, count = PACKED_CASES[case]
+    build = lambda: _overlay(**params, packed=True)  # noqa: E731
+    batches = lambda overlay: _batches(overlay, fraction, count, params["seed"])  # noqa: E731
+    python = _overlay(**params, packed=True)
+    removed = []
+    with _engine("python"):
+        for batch in batches(python):
+            removed.append(python.remove_nodes(batch))
+    expected = _set_fingerprint(python, removed)
+    overlay = build()
+    removed = []
+    with telemetry.collecting() as collector:
+        for batch in batches(overlay):
+            removed.append(overlay.remove_nodes(batch))
+        assert overlay.graph._packed is not None
+    snapshot = collector.snapshot()
+    assert snapshot["gauges"]["ddsr.engine"] == "packed"
+    assert "graph.materialize" not in snapshot["counters"]
+    assert "csr.cache.build" not in snapshot["counters"]
+    assert overlay.graph.nodes() == python.graph.nodes()
+    assert overlay.max_degree() == python.max_degree()
+    assert _set_fingerprint(overlay, removed) == expected
+    assert expected[2]["repair_edges_added"] > 0
+
+
+def test_packed_duplicate_absent_and_equal_victims(compiled):
+    def batches(overlay):
+        nodes = overlay.nodes()
+        return [
+            [nodes[3], nodes[3], "absent", 10**30, nodes[8], -1],
+            (float(nodes[20]), True, nodes[3], nodes[40]),
+            [],
+            [nodes[50]] * 3,
+        ]
+
+    fingerprints = []
+    for engine in ("python", "auto"):
+        overlay = _overlay(120, 6, 2, d_max=6, packed=True)
+        with _engine(engine):
+            removed = [overlay.remove_nodes(batch) for batch in batches(overlay)]
+        fingerprints.append(_set_fingerprint(overlay, removed))
+    assert fingerprints[0] == fingerprints[1]
+    assert fingerprints[0][0] == [2, 3, 0, 1]
 
 
 @pytest.mark.parametrize("policy", [HIGHEST, LOWEST], ids=["highest", "lowest"])

@@ -425,8 +425,13 @@ MUTATION_SEQUENCES = {
 
 @pytest.mark.parametrize("sequence", list(MUTATION_SEQUENCES), ids=list(MUTATION_SEQUENCES))
 def test_csr_of_tracks_mutation_sequences(sequence):
-    """After every mutation step the cached mirror is fresh and kernels agree."""
+    """After every mutation step the cached mirror is fresh and kernels agree.
+
+    The graph is materialized first: a packed graph's CSR (its only copy)
+    lists each row in generation order, a build from the sets in set order.
+    """
     graph = k_regular_graph(120, 6, seed=81)
+    graph._adjacency
     rng = random.Random(82)
     _assert_cache_is_fresh(graph)
     for step, mutate in enumerate(MUTATION_SEQUENCES[sequence]):

@@ -275,7 +275,9 @@ def test_wave_threads_equal_the_reference(case, monkeypatch, wave_width):
                 result = fast.accumulate_path_shard(csr, indices)
             assert_same(result, expected, f"{threads} threads")
             snapshot = collector.snapshot()
-            wanted = fast._usable_cpus() if threads is None else threads
+            wanted = threads
+            if threads is None:
+                wanted = min(fast._usable_cpus(), fast._cpu_quota() or chunks)
             assert snapshot["gauges"]["wave.threads"] == min(wanted, chunks)
             counters[threads] = snapshot["counters"]
     assert counters[1]["wave.count"] == chunks
@@ -286,6 +288,72 @@ def test_wave_threads_equal_the_reference(case, monkeypatch, wave_width):
 def _fan_out_graph():
     """600 nodes: ten wave chunks at 64 sources per wave."""
     return fast.csr_of(k_regular_graph(600, 6, seed=75))
+
+
+@pytest.mark.parametrize(
+    "content,expected",
+    [
+        ("max 100000\n", None),
+        ("150000 100000\n", 2),
+        ("200000 100000", 2),
+        ("100000 100000", 1),
+        ("20000 100000", 1),
+        ("", None),
+        ("unlimited", None),
+        (None, None),
+    ],
+)
+def test_cpu_quota_reads_cpu_max(content, expected, tmp_path, monkeypatch):
+    """The quota is read from ``cpu.max`` (a stand-in file here), rounded up."""
+    path = tmp_path / "cpu.max"
+    if content is not None:
+        path.write_text(content)
+    monkeypatch.setattr(fast, "CPU_MAX_PATH", str(path))
+    assert fast._cpu_quota() == expected
+
+
+def test_wave_threads_caps(monkeypatch):
+    """CPUs, quota, chunks and the lane budget cap the threads; the gauge
+    value names the one that decided."""
+    monkeypatch.setattr(fast, "_usable_cpus", lambda: 8)
+    quota = {"value": 3}
+    monkeypatch.setattr(fast, "_cpu_quota", lambda: quota["value"])
+    assert fast._wave_threads(1000, 2, 10) == (3, "quota")
+    quota["value"] = None
+    assert fast._wave_threads(1000, 2, 10) == (8, "cpus")
+    quota["value"] = 16
+    assert fast._wave_threads(1000, 2, 10) == (8, "cpus")
+    assert fast._wave_threads(1000, 2, 2) == (2, "chunks")
+    # About 81 bytes a node per lane at two words.
+    monkeypatch.setattr(fast, "WAVE_LANE_BUDGET", 81 * 1000 * 2)
+    assert fast._wave_threads(1000, 2, 10) == (2, "memory")
+    monkeypatch.setattr(fast, "WAVE_LANE_BUDGET", 1000)
+    assert fast._wave_threads(1000, 2, 10) == (1, "memory")
+    monkeypatch.setattr(fast, "WAVE_LANE_BUDGET", 512 << 20)
+    monkeypatch.setattr(fast, "WAVE_THREADS", 5)
+    assert fast._wave_threads(1000, 2, 10) == (5, "fixed")
+    assert fast._wave_threads(1000, 2, 4) == (4, "chunks")
+
+
+@pytest.mark.parametrize("cap", ["quota", "memory"])
+def test_capped_wave_threads_equal_the_reference(cap, monkeypatch, wave_width):
+    """A quota or lane budget that leaves one thread: still the reference
+    accumulators, with the cap on record."""
+    _pin_wave_engine(monkeypatch, "adaptive")
+    monkeypatch.setattr(fast, "_usable_cpus", lambda: 4)
+    if cap == "quota":
+        monkeypatch.setattr(fast, "_cpu_quota", lambda: 1)
+    else:
+        monkeypatch.setattr(fast, "_cpu_quota", lambda: None)
+        monkeypatch.setattr(fast, "WAVE_LANE_BUDGET", 1)
+    graph = k_regular_graph(600, 6, seed=75)
+    csr = fast.csr_of(graph)
+    indices = np.arange(csr.n, dtype=np.int64)
+    with wave_width(64), telemetry.collecting() as collector:
+        result = fast.accumulate_path_shard(csr, indices)
+    assert_same(result, reference(graph, csr, indices), cap)
+    gauges = collector.snapshot()["gauges"]
+    assert (gauges["wave.threads"], gauges["wave.threads_cap"]) == (1, cap)
 
 
 @pytest.mark.parametrize("threads", [2, 3])

@@ -51,6 +51,7 @@ class TestWaveCampaignDifferential:
             dark = fast.average_closeness_centrality(graph)
             with telemetry.collecting() as collector:
                 fresh = k_regular_graph(300, 6, seed=9)
+                fresh._adjacency  # on sets: a packed graph's CSR is no build
                 fast.csr_of(fresh)  # first sight of this graph: a build
                 lit = fast.average_closeness_centrality(graph)
         assert lit == dark
